@@ -20,7 +20,8 @@
 //! - **Restart safety** — snapshotting the tenant halfway, writing the
 //!   snapshot through its JSON wire format to a fixture file, restoring
 //!   it into a *fresh* service and replaying the tail must drift by
-//!   exactly **0 detections** from the uninterrupted run.
+//!   exactly **0 detections** from the uninterrupted run. Re-encoding
+//!   the decoded fixture must reproduce its bytes exactly.
 //! - **Steady-state allocations** — the warmed
 //!   symbolize → filter → observe path over resident entities stays
 //!   allocation-free (≤ 7e-6 allocs/record) with the entity budget
@@ -208,6 +209,11 @@ fn main() {
     let wire = std::fs::read_to_string(&fixture).expect("read snapshot fixture");
     let restored = ServiceSnapshot::from_json(&wire).expect("fixture parses");
     assert_eq!(restored, mid, "wire format must round-trip losslessly");
+    let wire_roundtrip_byte_identical = restored.to_json() == wire;
+    assert!(
+        wire_roundtrip_byte_identical,
+        "re-encoding the decoded fixture must reproduce its bytes"
+    );
     println!("[artifact] {fixture}");
 
     let second = service(BUDGET);
@@ -313,6 +319,7 @@ fn main() {
                 "fixture": fixture,
                 "pass": restart_safe,
             },
+            "wire_roundtrip_byte_identical": wire_roundtrip_byte_identical,
             "steady_state_allocations": {
                 "per_record": steady_allocs_per_record,
                 "limit": ALLOC_GATE_PER_RECORD,

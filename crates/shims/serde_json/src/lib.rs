@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A JSON number: integers are kept exact so artifacts print `137`, not
 /// `137.0`.
@@ -121,7 +122,7 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Number(n) => out.push_str(&n.to_string()),
+            Value::Number(n) => write!(out, "{n}").expect("writing to a String cannot fail"),
             Value::String(s) => write_escaped(out, s),
             Value::Array(items) => {
                 write_seq(out, indent, level, '[', ']', items.len(), |out, i| {
@@ -153,7 +154,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
             }
             c => out.push(c),
         }
@@ -180,16 +181,25 @@ fn write_seq(
             out.push(',');
         }
         if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (level + 1)));
+            newline(out, width * (level + 1));
         }
         item(out, i);
     }
     if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * level));
+        newline(out, width * level);
     }
     out.push(close);
+}
+
+/// A line break followed by `width` spaces of indentation.
+fn newline(out: &mut String, mut width: usize) {
+    const SPACES: &str = "                                ";
+    out.push('\n');
+    while width > 0 {
+        let run = width.min(SPACES.len());
+        out.push_str(&SPACES[..run]);
+        width -= run;
+    }
 }
 
 impl fmt::Display for Value {
@@ -694,6 +704,42 @@ mod tests {
         let years: Vec<i32> = vec![2002, 2024];
         let v = json!({ "years": years });
         assert_eq!(v.get("years").as_array().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn pretty_nested_layout() {
+        let v = json!({
+            "a": [1u64, [], {}, [2.5, {"b": null, "c": "x\u{1}y"}]],
+            "d": {"e": {"f": [true, -0.0, f64::NAN]}},
+        });
+        let want = r#"{
+  "a": [
+    1,
+    [],
+    {},
+    [
+      2.5,
+      {
+        "b": null,
+        "c": "x\u0001y"
+      }
+    ]
+  ],
+  "d": {
+    "e": {
+      "f": [
+        true,
+        -0,
+        null
+      ]
+    }
+  }
+}"#;
+        assert_eq!(to_string_pretty(&v).unwrap(), want);
+        assert_eq!(
+            to_string(&v).unwrap(),
+            r#"{"a":[1,[],{},[2.5,{"b":null,"c":"x\u0001y"}]],"d":{"e":{"f":[true,-0,null]}}}"#
+        );
     }
 
     #[test]

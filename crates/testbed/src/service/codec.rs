@@ -1,11 +1,29 @@
 //! JSON wire format for [`ServiceSnapshot`] — the on-disk shape of a
 //! tenant's detection state across service restarts.
 //!
-//! Hand-rolled against the `serde_json` [`Value`] tree (the offline shim
-//! has no derive-based serializer), one encode/decode pair per snapshot
-//! struct. Floats round-trip exactly: Rust's shortest-repr `Display` is
-//! re-parsed by `serde_json::from_str` into the identical bits, which is
-//! what keeps restored posterior masses byte-identical.
+//! The codec streams in both directions; there is no intermediate
+//! `serde_json::Value` tree. [`Writer`] appends the pretty-printed
+//! document into one pre-sized `String`. [`Reader`] pulls tokens off the
+//! input bytes, matches object keys as borrowed slices and decodes
+//! straight into the snapshot structs, so a restore allocates little
+//! beyond the decoded strings and vectors themselves.
+//!
+//! The bytes are exactly what `serde_json::to_string_pretty` prints for
+//! the equivalent tree: two-space indent, fixed key order, `"`, `\\`,
+//! `\n`, `\r`, `\t` and other control bytes (as `\u00xx`) escaped, floats
+//! in Rust's shortest-repr `Display` text (non-finite as `null`). Floats
+//! round-trip exactly, negative zero included: float fields parse their
+//! number token with `f64::from_str`.
+//!
+//! Decoding accepts keys in any order, skips unknown keys after
+//! validating their JSON (nesting bounded by [`MAX_DEPTH`]), and keeps the
+//! first occurrence of a repeated key. A missing or `null` `tagger` /
+//! `correlator` decodes to `None`; every other missing field, wrong type,
+//! out-of-range integer, wrong tuple arity, unknown link kind or trailing
+//! byte is an `Err` naming the field.
+
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 use alertlib::filter::FilterStats;
 use alertlib::filter::{FilterSnapshot, FilterWindowSnapshot};
@@ -14,7 +32,6 @@ use detect::correlate::{
     CampaignSnapshot, CorrelatorEntitySnapshot, CorrelatorSnapshot, JoinKeySnapshot, LinkKind,
     LinkSummary,
 };
-use serde_json::{json, Value};
 use simnet::intern::TenantId;
 use simnet::time::SimTime;
 
@@ -25,463 +42,937 @@ use crate::streaming::StreamStats;
 /// fixture fails loudly instead of restoring garbage.
 const FORMAT: u64 = 1;
 
+/// Deepest nesting accepted inside an unknown key's value.
+const MAX_DEPTH: usize = 128;
+
 impl ServiceSnapshot {
     /// Serialize to the pretty-printed JSON wire format.
     pub fn to_json(&self) -> String {
-        let v = json!({
-            "format": FORMAT,
-            "tenant": self.tenant.0,
-            "stats": stats_value(&self.stats),
-            "filter": filter_value(&self.filter),
-            "tagger": match &self.tagger {
-                Some(t) => tagger_value(t),
-                None => Value::Null,
-            },
-            "correlator": match &self.correlator {
-                Some(c) => correlator_value(c),
-                None => Value::Null,
-            },
-            "sym_universe": Value::Array(
-                self.sym_universe
-                    .iter()
-                    .map(|(id, s)| json!([*id, s.as_str()]))
-                    .collect(),
-            ),
+        let mut w = Writer::with_capacity(self.wire_len_hint());
+        w.object(|w| {
+            w.key("format").uint(FORMAT);
+            w.key("tenant").uint(self.tenant.0);
+            w.key("stats");
+            write_stats(w, &self.stats);
+            w.key("filter");
+            write_filter(w, &self.filter);
+            w.key("tagger");
+            match &self.tagger {
+                Some(t) => write_tagger(w, t),
+                None => w.null(),
+            }
+            w.key("correlator");
+            match &self.correlator {
+                Some(c) => write_correlator(w, c),
+                None => w.null(),
+            }
+            w.key("sym_universe").seq(&self.sym_universe, |w, (id, s)| {
+                w.array(|w| {
+                    w.item().uint(*id);
+                    w.item().str(s);
+                })
+            });
         });
-        serde_json::to_string_pretty(&v).expect("value trees always serialize")
+        w.out
     }
 
-    /// Parse the wire format back. Errors carry a field path so a
-    /// corrupt fixture points at its own breakage.
+    /// Parse the wire format back. Errors carry the field name and byte
+    /// offset so a corrupt fixture points at its own breakage.
     pub fn from_json(text: &str) -> Result<ServiceSnapshot, String> {
-        let v = serde_json::from_str(text).map_err(|e| format!("snapshot JSON: {e}"))?;
-        let format = need_u64(&v, "format")?;
-        if format != FORMAT {
+        let mut r = Reader::new(text);
+        let snap = read_snapshot(&mut r)?;
+        if r.peek().is_some() {
             return Err(format!(
-                "snapshot format {format} (this build reads {FORMAT})"
+                "snapshot JSON: trailing characters at byte {}",
+                r.pos
             ));
         }
-        Ok(ServiceSnapshot {
-            tenant: TenantId(need_u32(&v, "tenant")?),
-            stats: decode_stats(v.get("stats"))?,
-            filter: decode_filter(v.get("filter"))?,
-            tagger: match v.get("tagger") {
-                Value::Null => None,
-                t => Some(decode_tagger(t)?),
-            },
-            correlator: match v.get("correlator") {
-                Value::Null => None,
-                c => Some(decode_correlator(c)?),
-            },
-            sym_universe: need_array(&v, "sym_universe")?
+        Ok(snap)
+    }
+
+    /// Encoded size from typical pretty-printed bytes per item, with an
+    /// eighth of headroom so the output buffer is allocated once.
+    fn wire_len_hint(&self) -> usize {
+        let tagger = self.tagger.as_ref().map_or(0, |t| {
+            t.entities
                 .iter()
-                .map(|pair| {
-                    let id = pair
-                        .as_array()
-                        .and_then(|a| a.first())
-                        .and_then(Value::as_u64)
-                        .ok_or("sym_universe: bad id")? as u32;
-                    let s = pair
-                        .as_array()
-                        .and_then(|a| a.get(1))
-                        .and_then(Value::as_str)
-                        .ok_or("sym_universe: bad string")?;
-                    Ok((id, s.to_string()))
-                })
-                .collect::<Result<_, String>>()?,
-        })
+                .map(|e| 200 + 32 * e.alpha.len() + 60 * e.recent.len())
+                .sum()
+        });
+        let correlator = self.correlator.as_ref().map_or(0, |c| {
+            let entities: usize = c.entities.iter().map(|e| 270 + 60 * e.steps.len()).sum();
+            let keys: usize = c.keys.iter().map(|k| 120 + 60 * k.slots.len()).sum();
+            let campaigns: usize = c
+                .campaigns
+                .iter()
+                .map(|cs| 300 + 40 * cs.members.len() + 120 * cs.links.len())
+                .sum();
+            entities + keys + campaigns
+        });
+        let bytes = 1024
+            + 130 * self.filter.windows.len()
+            + tagger
+            + correlator
+            + 42 * self.sym_universe.len();
+        bytes + bytes / 8
     }
 }
 
 // ---- encode ----
 
-fn time_value(t: SimTime) -> Value {
-    Value::from(t.as_nanos())
+/// Pretty JSON writer over one growing `String`, byte-identical to the
+/// `serde_json` pretty printer.
+struct Writer {
+    out: String,
+    /// Nesting depth of the container being written.
+    depth: usize,
+    /// Whether the innermost open container has no items yet.
+    empty: bool,
 }
 
-fn step_ring_value(steps: &[(SimTime, u16)]) -> Value {
-    Value::Array(
-        steps
-            .iter()
-            .map(|(ts, kind)| json!([ts.as_nanos(), *kind]))
-            .collect(),
-    )
+impl Writer {
+    fn with_capacity(bytes: usize) -> Self {
+        Writer {
+            out: String::with_capacity(bytes),
+            depth: 0,
+            empty: true,
+        }
+    }
+
+    fn container(&mut self, open: char, close: char, body: impl FnOnce(&mut Self)) {
+        self.out.push(open);
+        self.depth += 1;
+        let outer = std::mem::replace(&mut self.empty, true);
+        body(self);
+        self.depth -= 1;
+        if !std::mem::replace(&mut self.empty, outer) {
+            self.newline();
+        }
+        self.out.push(close);
+    }
+
+    fn object(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container('{', '}', body)
+    }
+
+    fn array(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container('[', ']', body)
+    }
+
+    /// An array of `items`, each written by `each`.
+    fn seq<T>(&mut self, items: &[T], mut each: impl FnMut(&mut Self, &T)) {
+        self.array(|w| {
+            for x in items {
+                each(w.item(), x);
+            }
+        })
+    }
+
+    /// Start the next item of the innermost container.
+    fn item(&mut self) -> &mut Self {
+        if !std::mem::replace(&mut self.empty, false) {
+            self.out.push(',');
+        }
+        self.newline();
+        self
+    }
+
+    /// Start the next object member (keys are plain identifiers).
+    fn key(&mut self, key: &str) -> &mut Self {
+        self.item();
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\": ");
+        self
+    }
+
+    fn newline(&mut self) {
+        const SPACES: &str = "                                ";
+        self.out.push('\n');
+        let mut width = 2 * self.depth;
+        while width > 0 {
+            let run = width.min(SPACES.len());
+            self.out.push_str(&SPACES[..run]);
+            width -= run;
+        }
+    }
+
+    fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    fn uint(&mut self, v: impl Into<u64>) {
+        let mut v = v.into();
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.out
+            .push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
+    }
+
+    fn time(&mut self, t: SimTime) {
+        self.uint(t.as_nanos());
+    }
+
+    fn f64(&mut self, v: f64) {
+        if v.is_finite() {
+            write!(self.out, "{v}").expect("writing to a String cannot fail");
+        } else {
+            // JSON has no Inf/NaN; serde_json writes `null`.
+            self.null();
+        }
+    }
+
+    fn str(&mut self, s: &str) {
+        self.out.push('"');
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // `b` is ASCII, so `run..i` ends on a char boundary.
+            self.out.push_str(&s[run..i]);
+            if escape.is_empty() {
+                write!(self.out, "\\u{b:04x}").expect("writing to a String cannot fail");
+            } else {
+                self.out.push_str(escape);
+            }
+            run = i + 1;
+        }
+        self.out.push_str(&s[run..]);
+        self.out.push('"');
+    }
+
+    fn opt_str(&mut self, s: &Option<String>) {
+        match s {
+            Some(s) => self.str(s),
+            None => self.null(),
+        }
+    }
+
+    /// `[ts, kind]` step-ring slots.
+    fn step_ring(&mut self, steps: &[(SimTime, u16)]) {
+        self.seq(steps, |w, &(ts, kind)| {
+            w.array(|w| {
+                w.item().time(ts);
+                w.item().uint(kind);
+            })
+        })
+    }
+
+    fn strings(&mut self, items: &[String]) {
+        self.seq(items, |w, s| w.str(s))
+    }
 }
 
-fn stats_value(s: &StreamStats) -> Value {
-    json!({
-        "records": s.records,
-        "alerts": s.alerts,
-        "admitted": s.admitted,
-        "detections": s.detections,
+fn write_stats(w: &mut Writer, s: &StreamStats) {
+    w.object(|w| {
+        w.key("records").uint(s.records);
+        w.key("alerts").uint(s.alerts);
+        w.key("admitted").uint(s.admitted);
+        w.key("detections").uint(s.detections);
     })
 }
 
-fn filter_value(f: &FilterSnapshot) -> Value {
-    json!({
-        "windows": Value::Array(
-            f.windows
-                .iter()
-                .map(|w| json!({
-                    "source": w.source.as_str(),
-                    "kind": w.kind,
-                    "start": time_value(w.start),
-                    "admitted": w.admitted,
-                }))
-                .collect(),
-        ),
-        "seen": f.stats.seen,
-        "admitted": f.stats.admitted,
-        "suppressed": f.stats.suppressed,
-        "last_sweep": time_value(f.last_sweep),
+fn write_filter(w: &mut Writer, f: &FilterSnapshot) {
+    w.object(|w| {
+        w.key("windows").seq(&f.windows, |w, win| {
+            w.object(|w| {
+                w.key("source").str(&win.source);
+                w.key("kind").uint(win.kind);
+                w.key("start").time(win.start);
+                w.key("admitted").uint(win.admitted);
+            })
+        });
+        w.key("seen").uint(f.stats.seen);
+        w.key("admitted").uint(f.stats.admitted);
+        w.key("suppressed").uint(f.stats.suppressed);
+        w.key("last_sweep").time(f.last_sweep);
     })
 }
 
-fn tagger_value(t: &TaggerSnapshot) -> Value {
-    json!({
-        "entities": Value::Array(
-            t.entities
-                .iter()
-                .map(|e| json!({
-                    "entity": e.entity.as_str(),
-                    "alpha": Value::Array(e.alpha.iter().map(|&p| Value::from(p)).collect()),
-                    "steps": e.steps as u64,
-                    "detected": e.detected,
-                    "last_ts": time_value(e.last_ts),
-                    "recent": step_ring_value(&e.recent),
-                    "recent_head": e.recent_head,
-                }))
-                .collect(),
-        ),
-        "evicted_latches": Value::Array(
-            t.evicted_latches.iter().map(Value::from).collect(),
-        ),
-        "duplicates_suppressed": t.duplicates_suppressed,
-        "entities_evicted": t.entities_evicted,
+fn write_tagger(w: &mut Writer, t: &TaggerSnapshot) {
+    w.object(|w| {
+        w.key("entities").seq(&t.entities, |w, e| {
+            w.object(|w| {
+                w.key("entity").str(&e.entity);
+                w.key("alpha").seq(&e.alpha, |w, &p| w.f64(p));
+                w.key("steps").uint(e.steps as u64);
+                w.key("detected").bool(e.detected);
+                w.key("last_ts").time(e.last_ts);
+                w.key("recent").step_ring(&e.recent);
+                w.key("recent_head").uint(e.recent_head);
+            })
+        });
+        w.key("evicted_latches").strings(&t.evicted_latches);
+        w.key("duplicates_suppressed").uint(t.duplicates_suppressed);
+        w.key("entities_evicted").uint(t.entities_evicted);
     })
 }
 
-fn correlator_value(c: &CorrelatorSnapshot) -> Value {
-    json!({
-        "entities": Value::Array(
-            c.entities
-                .iter()
-                .map(|e| json!({
-                    "entity": e.entity.as_str(),
-                    "campaign": e.campaign,
-                    "mass": e.mass,
-                    "last_ts": time_value(e.last_ts),
-                    "seen": e.seen,
-                    "promoted": e.promoted,
-                    "steps": step_ring_value(&e.steps),
-                    "steps_head": e.steps_head,
-                }))
-                .collect(),
-        ),
-        "keys": Value::Array(
-            c.keys
-                .iter()
-                .map(|k| json!({
-                    "kind": k.kind.as_str(),
-                    "addr": k.addr,
-                    "palette": match &k.palette {
-                        Some(p) => Value::from(p.as_str()),
-                        None => Value::Null,
-                    },
-                    "slots": Value::Array(
-                        k.slots
-                            .iter()
-                            .map(|slot| match slot {
-                                Some((entity, ts)) =>
-                                    json!([entity.as_str(), ts.as_nanos()]),
-                                None => Value::Null,
-                            })
-                            .collect(),
-                    ),
-                    "head": k.head,
-                }))
-                .collect(),
-        ),
-        "campaigns": Value::Array(
-            c.campaigns
-                .iter()
-                .map(|cs| json!({
-                    "id": cs.id,
-                    "members": Value::Array(cs.members.iter().map(Value::from).collect()),
-                    "links": Value::Array(
-                        cs.links
-                            .iter()
-                            .map(|l| json!([
-                                l.ts.as_nanos(),
-                                l.a.as_str(),
-                                l.b.as_str(),
-                                l.kind.as_str(),
-                            ]))
-                            .collect(),
-                    ),
-                    "best_key": match &cs.best_key {
-                        Some(k) => Value::from(k.as_str()),
-                        None => Value::Null,
-                    },
-                    "best_mass": cs.best_mass,
-                    "second": cs.second,
-                    "support_ts": time_value(cs.support_ts),
-                    "promotions": cs.promotions,
-                    "detections": cs.detections,
-                }))
-                .collect(),
-        ),
-        "promoted_latches": Value::Array(
-            c.promoted_latches.iter().map(Value::from).collect(),
-        ),
-        "next_campaign": c.next_campaign,
-        "promotions": c.promotions,
-        "tagger_confirmations": c.tagger_confirmations,
-        "entities_evicted": c.entities_evicted,
+fn write_correlator(w: &mut Writer, c: &CorrelatorSnapshot) {
+    w.object(|w| {
+        w.key("entities").seq(&c.entities, |w, e| {
+            w.object(|w| {
+                w.key("entity").str(&e.entity);
+                w.key("campaign").uint(e.campaign);
+                w.key("mass").f64(e.mass);
+                w.key("last_ts").time(e.last_ts);
+                w.key("seen").uint(e.seen);
+                w.key("promoted").bool(e.promoted);
+                w.key("steps").step_ring(&e.steps);
+                w.key("steps_head").uint(e.steps_head);
+            })
+        });
+        w.key("keys").seq(&c.keys, |w, k| {
+            w.object(|w| {
+                w.key("kind").str(k.kind.as_str());
+                w.key("addr").uint(k.addr);
+                w.key("palette").opt_str(&k.palette);
+                w.key("slots").seq(&k.slots, |w, slot| match slot {
+                    Some((entity, ts)) => w.array(|w| {
+                        w.item().str(entity);
+                        w.item().time(*ts);
+                    }),
+                    None => w.null(),
+                });
+                w.key("head").uint(k.head);
+            })
+        });
+        w.key("campaigns").seq(&c.campaigns, |w, cs| {
+            w.object(|w| {
+                w.key("id").uint(cs.id);
+                w.key("members").strings(&cs.members);
+                w.key("links").seq(&cs.links, |w, l| {
+                    w.array(|w| {
+                        w.item().time(l.ts);
+                        w.item().str(&l.a);
+                        w.item().str(&l.b);
+                        w.item().str(l.kind.as_str());
+                    })
+                });
+                w.key("best_key").opt_str(&cs.best_key);
+                w.key("best_mass").f64(cs.best_mass);
+                w.key("second").f64(cs.second);
+                w.key("support_ts").time(cs.support_ts);
+                w.key("promotions").uint(cs.promotions);
+                w.key("detections").uint(cs.detections);
+            })
+        });
+        w.key("promoted_latches").strings(&c.promoted_latches);
+        w.key("next_campaign").uint(c.next_campaign);
+        w.key("promotions").uint(c.promotions);
+        w.key("tagger_confirmations").uint(c.tagger_confirmations);
+        w.key("entities_evicted").uint(c.entities_evicted);
     })
 }
 
 // ---- decode ----
 
-fn need_u64(v: &Value, field: &str) -> Result<u64, String> {
-    v.get(field)
-        .as_u64()
-        .ok_or_else(|| format!("`{field}`: expected unsigned integer"))
+type Res<T> = Result<T, String>;
+
+/// Pull reader over the JSON text. Every method takes the name of the
+/// field being read, for its error message.
+struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    scratch: Scratch,
 }
 
-fn need_u32(v: &Value, field: &str) -> Result<u32, String> {
-    let raw = need_u64(v, field)?;
-    u32::try_from(raw).map_err(|_| format!("`{field}`: {raw} out of u32 range"))
+/// Reused buffers for the short arrays inside entities, join keys and
+/// campaigns: items are decoded here, then copied out at their final
+/// length, so each decoded vector allocates exactly once.
+struct Scratch {
+    floats: Vec<f64>,
+    steps: Vec<(SimTime, u16)>,
+    slots: Vec<Option<(String, SimTime)>>,
+    strings: Vec<String>,
+    links: Vec<LinkSummary>,
 }
 
-fn need_u16(v: &Value, field: &str) -> Result<u16, String> {
-    let raw = need_u64(v, field)?;
-    u16::try_from(raw).map_err(|_| format!("`{field}`: {raw} out of u16 range"))
-}
+impl<'a> Reader<'a> {
+    fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            // Posteriors and rings are a few slots wide; campaigns can
+            // hold hundreds of members and links.
+            scratch: Scratch {
+                floats: Vec::with_capacity(16),
+                steps: Vec::with_capacity(16),
+                slots: Vec::with_capacity(16),
+                strings: Vec::with_capacity(256),
+                links: Vec::with_capacity(256),
+            },
+        }
+    }
 
-fn need_u8(v: &Value, field: &str) -> Result<u8, String> {
-    let raw = need_u64(v, field)?;
-    u8::try_from(raw).map_err(|_| format!("`{field}`: {raw} out of u8 range"))
-}
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
 
-fn need_f64(v: &Value, field: &str) -> Result<f64, String> {
-    v.get(field)
-        .as_f64()
-        .ok_or_else(|| format!("`{field}`: expected number"))
-}
+    fn err(&self, field: &str, what: impl std::fmt::Display) -> String {
+        format!("snapshot JSON: `{field}` at byte {}: {what}", self.pos)
+    }
 
-fn need_bool(v: &Value, field: &str) -> Result<bool, String> {
-    v.get(field)
-        .as_bool()
-        .ok_or_else(|| format!("`{field}`: expected bool"))
-}
+    /// The next non-whitespace byte, left unconsumed.
+    fn peek(&mut self) -> Option<u8> {
+        let bytes = self.bytes();
+        while let Some(b' ' | b'\n' | b'\r' | b'\t') = bytes.get(self.pos) {
+            self.pos += 1;
+        }
+        bytes.get(self.pos).copied()
+    }
 
-fn need_str(v: &Value, field: &str) -> Result<String, String> {
-    v.get(field)
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("`{field}`: expected string"))
-}
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
 
-fn need_time(v: &Value, field: &str) -> Result<SimTime, String> {
-    Ok(SimTime::from_nanos(need_u64(v, field)?))
-}
+    fn expect(&mut self, b: u8, field: &str) -> Res<()> {
+        if self.eat(b) {
+            Ok(())
+        } else {
+            Err(self.err(field, format_args!("expected `{}`", b as char)))
+        }
+    }
 
-fn need_array<'a>(v: &'a Value, field: &str) -> Result<&'a Vec<Value>, String> {
-    v.get(field)
-        .as_array()
-        .ok_or_else(|| format!("`{field}`: expected array"))
-}
+    fn keyword(&mut self, word: &str) -> bool {
+        let hit = self.peek().is_some() && self.bytes()[self.pos..].starts_with(word.as_bytes());
+        if hit {
+            self.pos += word.len();
+        }
+        hit
+    }
 
-fn opt_str(v: &Value, field: &str) -> Result<Option<String>, String> {
-    match v.get(field) {
-        Value::Null => Ok(None),
-        other => other
-            .as_str()
-            .map(|s| Some(s.to_string()))
-            .ok_or_else(|| format!("`{field}`: expected string or null")),
+    fn null(&mut self) -> bool {
+        self.keyword("null")
+    }
+
+    /// After an item: `,` means another follows, `close` ends the
+    /// container.
+    fn more(&mut self, close: u8, field: &str) -> Res<bool> {
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => Err(self.err(field, format_args!("expected `,` or `{}`", close as char))),
+        }
+    }
+
+    /// Walk an object's members. `member` decodes the value of a key it
+    /// knows and returns `true`; for any other key it returns `false` and
+    /// the value is validated and skipped.
+    fn object(
+        &mut self,
+        field: &str,
+        mut member: impl FnMut(&mut Self, &str) -> Res<bool>,
+    ) -> Res<()> {
+        self.expect(b'{', field)?;
+        if self.eat(b'}') {
+            return Ok(());
+        }
+        loop {
+            let key = self.string(field)?;
+            self.expect(b':', &key)?;
+            if !member(self, &key)? {
+                self.skip(&key, 0)?;
+            }
+            if !self.more(b'}', field)? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Walk an array's items.
+    fn array(&mut self, field: &str, mut item: impl FnMut(&mut Self) -> Res<()>) -> Res<()> {
+        self.expect(b'[', field)?;
+        if self.eat(b']') {
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            if !self.more(b']', field)? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// A long array (entities, keys, symbols, latches), reserved from its
+    /// first item — the rest of the input holds at most `rest / first-item
+    /// bytes` more like it — and trimmed to its length at the end. The
+    /// reservation never exceeds the bytes the input has left, so hostile
+    /// input cannot inflate it.
+    fn vec<T>(
+        &mut self,
+        field: &str,
+        mut item: impl FnMut(&mut Self, &str) -> Res<T>,
+    ) -> Res<Vec<T>> {
+        let mut out = Vec::new();
+        self.array(field, |r| {
+            let start = r.pos;
+            let next = item(r, field)?;
+            if out.capacity() == 0 {
+                let first = (r.pos - start).max(std::mem::size_of::<T>()).max(1);
+                out.reserve_exact(1 + (r.text.len() - r.pos) / first);
+            }
+            out.push(next);
+            Ok(())
+        })?;
+        out.shrink_to_fit();
+        Ok(out)
+    }
+
+    /// A short array, decoded through the [`Scratch`] buffer `buf` selects.
+    fn short_vec<T>(
+        &mut self,
+        field: &str,
+        buf: fn(&mut Scratch) -> &mut Vec<T>,
+        mut item: impl FnMut(&mut Self, &str) -> Res<T>,
+    ) -> Res<Vec<T>> {
+        let mut items = std::mem::take(buf(&mut self.scratch));
+        self.array(field, |r| {
+            items.push(item(r, field)?);
+            Ok(())
+        })?;
+        let mut out = Vec::with_capacity(items.len());
+        out.append(&mut items);
+        *buf(&mut self.scratch) = items;
+        Ok(out)
+    }
+
+    /// A string token, borrowed from the input unless it has escapes.
+    /// Escaped strings (names with quotes, backslashes or control bytes)
+    /// are rare, so the `serde_json` parser decodes those.
+    fn string(&mut self, field: &str) -> Res<Cow<'a, str>> {
+        if self.peek() != Some(b'"') {
+            return Err(self.err(field, "expected string"));
+        }
+        let bytes = self.bytes();
+        let start = self.pos;
+        let mut end = start + 1;
+        let mut escaped = false;
+        loop {
+            match bytes.get(end) {
+                None => return Err(self.err(field, "unterminated string")),
+                Some(b'"') => break,
+                Some(b'\\') => {
+                    escaped = true;
+                    end += 2;
+                }
+                Some(_) => end += 1,
+            }
+        }
+        self.pos = end + 1;
+        // Both ends sit on ASCII quotes: valid char boundaries.
+        if !escaped {
+            return Ok(Cow::Borrowed(&self.text[start + 1..end]));
+        }
+        match serde_json::from_str(&self.text[start..=end]) {
+            Ok(serde_json::Value::String(s)) => Ok(Cow::Owned(s)),
+            _ => Err(self.err(field, "bad escape")),
+        }
+    }
+
+    fn owned_string(&mut self, field: &str) -> Res<String> {
+        self.string(field).map(Cow::into_owned)
+    }
+
+    fn opt_string(&mut self, field: &str) -> Res<Option<String>> {
+        if self.null() {
+            Ok(None)
+        } else {
+            self.owned_string(field).map(Some)
+        }
+    }
+
+    fn bool(&mut self, field: &str) -> Res<bool> {
+        if self.keyword("true") {
+            Ok(true)
+        } else if self.keyword("false") {
+            Ok(false)
+        } else {
+            Err(self.err(field, "expected bool"))
+        }
+    }
+
+    /// An unsigned integer (a plain digit run) that must fit `T`.
+    fn uint<T: TryFrom<u64>>(&mut self, field: &str) -> Res<T> {
+        self.peek();
+        let bytes = self.bytes();
+        let start = self.pos;
+        let mut v = 0u64;
+        while let Some(&b @ b'0'..=b'9') = bytes.get(self.pos) {
+            v = v
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(u64::from(b - b'0')))
+                .ok_or_else(|| self.err(field, "out of u64 range"))?;
+            self.pos += 1;
+        }
+        if self.pos == start
+            || matches!(bytes.get(self.pos), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            return Err(self.err(field, "expected unsigned integer"));
+        }
+        T::try_from(v).map_err(|_| {
+            self.err(
+                field,
+                format_args!("{v} out of {} range", std::any::type_name::<T>()),
+            )
+        })
+    }
+
+    /// A float: the run of digits, `.`, `e`, `E`, `+` and `-` that the
+    /// `serde_json` parser scans as a number, parsed by `f64::from_str`.
+    /// Integer text is accepted (`1.0` is written as `1`), and `-0`
+    /// keeps its sign.
+    fn f64(&mut self, field: &str) -> Res<f64> {
+        self.peek();
+        let bytes = self.bytes();
+        let start = self.pos;
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(self.pos) {
+            self.pos += 1;
+        }
+        self.text[start..self.pos]
+            .parse()
+            .map_err(|_| self.err(field, "expected number"))
+    }
+
+    fn time(&mut self, field: &str) -> Res<SimTime> {
+        self.uint(field).map(SimTime::from_nanos)
+    }
+
+    /// Validate and discard one value of any shape.
+    fn skip(&mut self, field: &str, depth: usize) -> Res<()> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(field, "nesting too deep"));
+        }
+        match self.peek() {
+            Some(b'{') => self.object(field, |r, key| r.skip(key, depth + 1).map(|()| true)),
+            Some(b'[') => self.array(field, |r| r.skip(field, depth + 1)),
+            Some(b'"') => self.string(field).map(drop),
+            Some(b'n') if self.null() => Ok(()),
+            Some(b't' | b'f') => self.bool(field).map(drop),
+            _ => self.f64(field).map(drop),
+        }
+    }
+
+    /// Decode `field`'s value into `slot` unless an earlier occurrence of
+    /// the key filled it: the first occurrence wins, repeats are skipped.
+    fn field<T>(
+        &mut self,
+        slot: &mut Option<T>,
+        field: &str,
+        read: impl FnOnce(&mut Self, &str) -> Res<T>,
+    ) -> Res<bool> {
+        if slot.is_some() {
+            return Ok(false);
+        }
+        *slot = Some(read(self, field)?);
+        Ok(true)
     }
 }
 
-fn decode_step_ring(v: &Value, field: &str) -> Result<Vec<(SimTime, u16)>, String> {
-    need_array(v, field)?
-        .iter()
-        .map(|pair| {
-            let a = pair
-                .as_array()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| format!("`{field}`: expected [ts, kind] pair"))?;
-            let ts = a[0]
-                .as_u64()
-                .ok_or_else(|| format!("`{field}`: bad timestamp"))?;
-            let kind = a[1]
-                .as_u64()
-                .and_then(|k| u16::try_from(k).ok())
-                .ok_or_else(|| format!("`{field}`: bad kind index"))?;
-            Ok((SimTime::from_nanos(ts), kind))
-        })
-        .collect()
+fn need<T>(slot: Option<T>, field: &str) -> Res<T> {
+    slot.ok_or_else(|| format!("snapshot JSON: `{field}` missing"))
 }
 
-fn link_kind(s: &str) -> Result<LinkKind, String> {
-    match s {
+/// Decode an object into `Struct`, one `field: reader` per member: keys in
+/// any order, unknown keys skipped, the first of repeated keys kept, and
+/// every listed field required.
+macro_rules! read_struct {
+    ($r:expr, $field:expr, $Struct:ident { $($name:ident: $read:expr),* $(,)? }) => {{
+        $(let mut $name = None;)*
+        $r.object($field, |r, key| match key {
+            $(stringify!($name) => r.field(&mut $name, key, $read),)*
+            _ => Ok(false),
+        })?;
+        Res::Ok($Struct { $($name: need($name, stringify!($name))?,)* })
+    }};
+}
+
+fn read_snapshot(r: &mut Reader) -> Res<ServiceSnapshot> {
+    let (mut format, mut tenant, mut stats, mut filter) = (None, None, None, None);
+    let (mut tagger, mut correlator, mut sym_universe) = (None, None, None);
+    r.object("snapshot", |r, key| match key {
+        "format" => r.field(&mut format, key, |r, f| match r.uint(f)? {
+            FORMAT => Ok(FORMAT),
+            other => Err(format!(
+                "snapshot format {other} (this build reads {FORMAT})"
+            )),
+        }),
+        "tenant" => r.field(&mut tenant, key, Reader::uint),
+        "stats" => r.field(&mut stats, key, read_stats),
+        "filter" => r.field(&mut filter, key, read_filter),
+        "tagger" => r.field(&mut tagger, key, |r, f| nullable(r, f, read_tagger)),
+        "correlator" => r.field(&mut correlator, key, |r, f| nullable(r, f, read_correlator)),
+        "sym_universe" => r.field(&mut sym_universe, key, |r, f| {
+            r.vec(f, |r, f| {
+                r.expect(b'[', f)?;
+                let id = r.uint(f)?;
+                r.expect(b',', f)?;
+                let s = r.owned_string(f)?;
+                r.expect(b']', f)?;
+                Ok((id, s))
+            })
+        }),
+        _ => Ok(false),
+    })?;
+    need(format, "format")?;
+    Ok(ServiceSnapshot {
+        tenant: TenantId(need(tenant, "tenant")?),
+        stats: need(stats, "stats")?,
+        filter: need(filter, "filter")?,
+        tagger: tagger.flatten(),
+        correlator: correlator.flatten(),
+        sym_universe: need(sym_universe, "sym_universe")?,
+    })
+}
+
+fn nullable<T>(
+    r: &mut Reader,
+    field: &str,
+    read: fn(&mut Reader, &str) -> Res<T>,
+) -> Res<Option<T>> {
+    if r.null() {
+        Ok(None)
+    } else {
+        read(r, field).map(Some)
+    }
+}
+
+fn link_kind(r: &mut Reader, field: &str) -> Res<LinkKind> {
+    match &*r.string(field)? {
         "victim" => Ok(LinkKind::Victim),
         "source" => Ok(LinkKind::Source),
         "host" => Ok(LinkKind::Host),
         "palette" => Ok(LinkKind::Palette),
-        other => Err(format!("unknown link kind `{other}`")),
+        other => Err(r.err(field, format_args!("unknown link kind `{other}`"))),
     }
 }
 
-fn decode_stats(v: &Value) -> Result<StreamStats, String> {
-    Ok(StreamStats {
-        records: need_u64(v, "records")?,
-        alerts: need_u64(v, "alerts")?,
-        admitted: need_u64(v, "admitted")?,
-        detections: need_u64(v, "detections")?,
-    })
-}
-
-fn decode_filter(v: &Value) -> Result<FilterSnapshot, String> {
-    Ok(FilterSnapshot {
-        windows: need_array(v, "windows")?
-            .iter()
-            .map(|w| {
-                Ok(FilterWindowSnapshot {
-                    source: need_str(w, "source")?,
-                    kind: need_u16(w, "kind")?,
-                    start: need_time(w, "start")?,
-                    admitted: need_u32(w, "admitted")?,
-                })
-            })
-            .collect::<Result<_, String>>()?,
-        stats: FilterStats {
-            seen: need_u64(v, "seen")?,
-            admitted: need_u64(v, "admitted")?,
-            suppressed: need_u64(v, "suppressed")?,
+/// `[ts, kind]` step-ring slots.
+fn read_step_ring(r: &mut Reader, field: &str) -> Res<Vec<(SimTime, u16)>> {
+    r.short_vec(
+        field,
+        |s| &mut s.steps,
+        |r, f| {
+            r.expect(b'[', f)?;
+            let ts = r.time(f)?;
+            r.expect(b',', f)?;
+            let kind = r.uint(f)?;
+            r.expect(b']', f)?;
+            Ok((ts, kind))
         },
-        last_sweep: need_time(v, "last_sweep")?,
+    )
+}
+
+fn read_stats(r: &mut Reader, field: &str) -> Res<StreamStats> {
+    read_struct!(
+        r,
+        field,
+        StreamStats {
+            records: Reader::uint,
+            alerts: Reader::uint,
+            admitted: Reader::uint,
+            detections: Reader::uint,
+        }
+    )
+}
+
+fn read_filter(r: &mut Reader, field: &str) -> Res<FilterSnapshot> {
+    // The wire flattens `stats` into the filter object.
+    struct Flat {
+        windows: Vec<FilterWindowSnapshot>,
+        seen: u64,
+        admitted: u64,
+        suppressed: u64,
+        last_sweep: SimTime,
+    }
+    let f: Flat = read_struct!(
+        r,
+        field,
+        Flat {
+            windows: |r, f| r.vec(f, read_window),
+            seen: Reader::uint,
+            admitted: Reader::uint,
+            suppressed: Reader::uint,
+            last_sweep: Reader::time,
+        }
+    )?;
+    Ok(FilterSnapshot {
+        windows: f.windows,
+        stats: FilterStats {
+            seen: f.seen,
+            admitted: f.admitted,
+            suppressed: f.suppressed,
+        },
+        last_sweep: f.last_sweep,
     })
 }
 
-fn decode_tagger(v: &Value) -> Result<TaggerSnapshot, String> {
-    Ok(TaggerSnapshot {
-        entities: need_array(v, "entities")?
-            .iter()
-            .map(|e| {
-                Ok(EntityStateSnapshot {
-                    entity: need_str(e, "entity")?,
-                    alpha: need_array(e, "alpha")?
-                        .iter()
-                        .map(|p| p.as_f64().ok_or("`alpha`: expected number".to_string()))
-                        .collect::<Result<_, String>>()?,
-                    steps: need_u64(e, "steps")? as usize,
-                    detected: need_bool(e, "detected")?,
-                    last_ts: need_time(e, "last_ts")?,
-                    recent: decode_step_ring(e, "recent")?,
-                    recent_head: need_u8(e, "recent_head")?,
-                })
-            })
-            .collect::<Result<_, String>>()?,
-        evicted_latches: decode_string_array(v, "evicted_latches")?,
-        duplicates_suppressed: need_u64(v, "duplicates_suppressed")?,
-        entities_evicted: need_u64(v, "entities_evicted")?,
-    })
+fn read_window(r: &mut Reader, field: &str) -> Res<FilterWindowSnapshot> {
+    read_struct!(
+        r,
+        field,
+        FilterWindowSnapshot {
+            source: Reader::owned_string,
+            kind: Reader::uint,
+            start: Reader::time,
+            admitted: Reader::uint,
+        }
+    )
 }
 
-fn decode_string_array(v: &Value, field: &str) -> Result<Vec<String>, String> {
-    need_array(v, field)?
-        .iter()
-        .map(|s| {
-            s.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("`{field}`: expected string"))
-        })
-        .collect()
+fn read_tagger(r: &mut Reader, field: &str) -> Res<TaggerSnapshot> {
+    read_struct!(
+        r,
+        field,
+        TaggerSnapshot {
+            entities: |r, f| r.vec(f, read_tagger_entity),
+            evicted_latches: |r, f| r.vec(f, Reader::owned_string),
+            duplicates_suppressed: Reader::uint,
+            entities_evicted: Reader::uint,
+        }
+    )
 }
 
-fn decode_correlator(v: &Value) -> Result<CorrelatorSnapshot, String> {
-    Ok(CorrelatorSnapshot {
-        entities: need_array(v, "entities")?
-            .iter()
-            .map(|e| {
-                Ok(CorrelatorEntitySnapshot {
-                    entity: need_str(e, "entity")?,
-                    campaign: need_u32(e, "campaign")?,
-                    mass: need_f64(e, "mass")?,
-                    last_ts: need_time(e, "last_ts")?,
-                    seen: need_u32(e, "seen")?,
-                    promoted: need_bool(e, "promoted")?,
-                    steps: decode_step_ring(e, "steps")?,
-                    steps_head: need_u8(e, "steps_head")?,
-                })
-            })
-            .collect::<Result<_, String>>()?,
-        keys: need_array(v, "keys")?
-            .iter()
-            .map(|k| {
-                Ok(JoinKeySnapshot {
-                    kind: link_kind(&need_str(k, "kind")?)?,
-                    addr: need_u32(k, "addr")?,
-                    palette: opt_str(k, "palette")?,
-                    slots: need_array(k, "slots")?
-                        .iter()
-                        .map(|slot| match slot {
-                            Value::Null => Ok(None),
-                            other => {
-                                let a = other
-                                    .as_array()
-                                    .filter(|a| a.len() == 2)
-                                    .ok_or("`slots`: expected [entity, ts] or null")?;
-                                let entity =
-                                    a[0].as_str().ok_or("`slots`: bad entity key")?.to_string();
-                                let ts = a[1].as_u64().ok_or("`slots`: bad timestamp")?;
-                                Ok(Some((entity, SimTime::from_nanos(ts))))
-                            }
-                        })
-                        .collect::<Result<_, String>>()?,
-                    head: need_u8(k, "head")?,
-                })
-            })
-            .collect::<Result<_, String>>()?,
-        campaigns: need_array(v, "campaigns")?
-            .iter()
-            .map(|c| {
-                Ok(CampaignSnapshot {
-                    id: need_u32(c, "id")?,
-                    members: decode_string_array(c, "members")?,
-                    links: need_array(c, "links")?
-                        .iter()
-                        .map(|l| {
-                            let a = l
-                                .as_array()
-                                .filter(|a| a.len() == 4)
-                                .ok_or("`links`: expected [ts, a, b, kind]")?;
-                            Ok(LinkSummary {
-                                ts: SimTime::from_nanos(
-                                    a[0].as_u64().ok_or("`links`: bad timestamp")?,
-                                ),
-                                a: a[1].as_str().ok_or("`links`: bad endpoint")?.to_string(),
-                                b: a[2].as_str().ok_or("`links`: bad endpoint")?.to_string(),
-                                kind: link_kind(a[3].as_str().ok_or("`links`: bad kind")?)?,
-                            })
-                        })
-                        .collect::<Result<_, String>>()?,
-                    best_key: opt_str(c, "best_key")?,
-                    best_mass: need_f64(c, "best_mass")?,
-                    second: need_f64(c, "second")?,
-                    support_ts: need_time(c, "support_ts")?,
-                    promotions: need_u32(c, "promotions")?,
-                    detections: need_u32(c, "detections")?,
-                })
-            })
-            .collect::<Result<_, String>>()?,
-        promoted_latches: decode_string_array(v, "promoted_latches")?,
-        next_campaign: need_u32(v, "next_campaign")?,
-        promotions: need_u64(v, "promotions")?,
-        tagger_confirmations: need_u64(v, "tagger_confirmations")?,
-        entities_evicted: need_u64(v, "entities_evicted")?,
-    })
+fn read_tagger_entity(r: &mut Reader, field: &str) -> Res<EntityStateSnapshot> {
+    read_struct!(
+        r,
+        field,
+        EntityStateSnapshot {
+            entity: Reader::owned_string,
+            alpha: |r, f| r.short_vec(f, |s| &mut s.floats, Reader::f64),
+            steps: Reader::uint,
+            detected: Reader::bool,
+            last_ts: Reader::time,
+            recent: read_step_ring,
+            recent_head: Reader::uint,
+        }
+    )
+}
+
+fn read_correlator(r: &mut Reader, field: &str) -> Res<CorrelatorSnapshot> {
+    read_struct!(
+        r,
+        field,
+        CorrelatorSnapshot {
+            entities: |r, f| r.vec(f, read_correlator_entity),
+            keys: |r, f| r.vec(f, read_join_key),
+            campaigns: |r, f| r.vec(f, read_campaign),
+            promoted_latches: |r, f| r.vec(f, Reader::owned_string),
+            next_campaign: Reader::uint,
+            promotions: Reader::uint,
+            tagger_confirmations: Reader::uint,
+            entities_evicted: Reader::uint,
+        }
+    )
+}
+
+fn read_correlator_entity(r: &mut Reader, field: &str) -> Res<CorrelatorEntitySnapshot> {
+    read_struct!(
+        r,
+        field,
+        CorrelatorEntitySnapshot {
+            entity: Reader::owned_string,
+            campaign: Reader::uint,
+            mass: Reader::f64,
+            last_ts: Reader::time,
+            seen: Reader::uint,
+            promoted: Reader::bool,
+            steps: read_step_ring,
+            steps_head: Reader::uint,
+        }
+    )
+}
+
+fn read_join_key(r: &mut Reader, field: &str) -> Res<JoinKeySnapshot> {
+    read_struct!(
+        r,
+        field,
+        JoinKeySnapshot {
+            kind: link_kind,
+            addr: Reader::uint,
+            palette: Reader::opt_string,
+            slots: |r, f| {
+                r.short_vec(
+                    f,
+                    |s| &mut s.slots,
+                    |r, f| {
+                        if r.null() {
+                            return Ok(None);
+                        }
+                        r.expect(b'[', f)?;
+                        let entity = r.owned_string(f)?;
+                        r.expect(b',', f)?;
+                        let ts = r.time(f)?;
+                        r.expect(b']', f)?;
+                        Ok(Some((entity, ts)))
+                    },
+                )
+            },
+            head: Reader::uint,
+        }
+    )
+}
+
+fn read_campaign(r: &mut Reader, field: &str) -> Res<CampaignSnapshot> {
+    read_struct!(
+        r,
+        field,
+        CampaignSnapshot {
+            id: Reader::uint,
+            members: |r, f| r.short_vec(f, |s| &mut s.strings, Reader::owned_string),
+            links: |r, f| {
+                r.short_vec(
+                    f,
+                    |s| &mut s.links,
+                    |r, f| {
+                        r.expect(b'[', f)?;
+                        let ts = r.time(f)?;
+                        r.expect(b',', f)?;
+                        let a = r.owned_string(f)?;
+                        r.expect(b',', f)?;
+                        let b = r.owned_string(f)?;
+                        r.expect(b',', f)?;
+                        let kind = link_kind(r, f)?;
+                        r.expect(b']', f)?;
+                        Ok(LinkSummary { ts, a, b, kind })
+                    },
+                )
+            },
+            best_key: Reader::opt_string,
+            best_mass: Reader::f64,
+            second: Reader::f64,
+            support_ts: Reader::time,
+            promotions: Reader::uint,
+            detections: Reader::uint,
+        }
+    )
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use simnet::alloc_count::{allocations, CountingAllocator};
 use simnet::intern::TenantId;
 use simnet::rng::SimRng;
 use telemetry::record::LogRecord;
-use testbed::{PipelineBuilder, ServiceConfig, ServiceError, ServiceHandle};
+use testbed::{PipelineBuilder, ServiceConfig, ServiceError, ServiceHandle, ServiceSnapshot};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -197,5 +197,101 @@ fn service_ingest_steady_state_allocates_nothing_per_batch_or_record() {
         }
         let (_, report) = service.shutdown().pop().unwrap();
         assert!(report.stats.admitted > 0, "sanity: the workload admits");
+    });
+}
+
+/// Heap buffers a decoded snapshot owns: its non-empty `String`s and
+/// `Vec`s (empty ones never allocate).
+fn owned_buffers(snap: &ServiceSnapshot) -> u64 {
+    fn n<T>(v: &[T]) -> u64 {
+        u64::from(!v.is_empty())
+    }
+    fn s(v: &str) -> u64 {
+        u64::from(!v.is_empty())
+    }
+    let mut total = n(&snap.filter.windows) + n(&snap.sym_universe);
+    total += snap
+        .filter
+        .windows
+        .iter()
+        .map(|w| s(&w.source))
+        .sum::<u64>();
+    total += snap.sym_universe.iter().map(|(_, v)| s(v)).sum::<u64>();
+    if let Some(t) = &snap.tagger {
+        total += n(&t.entities) + n(&t.evicted_latches);
+        total += t.evicted_latches.iter().map(|v| s(v)).sum::<u64>();
+        for e in &t.entities {
+            total += s(&e.entity) + n(&e.alpha) + n(&e.recent);
+        }
+    }
+    if let Some(c) = &snap.correlator {
+        total += n(&c.entities) + n(&c.keys) + n(&c.campaigns) + n(&c.promoted_latches);
+        total += c.promoted_latches.iter().map(|v| s(v)).sum::<u64>();
+        for e in &c.entities {
+            total += s(&e.entity) + n(&e.steps);
+        }
+        for k in &c.keys {
+            total += k.palette.as_deref().map_or(0, s) + n(&k.slots);
+            total += k.slots.iter().flatten().map(|(e, _)| s(e)).sum::<u64>();
+        }
+        for cs in &c.campaigns {
+            total += n(&cs.members) + n(&cs.links) + cs.best_key.as_deref().map_or(0, s);
+            total += cs.members.iter().map(|v| s(v)).sum::<u64>();
+            total += cs.links.iter().map(|l| s(&l.a) + s(&l.b)).sum::<u64>();
+        }
+    }
+    total
+}
+
+#[test]
+fn snapshot_codec_builds_no_intermediate_tree() {
+    serialized(|| {
+        let cfg = RecordStreamConfig {
+            scan_records: 2_000,
+            benign_flows: 1_000,
+            exec_records: 8_000,
+            users: 1_500,
+            zipf_exponent: 0.0,
+            ..RecordStreamConfig::default()
+        };
+        let records = record_stream(&cfg, &mut SimRng::seed(0xC0DEC));
+        let service = ServiceHandle::spawn(ServiceConfig::default(), |_, scope| {
+            PipelineBuilder::new()
+                .tagger(detect::AttackTagger::new(
+                    detect::train::toy_training_model(),
+                    detect::TaggerConfig::default(),
+                ))
+                .correlation(detect::CorrelationPolicy::default())
+                .scope(scope)
+                .build()
+        });
+        let tenant = TenantId(1);
+        service.ingest(tenant, records).unwrap();
+        let snap = service.snapshot(tenant).unwrap();
+        let tagged = snap.tagger.as_ref().map_or(0, |t| t.entities.len());
+        let correlated = snap.correlator.as_ref().map_or(0, |c| c.entities.len());
+        assert!(
+            tagged >= 1_000 && correlated >= 1_000,
+            "{tagged} tagger / {correlated} correlator entities"
+        );
+
+        // Encoding appends into one buffer: its growth is all it allocates.
+        const SLACK: u64 = 32;
+        let (encode, wire) = allocations(|| snap.to_json());
+        assert!(
+            encode <= SLACK,
+            "to_json: {encode} allocations for {} bytes",
+            wire.len()
+        );
+        // Decoding allocates each owned string and vector once, at its
+        // final size.
+        let (decode, decoded) = allocations(|| ServiceSnapshot::from_json(&wire));
+        let decoded = decoded.unwrap();
+        assert_eq!(decoded, snap);
+        let buffers = owned_buffers(&decoded);
+        assert!(
+            decode <= buffers + SLACK,
+            "from_json: {decode} allocations for {buffers} owned buffers"
+        );
     });
 }
