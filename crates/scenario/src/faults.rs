@@ -21,18 +21,18 @@
 //! - **Record duplication** — each surviving record is re-emitted with
 //!   `dup_prob` (at-least-once log shipping).
 //! - **Bounded reordering** — each record may be delayed by up to
-//!   `reorder_window` stream positions (a release-slot min-heap, so the
-//!   displacement bound is hard in both directions).
+//!   `k = reorder_window` stream positions and leaves in `(release, seq)`
+//!   order, so the displacement bound is hard in both directions. The
+//!   reorderer is a `k+1`-slot release ring: O(1) per record and
+//!   allocation-free after construction.
 //! - **Per-host clock skew + jitter** — every host clock gets a constant
 //!   offset in `[-max_skew, +max_skew]` (hashed from the plan seed, so it
 //!   is stable per host) and every record an independent jitter in
 //!   `[-jitter, +jitter]`. Negative adjustments saturate at
 //!   [`SimTime::EPOCH`] rather than wrapping.
 //!
-//! The injector is allocation-free in steady state: the reorder heap is
-//! pre-sized to the window and records move through by value.
-
-use std::collections::BinaryHeap;
+//! The injector is allocation-free after construction: the release ring
+//! is sized to the window up front and records move through by value.
 
 use serde::{Deserialize, Serialize};
 use simnet::rng::SimRng;
@@ -196,40 +196,83 @@ pub struct FaultStats {
     pub skewed: u64,
 }
 
-/// Reorder-heap entry, ordered by `(release, seq)` ascending (min-heap via
-/// reversed `Ord`). `release` is the stream position at which the record
-/// may leave the reorderer, so displacement is bounded by the window in
-/// both directions.
-struct HeapEntry {
-    release: u64,
-    seq: u64,
-    record: LogRecord,
+/// End of a release list.
+const NIL: usize = usize::MAX;
+
+/// The bounded reorderer: a ring of `k + 1` record slots, where
+/// `k = reorder_window`, plus one FIFO of slot indices per release
+/// position.
+///
+/// Every in-flight record has `release ∈ [seq, seq + k]`, so at most
+/// `k + 1` are in flight and the record entering at `seq` can live in
+/// slot `seq % (k + 1)`: its previous occupant entered at `seq - (k + 1)`
+/// and was released by `seq - 1`. For the same reason each list holds a
+/// single release position at a time. Records enter in `seq` order, so
+/// each list is in `seq` order and the ring emits by `(release, seq)`.
+#[derive(Debug)]
+struct ReleaseRing {
+    slots: Vec<Option<LogRecord>>,
+    /// Next slot in the same release list, or [`NIL`].
+    next: Vec<usize>,
+    /// First and last slot of each release position's list (`head` is
+    /// [`NIL`] when the list is empty).
+    head: Vec<usize>,
+    tail: Vec<usize>,
+    /// `seq % (k + 1)` of the next record to enter.
+    pos: usize,
 }
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.release == other.release && self.seq == other.seq
+impl ReleaseRing {
+    fn new(window: usize) -> ReleaseRing {
+        let n = window + 1;
+        ReleaseRing {
+            slots: (0..n).map(|_| None).collect(),
+            next: vec![NIL; n],
+            head: vec![NIL; n],
+            tail: vec![NIL; n],
+            pos: 0,
+        }
     }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    /// Enter `record` at the next stream position with release
+    /// `seq + delay` (`delay <= k`), then emit every record released at
+    /// this position.
+    fn enter(&mut self, record: LogRecord, delay: usize, out: &mut Vec<LogRecord>) {
+        let n = self.slots.len();
+        let slot = self.pos;
+        self.pos = if slot + 1 == n { 0 } else { slot + 1 };
+        debug_assert!(self.slots[slot].is_none(), "slot released before reuse");
+        self.slots[slot] = Some(record);
+        self.next[slot] = NIL;
+        let release = if slot + delay >= n {
+            slot + delay - n
+        } else {
+            slot + delay
+        };
+        if self.head[release] == NIL {
+            self.head[release] = slot;
+        } else {
+            self.next[self.tail[release]] = slot;
+        }
+        self.tail[release] = slot;
+        self.emit(slot, out);
     }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the smallest
-        // (release, seq) on top.
-        (other.release, other.seq).cmp(&(self.release, self.seq))
+
+    /// Emit the list at release position `release`, in `seq` order.
+    fn emit(&mut self, release: usize, out: &mut Vec<LogRecord>) {
+        let mut i = std::mem::replace(&mut self.head[release], NIL);
+        while i != NIL {
+            out.push(self.slots[i].take().expect("listed slot holds a record"));
+            i = self.next[i];
+        }
     }
-}
-impl std::fmt::Debug for HeapEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeapEntry")
-            .field("release", &self.release)
-            .field("seq", &self.seq)
-            .finish()
+
+    /// Emit everything in flight, in release order.
+    fn drain(&mut self, out: &mut Vec<LogRecord>) {
+        let n = self.slots.len();
+        for step in 0..n {
+            self.emit((self.pos + step) % n, out);
+        }
     }
 }
 
@@ -250,9 +293,7 @@ fn splitmix64(mut x: u64) -> u64 {
 pub struct FaultInjector {
     plan: FaultPlan,
     rng: SimRng,
-    /// Stream position of the next record entering the reorderer.
-    seq: u64,
-    heap: BinaryHeap<HeapEntry>,
+    ring: ReleaseRing,
     stats: FaultStats,
 }
 
@@ -264,9 +305,8 @@ impl FaultInjector {
             ..FaultStats::default()
         };
         FaultInjector {
-            heap: BinaryHeap::with_capacity(plan.reorder_window + 2),
+            ring: ReleaseRing::new(plan.reorder_window),
             rng,
-            seq: 0,
             stats,
             plan,
         }
@@ -348,35 +388,21 @@ impl FaultInjector {
     /// Enter the bounded reorderer at the next stream position and emit
     /// everything whose release slot has arrived.
     fn enqueue(&mut self, record: LogRecord, out: &mut Vec<LogRecord>) {
-        let seq = self.seq;
-        self.seq += 1;
         let k = self.plan.reorder_window;
-        let delay = if k == 0 {
-            0
-        } else {
-            self.rng.index(k + 1) as u64
-        };
+        let delay = if k == 0 { 0 } else { self.rng.index(k + 1) };
         if delay > 0 {
             self.stats.reordered += 1;
         }
-        self.heap.push(HeapEntry {
-            release: seq + delay,
-            seq,
-            record,
-        });
-        while self.heap.peek().is_some_and(|e| e.release <= seq) {
-            let e = self.heap.pop().expect("peeked");
-            self.stats.records_out += 1;
-            out.push(e.record);
-        }
+        let before = out.len();
+        self.ring.enter(record, delay, out);
+        self.stats.records_out += (out.len() - before) as u64;
     }
 
     /// End of stream: drain the reorder window in release order.
     pub fn finish(&mut self, out: &mut Vec<LogRecord>) {
-        while let Some(e) = self.heap.pop() {
-            self.stats.records_out += 1;
-            out.push(e.record);
-        }
+        let before = out.len();
+        self.ring.drain(out);
+        self.stats.records_out += (out.len() - before) as u64;
     }
 }
 
@@ -535,6 +561,75 @@ mod tests {
                 positions.iter().any(|&j| j + k >= i && j <= i + k),
                 "record {i} displaced beyond the window: {positions:?}"
             );
+        }
+    }
+
+    /// The reorderer's contract, replayed independently: the same RNG
+    /// draws as [`FaultInjector::push`] assign each entering copy a delay,
+    /// and the faulted stream is the entries stably sorted by
+    /// `(seq + delay, seq)`. Returns `(release, seq, record)` in emission
+    /// order.
+    fn reorder_oracle(plan: &FaultPlan, records: &[LogRecord]) -> Vec<(u64, u64, LogRecord)> {
+        assert!(plan.blackouts.is_empty() && plan.clock.is_none() && plan.loss_prob == 0.0);
+        let k = plan.reorder_window;
+        let mut rng = SimRng::seed(plan.seed);
+        let mut entries = Vec::new();
+        for r in records {
+            assert!(!rng.chance(plan.loss_prob));
+            let dup = plan.dup_prob > 0.0 && rng.chance(plan.dup_prob);
+            for _ in 0..1 + usize::from(dup) {
+                let seq = entries.len() as u64;
+                let delay = if k == 0 { 0 } else { rng.index(k + 1) as u64 };
+                entries.push((seq + delay, seq, r.clone()));
+            }
+        }
+        entries.sort_by_key(|&(release, seq, _)| (release, seq));
+        entries
+    }
+
+    #[test]
+    fn reorder_emits_exactly_in_release_then_arrival_order() {
+        let records = workload(900);
+        for k in [0usize, 1, 2, 7, 64, 200] {
+            for (dup, seed) in [(0.0, 21u64), (0.3, 22), (1.0, 23)] {
+                let plan = FaultPlan::clean(seed ^ k as u64)
+                    .with_duplication(dup)
+                    .with_reorder(k);
+                let expected = reorder_oracle(&plan, &records);
+                let order: Vec<LogRecord> = expected.iter().map(|e| e.2.clone()).collect();
+                let (whole, stats) = apply_fault_plan(&plan, &records);
+                assert_eq!(whole, order, "k={k} dup={dup}: one-shot order");
+                assert_eq!(stats.records_out, order.len() as u64);
+                let delayed = expected.iter().filter(|e| e.0 != e.1).count();
+                assert_eq!(stats.reordered, delayed as u64);
+
+                // Pushes split at arbitrary points: after every chunk the
+                // injector has emitted exactly the entries whose release
+                // slot has passed, and `finish` drains the rest in order.
+                let mut inj = FaultInjector::new(plan.clone());
+                let mut cuts = SimRng::seed(seed.wrapping_mul(31) + k as u64);
+                let mut out = Vec::new();
+                let mut i = 0;
+                while i < records.len() {
+                    let end = (i + 1 + cuts.index(3 * k + 5)).min(records.len());
+                    for r in &records[i..end] {
+                        inj.push(r.clone(), &mut out);
+                    }
+                    i = end;
+                    // These plans lose nothing: every push enters, plus
+                    // its duplicate.
+                    let entered = inj.stats.records_in + inj.stats.duplicated;
+                    let released = expected.iter().take_while(|e| e.0 < entered).count();
+                    assert_eq!(
+                        out[..],
+                        order[..released],
+                        "k={k} dup={dup}: after {i} pushes"
+                    );
+                }
+                inj.finish(&mut out);
+                assert_eq!(out, order, "k={k} dup={dup}: after the finish drain");
+                assert_eq!(inj.stats(), stats);
+            }
         }
     }
 

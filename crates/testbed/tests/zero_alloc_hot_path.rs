@@ -13,10 +13,12 @@
 //! owned batch in place through the session's memo and reuses the
 //! pipeline's scratch buffers.
 
+use scenario::faults::{ClockSkewConfig, FaultInjector, FaultPlan};
 use scenario::stream::{record_stream, RecordStreamConfig};
-use simnet::alloc_count::{allocations, CountingAllocator};
+use simnet::alloc_count::{allocations, thread_allocations, CountingAllocator};
 use simnet::intern::TenantId;
 use simnet::rng::SimRng;
+use simnet::time::SimDuration;
 use telemetry::record::LogRecord;
 use testbed::{PipelineBuilder, ServiceConfig, ServiceError, ServiceHandle, ServiceSnapshot};
 
@@ -24,7 +26,9 @@ use testbed::{PipelineBuilder, ServiceConfig, ServiceError, ServiceHandle, Servi
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Serializes measurements: the test harness runs tests on parallel
-/// threads and the allocation counter is process-global.
+/// threads, and the service test counts process-wide because its work
+/// runs on the service's worker thread. Work on the calling thread is
+/// counted per thread, which also keeps the harness's threads out.
 static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn serialized<T>(f: impl FnOnce() -> T) -> T {
@@ -72,7 +76,7 @@ fn symbolize_filter_observe_steady_state_allocates_nothing() {
         assert!(tagger.tracked_entities() > 10, "sanity: entities tracked");
 
         // Steady state: the full hot path must not allocate at all.
-        let (allocs, _) = allocations(|| {
+        let (allocs, _) = thread_allocations(|| {
             for r in &records {
                 alerts.clear();
                 sym.symbolize_into(r, &mut alerts);
@@ -94,6 +98,52 @@ fn symbolize_filter_observe_steady_state_allocates_nothing() {
 }
 
 #[test]
+fn fault_injector_steady_state_allocates_nothing() {
+    serialized(|| {
+        let records = workload();
+        let (warm, measured) = records.split_at(records.len() / 2);
+        // The `fault_storm` feed, and the same at duplication 1.0, where
+        // every record enters the reorderer twice.
+        let storm = FaultPlan::clean(0xFA_017)
+            .named("fault-storm")
+            .with_loss(0.02)
+            .with_duplication(0.05)
+            .with_reorder(64)
+            .with_clock(ClockSkewConfig {
+                max_skew: SimDuration::from_secs(30),
+                jitter: SimDuration::from_secs(2),
+            });
+        let dup_all = storm.clone().named("dup-all").with_duplication(1.0);
+        for plan in [storm, dup_all] {
+            let mut inj = FaultInjector::new(plan);
+            let mut out = Vec::with_capacity(2 * records.len());
+            // Warm half: fills the reorder window and exercises every
+            // fault model before measuring.
+            for r in warm {
+                inj.push(r.clone(), &mut out);
+            }
+            let batch = measured.to_vec();
+            let (allocs, ()) = thread_allocations(|| {
+                for r in batch {
+                    inj.push(r, &mut out);
+                }
+                inj.finish(&mut out);
+            });
+            let stats = inj.stats();
+            assert_eq!(
+                allocs,
+                0,
+                "{}: push x {} + finish must not allocate",
+                stats.profile,
+                measured.len()
+            );
+            assert_eq!(stats.records_out, out.len() as u64);
+            assert!(stats.lost_iid > 0 && stats.duplicated > 0 && stats.reordered > 0);
+        }
+    });
+}
+
+#[test]
 fn new_entities_allocate_then_settle() {
     serialized(|| {
         // A fresh entity costs bounded one-time state (posterior vector +
@@ -109,9 +159,9 @@ fn new_entities_allocate_then_settle() {
                 alertlib::Entity::User(user.into()),
             )
         };
-        let (first, _) = allocations(|| tagger.observe(&alert("fresh-entity-a")));
+        let (first, _) = thread_allocations(|| tagger.observe(&alert("fresh-entity-a")));
         assert!(first > 0, "first sight of an entity builds its state");
-        let (repeat, _) = allocations(|| {
+        let (repeat, _) = thread_allocations(|| {
             for _ in 0..100 {
                 tagger.observe(&alert("fresh-entity-a"));
             }
@@ -128,7 +178,7 @@ fn interned_record_generation_reuses_palettes() {
         // per-record strings. (~6 allocations per 1000 records of slack
         // covers the generator's palette Vecs and the sort's scratch.)
         let first = workload();
-        let (allocs, second) = allocations(workload);
+        let (allocs, second) = thread_allocations(workload);
         assert_eq!(first, second, "deterministic regeneration");
         let per_record = allocs as f64 / second.len() as f64;
         assert!(
@@ -277,7 +327,7 @@ fn snapshot_codec_builds_no_intermediate_tree() {
 
         // Encoding appends into one buffer: its growth is all it allocates.
         const SLACK: u64 = 32;
-        let (encode, wire) = allocations(|| snap.to_json());
+        let (encode, wire) = thread_allocations(|| snap.to_json());
         assert!(
             encode <= SLACK,
             "to_json: {encode} allocations for {} bytes",
@@ -285,7 +335,7 @@ fn snapshot_codec_builds_no_intermediate_tree() {
         );
         // Decoding allocates each owned string and vector once, at its
         // final size.
-        let (decode, decoded) = allocations(|| ServiceSnapshot::from_json(&wire));
+        let (decode, decoded) = thread_allocations(|| ServiceSnapshot::from_json(&wire));
         let decoded = decoded.unwrap();
         assert_eq!(decoded, snap);
         let buffers = owned_buffers(&decoded);
