@@ -216,8 +216,9 @@ const DEDUP_EMPTY: u16 = u16::MAX;
 /// Per-entity forward-filter state.
 #[derive(Debug, Clone)]
 struct EntityState {
-    /// Current filtered posterior over stages.
-    alpha: Vec<f64>,
+    /// Current filtered posterior over stages (inline: a new entity
+    /// allocates nothing of its own).
+    alpha: [f64; Stage::COUNT],
     /// Number of alerts folded in (since the last session timeout).
     steps: usize,
     /// Whether a detection has already been raised (latched).
@@ -428,7 +429,8 @@ impl AttackTagger {
     ///
     /// Allocation-free per call for already-tracked entities — the state
     /// map is keyed by the integer [`EntityId`], so no key string is ever
-    /// built; a new entity allocates its posterior vector once.
+    /// built, and the posterior lives inline in the entity's state. A new
+    /// entity allocates only when the state map grows.
     pub fn observe(&mut self, alert: &Alert) -> Option<Detection> {
         self.observe_scored(alert).detection
     }
@@ -456,7 +458,7 @@ impl AttackTagger {
         let latched = !self.evicted_latches.is_empty() && self.evicted_latches.remove(&id);
         let temporal = &self.cfg.temporal;
         let state = self.states.entry(id).or_insert_with(|| EntityState {
-            alpha: vec![0.0; Stage::COUNT],
+            alpha: [0.0; Stage::COUNT],
             steps: 0,
             detected: latched,
             last_ts: alert.ts,
@@ -612,7 +614,7 @@ impl AttackTagger {
     /// The current filtered posterior for an entity — the allocation-free
     /// primary lookup, keyed by [`EntityId`] like the state map itself.
     pub fn posterior_id(&self, id: EntityId) -> Option<&[f64]> {
-        self.states.get(&id).map(|s| s.alpha.as_slice())
+        self.states.get(&id).map(|s| &s.alpha[..])
     }
 
     /// String-key convenience over [`AttackTagger::posterior_id`] for
@@ -694,7 +696,7 @@ impl AttackTagger {
             .iter()
             .map(|(id, s)| EntityStateSnapshot {
                 entity: id.key_in(scope),
-                alpha: s.alpha.clone(),
+                alpha: s.alpha.to_vec(),
                 steps: s.steps,
                 detected: s.detected,
                 last_ts: s.last_ts,
@@ -739,6 +741,8 @@ impl AttackTagger {
             let id = EntityId::from_key_in(&e.entity, scope)
                 .unwrap_or_else(|| panic!("snapshot entity key {:?} is malformed", e.entity));
             assert_eq!(e.alpha.len(), Stage::COUNT, "snapshot posterior arity");
+            let mut alpha = [0.0; Stage::COUNT];
+            alpha.copy_from_slice(&e.alpha);
             let mut recent = [(SimTime::EPOCH, DEDUP_EMPTY); DEDUP_SLOTS];
             for (slot, &entry) in recent.iter_mut().zip(e.recent.iter()) {
                 *slot = entry;
@@ -746,7 +750,7 @@ impl AttackTagger {
             self.states.insert(
                 id,
                 EntityState {
-                    alpha: e.alpha.clone(),
+                    alpha,
                     steps: e.steps,
                     detected: e.detected,
                     last_ts: e.last_ts,

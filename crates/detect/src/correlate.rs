@@ -450,12 +450,18 @@ impl CampaignState {
         }
     }
 
+    /// Record `link` unless the provenance is full or already holds it.
+    /// The cap is checked first: a saturated mega-campaign sees several
+    /// candidate links per alert, and each would otherwise rescan it.
     fn record_link(&mut self, link: CampaignLink, cap: usize) {
+        if self.links.len() >= cap {
+            return;
+        }
         let dup = self
             .links
             .iter()
             .any(|l| l.a == link.a && l.b == link.b && l.kind == link.kind);
-        if !dup && self.links.len() < cap {
+        if !dup {
             self.links.push(link);
         }
     }
@@ -621,14 +627,14 @@ impl CampaignCorrelator {
         let id = alert.entity.id();
 
         // Node upkeep (budget-pressure eviction before a fresh insert).
-        if !self.entities.contains_key(&id) && self.entities.len() >= self.policy.max_entities {
+        if self.entities.len() >= self.policy.max_entities && !self.entities.contains_key(&id) {
             self.evict_entities(ts);
         }
         let half_life = self.policy.decay_half_life;
         // A re-arriving evicted entity restarts with a fresh node but
         // keeps its surfaced-detection latch (see `promoted_latches`).
         let latched = !self.promoted_latches.is_empty() && self.promoted_latches.remove(&id);
-        let node = self.entities.entry(id).or_insert(EntityNode {
+        let node = self.entities.entry(id).or_insert_with(|| EntityNode {
             campaign: NO_CAMPAIGN,
             mass: 0.0,
             last_ts: ts,
@@ -637,9 +643,15 @@ impl CampaignCorrelator {
             steps: [(SimTime::EPOCH, STEP_EMPTY); SEQ_RING],
             steps_head: 0,
         });
-        node.mass = decayed(node.mass, ts.saturating_since(node.last_ts), half_life);
+        // Decay never raises a mass, so a score above the stored mass wins
+        // either way: skip the `powf`.
         if attack_score > node.mass {
             node.mass = attack_score;
+        } else {
+            node.mass = decayed(node.mass, ts.saturating_since(node.last_ts), half_life);
+            if attack_score > node.mass {
+                node.mass = attack_score;
+            }
         }
         node.last_ts = ts;
         node.seen += 1;
@@ -651,7 +663,12 @@ impl CampaignCorrelator {
         // errs against promotion.
         node.steps[node.steps_head as usize] = (ts, alert.kind.index() as u16);
         node.steps_head = (node.steps_head + 1) % SEQ_RING as u8;
-        let mut node = *node;
+        // The rest of the call reads and updates only these fields; the
+        // node itself stays in the map, where stitched replay reads its
+        // step ring.
+        let (mass, seen) = (node.mass, node.seen);
+        let (entry_campaign, entry_promoted) = (node.campaign, node.promoted);
+        let (mut campaign, mut promoted) = (entry_campaign, entry_promoted);
 
         // Link formation through the alert's join keys. On the
         // high-specificity keys (shared victim, shared source endpoint) an
@@ -661,7 +678,7 @@ impl CampaignCorrelator {
         // low-specificity keys (host, palette) recur across thousands of
         // unrelated entities, so both sides demand real mass there:
         // anchor-level to occupy, the weak-join floor to link.
-        let anchors = node.mass >= self.policy.anchor_min_score || detection.is_some();
+        let anchors = mass >= self.policy.anchor_min_score || detection.is_some();
         let mut candidates: [Option<(EntityId, LinkKind)>; 4 * RING] = [None; 4 * RING];
         let mut n_cand = 0;
         for (key, kind) in join_keys(alert).into_iter().flatten() {
@@ -679,15 +696,17 @@ impl CampaignCorrelator {
             } else {
                 anchors
             };
-            if !self.keys.contains_key(&key) {
-                if !occupies {
-                    continue; // nothing to join, nothing to occupy
-                }
-                if self.keys.len() >= self.policy.max_join_keys {
+            let ring = if occupies {
+                if self.keys.len() >= self.policy.max_join_keys && !self.keys.contains_key(&key) {
                     self.evict_keys(ts);
                 }
-            }
-            let ring = self.keys.entry(key).or_default();
+                self.keys.entry(key).or_default()
+            } else {
+                match self.keys.get_mut(&key) {
+                    Some(ring) => ring,
+                    None => continue, // nothing to join, nothing to occupy
+                }
+            };
             if joins {
                 for &(other, ots) in ring.slots.iter().flatten() {
                     let gap = if ots > ts {
@@ -706,34 +725,30 @@ impl CampaignCorrelator {
             }
         }
         for (other, kind) in candidates.into_iter().flatten() {
-            node.campaign = self.link(id, &mut node, other, kind, ts);
+            campaign = self.link(id, campaign, other, kind, ts);
         }
-        // Publish the updated node (step ring included) before stitched
-        // replay — the merge below reads every member through the map.
-        self.entities.insert(id, node);
 
         // Campaign fusion: fold this member's mass into the support
         // tracker, then either account a tagger detection or try to
         // promote a sub-threshold posterior — first with cross-entity
         // posterior fusion, then (when that falls short and a chain model
         // is attached) by re-scoring the stitched campaign sequence.
-        if node.campaign != NO_CAMPAIGN {
-            let cid = node.campaign;
+        if campaign != NO_CAMPAIGN {
             let c = self
                 .campaigns
-                .get_mut(&cid)
+                .get_mut(&campaign)
                 .expect("campaign slot for member");
             c.decay_to(ts, half_life);
-            c.update_support(id.raw(), node.mass);
+            c.update_support(id.raw(), mass);
             if detection.is_some() {
-                if node.promoted {
+                if promoted {
                     self.tagger_confirmations += 1;
                     *detection = None;
                 } else {
-                    node.promoted = true;
+                    promoted = true;
                     c.detections += 1;
                 }
-            } else if !node.promoted && attack_score >= self.policy.sequence_min_score {
+            } else if !promoted && attack_score >= self.policy.sequence_min_score {
                 let support = c.support_for(id.raw());
                 let mut fused = if attack_score >= self.policy.join_min_score {
                     1.0 - (1.0 - attack_score) * (1.0 - self.policy.coupling * support)
@@ -741,8 +756,7 @@ impl CampaignCorrelator {
                     0.0
                 };
                 if fused < self.policy.threshold {
-                    if let (Some(model), Some(c)) = (self.model.as_ref(), self.campaigns.get(&cid))
-                    {
+                    if let Some(model) = self.model.as_ref() {
                         let stitched = stitched_sequence_score(
                             model,
                             &self.decision_stages,
@@ -760,42 +774,51 @@ impl CampaignCorrelator {
                 if fused >= self.policy.threshold {
                     *detection = Some(Detection {
                         ts,
-                        alert_index: node.seen as usize - 1,
+                        alert_index: seen as usize - 1,
                         trigger: alert.kind,
                         score: fused,
                         stage: Stage::Lateral,
                     });
-                    node.promoted = true;
-                    let c = self.campaigns.get_mut(&cid).expect("campaign slot");
+                    promoted = true;
                     c.promotions += 1;
                     c.detections += 1;
                     self.promotions += 1;
                 }
             }
         } else if detection.is_some() {
-            if node.promoted {
+            if promoted {
                 self.tagger_confirmations += 1;
                 *detection = None;
             } else {
-                node.promoted = true;
+                promoted = true;
             }
         }
 
-        self.entities.insert(id, node);
+        if (campaign, promoted) != (entry_campaign, entry_promoted) {
+            let node = self.entities.get_mut(&id).expect("observed node");
+            node.campaign = campaign;
+            node.promoted = promoted;
+        }
     }
 
-    /// Union `id` with `other` (both nodes exist). Returns `id`'s campaign
-    /// after the union.
+    /// Union `id` (currently in `campaign`) with `other`; `id`'s node
+    /// exists. Returns `id`'s campaign after the union.
     fn link(
         &mut self,
         id: EntityId,
-        node: &mut EntityNode,
+        campaign: u32,
         other: EntityId,
         kind: LinkKind,
         ts: SimTime,
     ) -> u32 {
-        let Some(other_node) = self.entities.get(&other).copied() else {
-            return node.campaign; // anchor evicted between ring hit and now
+        let Some(&EntityNode {
+            campaign: other_campaign,
+            mass: other_mass,
+            promoted: other_promoted,
+            ..
+        }) = self.entities.get(&other)
+        else {
+            return campaign; // anchor evicted between ring hit and now
         };
         let link_cap = self.policy.max_links_per_campaign;
         let (a, b) = if id.raw() <= other.raw() {
@@ -804,15 +827,15 @@ impl CampaignCorrelator {
             (other, id)
         };
         let link = CampaignLink { ts, a, b, kind };
-        let target = match (node.campaign, other_node.campaign) {
+        let target = match (campaign, other_campaign) {
             (NO_CAMPAIGN, NO_CAMPAIGN) => {
                 let cid = self.next_campaign;
                 self.next_campaign += 1;
                 let mut c = CampaignState::new(ts, link_cap);
                 c.members.push(id);
                 c.members.push(other);
-                c.update_support(other.raw(), other_node.mass);
-                if other_node.promoted {
+                c.update_support(other.raw(), other_mass);
+                if other_promoted {
                     c.detections += 1;
                 }
                 self.campaigns.insert(cid, c);
@@ -827,8 +850,8 @@ impl CampaignCorrelator {
             (cid, NO_CAMPAIGN) => {
                 let c = self.campaigns.get_mut(&cid).expect("campaign slot");
                 c.members.push(other);
-                c.update_support(other.raw(), other_node.mass);
-                if other_node.promoted {
+                c.update_support(other.raw(), other_mass);
+                if other_promoted {
                     c.detections += 1;
                 }
                 self.entities.get_mut(&other).expect("other node").campaign = cid;
@@ -839,7 +862,6 @@ impl CampaignCorrelator {
         };
         let c = self.campaigns.get_mut(&target).expect("campaign slot");
         c.record_link(link, link_cap);
-        node.campaign = target;
         target
     }
 
@@ -908,15 +930,14 @@ impl CampaignCorrelator {
         let n_evict = expired.max(over).min(self.evict_scratch.len());
         for i in 0..n_evict {
             let (_, raw) = self.evict_scratch[i];
-            self.remove_entity_raw(raw);
+            self.remove_entity(EntityId::from_raw(raw));
         }
     }
 
-    fn remove_entity_raw(&mut self, raw: u64) {
-        let Some((&id, _)) = self.entities.iter().find(|(id, _)| id.raw() == raw) else {
+    fn remove_entity(&mut self, id: EntityId) {
+        let Some(node) = self.entities.remove(&id) else {
             return;
         };
-        let node = self.entities.remove(&id).expect("node present");
         self.entities_evicted += 1;
         if node.promoted {
             self.promoted_latches.insert(id);
@@ -1889,6 +1910,43 @@ mod tests {
         for s in c.summaries() {
             assert!(s.links.len() <= 16, "per-campaign link budget held");
         }
+    }
+
+    /// A distinct-entity storm at the default budget: each sweep evicts
+    /// exactly an eighth of the budget, oldest first. Each evicted node is
+    /// removed by id, so the sweeps stay fast enough for a debug build.
+    #[test]
+    fn default_budget_sweeps_evict_exactly_an_eighth() {
+        let policy = CorrelationPolicy::default();
+        let budget = policy.max_entities;
+        let sweep = budget / 8;
+        let mut c = CampaignCorrelator::new(policy);
+        let addr = |i: u32| Ipv4Addr::from(0x0A00_0000 | i);
+        let observe = |c: &mut CampaignCorrelator, i: u32, t: u64| {
+            let a = Alert::new(
+                simnet::time::SimTime::from_secs(t),
+                AlertKind::LoginSuccess,
+                Entity::Address(addr(i)),
+            );
+            let mut none = None;
+            c.observe(&a, 0.0, &mut none);
+        };
+        // Inside the idle timeout throughout, so only budget pressure
+        // evicts: three sweeps, landing exactly on the budget.
+        let n = (budget + 3 * sweep) as u32;
+        for i in 0..n {
+            observe(&mut c, i, u64::from(i));
+        }
+        assert_eq!(c.tracked_entities(), budget, "budget held");
+        assert_eq!(c.entities_evicted(), 3 * sweep as u64);
+        // The newest entity is still tracked: observing it again sweeps
+        // nothing. The oldest was evicted: it re-enters as a fresh node
+        // at the budget, which forces a fourth sweep.
+        observe(&mut c, n - 1, u64::from(n));
+        assert_eq!(c.entities_evicted(), 3 * sweep as u64);
+        observe(&mut c, 0, u64::from(n));
+        assert_eq!(c.entities_evicted(), 4 * sweep as u64);
+        assert_eq!(c.tracked_entities(), budget - sweep + 1);
     }
 
     /// Evicting a member keeps the campaign consistent and dissolves

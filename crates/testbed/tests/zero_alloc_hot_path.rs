@@ -144,10 +144,59 @@ fn fault_injector_steady_state_allocates_nothing() {
 }
 
 #[test]
+fn correlated_tagger_steady_state_allocates_nothing() {
+    serialized(|| {
+        let records = workload();
+        let mut sym = alertlib::Symbolizer::with_defaults();
+        let mut filt = alertlib::ScanFilter::default();
+        let mut alerts = Vec::with_capacity(64);
+        let mut admitted = Vec::new();
+        for r in &records {
+            alerts.clear();
+            sym.symbolize_into(r, &mut alerts);
+            admitted.extend(alerts.iter().filter(|a| filt.admit(a)).copied());
+        }
+        let mut detector = detect::CorrelatedTagger::with_policy(
+            detect::AttackTagger::new(
+                detect::train::toy_training_model(),
+                detect::TaggerConfig::default(),
+            ),
+            detect::CorrelationPolicy::default(),
+        );
+        // Warmup: entity nodes, join-key rings, campaigns and their link
+        // provenance, and the stitched-replay scratch.
+        for a in &admitted {
+            detector.observe(a);
+        }
+        let correlator = detector.correlator();
+        let cap = correlator.policy().max_links_per_campaign;
+        assert!(
+            correlator.summaries().iter().any(|c| c.links.len() == cap),
+            "sanity: a campaign saturates its link provenance"
+        );
+
+        // Steady state: replaying the stream links into the saturated
+        // campaign on every alert and must not allocate.
+        let (allocs, ()) = thread_allocations(|| {
+            for a in &admitted {
+                detector.observe(a);
+            }
+        });
+        assert_eq!(
+            allocs,
+            0,
+            "steady-state tagger + correlator observe must not allocate ({} alerts)",
+            admitted.len()
+        );
+    });
+}
+
+#[test]
 fn new_entities_allocate_then_settle() {
     serialized(|| {
-        // A fresh entity costs bounded one-time state (posterior vector +
-        // map growth); the very next alert from it is free again.
+        // A fresh entity's state lives inline in the state map, so only
+        // map growth allocates: the first entity sizes the map, the next
+        // fits in its spare capacity, and every repeat alert is free.
         let mut tagger = detect::AttackTagger::new(
             detect::train::toy_training_model(),
             detect::TaggerConfig::default(),
@@ -159,11 +208,15 @@ fn new_entities_allocate_then_settle() {
                 alertlib::Entity::User(user.into()),
             )
         };
-        let (first, _) = thread_allocations(|| tagger.observe(&alert("fresh-entity-a")));
-        assert!(first > 0, "first sight of an entity builds its state");
+        let (a, b) = (alert("fresh-entity-a"), alert("fresh-entity-b"));
+        let (first, _) = thread_allocations(|| tagger.observe(&a));
+        assert!(first > 0, "the first entity sizes the state map");
+        let (second, _) = thread_allocations(|| tagger.observe(&b));
+        assert_eq!(second, 0, "a fresh entity in spare capacity is free");
         let (repeat, _) = thread_allocations(|| {
             for _ in 0..100 {
-                tagger.observe(&alert("fresh-entity-a"));
+                tagger.observe(&a);
+                tagger.observe(&b);
             }
         });
         assert_eq!(repeat, 0, "tracked entities are allocation-free");
