@@ -191,28 +191,33 @@ impl ScanFilter {
     /// Restore state previously captured by [`export_state`]
     /// (`ScanFilter::export_state`). The config is NOT part of the
     /// snapshot: the restoring process supplies its own (normally
-    /// identical) `FilterConfig`.
-    ///
-    /// # Panics
-    /// On malformed source keys — snapshots are produced by
-    /// `export_state`, so corruption is a caller bug, not an input error.
-    pub fn import_state(&mut self, snap: &FilterSnapshot) {
-        self.state.clear();
-        for w in &snap.windows {
-            let key = Key {
-                source: Self::decode_source(&w.source),
-                kind: w.kind,
+    /// identical) `FilterConfig`. A malformed source key is an error
+    /// naming the window, and leaves the filter unchanged.
+    pub fn import_state(&mut self, snap: &FilterSnapshot) -> Result<(), String> {
+        let mut state = FxHashMap::default();
+        for (i, w) in snap.windows.iter().enumerate() {
+            let source = Self::decode_source(&w.source).ok_or_else(|| {
+                format!(
+                    "filter.windows[{i}].source: malformed source key {:?}",
+                    w.source
+                )
+            })?;
+            let window = Window {
+                start: w.start,
+                admitted: w.admitted,
             };
-            self.state.insert(
-                key,
-                Window {
-                    start: w.start,
-                    admitted: w.admitted,
+            state.insert(
+                Key {
+                    source,
+                    kind: w.kind,
                 },
+                window,
             );
         }
+        self.state = state;
         self.stats = snap.stats;
         self.last_sweep = snap.last_sweep;
+        Ok(())
     }
 
     /// Render a window-map source key as a process-independent string.
@@ -226,14 +231,13 @@ impl ScanFilter {
 
     /// Inverse of [`encode_source`](Self::encode_source), re-interning
     /// user names in the current process.
-    fn decode_source(source: &str) -> u64 {
-        if let Some(ip) = source.strip_prefix("src:") {
-            let a: Ipv4Addr = ip.parse().expect("filter snapshot: bad src address");
-            ANON_SRC_TAG | u64::from(u32::from(a))
-        } else {
-            crate::alert::EntityId::from_key(source)
-                .expect("filter snapshot: bad entity key")
-                .raw()
+    fn decode_source(source: &str) -> Option<u64> {
+        match source.strip_prefix("src:") {
+            Some(ip) => {
+                let a: Ipv4Addr = ip.parse().ok()?;
+                Some(ANON_SRC_TAG | u64::from(u32::from(a)))
+            }
+            None => crate::alert::EntityId::from_key(source).map(|id| id.raw()),
         }
     }
 }
@@ -395,7 +399,9 @@ mod tests {
         assert!(snap.windows.iter().any(|w| w.source == "src:9.9.9.9"));
 
         let mut restored = ScanFilter::default();
-        restored.import_state(&snap);
+        restored
+            .import_state(&snap)
+            .expect("exported snapshot restores");
         assert_eq!(restored.export_state(), snap, "import→export identity");
         // Same-window repeats stay suppressed after restore…
         assert!(!restored.admit(&scan_alert(40, "103.102.1.1")));
@@ -407,6 +413,16 @@ mod tests {
         assert!(!f.admit(&anon_alert(60)));
         assert_eq!(restored.stats(), f.stats());
         assert_eq!(restored.export_state(), f.export_state());
+
+        // A malformed source key is refused and leaves the filter as it was.
+        let before = restored.export_state();
+        for source in ["user", "src:9.9.9", "addr:eve"] {
+            let mut bad = snap.clone();
+            bad.windows[1].source = source.into();
+            let err = restored.import_state(&bad).expect_err(source);
+            assert!(err.starts_with("filter.windows[1].source"), "{err}");
+            assert_eq!(restored.export_state(), before, "{source}: state changed");
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! 1. **Hit latency**: interning an already-present string and resolving
 //!    a `Sym` take zero lock acquisitions — the hit path is two atomic
 //!    loads and a probe over an immutable published map. Measured as
-//!    single-thread ns/op over a hot key set.
+//!    single-thread ns/op over two hot key sets: long tool command lines,
+//!    and the generator's sequential user names (`user00013`), whose
+//!    near-identical bytes are what a weakly mixed index hash clusters.
 //! 2. **Thread scaling**: 8 threads hammering one shared table scale with
 //!    cores instead of serializing on a lock. The wall-clock gate is
 //!    core-aware like BENCH_2/3's (`applicable: false` below 4 cores —
@@ -41,6 +43,9 @@ use testbed::{ServiceConfig, ServiceHandle, TestbedConfig};
 /// Hot key set size — larger than any cache-resident toy set, small
 /// enough that every probe hits the id map's fast path.
 const KEYS: usize = 4_096;
+/// Sequential user names in the second hit pass — the generator's
+/// naming at the `fault_storm` workload's 20k users.
+const USER_KEYS: usize = 20_000;
 /// Hit-path iterations per measured pass (per thread).
 const HIT_ROUNDS: usize = 200;
 /// Threads in the shared-table scaling pass.
@@ -52,6 +57,11 @@ fn key_set() -> Vec<String> {
     (0..KEYS)
         .map(|i| format!("/usr/bin/tool-{i} --config=/etc/tool/{i}.conf --verbose"))
         .collect()
+}
+
+/// The workload generator's user names (`scenario::stream`).
+fn user_key_set() -> Vec<String> {
+    (0..USER_KEYS).map(|i| format!("user{i:05}")).collect()
 }
 
 /// ns/op interning strings already present in `scope` (the hit path).
@@ -125,7 +135,14 @@ fn main() {
     let hit_ns = bench_intern_hits(&scope, &keys);
     let resolve_ns = bench_resolves(&scope, &keys);
     let append_ns = bench_appends(&SymScope::fresh());
+    let user_scope = SymScope::fresh();
+    let user_keys = user_key_set();
+    for k in &user_keys {
+        user_scope.sym(k);
+    }
+    let user_hit_ns = bench_intern_hits(&user_scope, &user_keys);
     println!("  intern hit  : {hit_ns:8.1} ns/op  ({KEYS} hot keys)");
+    println!("  user hit    : {user_hit_ns:8.1} ns/op  ({USER_KEYS} user names)");
     println!("  resolve     : {resolve_ns:8.1} ns/op");
     println!("  append miss : {append_ns:8.1} ns/op  (informational)");
 
@@ -213,6 +230,8 @@ fn main() {
         "intern": {
             "hot_keys": KEYS,
             "hit_ns_per_op": hit_ns,
+            "user_keys": USER_KEYS,
+            "user_hit_ns_per_op": user_hit_ns,
             "resolve_ns_per_op": resolve_ns,
             "append_ns_per_op": append_ns,
             "threads": THREADS,

@@ -203,6 +203,94 @@ pub struct TaggerSnapshot {
     pub entities_evicted: u64,
 }
 
+/// A [`TaggerSnapshot`] decoded and validated against a symbol scope,
+/// ready for [`AttackTagger::install`]. Decoding touches no tagger, so a
+/// restore of several detectors can decode them all before installing
+/// any.
+#[derive(Debug)]
+pub struct DecodedTagger {
+    states: FxHashMap<EntityId, EntityState>,
+    evicted_latches: FxHashSet<EntityId>,
+    duplicates_suppressed: u64,
+    entities_evicted: u64,
+}
+
+/// Parse a snapshot's canonical entity key, naming `field` on failure.
+pub(crate) fn snapshot_key(
+    key: &str,
+    scope: &simnet::intern::SymScope,
+    field: impl FnOnce() -> String,
+) -> Result<EntityId, String> {
+    EntityId::from_key_in(key, scope)
+        .ok_or_else(|| format!("{}: malformed entity key {key:?}", field()))
+}
+
+/// Reject a snapshot ring head at or past its ring's length.
+pub(crate) fn ring_head(
+    head: u8,
+    len: usize,
+    field: impl FnOnce() -> String,
+) -> Result<(), String> {
+    if usize::from(head) < len {
+        Ok(())
+    } else {
+        Err(format!("{}: {head} is past the {len}-slot ring", field()))
+    }
+}
+
+impl TaggerSnapshot {
+    /// Decode into fresh tagger state, interning entity keys into
+    /// `scope`. Fails on a malformed key, a posterior or dedup ring of
+    /// the wrong arity, or a ring head past the ring.
+    pub fn decode_in(&self, scope: &simnet::intern::SymScope) -> Result<DecodedTagger, String> {
+        let mut states = FxHashMap::default();
+        for (i, e) in self.entities.iter().enumerate() {
+            let field = || format!("tagger.entities[{i}]");
+            let id = snapshot_key(&e.entity, scope, || format!("{}.entity", field()))?;
+            let alpha = <[f64; Stage::COUNT]>::try_from(e.alpha.as_slice()).map_err(|_| {
+                format!(
+                    "{}.alpha: {} stages, expected {}",
+                    field(),
+                    e.alpha.len(),
+                    Stage::COUNT
+                )
+            })?;
+            let recent =
+                <[(SimTime, u16); DEDUP_SLOTS]>::try_from(e.recent.as_slice()).map_err(|_| {
+                    format!(
+                        "{}.recent: {} slots, expected {DEDUP_SLOTS}",
+                        field(),
+                        e.recent.len()
+                    )
+                })?;
+            ring_head(e.recent_head, DEDUP_SLOTS, || {
+                format!("{}.recent_head", field())
+            })?;
+            let state = EntityState {
+                alpha,
+                steps: e.steps,
+                detected: e.detected,
+                last_ts: e.last_ts,
+                recent,
+                recent_head: e.recent_head,
+            };
+            states.insert(id, state);
+        }
+        let mut evicted_latches = FxHashSet::default();
+        for (i, key) in self.evicted_latches.iter().enumerate() {
+            evicted_latches.insert(snapshot_key(key, scope, || {
+                format!("tagger.evicted_latches[{i}]")
+            })?);
+        }
+        Ok(DecodedTagger {
+            states,
+            evicted_latches,
+            duplicates_suppressed: self.duplicates_suppressed,
+            entities_evicted: self.entities_evicted,
+        })
+    }
+}
+
 /// Slots in the per-entity duplicate-suppression ring. Telemetry
 /// duplicates arrive within a handful of records of the original (the
 /// fault model's reorder window is bounded), so a small fixed ring
@@ -723,49 +811,29 @@ impl AttackTagger {
     /// produced by [`AttackTagger::export_state`] (possibly in another
     /// process — entity keys are re-interned here). Replaying the stream
     /// tail after a restore yields byte-identical detections to the
-    /// uninterrupted run.
-    ///
-    /// # Panics
-    /// Panics on a malformed snapshot (unparsable entity key or wrong
-    /// posterior arity) — a snapshot is a trusted artifact, not input.
-    pub fn import_state(&mut self, snap: &TaggerSnapshot) {
+    /// uninterrupted run. A malformed snapshot is an error naming the
+    /// field, and leaves the tagger unchanged.
+    pub fn import_state(&mut self, snap: &TaggerSnapshot) -> Result<(), String> {
         self.import_state_in(snap, &simnet::intern::SymScope::global())
     }
 
     /// [`AttackTagger::import_state`] interning user symbols into an
     /// explicit scope.
-    pub fn import_state_in(&mut self, snap: &TaggerSnapshot, scope: &simnet::intern::SymScope) {
-        self.states.clear();
-        self.evicted_latches.clear();
-        for e in &snap.entities {
-            let id = EntityId::from_key_in(&e.entity, scope)
-                .unwrap_or_else(|| panic!("snapshot entity key {:?} is malformed", e.entity));
-            assert_eq!(e.alpha.len(), Stage::COUNT, "snapshot posterior arity");
-            let mut alpha = [0.0; Stage::COUNT];
-            alpha.copy_from_slice(&e.alpha);
-            let mut recent = [(SimTime::EPOCH, DEDUP_EMPTY); DEDUP_SLOTS];
-            for (slot, &entry) in recent.iter_mut().zip(e.recent.iter()) {
-                *slot = entry;
-            }
-            self.states.insert(
-                id,
-                EntityState {
-                    alpha,
-                    steps: e.steps,
-                    detected: e.detected,
-                    last_ts: e.last_ts,
-                    recent,
-                    recent_head: e.recent_head,
-                },
-            );
-        }
-        for key in &snap.evicted_latches {
-            let id = EntityId::from_key_in(key, scope)
-                .unwrap_or_else(|| panic!("snapshot latch key {key:?} is malformed"));
-            self.evicted_latches.insert(id);
-        }
-        self.duplicates_suppressed = snap.duplicates_suppressed;
-        self.entities_evicted = snap.entities_evicted;
+    pub fn import_state_in(
+        &mut self,
+        snap: &TaggerSnapshot,
+        scope: &simnet::intern::SymScope,
+    ) -> Result<(), String> {
+        self.install(snap.decode_in(scope)?);
+        Ok(())
+    }
+
+    /// Swap in state decoded by [`TaggerSnapshot::decode_in`].
+    pub fn install(&mut self, decoded: DecodedTagger) {
+        self.states = decoded.states;
+        self.evicted_latches = decoded.evicted_latches;
+        self.duplicates_suppressed = decoded.duplicates_suppressed;
+        self.entities_evicted = decoded.entities_evicted;
         self.sweep_floor = 0;
     }
 
@@ -1329,7 +1397,8 @@ mod tests {
         assert_eq!(snap.entities.len(), 2);
         assert_eq!(snap.duplicates_suppressed, 1);
         let mut post = AttackTagger::new(toy_training_model(), cfg);
-        post.import_state(&snap);
+        post.import_state(&snap)
+            .expect("exported snapshot restores");
         for (t, k, u) in tail {
             stitched_detections.extend(post.observe(&alert(t, k, u)));
         }
@@ -1342,6 +1411,35 @@ mod tests {
         assert_eq!(whole.duplicates_suppressed(), post.duplicates_suppressed());
         // Export of the restored tagger equals export of the original.
         assert_eq!(whole.export_state(), post.export_state());
+
+        // Malformed variants of the snapshot are refused with the field
+        // named, and leave the restoring tagger untouched.
+        type Mutation = fn(&mut TaggerSnapshot);
+        let cases: [(&str, Mutation); 5] = [
+            ("tagger.entities[1].entity", |s| {
+                s.entities[1].entity = "not-a-key".into()
+            }),
+            ("tagger.entities[0].alpha", |s| {
+                s.entities[0].alpha.pop();
+            }),
+            ("tagger.entities[0].recent:", |s| {
+                s.entities[0].recent.push((SimTime::EPOCH, DEDUP_EMPTY))
+            }),
+            ("tagger.entities[0].recent_head", |s| {
+                s.entities[0].recent_head = DEDUP_SLOTS as u8
+            }),
+            ("tagger.evicted_latches[0]", |s| {
+                s.evicted_latches.push("user".into())
+            }),
+        ];
+        let before = post.export_state();
+        for (field, mutate) in cases {
+            let mut bad = snap.clone();
+            mutate(&mut bad);
+            let err = post.import_state(&bad).expect_err(field);
+            assert!(err.starts_with(field), "{field}: {err}");
+            assert_eq!(post.export_state(), before, "{field}: state changed");
+        }
     }
 
     #[test]

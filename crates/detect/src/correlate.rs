@@ -66,7 +66,9 @@ use alertlib::message::MessageSpec;
 use factorgraph::chain::ChainModel;
 use factorgraph::timing::GAP_NONE;
 
-use crate::attack_tagger::{AttackTagger, Detection, TaggerConfig, TaggerSnapshot, TemporalPolicy};
+use crate::attack_tagger::{
+    ring_head, snapshot_key, AttackTagger, Detection, TaggerConfig, TaggerSnapshot, TemporalPolicy,
+};
 use crate::stage::Stage;
 
 /// Opt-in cross-entity correlation policy (carried on
@@ -1157,86 +1159,174 @@ impl CampaignCorrelator {
     /// Replace the correlator's state with a snapshot's. Entity keys are
     /// re-interned in this process, so a restored correlator continues
     /// the stream with byte-identical detections even across a restart.
-    /// Panics on a malformed snapshot (unparseable key, wrong ring
-    /// arity) — snapshots are trusted state, not user input.
-    pub fn import_state(&mut self, snap: &CorrelatorSnapshot) {
-        self.import_state_in(snap, &self.scope.clone());
+    /// A malformed snapshot is an error naming the field, and leaves the
+    /// correlator unchanged.
+    pub fn import_state(&mut self, snap: &CorrelatorSnapshot) -> Result<(), String> {
+        self.import_state_in(snap, &self.scope.clone())
     }
 
     /// [`import_state`](Self::import_state) re-interning entity keys and
     /// palette payloads into an explicit scope.
-    pub fn import_state_in(&mut self, snap: &CorrelatorSnapshot, scope: &simnet::intern::SymScope) {
-        let from_key = |k: &str| {
-            EntityId::from_key_in(k, scope).unwrap_or_else(|| panic!("bad entity key {k:?}"))
-        };
-        self.entities.clear();
-        self.keys.clear();
-        self.campaigns.clear();
-        self.promoted_latches.clear();
-        for e in &snap.entities {
-            assert_eq!(e.steps.len(), SEQ_RING, "snapshot step-ring arity");
-            let mut steps = [(SimTime::EPOCH, STEP_EMPTY); SEQ_RING];
-            steps.copy_from_slice(&e.steps);
-            self.entities.insert(
-                from_key(&e.entity),
-                EntityNode {
-                    campaign: e.campaign,
-                    mass: e.mass,
-                    last_ts: e.last_ts,
-                    seen: e.seen,
-                    promoted: e.promoted,
-                    steps,
-                    steps_head: e.steps_head,
-                },
-            );
+    pub fn import_state_in(
+        &mut self,
+        snap: &CorrelatorSnapshot,
+        scope: &simnet::intern::SymScope,
+    ) -> Result<(), String> {
+        self.install(snap.decode_in(scope)?);
+        Ok(())
+    }
+
+    /// Swap in state decoded by [`CorrelatorSnapshot::decode_in`].
+    pub fn install(&mut self, decoded: DecodedCorrelator) {
+        self.entities = decoded.entities;
+        self.keys = decoded.keys;
+        self.campaigns = decoded.campaigns;
+        self.promoted_latches = decoded.promoted_latches;
+        self.next_campaign = decoded.next_campaign;
+        self.promotions = decoded.promotions;
+        self.tagger_confirmations = decoded.tagger_confirmations;
+        self.entities_evicted = decoded.entities_evicted;
+    }
+}
+
+/// A [`CorrelatorSnapshot`] decoded and validated against a symbol scope,
+/// ready for [`CampaignCorrelator::install`].
+#[derive(Debug)]
+pub struct DecodedCorrelator {
+    entities: FxHashMap<EntityId, EntityNode>,
+    keys: FxHashMap<u64, KeyRing>,
+    campaigns: FxHashMap<u32, CampaignState>,
+    promoted_latches: FxHashSet<EntityId>,
+    next_campaign: u32,
+    promotions: u64,
+    tagger_confirmations: u64,
+    entities_evicted: u64,
+}
+
+impl CorrelatorSnapshot {
+    /// Decode into fresh correlator state, interning entity keys and
+    /// palette payloads into `scope`. Fails on a malformed key (nodes,
+    /// ring slots, members, link endpoints, support anchors, latches), a
+    /// step or key ring of the wrong arity, a ring head past its ring, a
+    /// palette key without its payload, or a node naming a missing
+    /// campaign.
+    pub fn decode_in(&self, scope: &simnet::intern::SymScope) -> Result<DecodedCorrelator, String> {
+        let mut entities = FxHashMap::default();
+        for (i, e) in self.entities.iter().enumerate() {
+            let field = || format!("correlator.entities[{i}]");
+            let id = snapshot_key(&e.entity, scope, || format!("{}.entity", field()))?;
+            let steps =
+                <[(SimTime, u16); SEQ_RING]>::try_from(e.steps.as_slice()).map_err(|_| {
+                    format!(
+                        "{}.steps: {} slots, expected {SEQ_RING}",
+                        field(),
+                        e.steps.len()
+                    )
+                })?;
+            ring_head(e.steps_head, SEQ_RING, || format!("{}.steps_head", field()))?;
+            let node = EntityNode {
+                campaign: e.campaign,
+                mass: e.mass,
+                last_ts: e.last_ts,
+                seen: e.seen,
+                promoted: e.promoted,
+                steps,
+                steps_head: e.steps_head,
+            };
+            entities.insert(id, node);
         }
-        for k in &snap.keys {
-            assert_eq!(k.slots.len(), RING, "snapshot key-ring arity");
-            let mut ring = KeyRing::default();
-            for (slot, s) in ring.slots.iter_mut().zip(&k.slots) {
-                *slot = s.as_ref().map(|(key, ts)| (from_key(key), *ts));
+        let mut keys = FxHashMap::default();
+        for (i, k) in self.keys.iter().enumerate() {
+            let field = || format!("correlator.keys[{i}]");
+            if k.slots.len() != RING {
+                return Err(format!(
+                    "{}.slots: {} slots, expected {RING}",
+                    field(),
+                    k.slots.len()
+                ));
             }
-            ring.head = k.head;
-            self.keys.insert(
-                encode_join_key(k.kind, k.addr, k.palette.as_deref(), scope),
-                ring,
-            );
+            ring_head(k.head, RING, || format!("{}.head", field()))?;
+            let mut ring = KeyRing {
+                head: k.head,
+                ..KeyRing::default()
+            };
+            for (j, (slot, s)) in ring.slots.iter_mut().zip(&k.slots).enumerate() {
+                if let Some((key, ts)) = s {
+                    let id = snapshot_key(key, scope, || format!("{}.slots[{j}]", field()))?;
+                    *slot = Some((id, *ts));
+                }
+            }
+            let key = encode_join_key(k.kind, k.addr, k.palette.as_deref(), scope)
+                .ok_or_else(|| format!("{}.palette: palette join key without payload", field()))?;
+            keys.insert(key, ring);
         }
-        for c in &snap.campaigns {
+        let mut campaigns = FxHashMap::default();
+        for (i, c) in self.campaigns.iter().enumerate() {
+            let field = || format!("correlator.campaigns[{i}]");
             let best = match &c.best_key {
-                Some(k) => (from_key(k).raw(), c.best_mass),
+                Some(k) => (
+                    snapshot_key(k, scope, || format!("{}.best_key", field()))?.raw(),
+                    c.best_mass,
+                ),
                 None if c.best_mass > 0.0 => (ANON_SUPPORT, c.best_mass),
                 None => (u64::MAX, 0.0),
             };
-            self.campaigns.insert(
-                c.id,
-                CampaignState {
-                    members: c.members.iter().map(|m| from_key(m)).collect(),
-                    links: c
-                        .links
-                        .iter()
-                        .map(|l| CampaignLink {
-                            ts: l.ts,
-                            a: from_key(&l.a),
-                            b: from_key(&l.b),
-                            kind: l.kind,
-                        })
-                        .collect(),
-                    best,
-                    second: c.second,
-                    support_ts: c.support_ts,
-                    promotions: c.promotions,
-                    detections: c.detections,
-                },
-            );
+            // Exact-capacity vectors: `collect` through a `Result` drops the
+            // length hint and regrows.
+            let mut members = Vec::with_capacity(c.members.len());
+            for (j, m) in c.members.iter().enumerate() {
+                members.push(snapshot_key(m, scope, || {
+                    format!("{}.members[{j}]", field())
+                })?);
+            }
+            let mut links = Vec::with_capacity(c.links.len());
+            for (j, l) in c.links.iter().enumerate() {
+                let end = |key: &str, end: &str| {
+                    snapshot_key(key, scope, || format!("{}.links[{j}].{end}", field()))
+                };
+                let link = CampaignLink {
+                    ts: l.ts,
+                    a: end(&l.a, "a")?,
+                    b: end(&l.b, "b")?,
+                    kind: l.kind,
+                };
+                links.push(link);
+            }
+            let campaign = CampaignState {
+                members,
+                links,
+                best,
+                second: c.second,
+                support_ts: c.support_ts,
+                promotions: c.promotions,
+                detections: c.detections,
+            };
+            campaigns.insert(c.id, campaign);
         }
-        for k in &snap.promoted_latches {
-            self.promoted_latches.insert(from_key(k));
+        for (i, e) in self.entities.iter().enumerate() {
+            if e.campaign != NO_CAMPAIGN && !campaigns.contains_key(&e.campaign) {
+                return Err(format!(
+                    "correlator.entities[{i}].campaign: no campaign {}",
+                    e.campaign
+                ));
+            }
         }
-        self.next_campaign = snap.next_campaign;
-        self.promotions = snap.promotions;
-        self.tagger_confirmations = snap.tagger_confirmations;
-        self.entities_evicted = snap.entities_evicted;
+        let mut promoted_latches = FxHashSet::default();
+        for (i, k) in self.promoted_latches.iter().enumerate() {
+            promoted_latches.insert(snapshot_key(k, scope, || {
+                format!("correlator.promoted_latches[{i}]")
+            })?);
+        }
+        Ok(DecodedCorrelator {
+            entities,
+            keys,
+            campaigns,
+            promoted_latches,
+            next_campaign: self.next_campaign,
+            promotions: self.promotions,
+            tagger_confirmations: self.tagger_confirmations,
+            entities_evicted: self.entities_evicted,
+        })
     }
 }
 
@@ -1376,22 +1466,20 @@ fn decode_join_key(key: u64, scope: &simnet::intern::SymScope) -> (LinkKind, u32
 }
 
 /// Rebuild a compact join key from its snapshot form, re-interning
-/// palette payloads in the restoring scope.
+/// palette payloads in the restoring scope. `None` for a palette key
+/// without its payload.
 fn encode_join_key(
     kind: LinkKind,
     addr: u32,
     palette: Option<&str>,
     scope: &simnet::intern::SymScope,
-) -> u64 {
-    match kind {
+) -> Option<u64> {
+    Some(match kind {
         LinkKind::Victim => JK_VICTIM | u64::from(addr),
         LinkKind::Source => JK_SOURCE | u64::from(addr),
         LinkKind::Host => JK_HOST | u64::from(addr),
-        LinkKind::Palette => {
-            let s = palette.expect("palette join key without payload");
-            JK_PALETTE | u64::from(scope.sym(s).id())
-        }
-    }
+        LinkKind::Palette => JK_PALETTE | u64::from(scope.sym(palette?).id()),
+    })
 }
 
 /// The interned payload symbol of exec-flavoured messages — the
@@ -1470,10 +1558,19 @@ impl CorrelatedTagger {
         )
     }
 
-    /// Restore tagger + correlator state from a snapshot pair.
-    pub fn import_state(&mut self, tagger: &TaggerSnapshot, correlator: &CorrelatorSnapshot) {
-        self.tagger.import_state(tagger);
-        self.correlator.import_state(correlator);
+    /// Restore tagger + correlator state from a snapshot pair. Both are
+    /// decoded before either is installed: a malformed snapshot is an
+    /// error naming the field, and leaves the detector unchanged.
+    pub fn import_state(
+        &mut self,
+        tagger: &TaggerSnapshot,
+        correlator: &CorrelatorSnapshot,
+    ) -> Result<(), String> {
+        let tagger = tagger.decode_in(&simnet::intern::SymScope::global())?;
+        let correlator = correlator.decode_in(&self.correlator.scope)?;
+        self.tagger.install(tagger);
+        self.correlator.install(correlator);
+        Ok(())
     }
 
     /// [`import_state`](Self::import_state) re-interning keys into an
@@ -1483,9 +1580,12 @@ impl CorrelatedTagger {
         tagger: &TaggerSnapshot,
         correlator: &CorrelatorSnapshot,
         scope: &simnet::intern::SymScope,
-    ) {
-        self.tagger.import_state_in(tagger, scope);
-        self.correlator.import_state_in(correlator, scope);
+    ) -> Result<(), String> {
+        let tagger = tagger.decode_in(scope)?;
+        let correlator = correlator.decode_in(scope)?;
+        self.tagger.install(tagger);
+        self.correlator.install(correlator);
+        Ok(())
     }
 }
 
@@ -2195,7 +2295,9 @@ mod tests {
         let mut detections = drive(&mut head_run, &stream[..split]);
         let snap = head_run.export_state();
         let mut restored = fresh();
-        restored.import_state(&snap);
+        restored
+            .import_state(&snap)
+            .expect("exported snapshot restores");
         assert_eq!(
             restored.export_state(),
             snap,
@@ -2220,5 +2322,60 @@ mod tests {
             uninterrupted.export_state(),
             "full state drift after tail replay"
         );
+
+        // Malformed variants of the snapshot are refused with the field
+        // named, and leave the restoring correlator untouched.
+        let linked = snap
+            .campaigns
+            .iter()
+            .position(|c| !c.links.is_empty())
+            .expect("snapshot holds a linked campaign");
+        let palette = (snap.keys.iter())
+            .position(|k| k.kind == LinkKind::Palette)
+            .expect("snapshot holds a palette key");
+        let member = (snap.entities.iter())
+            .position(|e| e.campaign != NO_CAMPAIGN)
+            .expect("snapshot holds a campaign member");
+        type Mutation = Box<dyn Fn(&mut CorrelatorSnapshot)>;
+        let cases: Vec<(String, Mutation)> = vec![
+            (
+                "correlator.entities[0].entity".into(),
+                Box::new(|s| s.entities[0].entity = "not-a-key".into()),
+            ),
+            (
+                "correlator.entities[0].steps".into(),
+                Box::new(|s| {
+                    s.entities[0].steps.pop();
+                }),
+            ),
+            (
+                "correlator.entities[0].steps_head".into(),
+                Box::new(|s| s.entities[0].steps_head = SEQ_RING as u8),
+            ),
+            (
+                "correlator.keys[0].slots".into(),
+                Box::new(|s| s.keys[0].slots.push(None)),
+            ),
+            (
+                format!("correlator.keys[{palette}].palette"),
+                Box::new(move |s| s.keys[palette].palette = None),
+            ),
+            (
+                format!("correlator.campaigns[{linked}].links[0].b"),
+                Box::new(move |s| s.campaigns[linked].links[0].b = "addr:1.2.3".into()),
+            ),
+            (
+                format!("correlator.entities[{member}].campaign"),
+                Box::new(move |s| s.entities[member].campaign = u32::MAX - 1),
+            ),
+        ];
+        let before = restored.export_state();
+        for (field, mutate) in cases {
+            let mut bad = snap.clone();
+            mutate(&mut bad);
+            let err = restored.import_state(&bad).expect_err(&field);
+            assert!(err.starts_with(&field), "{field}: {err}");
+            assert_eq!(restored.export_state(), before, "{field}: state changed");
+        }
     }
 }

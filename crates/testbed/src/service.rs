@@ -421,34 +421,52 @@ fn import_session(session: &mut TenantSession, snap: &ServiceSnapshot) -> Result
                 .into(),
         ));
     }
-    session.core.stats = snap.stats;
-    session.core.filter.filter_mut().import_state(&snap.filter);
     let scope = session.scope.clone();
     // Replay the symbol universe FIRST, in intern order, so every string
-    // gets the id it had in the snapshotting process. State import below
+    // gets the id it had in the snapshotting process. State decoding below
     // re-interns entity and palette strings in snapshot-iteration order;
     // if those assignments came first, ids (and everything derived from
     // them — entity raw keys, link orientation, join-key values) would
-    // drift from the uninterrupted run.
+    // drift from the uninterrupted run. A restore that then fails leaves
+    // these strings interned: tenant tables are append-only, and the
+    // session's memo and state stay valid.
     for (_, s) in &snap.sym_universe {
         scope.sym(s);
     }
-    if let Some(tagger_snap) = &snap.tagger {
+    // Decode everything before installing anything: a restore is
+    // all-or-nothing.
+    let tagger = (snap.tagger.as_ref())
+        .map(|t| t.decode_in(&scope))
+        .transpose()
+        .map_err(ServiceError::MalformedSnapshot)?;
+    let correlator = (snap.correlator.as_ref())
+        .map(|c| c.decode_in(&scope))
+        .transpose()
+        .map_err(ServiceError::MalformedSnapshot)?;
+    // The filter decodes into fresh state and installs it only on success.
+    session
+        .core
+        .filter
+        .filter_mut()
+        .import_state(&snap.filter)
+        .map_err(ServiceError::MalformedSnapshot)?;
+    if let Some(tagger) = tagger {
         session
             .core
             .detect
             .as_tagger_mut()
             .expect("validated above")
-            .import_state_in(tagger_snap, &scope);
+            .install(tagger);
     }
-    if let Some(corr_snap) = &snap.correlator {
+    if let Some(correlator) = correlator {
         session
             .core
             .correlate
             .as_mut()
             .expect("validated above")
-            .import_state_in(corr_snap, &scope);
+            .install(correlator);
     }
+    session.core.stats = snap.stats;
     Ok(())
 }
 
@@ -805,6 +823,39 @@ mod tests {
             }
             other => panic!("expected MalformedSnapshot, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn malformed_restore_fails_and_spares_the_other_tenants() {
+        let service = ServiceHandle::spawn(ServiceConfig::default(), factory());
+        let (t1, t2) = (TenantId(1), TenantId(2));
+        service.ingest(t1, attack_records("eve", 0)).unwrap();
+        service.ingest(t2, attack_records("trent", 0)).unwrap();
+        let before = service.snapshot(t1).unwrap();
+        // A corrupt entity key survives the wire codec: only the restore
+        // can refuse it.
+        let mut bad = before.clone();
+        bad.tagger.as_mut().unwrap().entities[0].entity = "not-a-key".into();
+        let bad = ServiceSnapshot::from_json(&bad.to_json()).expect("decodes");
+        match service.restore(bad) {
+            Err(ServiceError::MalformedSnapshot(why)) => {
+                assert!(why.starts_with("tagger.entities[0].entity"), "{why}")
+            }
+            other => panic!("expected MalformedSnapshot, got {other:?}"),
+        }
+        assert_eq!(
+            service.snapshot(t1).unwrap(),
+            before,
+            "restore is all-or-nothing"
+        );
+        service
+            .ingest(t2, (0..10).map(probe_record).collect())
+            .unwrap();
+        let reports = service.shutdown();
+        let tenants: Vec<TenantId> = reports.iter().map(|(t, _)| *t).collect();
+        assert_eq!(tenants, vec![t1, t2]);
+        assert_eq!(reports[0].1.stats.detections, 1);
+        assert_eq!(reports[1].1.stats.records, 4 + 10);
     }
 
     /// The tentpole invariant: snapshot mid-stream, restart into a fresh
