@@ -13,7 +13,8 @@
 //! Both types are `Copy` and allocation-free: user names are interned
 //! [`Sym`]s, messages are lazily rendered [`MessageSpec`]s, and per-entity
 //! detector state is keyed by the integer [`EntityId`] instead of a
-//! formatted key string.
+//! formatted key string. Where a key string is needed (reports,
+//! snapshots), it is an [`EntityKey`], stored inline.
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -77,11 +78,11 @@ impl EntityId {
         }
     }
 
-    /// The canonical key string (`user:…` / `addr:…` / `unknown`) —
-    /// allocation on purpose; reports and ground-truth tables only.
-    /// Resolves user symbols against the global scope; snapshot paths
-    /// carrying tenant-scoped ids use [`EntityId::key_in`].
-    pub fn key(self) -> String {
+    /// The canonical key (`user:…` / `addr:…` / `unknown`) for reports
+    /// and ground-truth tables. Resolves user symbols against the global
+    /// scope; snapshot paths carrying tenant-scoped ids use
+    /// [`EntityId::key_in`].
+    pub fn key(self) -> EntityKey {
         self.key_in(&SymScope::global())
     }
 
@@ -89,12 +90,15 @@ impl EntityId {
     /// user handle via [`SymScope::sym_from_id`] (not
     /// [`EntityId::entity`], whose handles are global-tagged) so
     /// tenant-scoped ids resolve against the table that minted them.
-    pub fn key_in(self, scope: &SymScope) -> String {
+    pub fn key_in(self, scope: &SymScope) -> EntityKey {
         let payload = self.0 as u32;
         match self.0 & !0xFFFF_FFFF {
-            TAG_USER => format!("user:{}", scope.resolve(scope.sym_from_id(payload))),
-            TAG_ADDR => format!("addr:{}", Ipv4Addr::from(payload)),
-            _ => "unknown".to_string(),
+            TAG_USER => EntityKey::render(format_args!(
+                "user:{}",
+                scope.resolve(scope.sym_from_id(payload))
+            )),
+            TAG_ADDR => EntityKey::render(format_args!("addr:{}", Ipv4Addr::from(payload))),
+            _ => EntityKey::from("unknown"),
         }
     }
 
@@ -125,19 +129,19 @@ impl EntityId {
 }
 
 impl Entity {
-    /// Canonical string key for reports, ground truth and sessionization
+    /// Canonical key for reports, ground truth and sessionization
     /// *boundaries*. Hot paths key by [`Entity::id`] instead. Resolves
     /// user symbols against the global scope; see [`Entity::key_in`].
-    pub fn key(&self) -> String {
+    pub fn key(&self) -> EntityKey {
         self.key_in(&SymScope::global())
     }
 
     /// [`Entity::key`] against an explicit symbol scope.
-    pub fn key_in(&self, scope: &SymScope) -> String {
+    pub fn key_in(&self, scope: &SymScope) -> EntityKey {
         match self {
-            Entity::User(u) => format!("user:{}", scope.resolve(*u)),
-            Entity::Address(a) => format!("addr:{a}"),
-            Entity::Unknown => "unknown".to_string(),
+            Entity::User(u) => EntityKey::render(format_args!("user:{}", scope.resolve(*u))),
+            Entity::Address(a) => EntityKey::render(format_args!("addr:{a}")),
+            Entity::Unknown => EntityKey::from("unknown"),
         }
     }
 
@@ -167,16 +171,6 @@ impl Entity {
         }
     }
 
-    /// A `Display` adapter resolving user symbols against an explicit
-    /// scope — what notification/report formatting uses when the entity
-    /// came from a tenant-scoped record.
-    pub fn display_in<'a>(&'a self, scope: &'a SymScope) -> impl fmt::Display + 'a {
-        ScopedEntityDisplay {
-            entity: self,
-            scope,
-        }
-    }
-
     /// Stable 64-bit hash of the entity, for partitioning per-entity work
     /// (detector shards). All alerts of one entity land on the same shard,
     /// which is what makes per-entity detector state shardable at all
@@ -200,18 +194,168 @@ impl fmt::Display for Entity {
     }
 }
 
-struct ScopedEntityDisplay<'a> {
-    entity: &'a Entity,
-    scope: &'a SymScope,
+/// A canonical entity key (`user:…` / `addr:…` / `unknown`), stored
+/// inline: what [`EntityId::key_in`] returns and what reports hold.
+///
+/// Keys of up to [`EntityKey::INLINE_CAP`] bytes (every address, and
+/// user names of up to 25 bytes) live in the value itself, so rendering
+/// one allocates nothing; a longer key falls back to one heap `String`.
+/// Like a `String` key, it does not borrow the symbol scope that resolved
+/// it. Equality, ordering, hashing, `Display` and `Debug` are those of the
+/// `str` it holds.
+#[derive(Clone)]
+pub struct EntityKey(KeyRepr);
+
+#[derive(Clone)]
+enum KeyRepr {
+    Inline {
+        len: u8,
+        buf: [u8; EntityKey::INLINE_CAP],
+    },
+    Heap(String),
 }
 
-impl fmt::Display for ScopedEntityDisplay<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.entity {
-            Entity::User(u) => write!(f, "user {}", self.scope.resolve(*u)),
-            Entity::Address(a) => write!(f, "address {a}"),
-            Entity::Unknown => write!(f, "unknown entity"),
+impl EntityKey {
+    /// The longest key stored without a heap allocation, in bytes. It
+    /// keeps the whole key at 32 bytes.
+    pub const INLINE_CAP: usize = 30;
+
+    /// Format a key in place, spilling to the heap only past
+    /// [`EntityKey::INLINE_CAP`].
+    fn render(args: fmt::Arguments<'_>) -> EntityKey {
+        let mut repr = KeyRepr::Inline {
+            len: 0,
+            buf: [0; EntityKey::INLINE_CAP],
+        };
+        fmt::Write::write_fmt(&mut KeyWriter(&mut repr), args)
+            .expect("formatting into memory does not fail");
+        EntityKey(repr)
+    }
+
+    /// The key text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            KeyRepr::Inline { len, buf } => inline_str(&buf[..*len as usize]),
+            KeyRepr::Heap(s) => s,
         }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            KeyRepr::Inline { len, buf } => &buf[..*len as usize],
+            KeyRepr::Heap(s) => s.as_bytes(),
+        }
+    }
+
+    /// The keyed entity as operator text (`user X`, `address A` or
+    /// `unknown entity`), as [`Entity`]'s `Display` writes it.
+    pub fn describe(&self) -> impl fmt::Display + '_ {
+        fmt::from_fn(move |f| {
+            if let Some(user) = self.strip_prefix("user:") {
+                write!(f, "user {user}")
+            } else if let Some(addr) = self.strip_prefix("addr:") {
+                write!(f, "address {addr}")
+            } else {
+                f.write_str("unknown entity")
+            }
+        })
+    }
+}
+
+/// An inline buffer only ever receives whole `&str`s, so it is UTF-8.
+fn inline_str(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("inline keys hold whole UTF-8 strings")
+}
+
+/// Appends to a key, moving it to the heap when the inline buffer is full.
+struct KeyWriter<'a>(&'a mut KeyRepr);
+
+impl fmt::Write for KeyWriter<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        match self.0 {
+            KeyRepr::Inline { len, buf } => {
+                let at = *len as usize;
+                if let Some(dst) = buf.get_mut(at..at + s.len()) {
+                    dst.copy_from_slice(s.as_bytes());
+                    *len = (at + s.len()) as u8;
+                } else {
+                    let mut heap = String::with_capacity(at + s.len());
+                    heap.push_str(inline_str(&buf[..at]));
+                    heap.push_str(s);
+                    *self.0 = KeyRepr::Heap(heap);
+                }
+            }
+            KeyRepr::Heap(heap) => heap.push_str(s),
+        }
+        Ok(())
+    }
+}
+
+impl From<&str> for EntityKey {
+    fn from(s: &str) -> EntityKey {
+        EntityKey::render(format_args!("{s}"))
+    }
+}
+
+impl From<EntityKey> for String {
+    /// One exact-size allocation for an inline key; a heap key moves.
+    fn from(key: EntityKey) -> String {
+        match key.0 {
+            KeyRepr::Heap(s) => s,
+            KeyRepr::Inline { .. } => key.as_str().to_owned(),
+        }
+    }
+}
+
+impl std::ops::Deref for EntityKey {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for EntityKey {
+    fn eq(&self, other: &EntityKey) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for EntityKey {}
+
+impl PartialEq<&str> for EntityKey {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl PartialOrd for EntityKey {
+    fn partial_cmp(&self, other: &EntityKey) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for EntityKey {
+    /// Byte order, which is `str`'s order.
+    fn cmp(&self, other: &EntityKey) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl std::hash::Hash for EntityKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state)
+    }
+}
+
+impl fmt::Display for EntityKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for EntityKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
@@ -313,6 +457,11 @@ mod tests {
             assert_eq!(id.entity(), e, "lossless encoding");
             assert_eq!(id.key(), e.key());
             assert_eq!(EntityId::from_key(&e.key()), Some(id), "key parses back");
+            assert_eq!(
+                e.key().describe().to_string(),
+                e.to_string(),
+                "operator text"
+            );
         }
         assert_eq!(EntityId::from_key("garbage"), None);
         assert_eq!(EntityId::from_key("addr:not-an-ip"), None);
@@ -321,6 +470,24 @@ mod tests {
             Entity::User("10.0.0.1".into()).id(),
             Entity::Address("10.0.0.1".parse().unwrap()).id()
         );
+    }
+
+    #[test]
+    fn entity_keys_spill_only_past_the_inline_capacity() {
+        const CAP: usize = EntityKey::INLINE_CAP;
+        assert_eq!(std::mem::size_of::<EntityKey>(), 32);
+        let inline = |k: &EntityKey| matches!(k.0, KeyRepr::Inline { .. });
+        assert!(inline(&EntityKey::from("u".repeat(CAP).as_str())));
+        assert!(!inline(&EntityKey::from("u".repeat(CAP + 1).as_str())));
+        // A key that crosses the capacity mid-write keeps its whole text.
+        let long = Entity::User("a-user-name-of-exactly-thirty-two".into());
+        let key = long.key();
+        assert!(!inline(&key));
+        assert_eq!(key, "user:a-user-name-of-exactly-thirty-two");
+        let widest = Entity::Address(Ipv4Addr::new(255, 255, 255, 255)).key();
+        assert!(inline(&widest));
+        assert_eq!(widest, "addr:255.255.255.255");
+        assert_eq!(Entity::Unknown.key(), "unknown");
     }
 
     #[test]

@@ -10,10 +10,11 @@
 use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
+use simnet::intern::SymScope;
 use simnet::rng::FxHashMap;
 use simnet::time::{SimDuration, SimTime};
 
-use crate::alert::{Alert, Entity};
+use crate::alert::{Alert, Entity, EntityId};
 
 /// Filter settings.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -166,15 +167,17 @@ impl ScanFilter {
     ///
     /// Window keys embed interner-local symbol ids for user entities, so
     /// they are rendered as canonical strings (`user:…`/`addr:…`, or
-    /// `src:<ip>` for anonymous-source windows) and re-interned on
-    /// import. Output is sorted, so identical filter states export
-    /// byte-identical snapshots regardless of hash-map iteration order.
-    pub fn export_state(&self) -> FilterSnapshot {
+    /// `src:<ip>` for anonymous-source windows), resolving user symbols
+    /// against `scope`, the scope the filter's alerts were minted in, and
+    /// re-interned on import. Output is sorted, so identical filter states
+    /// export byte-identical snapshots regardless of hash-map iteration
+    /// order.
+    pub fn export_state(&self, scope: &SymScope) -> FilterSnapshot {
         let mut windows: Vec<FilterWindowSnapshot> = self
             .state
             .iter()
             .map(|(k, w)| FilterWindowSnapshot {
-                source: Self::encode_source(k.source),
+                source: Self::encode_source(k.source, scope),
                 kind: k.kind,
                 start: w.start,
                 admitted: w.admitted,
@@ -188,15 +191,16 @@ impl ScanFilter {
         }
     }
 
-    /// Restore state previously captured by [`export_state`]
-    /// (`ScanFilter::export_state`). The config is NOT part of the
-    /// snapshot: the restoring process supplies its own (normally
-    /// identical) `FilterConfig`. A malformed source key is an error
-    /// naming the window, and leaves the filter unchanged.
-    pub fn import_state(&mut self, snap: &FilterSnapshot) -> Result<(), String> {
+    /// Restore state previously captured by
+    /// [`export_state`](ScanFilter::export_state), interning user names
+    /// into `scope`. The config is NOT part of the snapshot: the restoring
+    /// process supplies its own (normally identical) `FilterConfig`. A
+    /// malformed source key is an error naming the window, and leaves the
+    /// filter unchanged.
+    pub fn import_state(&mut self, snap: &FilterSnapshot, scope: &SymScope) -> Result<(), String> {
         let mut state = FxHashMap::default();
         for (i, w) in snap.windows.iter().enumerate() {
-            let source = Self::decode_source(&w.source).ok_or_else(|| {
+            let source = Self::decode_source(&w.source, scope).ok_or_else(|| {
                 format!(
                     "filter.windows[{i}].source: malformed source key {:?}",
                     w.source
@@ -221,23 +225,23 @@ impl ScanFilter {
     }
 
     /// Render a window-map source key as a process-independent string.
-    fn encode_source(source: u64) -> String {
+    fn encode_source(source: u64, scope: &SymScope) -> String {
         if source & !0xFFFF_FFFF == ANON_SRC_TAG {
             format!("src:{}", Ipv4Addr::from(source as u32))
         } else {
-            crate::alert::EntityId::from_raw(source).key()
+            EntityId::from_raw(source).key_in(scope).into()
         }
     }
 
     /// Inverse of [`encode_source`](Self::encode_source), re-interning
-    /// user names in the current process.
-    fn decode_source(source: &str) -> Option<u64> {
+    /// user names into `scope`.
+    fn decode_source(source: &str, scope: &SymScope) -> Option<u64> {
         match source.strip_prefix("src:") {
             Some(ip) => {
                 let a: Ipv4Addr = ip.parse().ok()?;
                 Some(ANON_SRC_TAG | u64::from(u32::from(a)))
             }
-            None => crate::alert::EntityId::from_key(source).map(|id| id.raw()),
+            None => EntityId::from_key_in(source, scope).map(|id| id.raw()),
         }
     }
 }
@@ -376,6 +380,7 @@ mod tests {
     /// interner symbol ids) and anonymous `src:` windows.
     #[test]
     fn snapshot_roundtrip_preserves_dedup_decisions() {
+        let global = SymScope::global();
         let mut f = ScanFilter::default();
         // Address-keyed, user-keyed, and anonymous-source windows.
         assert!(f.admit(&scan_alert(10, "103.102.1.1")));
@@ -393,16 +398,20 @@ mod tests {
         assert!(f.admit(&user_alert(20)));
         assert!(f.admit(&anon_alert(30)));
 
-        let snap = f.export_state();
+        let snap = f.export_state(&global);
         assert_eq!(snap.windows.len(), 3);
         assert!(snap.windows.iter().any(|w| w.source == "user:eve"));
         assert!(snap.windows.iter().any(|w| w.source == "src:9.9.9.9"));
 
         let mut restored = ScanFilter::default();
         restored
-            .import_state(&snap)
+            .import_state(&snap, &global)
             .expect("exported snapshot restores");
-        assert_eq!(restored.export_state(), snap, "import→export identity");
+        assert_eq!(
+            restored.export_state(&global),
+            snap,
+            "import→export identity"
+        );
         // Same-window repeats stay suppressed after restore…
         assert!(!restored.admit(&scan_alert(40, "103.102.1.1")));
         assert!(!restored.admit(&user_alert(50)));
@@ -412,17 +421,82 @@ mod tests {
         assert!(!f.admit(&user_alert(50)));
         assert!(!f.admit(&anon_alert(60)));
         assert_eq!(restored.stats(), f.stats());
-        assert_eq!(restored.export_state(), f.export_state());
+        assert_eq!(restored.export_state(&global), f.export_state(&global));
 
         // A malformed source key is refused and leaves the filter as it was.
-        let before = restored.export_state();
+        let before = restored.export_state(&global);
         for source in ["user", "src:9.9.9", "addr:eve"] {
             let mut bad = snap.clone();
             bad.windows[1].source = source.into();
-            let err = restored.import_state(&bad).expect_err(source);
+            let err = restored.import_state(&bad, &global).expect_err(source);
             assert!(err.starts_with("filter.windows[1].source"), "{err}");
-            assert_eq!(restored.export_state(), before, "{source}: state changed");
+            assert_eq!(
+                restored.export_state(&global),
+                before,
+                "{source}: state changed"
+            );
         }
+    }
+
+    /// Tenant windows are keyed by ids in the tenant's own table: the
+    /// snapshot must name the tenant's user, and restore into another
+    /// process' tenant table (where the name gets another id) as the same
+    /// window.
+    #[test]
+    fn tenant_windows_export_the_tenant_name_and_restore() {
+        let tenant = SymScope::fresh();
+        // Give the tenant's `eve` an id that names someone else globally.
+        tenant.sym("tenant-filler");
+        let alert = |scope: &SymScope, t: u64| {
+            Alert::new(
+                SimTime::from_secs(t),
+                AlertKind::BruteForcePassword,
+                Entity::User(scope.sym("eve")),
+            )
+        };
+        let mut f = ScanFilter::default();
+        assert!(f.admit(&alert(&tenant, 10)));
+        let snap = f.export_state(&tenant);
+        assert_eq!(snap.windows.len(), 1);
+        assert_eq!(snap.windows[0].source, "user:eve");
+
+        let fresh = SymScope::fresh();
+        for i in 0..3 {
+            fresh.sym(&format!("other-{i}"));
+        }
+        let mut restored = ScanFilter::default();
+        restored
+            .import_state(&snap, &fresh)
+            .expect("exported snapshot restores");
+        assert_eq!(restored.export_state(&fresh), snap);
+        assert!(
+            !restored.admit(&alert(&fresh, 20)),
+            "the restored window suppresses the tenant's repeat"
+        );
+    }
+
+    /// A tenant user id past the end of the global table must render from
+    /// the tenant table, not index the global one.
+    #[test]
+    fn tenant_ids_past_the_global_table_export() {
+        let tenant = SymScope::fresh();
+        let past = SymScope::global().len() + 64;
+        for i in 0..past {
+            tenant.sym(&format!("tenant-user-{i}"));
+        }
+        let user = tenant.sym(&format!("tenant-user-{}", past - 1));
+        assert!(user.id() as usize >= SymScope::global().len());
+        let mut f = ScanFilter::default();
+        assert!(f.admit(&Alert::new(
+            SimTime::from_secs(1),
+            AlertKind::BruteForcePassword,
+            Entity::User(user),
+        )));
+        let snap = f.export_state(&tenant);
+        assert_eq!(
+            snap.windows[0].source,
+            format!("user:tenant-user-{}", past - 1)
+        );
     }
 
     #[test]

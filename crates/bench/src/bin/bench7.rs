@@ -214,11 +214,11 @@ fn main() {
             // unsplit observer have caught, and how many of those did the
             // correlator actually preempt? (Mirrors evaluate_campaign's
             // earliest-notification-per-hop preemption rule.)
-            let mut first_detection: std::collections::HashMap<String, simnet::time::SimTime> =
+            let mut first_detection: std::collections::HashMap<&str, simnet::time::SimTime> =
                 std::collections::HashMap::new();
             for note in &inline.notifications {
                 let e = first_detection
-                    .entry(note.entity.clone())
+                    .entry(note.entity.as_str())
                     .or_insert(note.detection.ts);
                 *e = (*e).min(note.detection.ts);
             }

@@ -101,7 +101,7 @@ fn main() {
         "the three embedded attacks must be detected"
     );
     for n in &report.notifications {
-        println!("  [{}] {}", n.ts, n.message);
+        println!("  [{}] {}", n.ts, n.message());
     }
 
     // Streaming comparison on a pre-collected record stream.

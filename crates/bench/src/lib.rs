@@ -62,7 +62,7 @@ pub fn detection_bytes(report: &testbed::StreamReport) -> String {
             n.detection.trigger,
             n.detection.score,
             n.detection.stage,
-            n.message,
+            n.message(),
         );
     }
     s

@@ -13,7 +13,7 @@
 //! conditional probabilities of an alert being in a successful attack and
 //! normal operational conditions".
 
-use alertlib::alert::{Alert, EntityId};
+use alertlib::alert::{Alert, EntityId, EntityKey};
 use alertlib::taxonomy::AlertKind;
 use factorgraph::chain::ChainModel;
 use factorgraph::timing::GAP_NONE;
@@ -738,10 +738,10 @@ impl AttackTagger {
             .chain(self.evicted_latches.iter().copied())
     }
 
-    /// String-key convenience over
-    /// [`AttackTagger::detected_entity_ids`]: canonical keys, allocated
-    /// per item (tests only — hot paths use the id variant).
-    pub fn detected_entities(&self) -> impl Iterator<Item = String> + '_ {
+    /// Canonical-key convenience over
+    /// [`AttackTagger::detected_entity_ids`] (tests only — hot paths use
+    /// the id variant).
+    pub fn detected_entities(&self) -> impl Iterator<Item = EntityKey> + '_ {
         self.detected_entity_ids().map(|id| id.key())
     }
 
@@ -783,7 +783,7 @@ impl AttackTagger {
             .states
             .iter()
             .map(|(id, s)| EntityStateSnapshot {
-                entity: id.key_in(scope),
+                entity: id.key_in(scope).into(),
                 alpha: s.alpha.to_vec(),
                 steps: s.steps,
                 detected: s.detected,
@@ -796,7 +796,7 @@ impl AttackTagger {
         let mut evicted_latches: Vec<String> = self
             .evicted_latches
             .iter()
-            .map(|id| id.key_in(scope))
+            .map(|id| id.key_in(scope).into())
             .collect();
         evicted_latches.sort();
         TaggerSnapshot {
@@ -1456,8 +1456,8 @@ mod tests {
         assert!(tagger.is_detected("user:eve"));
         assert!(!tagger.is_detected("user:alice"));
         assert!(!tagger.is_detected("user:nobody"));
-        let detected: Vec<String> = tagger.detected_entities().collect();
-        assert_eq!(detected, vec!["user:eve".to_string()]);
+        let detected: Vec<EntityKey> = tagger.detected_entities().collect();
+        assert_eq!(detected, ["user:eve"]);
         assert_eq!(tagger.entity_steps("user:eve"), Some(3));
         assert_eq!(tagger.entity_steps("user:alice"), Some(1));
         assert_eq!(tagger.entity_steps("user:nobody"), None);

@@ -61,7 +61,7 @@ use serde::{Deserialize, Serialize};
 use simnet::rng::{FxHashMap, FxHashSet};
 use simnet::time::{SimDuration, SimTime};
 
-use alertlib::alert::{Alert, EntityId};
+use alertlib::alert::{Alert, EntityId, EntityKey};
 use alertlib::message::MessageSpec;
 use factorgraph::chain::ChainModel;
 use factorgraph::timing::GAP_NONE;
@@ -187,13 +187,13 @@ struct CampaignLink {
     kind: LinkKind,
 }
 
-/// A campaign link rendered for reports: canonical entity keys plus the
-/// join-key kind that formed it.
+/// A campaign link rendered for reports and snapshots: canonical entity
+/// keys plus the join-key kind that formed it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LinkSummary {
     pub ts: SimTime,
-    pub a: String,
-    pub b: String,
+    pub a: EntityKey,
+    pub b: EntityKey,
     pub kind: LinkKind,
 }
 
@@ -205,7 +205,7 @@ pub struct CampaignSummary {
     /// correlator consumes the merged outcome stream in stream order).
     pub id: u32,
     /// Canonical member entity keys (`user:…` / `addr:…`), sorted.
-    pub members: Vec<String>,
+    pub members: Vec<EntityKey>,
     /// Link provenance, bounded by
     /// [`CorrelationPolicy::max_links_per_campaign`].
     pub links: Vec<LinkSummary>,
@@ -994,15 +994,18 @@ impl CampaignCorrelator {
     }
 
     /// Render live campaigns for reports: members and links sorted into
-    /// canonical order, campaigns ordered by id. Allocates (report-time
-    /// only, never on the per-alert path).
+    /// canonical order, campaigns ordered by id. Report-time only, never
+    /// on the per-alert path. Entity keys are inline and the sorts are in
+    /// place, so a campaign costs its member and link vectors, whatever its
+    /// size.
     pub fn summaries(&self) -> Vec<CampaignSummary> {
         let scope = &self.scope;
         let mut out: Vec<CampaignSummary> = self
             .campaigns
             .iter()
             .map(|(&id, c)| {
-                let mut members: Vec<String> = c.members.iter().map(|m| m.key_in(scope)).collect();
+                let mut members: Vec<EntityKey> =
+                    c.members.iter().map(|m| m.key_in(scope)).collect();
                 members.sort_unstable();
                 let mut links: Vec<LinkSummary> = c
                     .links
@@ -1014,7 +1017,11 @@ impl CampaignCorrelator {
                         kind: l.kind,
                     })
                     .collect();
-                links.sort_by(|x, y| (x.ts, &x.a, &x.b, x.kind).cmp(&(y.ts, &y.a, &y.b, y.kind)));
+                // The key covers every field, so an unstable sort orders
+                // exactly as a stable one would.
+                links.sort_unstable_by(|x, y| {
+                    (x.ts, &x.a, &x.b, x.kind).cmp(&(y.ts, &y.a, &y.b, y.kind))
+                });
                 CampaignSummary {
                     id,
                     members,
@@ -1024,18 +1031,19 @@ impl CampaignCorrelator {
                 }
             })
             .collect();
-        out.sort_by_key(|c| c.id);
+        out.sort_unstable_by_key(|c| c.id);
         out
     }
 
     /// The current campaign partition as sorted member-key sets (sorted
     /// outer list) — the order-insensitive view of link formation.
-    pub fn partition(&self) -> Vec<Vec<String>> {
-        let mut out: Vec<Vec<String>> = self
+    pub fn partition(&self) -> Vec<Vec<EntityKey>> {
+        let mut out: Vec<Vec<EntityKey>> = self
             .campaigns
             .values()
             .map(|c| {
-                let mut m: Vec<String> = c.members.iter().map(|e| e.key_in(&self.scope)).collect();
+                let mut m: Vec<EntityKey> =
+                    c.members.iter().map(|e| e.key_in(&self.scope)).collect();
                 m.sort_unstable();
                 m
             })
@@ -1047,8 +1055,8 @@ impl CampaignCorrelator {
     /// Recorded link endpoints `(a, b, kind)` across campaigns, sorted and
     /// deduplicated — link *timestamps* depend on arrival order within a
     /// batch, endpoints do not.
-    pub fn link_pairs(&self) -> Vec<(String, String, LinkKind)> {
-        let mut out: Vec<(String, String, LinkKind)> = self
+    pub fn link_pairs(&self) -> Vec<(EntityKey, EntityKey, LinkKind)> {
+        let mut out: Vec<(EntityKey, EntityKey, LinkKind)> = self
             .campaigns
             .values()
             .flat_map(|c| c.links.iter())
@@ -1074,7 +1082,7 @@ impl CampaignCorrelator {
             .entities
             .iter()
             .map(|(&id, n)| CorrelatorEntitySnapshot {
-                entity: id.key_in(scope),
+                entity: id.key_in(scope).into(),
                 campaign: n.campaign,
                 mass: n.mass,
                 last_ts: n.last_ts,
@@ -1097,7 +1105,7 @@ impl CampaignCorrelator {
                     slots: ring
                         .slots
                         .iter()
-                        .map(|s| s.map(|(id, ts)| (id.key_in(scope), ts)))
+                        .map(|s| s.map(|(id, ts)| (id.key_in(scope).into(), ts)))
                         .collect(),
                     head: ring.head,
                 }
@@ -1113,11 +1121,14 @@ impl CampaignCorrelator {
                     // post-merge support — attribution is absent in both.
                     (None, c.best.1)
                 } else {
-                    (Some(EntityId::from_raw(c.best.0).key_in(scope)), c.best.1)
+                    (
+                        Some(EntityId::from_raw(c.best.0).key_in(scope).into()),
+                        c.best.1,
+                    )
                 };
                 CampaignSnapshot {
                     id,
-                    members: c.members.iter().map(|m| m.key_in(scope)).collect(),
+                    members: c.members.iter().map(|m| m.key_in(scope).into()).collect(),
                     links: c
                         .links
                         .iter()
@@ -1141,7 +1152,7 @@ impl CampaignCorrelator {
         let mut promoted_latches: Vec<String> = self
             .promoted_latches
             .iter()
-            .map(|id| id.key_in(scope))
+            .map(|id| id.key_in(scope).into())
             .collect();
         promoted_latches.sort_unstable();
         CorrelatorSnapshot {

@@ -939,7 +939,10 @@ mod tests {
         assert_eq!(alerts.len(), s.steps.len(), "one alert per planned step");
         for (a, st) in alerts.iter().zip(&s.steps) {
             assert_eq!(a.kind, st.kind);
-            assert_eq!(a.entity.key(), format!("addr:{}", s.entities[st.entity]));
+            assert_eq!(
+                a.entity.key().as_str(),
+                format!("addr:{}", s.entities[st.entity])
+            );
         }
     }
 }

@@ -386,10 +386,11 @@ impl FamilyAccum {
 /// belonging to no session are background false positives.
 pub fn evaluate_campaign(report: &StreamReport, truth: &CampaignGroundTruth) -> EvalReport {
     // Earliest notification per entity key.
-    let mut first_detection: HashMap<String, SimTime> = HashMap::new();
+    let mut first_detection: HashMap<&str, SimTime> = HashMap::new();
     for n in &report.notifications {
-        let key = n.entity.clone();
-        let e = first_detection.entry(key).or_insert(n.detection.ts);
+        let e = first_detection
+            .entry(n.entity.as_str())
+            .or_insert(n.detection.ts);
         if n.detection.ts < *e {
             *e = n.detection.ts;
         }
@@ -407,7 +408,7 @@ pub fn evaluate_campaign(report: &StreamReport, truth: &CampaignGroundTruth) -> 
         if s.decoy {
             if s.entity_keys
                 .iter()
-                .any(|k| first_detection.contains_key(k))
+                .any(|k| first_detection.contains_key(k.as_str()))
             {
                 decoy_detections += 1;
             }
@@ -434,7 +435,7 @@ pub fn evaluate_campaign(report: &StreamReport, truth: &CampaignGroundTruth) -> 
             let mut span: Option<(SimTime, SimTime)> = None;
             let mut detected_hops = 0usize;
             for k in &s.entity_keys {
-                let Some(&d) = first_detection.get(k) else {
+                let Some(&d) = first_detection.get(k.as_str()) else {
                     continue;
                 };
                 detected_hops += 1;
@@ -469,7 +470,7 @@ pub fn evaluate_campaign(report: &StreamReport, truth: &CampaignGroundTruth) -> 
         let det_ts = s
             .entity_keys
             .iter()
-            .filter_map(|k| first_detection.get(k))
+            .filter_map(|k| first_detection.get(k.as_str()))
             .min()
             .copied();
         let Some(det) = det_ts else { continue };
@@ -515,7 +516,7 @@ pub fn evaluate_campaign(report: &StreamReport, truth: &CampaignGroundTruth) -> 
 
     let background_false_positives = first_detection
         .keys()
-        .filter(|k| !session_entities.contains(k.as_str()))
+        .filter(|k| !session_entities.contains(*k))
         .count() as u64;
 
     let mut family_rows: Vec<FamilyEval> = families
@@ -585,6 +586,7 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alertlib::alert::EntityKey;
     use scenario::mutate::MutationConfig;
     use scenario::stream::RecordStreamConfig;
     use simnet::time::SimDuration;
@@ -741,12 +743,12 @@ mod tests {
                 }
             }
         }
-        let notified: std::collections::HashSet<String> = report
+        let notified: std::collections::HashSet<EntityKey> = report
             .notifications
             .iter()
             .map(|n| n.entity.clone())
             .collect();
-        let latched: std::collections::HashSet<String> = tagger.detected_entities().collect();
+        let latched: std::collections::HashSet<EntityKey> = tagger.detected_entities().collect();
         assert_eq!(notified, latched, "hooks and notifications must agree");
         assert!(!latched.is_empty(), "campaign must trigger detections");
         for k in &latched {

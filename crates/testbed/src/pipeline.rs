@@ -232,7 +232,7 @@ mod tests {
         assert_eq!(report.detections, 1, "S1 chain must be detected once");
         assert_eq!(report.notifications.len(), 1);
         let n = &report.notifications[0];
-        assert!(n.message.contains("preemption"));
+        assert!(n.message().to_string().contains("preemption"));
         // Host-only alerts carry no src address, so no block is installed —
         // but the notification still fires.
         assert_eq!(report.blocked_sources, 0);

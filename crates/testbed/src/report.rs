@@ -1,5 +1,8 @@
 //! Run reports and operator notifications.
 
+use std::fmt;
+
+use alertlib::alert::EntityKey;
 use alertlib::filter::FilterStats;
 use bhr::table::TableStats;
 use detect::attack_tagger::Detection;
@@ -8,19 +11,42 @@ use simnet::router::RouterStats;
 use simnet::time::SimTime;
 
 /// A notification sent to security operators — the §V mechanism that gave
-/// NCSA its twelve-day warning.
+/// NCSA its twelve-day warning. It holds no heap string: the entity key is
+/// inline and the operator text is rendered on demand by
+/// [`OperatorNotification::message`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OperatorNotification {
     pub ts: SimTime,
-    /// Canonical entity key (`user:…` / `addr:…`), resolved against the
-    /// pipeline's scope at notification time. A plain string rather than
-    /// an interned handle so notifications stay valid after a tenant's
-    /// symbol scope is evicted.
-    pub entity: String,
+    /// Canonical entity key (`user:…` / `addr:…` / `unknown`), resolved
+    /// against the pipeline's scope at notification time. An inline
+    /// [`EntityKey`] rather than an interned handle, so notifications stay
+    /// valid, and process-independent, after a tenant's symbol scope is
+    /// evicted.
+    pub entity: EntityKey,
     pub detection: Detection,
-    pub message: String,
     /// Which detector raised it.
-    pub source: String,
+    pub source: &'static str,
+}
+
+impl OperatorNotification {
+    /// The operator-facing text, e.g. `preemption: user eve reached stage
+    /// 'foothold' (p=0.97) on alert alert_download_sensitive`, formatted
+    /// from the entity key and the detection when it is displayed.
+    pub fn message(&self) -> impl fmt::Display + '_ {
+        let Detection {
+            trigger,
+            score,
+            stage,
+            ..
+        } = &self.detection;
+        fmt::from_fn(move |f| {
+            write!(
+                f,
+                "preemption: {} reached stage '{stage}' (p={score:.2}) on alert {trigger}",
+                self.entity.describe()
+            )
+        })
+    }
 }
 
 /// Per-stage counters of one testbed run (Fig. 4's E1..En → response).
@@ -136,15 +162,13 @@ mod tests {
             ts: SimTime::from_secs(100),
             entity: "user:postgres".into(),
             detection: det.clone(),
-            message: "ransomware".into(),
-            source: "attack-tagger".into(),
+            source: "attack-tagger",
         });
         r.notifications.push(OperatorNotification {
             ts: SimTime::from_secs(50),
             entity: "user:x".into(),
             detection: det,
-            message: "other".into(),
-            source: "attack-tagger".into(),
+            source: "attack-tagger",
         });
         assert_eq!(r.first_notification(), Some(SimTime::from_secs(50)));
         assert!(r.summary().contains("detections=0"));
@@ -166,8 +190,7 @@ mod tests {
                 score: 0.97,
                 stage: Stage::Foothold,
             },
-            message: "ransomware".into(),
-            source: "attack-tagger".into(),
+            source: "attack-tagger",
         });
         let rendered = render_incident_report(&r);
         assert!(

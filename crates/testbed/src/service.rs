@@ -397,7 +397,7 @@ fn export_session(tenant: TenantId, session: &TenantSession) -> ServiceSnapshot 
     ServiceSnapshot {
         tenant,
         stats: core.stats,
-        filter: core.filter.filter().export_state(),
+        filter: core.filter.filter().export_state(scope),
         tagger: core.detect.as_tagger().map(|t| t.export_state_in(scope)),
         correlator: core.correlate.as_ref().map(|c| c.export_state_in(scope)),
         sym_universe: scope.snapshot(),
@@ -448,7 +448,7 @@ fn import_session(session: &mut TenantSession, snap: &ServiceSnapshot) -> Result
         .core
         .filter
         .filter_mut()
-        .import_state(&snap.filter)
+        .import_state(&snap.filter, &scope)
         .map_err(ServiceError::MalformedSnapshot)?;
     if let Some(tagger) = tagger {
         session

@@ -25,6 +25,7 @@
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
+use alertlib::alert::EntityKey;
 use alertlib::filter::FilterStats;
 use alertlib::filter::{FilterSnapshot, FilterWindowSnapshot};
 use detect::attack_tagger::{EntityStateSnapshot, TaggerSnapshot};
@@ -955,9 +956,9 @@ fn read_campaign(r: &mut Reader, field: &str) -> Res<CampaignSnapshot> {
                         r.expect(b'[', f)?;
                         let ts = r.time(f)?;
                         r.expect(b',', f)?;
-                        let a = r.owned_string(f)?;
+                        let a = EntityKey::from(&*r.string(f)?);
                         r.expect(b',', f)?;
-                        let b = r.owned_string(f)?;
+                        let b = EntityKey::from(&*r.string(f)?);
                         r.expect(b',', f)?;
                         let kind = link_kind(r, f)?;
                         r.expect(b']', f)?;

@@ -548,7 +548,7 @@ pub struct ResponseStage {
     blocked: FxHashSet<Ipv4Addr>,
     source: &'static str,
     /// Scope the pipeline's alert symbols were minted in — notification
-    /// text resolves entity names against it (global by default).
+    /// entity keys resolve user names against it (global by default).
     scope: SymScope,
     retry: RetryPolicy,
     /// Jitter stream for backoff scheduling; consumed only on failures,
@@ -902,14 +902,7 @@ impl ResponseStage {
                 ts,
                 entity: o.alert.entity.key_in(&self.scope),
                 detection: detection.clone(),
-                message: format!(
-                    "preemption: {} reached stage '{}' (p={:.2}) on alert {}",
-                    o.alert.entity.display_in(&self.scope),
-                    detection.stage,
-                    detection.score,
-                    detection.trigger
-                ),
-                source: self.source.into(),
+                source: self.source,
             };
             self.deliver_note(ts, note, out);
         }
@@ -1024,7 +1017,7 @@ mod tests {
         assert_eq!(notes.len(), 2, "every detection notifies");
         assert_eq!(resp.blocked_sources(), 1, "block deduplicated per source");
         assert!(bhr.is_blocked(SimTime::from_secs(10), src));
-        assert!(notes[0].message.contains("preemption"));
+        assert!(notes[0].message().to_string().contains("preemption"));
     }
 
     fn detection() -> Detection {

@@ -134,14 +134,14 @@ fn golden_snapshot() -> ServiceSnapshot {
                 links: vec![
                     LinkSummary {
                         ts: t(2_900),
-                        a: "user:alice".to_string(),
-                        b: "addr:10.0.0.5".to_string(),
+                        a: "user:alice".into(),
+                        b: "addr:10.0.0.5".into(),
                         kind: LinkKind::Victim,
                     },
                     LinkSummary {
                         ts: t(2_950),
-                        a: "user:alice".to_string(),
-                        b: odd_user.to_string(),
+                        a: "user:alice".into(),
+                        b: odd_user.into(),
                         kind: LinkKind::Palette,
                     },
                 ],

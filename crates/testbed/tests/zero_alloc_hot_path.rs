@@ -13,13 +13,16 @@
 //! owned batch in place through the session's memo and reuses the
 //! pipeline's scratch buffers.
 
+use alertlib::alert::EntityKey;
 use scenario::faults::{ClockSkewConfig, FaultInjector, FaultPlan};
+use scenario::mutate::{generate_campaign, CampaignConfig};
 use scenario::stream::{record_stream, RecordStreamConfig};
 use simnet::alloc_count::{allocations, thread_allocations, CountingAllocator};
 use simnet::intern::TenantId;
 use simnet::rng::SimRng;
 use simnet::time::SimDuration;
 use telemetry::record::LogRecord;
+use testbed::stage::{DetectOutcome, ResponseStage, Stage, TagStage};
 use testbed::{PipelineBuilder, ServiceConfig, ServiceError, ServiceHandle, ServiceSnapshot};
 
 #[global_allocator]
@@ -143,31 +146,37 @@ fn fault_injector_steady_state_allocates_nothing() {
     });
 }
 
+/// A `CorrelatedTagger` warmed over the workload's admitted alerts, and
+/// those alerts: entity nodes, join-key rings, campaigns and their link
+/// provenance, and the stitched-replay scratch are all in place.
+fn warm_correlated_tagger() -> (detect::CorrelatedTagger, Vec<alertlib::Alert>) {
+    let records = workload();
+    let mut sym = alertlib::Symbolizer::with_defaults();
+    let mut filt = alertlib::ScanFilter::default();
+    let mut alerts = Vec::with_capacity(64);
+    let mut admitted = Vec::new();
+    for r in &records {
+        alerts.clear();
+        sym.symbolize_into(r, &mut alerts);
+        admitted.extend(alerts.iter().filter(|a| filt.admit(a)).copied());
+    }
+    let mut detector = detect::CorrelatedTagger::with_policy(
+        detect::AttackTagger::new(
+            detect::train::toy_training_model(),
+            detect::TaggerConfig::default(),
+        ),
+        detect::CorrelationPolicy::default(),
+    );
+    for a in &admitted {
+        detector.observe(a);
+    }
+    (detector, admitted)
+}
+
 #[test]
 fn correlated_tagger_steady_state_allocates_nothing() {
     serialized(|| {
-        let records = workload();
-        let mut sym = alertlib::Symbolizer::with_defaults();
-        let mut filt = alertlib::ScanFilter::default();
-        let mut alerts = Vec::with_capacity(64);
-        let mut admitted = Vec::new();
-        for r in &records {
-            alerts.clear();
-            sym.symbolize_into(r, &mut alerts);
-            admitted.extend(alerts.iter().filter(|a| filt.admit(a)).copied());
-        }
-        let mut detector = detect::CorrelatedTagger::with_policy(
-            detect::AttackTagger::new(
-                detect::train::toy_training_model(),
-                detect::TaggerConfig::default(),
-            ),
-            detect::CorrelationPolicy::default(),
-        );
-        // Warmup: entity nodes, join-key rings, campaigns and their link
-        // provenance, and the stitched-replay scratch.
-        for a in &admitted {
-            detector.observe(a);
-        }
+        let (mut detector, admitted) = warm_correlated_tagger();
         let correlator = detector.correlator();
         let cap = correlator.policy().max_links_per_campaign;
         assert!(
@@ -187,6 +196,120 @@ fn correlated_tagger_steady_state_allocates_nothing() {
             0,
             "steady-state tagger + correlator observe must not allocate ({} alerts)",
             admitted.len()
+        );
+    });
+}
+
+#[test]
+fn campaign_summaries_allocate_per_campaign_not_per_member() {
+    serialized(|| {
+        let (detector, _) = warm_correlated_tagger();
+        let correlator = detector.correlator();
+        let (allocs, summaries) = thread_allocations(|| correlator.summaries());
+        let members: usize = summaries.iter().map(|c| c.members.len()).sum();
+        let links: usize = summaries.iter().map(|c| c.links.len()).sum();
+        assert!(
+            summaries.iter().any(|c| c.members.len() > 16),
+            "sanity: a campaign with many members"
+        );
+        // The outer vector, then each campaign's member and link vectors:
+        // entity keys are inline and the sorts are in place.
+        let budget = 1 + 2 * summaries.len() as u64;
+        assert!(
+            allocs <= budget,
+            "summaries(): {allocs} allocations for {} campaigns, {members} members and \
+             {links} links (budget {budget})",
+            summaries.len()
+        );
+    });
+}
+
+/// Detection outcomes of a fault-storm-shaped replay: a mutated attack
+/// campaign over the workload's background, under loss, duplication, a
+/// 64-record reorder window and clock skew, through symbolize, filter and
+/// a tagger with a 5-minute dedup window.
+fn storm_detections() -> Vec<DetectOutcome> {
+    let campaign = CampaignConfig {
+        sessions: 48,
+        horizon: SimDuration::from_hours(24),
+        background: Some(RecordStreamConfig {
+            scan_records: 2_000,
+            benign_flows: 500,
+            exec_records: 2_000,
+            users: 60,
+            horizon: SimDuration::from_hours(24),
+            ..RecordStreamConfig::default()
+        }),
+        ..CampaignConfig::default()
+    };
+    let plan = FaultPlan::clean(0xFA_017)
+        .named("fault-storm")
+        .with_loss(0.02)
+        .with_duplication(0.05)
+        .with_reorder(64)
+        .with_clock(ClockSkewConfig {
+            max_skew: SimDuration::from_secs(30),
+            jitter: SimDuration::from_secs(2),
+        });
+    let mut inj = FaultInjector::new(plan);
+    let mut records = Vec::new();
+    for r in generate_campaign(&campaign, &mut SimRng::seed(0x5_7041)).records {
+        inj.push(r, &mut records);
+    }
+    inj.finish(&mut records);
+    let mut config = detect::TaggerConfig::default();
+    config.temporal.dedup_window = Some(SimDuration::from_mins(5));
+    let mut tag = TagStage::new(detect::AttackTagger::new(
+        detect::train::toy_training_model(),
+        config,
+    ));
+    let mut sym = alertlib::Symbolizer::with_defaults();
+    let mut filt = alertlib::ScanFilter::default();
+    let (mut alerts, mut outcomes) = (Vec::new(), Vec::new());
+    for r in &records {
+        alerts.clear();
+        sym.symbolize_into(r, &mut alerts);
+        alerts.retain(|a| filt.admit(a));
+        tag.process_batch(&alerts, &mut outcomes);
+    }
+    outcomes.retain(|o| o.detection.is_some());
+    outcomes
+}
+
+#[test]
+fn response_steady_state_allocates_nothing() {
+    serialized(|| {
+        let detections = storm_detections();
+        assert!(
+            detections.len() > 20,
+            "sanity: {} detections",
+            detections.len()
+        );
+        assert!(
+            detections.iter().any(|o| o.alert.src.is_some())
+                && detections.iter().any(|o| o.alert.src.is_none()),
+            "sanity: detections with and without a source address"
+        );
+        let bhr = bhr::BhrHandle::with_backend(bhr::retry::FlakyBackend::new(0.30, 0xB10C));
+        let mut response = ResponseStage::new(bhr, true, None, "attack-tagger");
+        let mut out = Vec::new();
+        // Warm-up blocks every source, through failures and retries; the
+        // flush drains the retry queue.
+        response.respond(None, &detections, &mut out);
+        response.flush(&mut out);
+        assert!(response.blocks_retried() > 0, "sanity: the backend fails");
+
+        // Steady state: every source is blocked or absent, so each
+        // detection only becomes a notification.
+        out.clear();
+        out.reserve(detections.len());
+        let (allocs, ()) = thread_allocations(|| response.respond(None, &detections, &mut out));
+        assert_eq!(out.len(), detections.len(), "every detection notifies");
+        assert_eq!(
+            allocs,
+            0,
+            "respond must not allocate for {} detections of blocked or absent sources",
+            detections.len()
         );
     });
 }
@@ -304,13 +427,17 @@ fn service_ingest_steady_state_allocates_nothing_per_batch_or_record() {
 }
 
 /// Heap buffers a decoded snapshot owns: its non-empty `String`s and
-/// `Vec`s (empty ones never allocate).
+/// `Vec`s (empty ones never allocate), and entity keys too long to be
+/// stored inline.
 fn owned_buffers(snap: &ServiceSnapshot) -> u64 {
     fn n<T>(v: &[T]) -> u64 {
         u64::from(!v.is_empty())
     }
     fn s(v: &str) -> u64 {
         u64::from(!v.is_empty())
+    }
+    fn key(k: &EntityKey) -> u64 {
+        u64::from(k.len() > EntityKey::INLINE_CAP)
     }
     let mut total = n(&snap.filter.windows) + n(&snap.sym_universe);
     total += snap
@@ -340,7 +467,7 @@ fn owned_buffers(snap: &ServiceSnapshot) -> u64 {
         for cs in &c.campaigns {
             total += n(&cs.members) + n(&cs.links) + cs.best_key.as_deref().map_or(0, s);
             total += cs.members.iter().map(|v| s(v)).sum::<u64>();
-            total += cs.links.iter().map(|l| s(&l.a) + s(&l.b)).sum::<u64>();
+            total += cs.links.iter().map(|l| key(&l.a) + key(&l.b)).sum::<u64>();
         }
     }
     total

@@ -58,7 +58,7 @@ fn main() {
     println!("{}", report.summary());
     println!();
     for n in &report.notifications {
-        println!("[{}] OPERATOR NOTIFICATION: {}", n.ts, n.message);
+        println!("[{}] OPERATOR NOTIFICATION: {}", n.ts, n.message());
     }
     assert!(
         !report.notifications.is_empty(),

@@ -53,7 +53,7 @@ fn main() {
         lead.as_days()
     );
     for n in report.notifications.iter().take(3) {
-        println!("  -> [{}] {}", n.ts, n.message);
+        println!("  -> [{}] {}", n.ts, n.message());
     }
     assert!(
         first <= c2_time,

@@ -151,6 +151,90 @@ proptest! {
     }
 }
 
+// ---------- entity keys ----------
+
+/// Every property `EntityKey` promises to share with the `String` of the
+/// same text: equality, order (which sorts campaign members), hash,
+/// `Display`, `Debug`, `Deref` and the conversion back.
+fn assert_key_matches_string(a: &str, b: &str) {
+    use alertlib::alert::EntityKey;
+    use std::hash::{BuildHasher, RandomState};
+    let (ka, kb) = (EntityKey::from(a), EntityKey::from(b));
+    let (sa, sb) = (a.to_string(), b.to_string());
+    assert_eq!(ka == kb, sa == sb, "eq {a:?} {b:?}");
+    assert_eq!(ka.cmp(&kb), sa.cmp(&sb), "cmp {a:?} {b:?}");
+    assert_eq!(
+        ka.partial_cmp(&kb),
+        sa.partial_cmp(&sb),
+        "partial_cmp {a:?} {b:?}"
+    );
+    let hasher = RandomState::new();
+    assert_eq!(hasher.hash_one(&ka), hasher.hash_one(&sa), "hash {a:?}");
+    assert_eq!(ka.to_string(), sa, "Display");
+    assert_eq!(
+        format!("{ka:>48}|{ka:.3}"),
+        format!("{sa:>48}|{sa:.3}"),
+        "padded Display"
+    );
+    assert_eq!(format!("{ka:?}"), format!("{sa:?}"), "Debug");
+    assert_eq!(&*ka, a, "Deref");
+    assert_eq!(ka, a, "eq &str");
+    assert_eq!(String::from(ka), sa, "into String");
+}
+
+/// `s` cut to at most `len` bytes, at a char boundary.
+fn cut(s: &str, len: usize) -> &str {
+    let mut end = len.min(s.len());
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
+}
+
+#[test]
+fn entity_key_matches_string_at_the_inline_capacity() {
+    const CAP: usize = alertlib::alert::EntityKey::INLINE_CAP;
+    let mut keys: Vec<String> = [0, 1, CAP - 1, CAP, CAP + 1, 2 * CAP]
+        .iter()
+        .map(|&n| "u".repeat(n))
+        .collect();
+    // Multi-byte chars that end exactly at, or straddle, the capacity.
+    for ch in ['é', '€', '😀'] {
+        for pad in CAP.saturating_sub(5)..=CAP {
+            keys.push(format!("{}{ch}", "a".repeat(pad)));
+        }
+    }
+    keys.push(format!("user:{}", "x".repeat(CAP - 5)));
+    keys.push(format!("user:{}", "x".repeat(CAP - 4)));
+    for a in &keys {
+        for b in &keys {
+            assert_key_matches_string(a, b);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random keys around the inline capacity, ASCII and multi-byte,
+    /// compared with each other, their prefixes and their extensions.
+    #[test]
+    fn entity_key_matches_string(a in "[a-z:.0-9é€😀]{0,40}", b in "[a-z:.é€😀]{0,12}", cap in 0usize..48) {
+        let candidates = [
+            a.clone(),
+            b.clone(),
+            format!("{a}{b}"),
+            cut(&a, cap).to_string(),
+            format!("{}{b}", cut(&a, cap)),
+        ];
+        for x in &candidates {
+            for y in &candidates {
+                assert_key_matches_string(x, y);
+            }
+        }
+    }
+}
+
 // ---------- filter monotonicity ----------
 
 proptest! {
