@@ -20,7 +20,7 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
-use simnet::intern::{Sym, SymScope};
+use simnet::intern::{Sym, SymMap, SymScope};
 use simnet::time::SimTime;
 use simnet::topology::HostId;
 
@@ -61,8 +61,8 @@ impl EntityId {
 
     /// Rebuild an id from its raw encoding. Raw ids embed interner-local
     /// symbol ids for user entities, so this is only valid within the
-    /// process (and sym table) that minted `raw` — snapshot formats must
-    /// go through [`EntityId::key`] / [`EntityId::from_key`] instead.
+    /// process (and sym table) that minted `raw` — snapshots go through
+    /// [`EntityId::snap_key`] / [`EntityId::from_snap_key`] instead.
     #[inline]
     pub fn from_raw(raw: u64) -> EntityId {
         EntityId(raw)
@@ -103,20 +103,15 @@ impl EntityId {
     }
 
     /// Parse a canonical key string back to an id (interning the user
-    /// name if it has not been seen). The ground-truth hooks accept keys
-    /// so evaluation harnesses can keep using strings at the boundary.
+    /// name in the global scope if it has not been seen). The
+    /// ground-truth hooks accept keys so evaluation harnesses can keep
+    /// using strings at the boundary.
     pub fn from_key(key: &str) -> Option<EntityId> {
-        EntityId::from_key_in(key, &SymScope::global())
-    }
-
-    /// [`EntityId::from_key`] interning the user name into an explicit
-    /// scope — the restore path of tenant snapshots.
-    pub fn from_key_in(key: &str, scope: &SymScope) -> Option<EntityId> {
         if key == "unknown" {
             return Some(Entity::Unknown.id());
         }
         if let Some(user) = key.strip_prefix("user:") {
-            return Some(Entity::User(scope.sym(user)).id());
+            return Some(Entity::User(Sym::from(user)).id());
         }
         if let Some(addr) = key.strip_prefix("addr:") {
             return addr
@@ -125,6 +120,61 @@ impl EntityId {
                 .map(|a| Entity::Address(a).id());
         }
         None
+    }
+}
+
+/// A key as a snapshot stores it: a kind and a 32-bit id, no strings.
+/// For a user the id is a position in the snapshot's symbol universe
+/// (see [`SymMap`]); otherwise it is the key's own payload (an IPv4
+/// address as a `u32`, 0 for `unknown`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct SnapKey {
+    /// One of [`SnapKey::USER`], [`SnapKey::ADDR`], [`SnapKey::UNKNOWN`]
+    /// or [`SnapKey::SOURCE`].
+    pub kind: u8,
+    pub id: u32,
+}
+
+impl SnapKey {
+    pub const USER: u8 = 1;
+    pub const ADDR: u8 = 2;
+    pub const UNKNOWN: u8 = 3;
+    /// An anonymous source address: keys scan-filter windows only, never
+    /// an entity.
+    pub const SOURCE: u8 = 4;
+}
+
+impl EntityId {
+    /// This id as a snapshot stores it. A user's symbol id is its
+    /// position in the minting scope's universe
+    /// ([`SymScope::snapshot`]), so nothing is looked up.
+    pub fn snap_key(self) -> SnapKey {
+        let (kind, id) = match self.0 & !0xFFFF_FFFF {
+            TAG_USER => (SnapKey::USER, self.0 as u32),
+            TAG_ADDR => (SnapKey::ADDR, self.0 as u32),
+            _ => (SnapKey::UNKNOWN, 0),
+        };
+        SnapKey { kind, id }
+    }
+
+    /// Rebuild an id from its snapshot form, translating a user's
+    /// universe position through `syms`. The error says why the key is
+    /// no entity: a kind other than user, address or unknown, or a user
+    /// past the universe.
+    pub fn from_snap_key(key: SnapKey, syms: &SymMap) -> Result<EntityId, String> {
+        match key.kind {
+            SnapKey::USER => match syms.id(key.id) {
+                Some(id) => Ok(EntityId(TAG_USER | u64::from(id))),
+                None => Err(format!(
+                    "user {} is past the {}-symbol universe",
+                    key.id,
+                    syms.len()
+                )),
+            },
+            SnapKey::ADDR => Ok(EntityId(TAG_ADDR | u64::from(key.id))),
+            SnapKey::UNKNOWN => Ok(EntityId(TAG_UNKNOWN)),
+            kind => Err(format!("kind {kind} is not an entity kind")),
+        }
     }
 }
 

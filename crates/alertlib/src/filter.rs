@@ -10,11 +10,11 @@
 use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
-use simnet::intern::SymScope;
+use simnet::intern::SymMap;
 use simnet::rng::FxHashMap;
 use simnet::time::{SimDuration, SimTime};
 
-use crate::alert::{Alert, Entity, EntityId};
+use crate::alert::{Alert, Entity, EntityId, SnapKey};
 
 /// Filter settings.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -165,25 +165,23 @@ impl ScanFilter {
 
     /// Export the filter's dedup state in a process-independent form.
     ///
-    /// Window keys embed interner-local symbol ids for user entities, so
-    /// they are rendered as canonical strings (`user:…`/`addr:…`, or
-    /// `src:<ip>` for anonymous-source windows), resolving user symbols
-    /// against `scope`, the scope the filter's alerts were minted in, and
-    /// re-interned on import. Output is sorted, so identical filter states
-    /// export byte-identical snapshots regardless of hash-map iteration
-    /// order.
-    pub fn export_state(&self, scope: &SymScope) -> FilterSnapshot {
+    /// Window keys become [`SnapKey`]s: a user window names its user by
+    /// position in the minting scope's universe, and a window keyed by an
+    /// anonymous source address is a [`SnapKey::SOURCE`]. Output is
+    /// sorted, so identical filter states export identical snapshots
+    /// regardless of hash-map iteration order.
+    pub fn export_state(&self) -> FilterSnapshot {
         let mut windows: Vec<FilterWindowSnapshot> = self
             .state
             .iter()
             .map(|(k, w)| FilterWindowSnapshot {
-                source: Self::encode_source(k.source, scope),
+                source: Self::encode_source(k.source),
                 kind: k.kind,
                 start: w.start,
                 admitted: w.admitted,
             })
             .collect();
-        windows.sort_by(|a, b| (&a.source, a.kind).cmp(&(&b.source, b.kind)));
+        windows.sort_unstable_by_key(|w| (w.source, w.kind));
         FilterSnapshot {
             windows,
             stats: self.stats,
@@ -192,20 +190,16 @@ impl ScanFilter {
     }
 
     /// Restore state previously captured by
-    /// [`export_state`](ScanFilter::export_state), interning user names
-    /// into `scope`. The config is NOT part of the snapshot: the restoring
-    /// process supplies its own (normally identical) `FilterConfig`. A
-    /// malformed source key is an error naming the window, and leaves the
-    /// filter unchanged.
-    pub fn import_state(&mut self, snap: &FilterSnapshot, scope: &SymScope) -> Result<(), String> {
+    /// [`export_state`](ScanFilter::export_state), translating user
+    /// positions through `syms`. The config is NOT part of the snapshot:
+    /// the restoring process supplies its own (normally identical)
+    /// `FilterConfig`. A malformed source key is an error naming the
+    /// window, and leaves the filter unchanged.
+    pub fn import_state(&mut self, snap: &FilterSnapshot, syms: &SymMap) -> Result<(), String> {
         let mut state = FxHashMap::default();
         for (i, w) in snap.windows.iter().enumerate() {
-            let source = Self::decode_source(&w.source, scope).ok_or_else(|| {
-                format!(
-                    "filter.windows[{i}].source: malformed source key {:?}",
-                    w.source
-                )
-            })?;
+            let source = Self::decode_source(w.source, syms)
+                .map_err(|why| format!("filter.windows[{i}].source: {why}"))?;
             let window = Window {
                 start: w.start,
                 admitted: w.admitted,
@@ -224,24 +218,24 @@ impl ScanFilter {
         Ok(())
     }
 
-    /// Render a window-map source key as a process-independent string.
-    fn encode_source(source: u64, scope: &SymScope) -> String {
+    /// A window-map source key in snapshot form.
+    fn encode_source(source: u64) -> SnapKey {
         if source & !0xFFFF_FFFF == ANON_SRC_TAG {
-            format!("src:{}", Ipv4Addr::from(source as u32))
+            SnapKey {
+                kind: SnapKey::SOURCE,
+                id: source as u32,
+            }
         } else {
-            EntityId::from_raw(source).key_in(scope).into()
+            EntityId::from_raw(source).snap_key()
         }
     }
 
-    /// Inverse of [`encode_source`](Self::encode_source), re-interning
-    /// user names into `scope`.
-    fn decode_source(source: &str, scope: &SymScope) -> Option<u64> {
-        match source.strip_prefix("src:") {
-            Some(ip) => {
-                let a: Ipv4Addr = ip.parse().ok()?;
-                Some(ANON_SRC_TAG | u64::from(u32::from(a)))
-            }
-            None => EntityId::from_key_in(source, scope).map(|id| id.raw()),
+    /// Inverse of [`encode_source`](Self::encode_source).
+    fn decode_source(source: SnapKey, syms: &SymMap) -> Result<u64, String> {
+        if source.kind == SnapKey::SOURCE {
+            Ok(ANON_SRC_TAG | u64::from(source.id))
+        } else {
+            EntityId::from_snap_key(source, syms).map(EntityId::raw)
         }
     }
 }
@@ -254,9 +248,9 @@ const ANON_SRC_TAG: u64 = 4 << 32;
 /// One `(source, kind)` dedup window in process-independent form.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FilterWindowSnapshot {
-    /// `user:…` / `addr:…` / `unknown`, or `src:<ip>` for windows keyed
+    /// The window's entity, or a [`SnapKey::SOURCE`] for windows keyed
     /// by an anonymous source address.
-    pub source: String,
+    pub source: SnapKey,
     /// `AlertKind` index.
     pub kind: u16,
     pub start: SimTime,
@@ -276,6 +270,7 @@ pub struct FilterSnapshot {
 mod tests {
     use super::*;
     use crate::taxonomy::AlertKind;
+    use simnet::intern::SymScope;
 
     fn scan_alert(t: u64, src: &str) -> Alert {
         Alert::new(
@@ -374,13 +369,14 @@ mod tests {
         );
     }
 
-    /// Snapshot → import into a fresh process' filter → replay must
-    /// suppress and admit exactly as the uninterrupted filter would,
-    /// including windows keyed by user entities (whose raw ids embed
-    /// interner symbol ids) and anonymous `src:` windows.
+    /// Snapshot → import into a fresh filter → replay must suppress and
+    /// admit exactly as the uninterrupted filter would, including windows
+    /// keyed by user entities (whose raw ids embed interner symbol ids)
+    /// and anonymous-source windows.
     #[test]
     fn snapshot_roundtrip_preserves_dedup_decisions() {
         let global = SymScope::global();
+        let syms = SymMap::replay(&global, &global.snapshot());
         let mut f = ScanFilter::default();
         // Address-keyed, user-keyed, and anonymous-source windows.
         assert!(f.admit(&scan_alert(10, "103.102.1.1")));
@@ -398,20 +394,24 @@ mod tests {
         assert!(f.admit(&user_alert(20)));
         assert!(f.admit(&anon_alert(30)));
 
-        let snap = f.export_state(&global);
+        let snap = f.export_state();
         assert_eq!(snap.windows.len(), 3);
-        assert!(snap.windows.iter().any(|w| w.source == "user:eve"));
-        assert!(snap.windows.iter().any(|w| w.source == "src:9.9.9.9"));
+        let eve = SnapKey {
+            kind: SnapKey::USER,
+            id: global.sym("eve").id(),
+        };
+        let anon = SnapKey {
+            kind: SnapKey::SOURCE,
+            id: u32::from(Ipv4Addr::new(9, 9, 9, 9)),
+        };
+        assert!(snap.windows.iter().any(|w| w.source == eve));
+        assert!(snap.windows.iter().any(|w| w.source == anon));
 
         let mut restored = ScanFilter::default();
         restored
-            .import_state(&snap, &global)
+            .import_state(&snap, &syms)
             .expect("exported snapshot restores");
-        assert_eq!(
-            restored.export_state(&global),
-            snap,
-            "import→export identity"
-        );
+        assert_eq!(restored.export_state(), snap, "import→export identity");
         // Same-window repeats stay suppressed after restore…
         assert!(!restored.admit(&scan_alert(40, "103.102.1.1")));
         assert!(!restored.admit(&user_alert(50)));
@@ -421,27 +421,30 @@ mod tests {
         assert!(!f.admit(&user_alert(50)));
         assert!(!f.admit(&anon_alert(60)));
         assert_eq!(restored.stats(), f.stats());
-        assert_eq!(restored.export_state(&global), f.export_state(&global));
+        assert_eq!(restored.export_state(), f.export_state());
 
-        // A malformed source key is refused and leaves the filter as it was.
-        let before = restored.export_state(&global);
-        for source in ["user", "src:9.9.9", "addr:eve"] {
+        // A source key of no known kind, or a user past the universe, is
+        // refused and leaves the filter as it was.
+        let before = restored.export_state();
+        let past = syms.len() as u32;
+        for (kind, id, why) in [
+            (0, 0, "kind 0"),
+            (9, 1, "kind 9"),
+            (SnapKey::USER, past, "past the"),
+        ] {
             let mut bad = snap.clone();
-            bad.windows[1].source = source.into();
-            let err = restored.import_state(&bad, &global).expect_err(source);
+            bad.windows[1].source = SnapKey { kind, id };
+            let err = restored.import_state(&bad, &syms).expect_err(why);
             assert!(err.starts_with("filter.windows[1].source"), "{err}");
-            assert_eq!(
-                restored.export_state(&global),
-                before,
-                "{source}: state changed"
-            );
+            assert!(err.contains(why), "{err}");
+            assert_eq!(restored.export_state(), before, "{why}: state changed");
         }
     }
 
     /// Tenant windows are keyed by ids in the tenant's own table: the
-    /// snapshot must name the tenant's user, and restore into another
-    /// process' tenant table (where the name gets another id) as the same
-    /// window.
+    /// snapshot must name the tenant's user by its position in the
+    /// tenant's universe, and restore into another process' tenant table
+    /// (where the name gets another id) as the same window.
     #[test]
     fn tenant_windows_export_the_tenant_name_and_restore() {
         let tenant = SymScope::fresh();
@@ -456,27 +459,31 @@ mod tests {
         };
         let mut f = ScanFilter::default();
         assert!(f.admit(&alert(&tenant, 10)));
-        let snap = f.export_state(&tenant);
+        let snap = f.export_state();
+        let universe = tenant.snapshot();
         assert_eq!(snap.windows.len(), 1);
-        assert_eq!(snap.windows[0].source, "user:eve");
+        assert_eq!(snap.windows[0].source.kind, SnapKey::USER);
+        assert_eq!(universe[snap.windows[0].source.id as usize], "eve");
 
         let fresh = SymScope::fresh();
         for i in 0..3 {
             fresh.sym(&format!("other-{i}"));
         }
+        let syms = SymMap::replay(&fresh, &universe);
         let mut restored = ScanFilter::default();
         restored
-            .import_state(&snap, &fresh)
+            .import_state(&snap, &syms)
             .expect("exported snapshot restores");
-        assert_eq!(restored.export_state(&fresh), snap);
+        let moved = restored.export_state();
+        assert_eq!(moved.windows[0].source.id, fresh.sym("eve").id());
         assert!(
             !restored.admit(&alert(&fresh, 20)),
             "the restored window suppresses the tenant's repeat"
         );
     }
 
-    /// A tenant user id past the end of the global table must render from
-    /// the tenant table, not index the global one.
+    /// A tenant user id past the end of the global table exports as its
+    /// tenant-universe position and restores through the tenant's map.
     #[test]
     fn tenant_ids_past_the_global_table_export() {
         let tenant = SymScope::fresh();
@@ -492,11 +499,17 @@ mod tests {
             AlertKind::BruteForcePassword,
             Entity::User(user),
         )));
-        let snap = f.export_state(&tenant);
+        let snap = f.export_state();
+        let universe = tenant.snapshot();
         assert_eq!(
-            snap.windows[0].source,
-            format!("user:tenant-user-{}", past - 1)
+            universe[snap.windows[0].source.id as usize],
+            format!("tenant-user-{}", past - 1)
         );
+        let mut restored = ScanFilter::default();
+        restored
+            .import_state(&snap, &SymMap::replay(&tenant, &universe))
+            .expect("restores into its own scope");
+        assert_eq!(restored.export_state(), snap);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod taxonomy;
 /// canonical import path).
 pub use simnet::intern;
 
-pub use alert::{Alert, Entity, EntityId, EntityKey};
+pub use alert::{Alert, Entity, EntityId, EntityKey, SnapKey};
 pub use annotate::{Annotation, AnnotationReport, Annotator, GroundTruth, Label, Method};
 pub use filter::{FilterConfig, FilterStats, ScanFilter};
 pub use intern::Sym;

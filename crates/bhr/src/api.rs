@@ -100,17 +100,19 @@ impl BhrHandle {
     /// first; the table is only updated (and the call audited as
     /// `block`) when the RPC succeeds. A failed delivery is audited as
     /// `block-failed` and leaves the table untouched — the caller's
-    /// retry policy decides what happens next.
+    /// retry policy decides what happens next. `reason` is copied only
+    /// when the block is installed, so a failed attempt allocates nothing
+    /// beyond its audit entry.
     pub fn try_block(
         &self,
         ts: SimTime,
         addr: Ipv4Addr,
-        reason: impl Into<String>,
+        reason: &str,
         ttl: Option<SimDuration>,
     ) -> Result<BlockOutcome, BlockError> {
-        let reason = reason.into();
-        match self.backend.lock().try_block(ts, addr, &reason, ttl) {
+        match self.backend.lock().try_block(ts, addr, reason, ttl) {
             Ok(()) => {
+                let reason = reason.to_string();
                 let outcome = self.inner.lock().block(addr, reason.clone(), ts, ttl);
                 if outcome != BlockOutcome::Duplicate {
                     self.log(ts, "block", Some(addr), reason);

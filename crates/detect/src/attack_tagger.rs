@@ -13,11 +13,12 @@
 //! conditional probabilities of an alert being in a successful attack and
 //! normal operational conditions".
 
-use alertlib::alert::{Alert, EntityId, EntityKey};
+use alertlib::alert::{Alert, EntityId, EntityKey, SnapKey};
 use alertlib::taxonomy::AlertKind;
 use factorgraph::chain::ChainModel;
 use factorgraph::timing::GAP_NONE;
 use serde::{Deserialize, Serialize};
+use simnet::intern::SymMap;
 use simnet::rng::{FxHashMap, FxHashSet};
 use simnet::time::{SimDuration, SimTime};
 
@@ -165,13 +166,13 @@ pub struct Observation {
 }
 
 /// Serializable per-entity filter state — one entry of a
-/// [`TaggerSnapshot`]. Entities are keyed by canonical string key
-/// (`user:…` / `addr:…`), not raw ids, so a snapshot restores correctly in
-/// a fresh process whose intern table assigns different ids.
+/// [`TaggerSnapshot`]. Entities are [`SnapKey`]s, not raw ids: a user is
+/// named by its position in the snapshot's symbol universe, so a snapshot
+/// restores correctly in a fresh process whose intern table assigns
+/// different ids.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EntityStateSnapshot {
-    /// Canonical entity key.
-    pub entity: String,
+    pub entity: SnapKey,
     /// Filtered posterior over stages.
     pub alpha: Vec<f64>,
     /// Alerts folded in since the last session restart.
@@ -193,17 +194,17 @@ pub struct EntityStateSnapshot {
 /// byte-identical detections to the uninterrupted run.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TaggerSnapshot {
-    /// Per-entity filter state, sorted by entity key.
+    /// Per-entity filter state, sorted by entity.
     pub entities: Vec<EntityStateSnapshot>,
-    /// Canonical keys of evicted entities whose detection latch is held.
-    pub evicted_latches: Vec<String>,
+    /// Evicted entities whose detection latch is held, sorted.
+    pub evicted_latches: Vec<SnapKey>,
     /// Alerts dropped as telemetry duplicates so far.
     pub duplicates_suppressed: u64,
     /// Entities evicted by the bounded-state sweep so far.
     pub entities_evicted: u64,
 }
 
-/// A [`TaggerSnapshot`] decoded and validated against a symbol scope,
+/// A [`TaggerSnapshot`] decoded and validated against a [`SymMap`],
 /// ready for [`AttackTagger::install`]. Decoding touches no tagger, so a
 /// restore of several detectors can decode them all before installing
 /// any.
@@ -215,14 +216,14 @@ pub struct DecodedTagger {
     entities_evicted: u64,
 }
 
-/// Parse a snapshot's canonical entity key, naming `field` on failure.
+/// Translate a snapshot's entity key through `syms`, naming `field` on
+/// failure.
 pub(crate) fn snapshot_key(
-    key: &str,
-    scope: &simnet::intern::SymScope,
+    key: SnapKey,
+    syms: &SymMap,
     field: impl FnOnce() -> String,
 ) -> Result<EntityId, String> {
-    EntityId::from_key_in(key, scope)
-        .ok_or_else(|| format!("{}: malformed entity key {key:?}", field()))
+    EntityId::from_snap_key(key, syms).map_err(|why| format!("{}: {why}", field()))
 }
 
 /// Reject a snapshot ring head at or past its ring's length.
@@ -239,14 +240,16 @@ pub(crate) fn ring_head(
 }
 
 impl TaggerSnapshot {
-    /// Decode into fresh tagger state, interning entity keys into
-    /// `scope`. Fails on a malformed key, a posterior or dedup ring of
-    /// the wrong arity, or a ring head past the ring.
-    pub fn decode_in(&self, scope: &simnet::intern::SymScope) -> Result<DecodedTagger, String> {
+    /// Decode into fresh tagger state, translating users through
+    /// `syms`. Fails on a key of no entity kind or past the universe, a
+    /// posterior or dedup ring of the wrong arity, or a ring head past
+    /// the ring.
+    pub fn decode(&self, syms: &SymMap) -> Result<DecodedTagger, String> {
         let mut states = FxHashMap::default();
+        states.reserve(self.entities.len());
         for (i, e) in self.entities.iter().enumerate() {
             let field = || format!("tagger.entities[{i}]");
-            let id = snapshot_key(&e.entity, scope, || format!("{}.entity", field()))?;
+            let id = snapshot_key(e.entity, syms, || format!("{}.entity", field()))?;
             let alpha = <[f64; Stage::COUNT]>::try_from(e.alpha.as_slice()).map_err(|_| {
                 format!(
                     "{}.alpha: {} stages, expected {}",
@@ -277,8 +280,8 @@ impl TaggerSnapshot {
             states.insert(id, state);
         }
         let mut evicted_latches = FxHashSet::default();
-        for (i, key) in self.evicted_latches.iter().enumerate() {
-            evicted_latches.insert(snapshot_key(key, scope, || {
+        for (i, &key) in self.evicted_latches.iter().enumerate() {
+            evicted_latches.insert(snapshot_key(key, syms, || {
                 format!("tagger.evicted_latches[{i}]")
             })?);
         }
@@ -770,20 +773,16 @@ impl AttackTagger {
 
     /// Serialize the per-entity posteriors (and eviction side state) for
     /// a service snapshot. Deterministic: entities and latches are sorted
-    /// by canonical key. Resolves entity keys against the global scope;
-    /// tenant pipelines use [`AttackTagger::export_state_in`].
+    /// by key. Users are named by symbol id, which is their position in
+    /// the minting scope's universe ([`SymScope::snapshot`]).
+    ///
+    /// [`SymScope::snapshot`]: simnet::intern::SymScope::snapshot
     pub fn export_state(&self) -> TaggerSnapshot {
-        self.export_state_in(&simnet::intern::SymScope::global())
-    }
-
-    /// [`AttackTagger::export_state`] resolving user symbols against an
-    /// explicit scope.
-    pub fn export_state_in(&self, scope: &simnet::intern::SymScope) -> TaggerSnapshot {
         let mut entities: Vec<EntityStateSnapshot> = self
             .states
             .iter()
             .map(|(id, s)| EntityStateSnapshot {
-                entity: id.key_in(scope).into(),
+                entity: id.snap_key(),
                 alpha: s.alpha.to_vec(),
                 steps: s.steps,
                 detected: s.detected,
@@ -792,13 +791,13 @@ impl AttackTagger {
                 recent_head: s.recent_head,
             })
             .collect();
-        entities.sort_by(|a, b| a.entity.cmp(&b.entity));
-        let mut evicted_latches: Vec<String> = self
+        entities.sort_unstable_by_key(|e| e.entity);
+        let mut evicted_latches: Vec<SnapKey> = self
             .evicted_latches
             .iter()
-            .map(|id| id.key_in(scope).into())
+            .map(|id| id.snap_key())
             .collect();
-        evicted_latches.sort();
+        evicted_latches.sort_unstable();
         TaggerSnapshot {
             entities,
             evicted_latches,
@@ -809,26 +808,16 @@ impl AttackTagger {
 
     /// Replace this tagger's per-entity state with a snapshot previously
     /// produced by [`AttackTagger::export_state`] (possibly in another
-    /// process — entity keys are re-interned here). Replaying the stream
+    /// process), translating users through `syms`. Replaying the stream
     /// tail after a restore yields byte-identical detections to the
     /// uninterrupted run. A malformed snapshot is an error naming the
     /// field, and leaves the tagger unchanged.
-    pub fn import_state(&mut self, snap: &TaggerSnapshot) -> Result<(), String> {
-        self.import_state_in(snap, &simnet::intern::SymScope::global())
-    }
-
-    /// [`AttackTagger::import_state`] interning user symbols into an
-    /// explicit scope.
-    pub fn import_state_in(
-        &mut self,
-        snap: &TaggerSnapshot,
-        scope: &simnet::intern::SymScope,
-    ) -> Result<(), String> {
-        self.install(snap.decode_in(scope)?);
+    pub fn import_state(&mut self, snap: &TaggerSnapshot, syms: &SymMap) -> Result<(), String> {
+        self.install(snap.decode(syms)?);
         Ok(())
     }
 
-    /// Swap in state decoded by [`TaggerSnapshot::decode_in`].
+    /// Swap in state decoded by [`TaggerSnapshot::decode`].
     pub fn install(&mut self, decoded: DecodedTagger) {
         self.states = decoded.states;
         self.evicted_latches = decoded.evicted_latches;
@@ -1396,8 +1385,10 @@ mod tests {
         let snap = pre.export_state();
         assert_eq!(snap.entities.len(), 2);
         assert_eq!(snap.duplicates_suppressed, 1);
+        let global = simnet::intern::SymScope::global();
+        let syms = SymMap::replay(&global, &global.snapshot());
         let mut post = AttackTagger::new(toy_training_model(), cfg);
-        post.import_state(&snap)
+        post.import_state(&snap, &syms)
             .expect("exported snapshot restores");
         for (t, k, u) in tail {
             stitched_detections.extend(post.observe(&alert(t, k, u)));
@@ -1415,9 +1406,15 @@ mod tests {
         // Malformed variants of the snapshot are refused with the field
         // named, and leave the restoring tagger untouched.
         type Mutation = fn(&mut TaggerSnapshot);
-        let cases: [(&str, Mutation); 5] = [
-            ("tagger.entities[1].entity", |s| {
-                s.entities[1].entity = "not-a-key".into()
+        let cases: [(&str, Mutation); 6] = [
+            ("tagger.entities[1].entity: kind 7", |s| {
+                s.entities[1].entity.kind = 7
+            }),
+            ("tagger.entities[1].entity: user", |s| {
+                s.entities[1].entity = SnapKey {
+                    kind: SnapKey::USER,
+                    id: u32::MAX,
+                }
             }),
             ("tagger.entities[0].alpha", |s| {
                 s.entities[0].alpha.pop();
@@ -1429,14 +1426,17 @@ mod tests {
                 s.entities[0].recent_head = DEDUP_SLOTS as u8
             }),
             ("tagger.evicted_latches[0]", |s| {
-                s.evicted_latches.push("user".into())
+                s.evicted_latches.push(SnapKey {
+                    kind: SnapKey::SOURCE,
+                    id: 0,
+                })
             }),
         ];
         let before = post.export_state();
         for (field, mutate) in cases {
             let mut bad = snap.clone();
             mutate(&mut bad);
-            let err = post.import_state(&bad).expect_err(field);
+            let err = post.import_state(&bad, &syms).expect_err(field);
             assert!(err.starts_with(field), "{field}: {err}");
             assert_eq!(post.export_state(), before, "{field}: state changed");
         }

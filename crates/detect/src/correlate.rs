@@ -58,10 +58,11 @@
 //! cannot grow memory without bound.
 
 use serde::{Deserialize, Serialize};
+use simnet::intern::SymMap;
 use simnet::rng::{FxHashMap, FxHashSet};
 use simnet::time::{SimDuration, SimTime};
 
-use alertlib::alert::{Alert, EntityId, EntityKey};
+use alertlib::alert::{Alert, EntityId, EntityKey, SnapKey};
 use alertlib::message::MessageSpec;
 use factorgraph::chain::ChainModel;
 use factorgraph::timing::GAP_NONE;
@@ -216,12 +217,11 @@ pub struct CampaignSummary {
 }
 
 /// One entity node rendered for snapshots. Process-independent on
-/// purpose: entities are canonical key strings, never raw ids — raw ids
-/// embed interner-local sym ids that do not survive a restart.
+/// purpose: entities are [`SnapKey`]s, never raw ids — raw ids embed
+/// interner-local sym ids that do not survive a restart.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CorrelatorEntitySnapshot {
-    /// Canonical entity key (`user:…` / `addr:…`).
-    pub entity: String,
+    pub entity: SnapKey,
     /// Campaign slot id, or `u32::MAX` when uncorrelated.
     pub campaign: u32,
     /// Decayed peak attack mass.
@@ -238,19 +238,15 @@ pub struct CorrelatorEntitySnapshot {
     pub steps_head: u8,
 }
 
-/// One join-key recency ring rendered for snapshots. Address-flavoured
-/// keys carry their raw 32-bit payload in `addr`; palette keys carry the
-/// *resolved* string in `palette` and are re-interned on restore (sym
-/// ids are process-local).
+/// One join-key recency ring rendered for snapshots.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JoinKeySnapshot {
     pub kind: LinkKind,
-    /// Address / host-id payload (0 for palette keys).
-    pub addr: u32,
-    /// Resolved palette payload (`Some` iff `kind == Palette`).
-    pub palette: Option<String>,
-    /// Ring slots in slot order: `(entity key, ts)`.
-    pub slots: Vec<Option<(String, SimTime)>>,
+    /// Address / host-id payload, or for a palette key the payload's
+    /// position in the snapshot's symbol universe.
+    pub id: u32,
+    /// Ring slots in slot order: `(entity, ts)`.
+    pub slots: Vec<Option<(SnapKey, SimTime)>>,
     /// Rotation head.
     pub head: u8,
 }
@@ -259,15 +255,15 @@ pub struct JoinKeySnapshot {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignSnapshot {
     pub id: u32,
-    /// Member keys in *insertion order* — stitched replay folds a bounded
+    /// Members in *insertion order* — stitched replay folds a bounded
     /// member prefix, so order is behaviour-bearing (unlike the sorted
     /// members of [`CampaignSummary`]).
-    pub members: Vec<String>,
-    /// Link provenance (string-keyed endpoints).
-    pub links: Vec<LinkSummary>,
-    /// Support anchor: strongest member's key, or `None` when support is
+    pub members: Vec<SnapKey>,
+    /// Link provenance.
+    pub links: Vec<LinkSnapshot>,
+    /// Support anchor: strongest member, or `None` when support is
     /// anonymous (post-merge runner-up mass) or empty.
-    pub best_key: Option<String>,
+    pub best_key: Option<SnapKey>,
     /// Decayed mass of the support anchor.
     pub best_mass: f64,
     /// Second-strongest decayed mass.
@@ -276,6 +272,16 @@ pub struct CampaignSnapshot {
     pub support_ts: SimTime,
     pub promotions: u32,
     pub detections: u32,
+}
+
+/// One campaign link rendered for snapshots: [`LinkSummary`] with
+/// [`SnapKey`] endpoints.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct LinkSnapshot {
+    pub ts: SimTime,
+    pub a: SnapKey,
+    pub b: SnapKey,
+    pub kind: LinkKind,
 }
 
 /// Full correlator state rendered for snapshots — everything
@@ -288,12 +294,12 @@ pub struct CorrelatorSnapshot {
     /// Entity nodes, sorted by key (canonical order; the graph itself is
     /// insertion-order independent).
     pub entities: Vec<CorrelatorEntitySnapshot>,
-    /// Join-key rings, sorted by `(kind, addr, palette)`.
+    /// Join-key rings, sorted by `(kind, id)`.
     pub keys: Vec<JoinKeySnapshot>,
     /// Campaigns, sorted by id.
     pub campaigns: Vec<CampaignSnapshot>,
     /// Evicted entities holding a surfaced-detection latch, sorted.
-    pub promoted_latches: Vec<String>,
+    pub promoted_latches: Vec<SnapKey>,
     pub next_campaign: u32,
     pub promotions: u64,
     pub tagger_confirmations: u64,
@@ -1069,20 +1075,15 @@ impl CampaignCorrelator {
 
     /// Render the full correlator state as a process-independent,
     /// deterministically ordered snapshot (see [`CorrelatorSnapshot`]).
-    /// Allocates — snapshot/report time only, never on the alert path.
+    /// Users and palette payloads are named by symbol id, which is their
+    /// position in the correlator's scope's universe. Allocates —
+    /// snapshot/report time only, never on the alert path.
     pub fn export_state(&self) -> CorrelatorSnapshot {
-        self.export_state_in(&self.scope)
-    }
-
-    /// [`export_state`](Self::export_state) resolving entity keys and
-    /// palette payloads against an explicit scope — required when the
-    /// correlator's alerts were minted in a tenant scope.
-    pub fn export_state_in(&self, scope: &simnet::intern::SymScope) -> CorrelatorSnapshot {
         let mut entities: Vec<CorrelatorEntitySnapshot> = self
             .entities
             .iter()
             .map(|(&id, n)| CorrelatorEntitySnapshot {
-                entity: id.key_in(scope).into(),
+                entity: id.snap_key(),
                 campaign: n.campaign,
                 mass: n.mass,
                 last_ts: n.last_ts,
@@ -1092,55 +1093,48 @@ impl CampaignCorrelator {
                 steps_head: n.steps_head,
             })
             .collect();
-        entities.sort_by(|a, b| a.entity.cmp(&b.entity));
+        entities.sort_unstable_by_key(|e| e.entity);
         let mut keys: Vec<JoinKeySnapshot> = self
             .keys
             .iter()
             .map(|(&key, ring)| {
-                let (kind, addr, palette) = decode_join_key(key, scope);
+                let (kind, id) = decode_join_key(key);
                 JoinKeySnapshot {
                     kind,
-                    addr,
-                    palette,
+                    id,
                     slots: ring
                         .slots
                         .iter()
-                        .map(|s| s.map(|(id, ts)| (id.key_in(scope).into(), ts)))
+                        .map(|s| s.map(|(id, ts)| (id.snap_key(), ts)))
                         .collect(),
                     head: ring.head,
                 }
             })
             .collect();
-        keys.sort_by(|a, b| (a.kind, a.addr, &a.palette).cmp(&(b.kind, b.addr, &b.palette)));
+        keys.sort_unstable_by_key(|k| (k.kind, k.id));
         let mut campaigns: Vec<CampaignSnapshot> = self
             .campaigns
             .iter()
             .map(|(&id, c)| {
-                let (best_key, best_mass) = if c.best.0 >= ANON_SUPPORT {
-                    // Either the initial sentinel (mass 0) or anonymous
-                    // post-merge support — attribution is absent in both.
-                    (None, c.best.1)
-                } else {
-                    (
-                        Some(EntityId::from_raw(c.best.0).key_in(scope).into()),
-                        c.best.1,
-                    )
-                };
+                // Either the initial sentinel (mass 0) or anonymous
+                // post-merge support — attribution is absent in both.
+                let best_key =
+                    (c.best.0 < ANON_SUPPORT).then(|| EntityId::from_raw(c.best.0).snap_key());
                 CampaignSnapshot {
                     id,
-                    members: c.members.iter().map(|m| m.key_in(scope).into()).collect(),
+                    members: c.members.iter().map(|m| m.snap_key()).collect(),
                     links: c
                         .links
                         .iter()
-                        .map(|l| LinkSummary {
+                        .map(|l| LinkSnapshot {
                             ts: l.ts,
-                            a: l.a.key_in(scope),
-                            b: l.b.key_in(scope),
+                            a: l.a.snap_key(),
+                            b: l.b.snap_key(),
                             kind: l.kind,
                         })
                         .collect(),
                     best_key,
-                    best_mass,
+                    best_mass: c.best.1,
                     second: c.second,
                     support_ts: c.support_ts,
                     promotions: c.promotions,
@@ -1148,11 +1142,11 @@ impl CampaignCorrelator {
                 }
             })
             .collect();
-        campaigns.sort_by_key(|c| c.id);
-        let mut promoted_latches: Vec<String> = self
+        campaigns.sort_unstable_by_key(|c| c.id);
+        let mut promoted_latches: Vec<SnapKey> = self
             .promoted_latches
             .iter()
-            .map(|id| id.key_in(scope).into())
+            .map(|id| id.snap_key())
             .collect();
         promoted_latches.sort_unstable();
         CorrelatorSnapshot {
@@ -1167,27 +1161,17 @@ impl CampaignCorrelator {
         }
     }
 
-    /// Replace the correlator's state with a snapshot's. Entity keys are
-    /// re-interned in this process, so a restored correlator continues
-    /// the stream with byte-identical detections even across a restart.
-    /// A malformed snapshot is an error naming the field, and leaves the
-    /// correlator unchanged.
-    pub fn import_state(&mut self, snap: &CorrelatorSnapshot) -> Result<(), String> {
-        self.import_state_in(snap, &self.scope.clone())
-    }
-
-    /// [`import_state`](Self::import_state) re-interning entity keys and
-    /// palette payloads into an explicit scope.
-    pub fn import_state_in(
-        &mut self,
-        snap: &CorrelatorSnapshot,
-        scope: &simnet::intern::SymScope,
-    ) -> Result<(), String> {
-        self.install(snap.decode_in(scope)?);
+    /// Replace the correlator's state with a snapshot's, translating
+    /// users and palette payloads through `syms`, so a restored
+    /// correlator continues the stream with byte-identical detections
+    /// even across a restart. A malformed snapshot is an error naming the
+    /// field, and leaves the correlator unchanged.
+    pub fn import_state(&mut self, snap: &CorrelatorSnapshot, syms: &SymMap) -> Result<(), String> {
+        self.install(snap.decode(syms)?);
         Ok(())
     }
 
-    /// Swap in state decoded by [`CorrelatorSnapshot::decode_in`].
+    /// Swap in state decoded by [`CorrelatorSnapshot::decode`].
     pub fn install(&mut self, decoded: DecodedCorrelator) {
         self.entities = decoded.entities;
         self.keys = decoded.keys;
@@ -1200,7 +1184,7 @@ impl CampaignCorrelator {
     }
 }
 
-/// A [`CorrelatorSnapshot`] decoded and validated against a symbol scope,
+/// A [`CorrelatorSnapshot`] decoded and validated against a [`SymMap`],
 /// ready for [`CampaignCorrelator::install`].
 #[derive(Debug)]
 pub struct DecodedCorrelator {
@@ -1215,17 +1199,18 @@ pub struct DecodedCorrelator {
 }
 
 impl CorrelatorSnapshot {
-    /// Decode into fresh correlator state, interning entity keys and
-    /// palette payloads into `scope`. Fails on a malformed key (nodes,
-    /// ring slots, members, link endpoints, support anchors, latches), a
-    /// step or key ring of the wrong arity, a ring head past its ring, a
-    /// palette key without its payload, or a node naming a missing
-    /// campaign.
-    pub fn decode_in(&self, scope: &simnet::intern::SymScope) -> Result<DecodedCorrelator, String> {
+    /// Decode into fresh correlator state, translating users and palette
+    /// payloads through `syms`. Fails on a key of no entity kind or past
+    /// the universe (nodes, ring slots, members, link endpoints, support
+    /// anchors, latches), a palette payload past the universe, a step or
+    /// key ring of the wrong arity, a ring head past its ring, or a node
+    /// naming a missing campaign.
+    pub fn decode(&self, syms: &SymMap) -> Result<DecodedCorrelator, String> {
         let mut entities = FxHashMap::default();
+        entities.reserve(self.entities.len());
         for (i, e) in self.entities.iter().enumerate() {
             let field = || format!("correlator.entities[{i}]");
-            let id = snapshot_key(&e.entity, scope, || format!("{}.entity", field()))?;
+            let id = snapshot_key(e.entity, syms, || format!("{}.entity", field()))?;
             let steps =
                 <[(SimTime, u16); SEQ_RING]>::try_from(e.steps.as_slice()).map_err(|_| {
                     format!(
@@ -1262,21 +1247,27 @@ impl CorrelatorSnapshot {
                 ..KeyRing::default()
             };
             for (j, (slot, s)) in ring.slots.iter_mut().zip(&k.slots).enumerate() {
-                if let Some((key, ts)) = s {
-                    let id = snapshot_key(key, scope, || format!("{}.slots[{j}]", field()))?;
-                    *slot = Some((id, *ts));
+                if let Some((key, ts)) = *s {
+                    let id = snapshot_key(key, syms, || format!("{}.slots[{j}]", field()))?;
+                    *slot = Some((id, ts));
                 }
             }
-            let key = encode_join_key(k.kind, k.addr, k.palette.as_deref(), scope)
-                .ok_or_else(|| format!("{}.palette: palette join key without payload", field()))?;
+            let key = encode_join_key(k.kind, k.id, syms).ok_or_else(|| {
+                format!(
+                    "{}.id: palette {} is past the {}-symbol universe",
+                    field(),
+                    k.id,
+                    syms.len()
+                )
+            })?;
             keys.insert(key, ring);
         }
         let mut campaigns = FxHashMap::default();
         for (i, c) in self.campaigns.iter().enumerate() {
             let field = || format!("correlator.campaigns[{i}]");
-            let best = match &c.best_key {
+            let best = match c.best_key {
                 Some(k) => (
-                    snapshot_key(k, scope, || format!("{}.best_key", field()))?.raw(),
+                    snapshot_key(k, syms, || format!("{}.best_key", field()))?.raw(),
                     c.best_mass,
                 ),
                 None if c.best_mass > 0.0 => (ANON_SUPPORT, c.best_mass),
@@ -1285,20 +1276,20 @@ impl CorrelatorSnapshot {
             // Exact-capacity vectors: `collect` through a `Result` drops the
             // length hint and regrows.
             let mut members = Vec::with_capacity(c.members.len());
-            for (j, m) in c.members.iter().enumerate() {
-                members.push(snapshot_key(m, scope, || {
+            for (j, &m) in c.members.iter().enumerate() {
+                members.push(snapshot_key(m, syms, || {
                     format!("{}.members[{j}]", field())
                 })?);
             }
             let mut links = Vec::with_capacity(c.links.len());
             for (j, l) in c.links.iter().enumerate() {
-                let end = |key: &str, end: &str| {
-                    snapshot_key(key, scope, || format!("{}.links[{j}].{end}", field()))
+                let end = |key: SnapKey, end: &str| {
+                    snapshot_key(key, syms, || format!("{}.links[{j}].{end}", field()))
                 };
                 let link = CampaignLink {
                     ts: l.ts,
-                    a: end(&l.a, "a")?,
-                    b: end(&l.b, "b")?,
+                    a: end(l.a, "a")?,
+                    b: end(l.b, "b")?,
                     kind: l.kind,
                 };
                 links.push(link);
@@ -1323,8 +1314,8 @@ impl CorrelatorSnapshot {
             }
         }
         let mut promoted_latches = FxHashSet::default();
-        for (i, k) in self.promoted_latches.iter().enumerate() {
-            promoted_latches.insert(snapshot_key(k, scope, || {
+        for (i, &k) in self.promoted_latches.iter().enumerate() {
+            promoted_latches.insert(snapshot_key(k, syms, || {
                 format!("correlator.promoted_latches[{i}]")
             })?);
         }
@@ -1458,38 +1449,28 @@ fn join_keys(alert: &Alert) -> [Option<(u64, LinkKind)>; 4] {
     out
 }
 
-/// Decompose a compact join key for snapshots: palette payloads resolve
-/// to their interned string (sym ids are scope-local), the rest keep
-/// their raw 32-bit payload.
-fn decode_join_key(key: u64, scope: &simnet::intern::SymScope) -> (LinkKind, u32, Option<String>) {
-    let payload = key as u32;
-    match key & !0xFFFF_FFFF {
-        JK_VICTIM => (LinkKind::Victim, payload, None),
-        JK_SOURCE => (LinkKind::Source, payload, None),
-        JK_HOST => (LinkKind::Host, payload, None),
-        JK_PALETTE => (
-            LinkKind::Palette,
-            0,
-            Some(scope.resolve(scope.sym_from_id(payload)).to_string()),
-        ),
+/// Split a compact join key into its kind and payload (an address, a
+/// host id, or a palette symbol id).
+fn decode_join_key(key: u64) -> (LinkKind, u32) {
+    let kind = match key & !0xFFFF_FFFF {
+        JK_VICTIM => LinkKind::Victim,
+        JK_SOURCE => LinkKind::Source,
+        JK_HOST => LinkKind::Host,
+        JK_PALETTE => LinkKind::Palette,
         _ => unreachable!("join key with unknown tag"),
-    }
+    };
+    (kind, key as u32)
 }
 
-/// Rebuild a compact join key from its snapshot form, re-interning
-/// palette payloads in the restoring scope. `None` for a palette key
-/// without its payload.
-fn encode_join_key(
-    kind: LinkKind,
-    addr: u32,
-    palette: Option<&str>,
-    scope: &simnet::intern::SymScope,
-) -> Option<u64> {
+/// Rebuild a compact join key from its snapshot form, translating a
+/// palette payload's universe position through `syms`. `None` for a
+/// palette position past the universe.
+fn encode_join_key(kind: LinkKind, id: u32, syms: &SymMap) -> Option<u64> {
     Some(match kind {
-        LinkKind::Victim => JK_VICTIM | u64::from(addr),
-        LinkKind::Source => JK_SOURCE | u64::from(addr),
-        LinkKind::Host => JK_HOST | u64::from(addr),
-        LinkKind::Palette => JK_PALETTE | u64::from(scope.sym(palette?).id()),
+        LinkKind::Victim => JK_VICTIM | u64::from(id),
+        LinkKind::Source => JK_SOURCE | u64::from(id),
+        LinkKind::Host => JK_HOST | u64::from(id),
+        LinkKind::Palette => JK_PALETTE | u64::from(syms.id(id)?),
     })
 }
 
@@ -1557,43 +1538,18 @@ impl CorrelatedTagger {
         (self.tagger.export_state(), self.correlator.export_state())
     }
 
-    /// [`export_state`](Self::export_state) resolving interned keys
-    /// against an explicit scope (tenant pipelines).
-    pub fn export_state_in(
-        &self,
-        scope: &simnet::intern::SymScope,
-    ) -> (TaggerSnapshot, CorrelatorSnapshot) {
-        (
-            self.tagger.export_state_in(scope),
-            self.correlator.export_state_in(scope),
-        )
-    }
-
-    /// Restore tagger + correlator state from a snapshot pair. Both are
-    /// decoded before either is installed: a malformed snapshot is an
-    /// error naming the field, and leaves the detector unchanged.
+    /// Restore tagger + correlator state from a snapshot pair, translating
+    /// symbols through `syms`. Both are decoded before either is
+    /// installed: a malformed snapshot is an error naming the field, and
+    /// leaves the detector unchanged.
     pub fn import_state(
         &mut self,
         tagger: &TaggerSnapshot,
         correlator: &CorrelatorSnapshot,
+        syms: &SymMap,
     ) -> Result<(), String> {
-        let tagger = tagger.decode_in(&simnet::intern::SymScope::global())?;
-        let correlator = correlator.decode_in(&self.correlator.scope)?;
-        self.tagger.install(tagger);
-        self.correlator.install(correlator);
-        Ok(())
-    }
-
-    /// [`import_state`](Self::import_state) re-interning keys into an
-    /// explicit scope.
-    pub fn import_state_in(
-        &mut self,
-        tagger: &TaggerSnapshot,
-        correlator: &CorrelatorSnapshot,
-        scope: &simnet::intern::SymScope,
-    ) -> Result<(), String> {
-        let tagger = tagger.decode_in(scope)?;
-        let correlator = correlator.decode_in(scope)?;
+        let tagger = tagger.decode(syms)?;
+        let correlator = correlator.decode(syms)?;
         self.tagger.install(tagger);
         self.correlator.install(correlator);
         Ok(())
@@ -2305,9 +2261,10 @@ mod tests {
         let mut head_run = fresh();
         let mut detections = drive(&mut head_run, &stream[..split]);
         let snap = head_run.export_state();
+        let syms = SymMap::replay(&head_run.scope, &head_run.scope.snapshot());
         let mut restored = fresh();
         restored
-            .import_state(&snap)
+            .import_state(&snap, &syms)
             .expect("exported snapshot restores");
         assert_eq!(
             restored.export_state(),
@@ -2350,8 +2307,8 @@ mod tests {
         type Mutation = Box<dyn Fn(&mut CorrelatorSnapshot)>;
         let cases: Vec<(String, Mutation)> = vec![
             (
-                "correlator.entities[0].entity".into(),
-                Box::new(|s| s.entities[0].entity = "not-a-key".into()),
+                "correlator.entities[0].entity: kind 0".into(),
+                Box::new(|s| s.entities[0].entity.kind = 0),
             ),
             (
                 "correlator.entities[0].steps".into(),
@@ -2368,12 +2325,17 @@ mod tests {
                 Box::new(|s| s.keys[0].slots.push(None)),
             ),
             (
-                format!("correlator.keys[{palette}].palette"),
-                Box::new(move |s| s.keys[palette].palette = None),
+                format!("correlator.keys[{palette}].id: palette"),
+                Box::new(move |s| s.keys[palette].id = u32::MAX),
             ),
             (
-                format!("correlator.campaigns[{linked}].links[0].b"),
-                Box::new(move |s| s.campaigns[linked].links[0].b = "addr:1.2.3".into()),
+                format!("correlator.campaigns[{linked}].links[0].b: user"),
+                Box::new(move |s| {
+                    s.campaigns[linked].links[0].b = SnapKey {
+                        kind: SnapKey::USER,
+                        id: u32::MAX,
+                    }
+                }),
             ),
             (
                 format!("correlator.entities[{member}].campaign"),
@@ -2384,7 +2346,7 @@ mod tests {
         for (field, mutate) in cases {
             let mut bad = snap.clone();
             mutate(&mut bad);
-            let err = restored.import_state(&bad).expect_err(&field);
+            let err = restored.import_state(&bad, &syms).expect_err(&field);
             assert!(err.starts_with(&field), "{field}: {err}");
             assert_eq!(restored.export_state(), before, "{field}: state changed");
         }

@@ -704,15 +704,15 @@ impl SymTable {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// A serializable `(id, string)` snapshot, in intern order — lets a
-    /// report, artifact or service snapshot embed the symbol universe it
-    /// references. Lock-free; concurrent interns past the observed length
-    /// are not included.
-    pub fn snapshot(&self) -> Vec<(u32, String)> {
+    /// Every interned string in intern order, so a string's position is
+    /// its id — lets a report, artifact or service snapshot embed the
+    /// symbol universe it references. Lock-free; concurrent interns past
+    /// the observed length are not included.
+    pub fn snapshot(&self) -> Vec<String> {
         let len = self.len.load(Ordering::Acquire);
         (0..len)
             // SAFETY: every id below the published length is initialized.
-            .map(|id| (id, unsafe { self.read_slot(id) }.to_string()))
+            .map(|id| unsafe { self.read_slot(id) }.to_string())
             .collect()
     }
 }
@@ -882,9 +882,46 @@ impl SymScope {
         self.table.payload_bytes()
     }
 
-    /// `(id, string)` snapshot of this scope, in intern order.
-    pub fn snapshot(&self) -> Vec<(u32, String)> {
+    /// This scope's strings in intern order (a string's position is its
+    /// id).
+    pub fn snapshot(&self) -> Vec<String> {
         self.table.snapshot()
+    }
+}
+
+/// Translation from the symbol positions a snapshot stores to ids in the
+/// scope it is restored into. A snapshot names symbols by their position
+/// in its own universe (the exporting scope's strings in intern order);
+/// restoring interns that universe into the target scope, in order, and
+/// looks every stored position up here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SymMap {
+    ids: Vec<u32>,
+}
+
+impl SymMap {
+    /// Intern `universe` into `scope` in order and map each position to
+    /// the id it got. Into a fresh scope that interned the same prefix,
+    /// every string keeps its position and the map is the identity.
+    pub fn replay(scope: &SymScope, universe: &[String]) -> SymMap {
+        SymMap {
+            ids: universe.iter().map(|s| scope.sym(s).id()).collect(),
+        }
+    }
+
+    /// The id position `pos` maps to, or `None` past the universe.
+    #[inline]
+    pub fn id(&self, pos: u32) -> Option<u32> {
+        self.ids.get(pos as usize).copied()
+    }
+
+    /// Number of positions (the universe's length).
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
     }
 }
 
@@ -1088,10 +1125,7 @@ mod tests {
         assert_eq!(t.intern("one"), a);
         assert_eq!(t.resolve(b), "two");
         assert_eq!(t.len(), 3);
-        let snap = t.snapshot();
-        assert_eq!(snap[0], (0, String::new()));
-        assert_eq!(snap[1], (1, "one".to_string()));
-        assert_eq!(snap[2], (2, "two".to_string()));
+        assert_eq!(t.snapshot(), ["", "one", "two"]);
     }
 
     #[test]

@@ -625,13 +625,7 @@ mod tests {
             // `rescope` interns in the same order into a fresh scope.
             let scope = SymScope::fresh();
             record.rescope(&SymScope::global(), &scope);
-            let universe: Vec<String> = scope
-                .snapshot()
-                .into_iter()
-                .skip(1)
-                .map(|(_, s)| s)
-                .collect();
-            assert_eq!(universe, expected, "{:?}", record.kind());
+            assert_eq!(scope.snapshot()[1..], *expected, "{:?}", record.kind());
         }
     }
 

@@ -19,8 +19,8 @@
 //!   rewrites the owned batch in place ([`LogRecord::remap_syms`])
 //!   through a per-session memo indexed by global symbol id, so each
 //!   distinct string is re-interned once, in the order
-//!   [`LogRecord::rescope`] would intern it. Snapshots persist canonical
-//!   strings, never raw symbol ids.
+//!   [`LogRecord::rescope`] would intern it. Snapshots never persist raw
+//!   symbol ids: they name symbols by position in the tenant's universe.
 //! - **Snapshot / restore**: [`ServiceHandle::snapshot`] captures a
 //!   tenant's full mid-stream detection state — scan-filter windows,
 //!   tagger posteriors, the campaign graph, stream counters, and the
@@ -28,7 +28,10 @@
 //!   JSON ([`ServiceSnapshot::to_json`] / [`ServiceSnapshot::from_json`]).
 //!   Restoring it into a fresh process and replaying the stream tail
 //!   yields byte-identical detections to the uninterrupted run: a service
-//!   restart loses no detections.
+//!   restart loses no detections. Restore interns the universe into the
+//!   tenant's scope and translates every stored position through the
+//!   resulting [`SymMap`], so a snapshot also restores into a scope that
+//!   already holds other symbols.
 //!
 //! Retained-alert analysis buffers are deliberately *not* part of the
 //! snapshot: they are a reporting tee, not detection state, so a restored
@@ -42,7 +45,7 @@ use std::thread::JoinHandle;
 use alertlib::filter::FilterSnapshot;
 use detect::attack_tagger::TaggerSnapshot;
 use detect::correlate::CorrelatorSnapshot;
-use simnet::intern::{Sym, SymScope, TenantId, TenantSymbols};
+use simnet::intern::{Sym, SymMap, SymScope, TenantId, TenantSymbols};
 use simnet::rng::FxHashMap;
 use telemetry::record::LogRecord;
 
@@ -97,9 +100,10 @@ impl fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {}
 
 /// Everything a tenant session needs to survive a process restart, in
-/// process-independent form (entities and symbols as strings, never raw
-/// interner ids). Produced by [`ServiceHandle::snapshot`], consumed by
-/// [`ServiceHandle::restore`]; [`to_json`](ServiceSnapshot::to_json) /
+/// process-independent form: symbols are positions in `sym_universe`,
+/// never raw interner ids. Produced by [`ServiceHandle::snapshot`],
+/// consumed by [`ServiceHandle::restore`];
+/// [`to_json`](ServiceSnapshot::to_json) /
 /// [`from_json`](ServiceSnapshot::from_json) round-trip it through disk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceSnapshot {
@@ -114,10 +118,10 @@ pub struct ServiceSnapshot {
     pub tagger: Option<TaggerSnapshot>,
     /// Campaign graph; `None` when correlation is off.
     pub correlator: Option<CorrelatorSnapshot>,
-    /// The tenant's scoped symbol universe, `(id, string)` in intern
-    /// order. Ids are process-local bookkeeping; restore re-interns the
-    /// strings and assigns fresh ids.
-    pub sym_universe: Vec<(u32, String)>,
+    /// The tenant's scoped symbol universe in intern order. Every user
+    /// and palette payload in the state above is a position in it;
+    /// restore re-interns the strings and translates the positions.
+    pub sym_universe: Vec<String>,
 }
 
 /// One tenant's live pipeline session inside the worker.
@@ -286,11 +290,13 @@ impl ServiceHandle {
     }
 
     /// Flush every live session and return `(tenant, final report)`
-    /// pairs, ascending by tenant.
+    /// pairs, ascending by tenant. A worker that panicked re-raises its
+    /// panic here rather than losing every report silently.
     pub fn shutdown(mut self) -> Vec<(TenantId, StreamReport)> {
         let _ = self.tx.send(Control::Shutdown);
-        match self.worker.take() {
-            Some(h) => h.join().unwrap_or_default(),
+        match self.worker.take().map(JoinHandle::join) {
+            Some(Ok(reports)) => reports,
+            Some(Err(panic)) => std::panic::resume_unwind(panic),
             None => Vec::new(),
         }
     }
@@ -393,14 +399,15 @@ fn session_entry<'a>(
 
 fn export_session(tenant: TenantId, session: &TenantSession) -> ServiceSnapshot {
     let core = &session.core;
-    let scope = &session.scope;
     ServiceSnapshot {
         tenant,
         stats: core.stats,
-        filter: core.filter.filter().export_state(scope),
-        tagger: core.detect.as_tagger().map(|t| t.export_state_in(scope)),
-        correlator: core.correlate.as_ref().map(|c| c.export_state_in(scope)),
-        sym_universe: scope.snapshot(),
+        filter: core.filter.filter().export_state(),
+        tagger: core.detect.as_tagger().map(|t| t.export_state()),
+        correlator: core.correlate.as_ref().map(|c| c.export_state()),
+        // Read last: every symbol the state names is already interned,
+        // and a symbol's id is its position here.
+        sym_universe: session.scope.snapshot(),
     }
 }
 
@@ -421,26 +428,21 @@ fn import_session(session: &mut TenantSession, snap: &ServiceSnapshot) -> Result
                 .into(),
         ));
     }
-    let scope = session.scope.clone();
-    // Replay the symbol universe FIRST, in intern order, so every string
-    // gets the id it had in the snapshotting process. State decoding below
-    // re-interns entity and palette strings in snapshot-iteration order;
-    // if those assignments came first, ids (and everything derived from
-    // them — entity raw keys, link orientation, join-key values) would
-    // drift from the uninterrupted run. A restore that then fails leaves
-    // these strings interned: tenant tables are append-only, and the
-    // session's memo and state stay valid.
-    for (_, s) in &snap.sym_universe {
-        scope.sym(s);
-    }
+    // Intern the universe in order. Into a fresh tenant (whose pipeline
+    // interned the same palette prefix at construction) every string
+    // keeps its position as its id, so entity raw keys, link orientation
+    // and join-key values match the snapshotting process. A restore that
+    // then fails leaves these strings interned: tenant tables are
+    // append-only, and the session's memo and state stay valid.
+    let syms = SymMap::replay(&session.scope, &snap.sym_universe);
     // Decode everything before installing anything: a restore is
     // all-or-nothing.
     let tagger = (snap.tagger.as_ref())
-        .map(|t| t.decode_in(&scope))
+        .map(|t| t.decode(&syms))
         .transpose()
         .map_err(ServiceError::MalformedSnapshot)?;
     let correlator = (snap.correlator.as_ref())
-        .map(|c| c.decode_in(&scope))
+        .map(|c| c.decode(&syms))
         .transpose()
         .map_err(ServiceError::MalformedSnapshot)?;
     // The filter decodes into fresh state and installs it only on success.
@@ -448,7 +450,7 @@ fn import_session(session: &mut TenantSession, snap: &ServiceSnapshot) -> Result
         .core
         .filter
         .filter_mut()
-        .import_state(&snap.filter, &scope)
+        .import_state(&snap.filter, &syms)
         .map_err(ServiceError::MalformedSnapshot)?;
     if let Some(tagger) = tagger {
         session
@@ -632,6 +634,40 @@ mod tests {
         }
     }
 
+    /// A notification backend that panics: any detection takes the
+    /// worker down.
+    struct PanickingNotify;
+
+    impl crate::stage::NotifyBackend for PanickingNotify {
+        fn try_notify(
+            &mut self,
+            _: &crate::report::OperatorNotification,
+        ) -> Result<(), bhr::retry::BlockError> {
+            panic!("notify backend exploded");
+        }
+    }
+
+    /// A worker that died must not shut down as if it had no tenants:
+    /// `shutdown` re-raises its panic instead of returning no reports.
+    #[test]
+    #[should_panic(expected = "notify backend exploded")]
+    fn shutdown_reraises_a_dead_workers_panic() {
+        let service = ServiceHandle::spawn(ServiceConfig::default(), |_, scope| {
+            PipelineBuilder::new()
+                .tagger(AttackTagger::new(
+                    toy_training_model(),
+                    TaggerConfig::default(),
+                ))
+                .notify_backend(PanickingNotify)
+                .scope(scope)
+                .build()
+        });
+        service
+            .ingest(TenantId(1), attack_records("eve", 10))
+            .unwrap();
+        service.shutdown();
+    }
+
     #[test]
     fn tenants_are_isolated_and_reported_separately() {
         let service = ServiceHandle::spawn(ServiceConfig::default(), factory());
@@ -670,8 +706,8 @@ mod tests {
     }
 
     /// The memo hit path skips `global.resolve`, so it must keep the
-    /// debug cross-table guard itself. Tested on the helper directly: a
-    /// panic on the service worker is swallowed by `shutdown`.
+    /// debug cross-table guard itself. Tested on the helper directly, so
+    /// the panic is raised on the test's own thread.
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "non-global symbol")]
@@ -832,10 +868,13 @@ mod tests {
         service.ingest(t1, attack_records("eve", 0)).unwrap();
         service.ingest(t2, attack_records("trent", 0)).unwrap();
         let before = service.snapshot(t1).unwrap();
-        // A corrupt entity key survives the wire codec: only the restore
-        // can refuse it.
+        // An entity past the universe survives the wire codec: only the
+        // restore can refuse it.
         let mut bad = before.clone();
-        bad.tagger.as_mut().unwrap().entities[0].entity = "not-a-key".into();
+        bad.tagger.as_mut().unwrap().entities[0].entity = alertlib::alert::SnapKey {
+            kind: alertlib::alert::SnapKey::USER,
+            id: before.sym_universe.len() as u32,
+        };
         let bad = ServiceSnapshot::from_json(&bad.to_json()).expect("decodes");
         match service.restore(bad) {
             Err(ServiceError::MalformedSnapshot(why)) => {
@@ -945,7 +984,7 @@ mod tests {
         service.ingest(tenant, attack_records("eve", 0)).unwrap();
         let snap = service.snapshot(tenant).unwrap();
         assert!(
-            snap.sym_universe.iter().any(|(_, s)| s == "eve"),
+            snap.sym_universe.iter().any(|s| s == "eve"),
             "ingested user names populate the scoped universe: {:?}",
             snap.sym_universe
         );
@@ -953,7 +992,7 @@ mod tests {
         let service = ServiceHandle::spawn(ServiceConfig::default(), factory());
         service.restore(snap).unwrap();
         let again = service.snapshot(tenant).unwrap();
-        assert!(again.sym_universe.iter().any(|(_, s)| s == "eve"));
+        assert!(again.sym_universe.iter().any(|s| s == "eve"));
     }
 
     #[test]

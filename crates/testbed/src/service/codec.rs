@@ -1,37 +1,51 @@
 //! JSON wire format for [`ServiceSnapshot`] — the on-disk shape of a
 //! tenant's detection state across service restarts.
 //!
-//! The codec streams in both directions; there is no intermediate
-//! `serde_json::Value` tree. [`Writer`] appends the pretty-printed
-//! document into one pre-sized `String`. [`Reader`] pulls tokens off the
-//! input bytes, matches object keys as borrowed slices and decodes
-//! straight into the snapshot structs, so a restore allocates little
-//! beyond the decoded strings and vectors themselves.
+//! Format 2, the only one written, is compact JSON: no whitespace, fixed
+//! key order, and no entity or palette strings. Every key is a `[kind,
+//! id]` integer pair (see [`SnapKey`]); palette join keys carry an `id`.
+//! User and palette ids are positions in `sym_universe`, a plain string
+//! array holding each symbol once.
 //!
-//! The bytes are exactly what `serde_json::to_string_pretty` prints for
-//! the equivalent tree: two-space indent, fixed key order, `"`, `\\`,
-//! `\n`, `\r`, `\t` and other control bytes (as `\u00xx`) escaped, floats
-//! in Rust's shortest-repr `Display` text (non-finite as `null`). Floats
-//! round-trip exactly, negative zero included: float fields parse their
-//! number token with `f64::from_str`.
+//! The codec streams in both directions; there is no intermediate
+//! `serde_json::Value` tree. [`Writer`] appends the document into one
+//! pre-sized `String`. [`Reader`] pulls tokens off the input bytes,
+//! matches object keys as borrowed slices and decodes straight into the
+//! snapshot structs, so a restore allocates little beyond the universe's
+//! strings and the decoded vectors themselves.
+//!
+//! The bytes are exactly what `serde_json::to_string` prints for the
+//! equivalent tree: `"`, `\\`, `\n`, `\r`, `\t` and other control bytes
+//! (as `\u00xx`) escaped, floats in Rust's shortest-repr `Display` text
+//! (non-finite as `null`). Floats round-trip exactly, negative zero
+//! included: float fields parse their number token with `f64::from_str`.
 //!
 //! Decoding accepts keys in any order, skips unknown keys after
 //! validating their JSON (nesting bounded by [`MAX_DEPTH`]), and keeps the
 //! first occurrence of a repeated key. A missing or `null` `tagger` /
 //! `correlator` decodes to `None`; every other missing field, wrong type,
 //! out-of-range integer, wrong tuple arity, unknown link kind or trailing
-//! byte is an `Err` naming the field.
+//! byte is an `Err` naming the field. Whether an id fits the universe is
+//! the restore's check, not the codec's.
+//!
+//! Format 1 (pretty-printed, with canonical key strings such as
+//! `user:alice`, `addr:10.0.0.5` and `src:10.0.0.9`, palette payloads as
+//! strings and an `[id, string]` universe) is still read. Its strings are
+//! resolved against the document's own universe; names missing from it
+//! are appended in the order the document first mentions them.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::net::Ipv4Addr;
 
-use alertlib::alert::EntityKey;
+use alertlib::alert::SnapKey;
 use alertlib::filter::FilterStats;
 use alertlib::filter::{FilterSnapshot, FilterWindowSnapshot};
 use detect::attack_tagger::{EntityStateSnapshot, TaggerSnapshot};
 use detect::correlate::{
     CampaignSnapshot, CorrelatorEntitySnapshot, CorrelatorSnapshot, JoinKeySnapshot, LinkKind,
-    LinkSummary,
+    LinkSnapshot,
 };
 use simnet::intern::TenantId;
 use simnet::time::SimTime;
@@ -41,13 +55,16 @@ use crate::streaming::StreamStats;
 
 /// Wire-format version; bumped on incompatible shape changes so a stale
 /// fixture fails loudly instead of restoring garbage.
-const FORMAT: u64 = 1;
+const FORMAT: u64 = 2;
+
+/// The older, string-keyed format this build still reads.
+const FORMAT_V1: u64 = 1;
 
 /// Deepest nesting accepted inside an unknown key's value.
 const MAX_DEPTH: usize = 128;
 
 impl ServiceSnapshot {
-    /// Serialize to the pretty-printed JSON wire format.
+    /// Serialize to the compact JSON wire format.
     pub fn to_json(&self) -> String {
         let mut w = Writer::with_capacity(self.wire_len_hint());
         w.object(|w| {
@@ -67,20 +84,32 @@ impl ServiceSnapshot {
                 Some(c) => write_correlator(w, c),
                 None => w.null(),
             }
-            w.key("sym_universe").seq(&self.sym_universe, |w, (id, s)| {
-                w.array(|w| {
-                    w.item().uint(*id);
-                    w.item().str(s);
-                })
-            });
+            w.key("sym_universe")
+                .seq(&self.sym_universe, |w, s| w.str(s));
         });
         w.out
     }
 
-    /// Parse the wire format back. Errors carry the field name and byte
-    /// offset so a corrupt fixture points at its own breakage.
+    /// Parse the wire format (2, or the older 1) back. Errors carry the
+    /// field name and byte offset so a corrupt fixture points at its own
+    /// breakage.
     pub fn from_json(text: &str) -> Result<ServiceSnapshot, String> {
+        let format = top_level(text, "format", Reader::uint)?
+            .ok_or_else(|| "snapshot JSON: `format` missing".to_string())?;
         let mut r = Reader::new(text);
+        match format {
+            FORMAT => {}
+            FORMAT_V1 => {
+                let universe = top_level(text, "sym_universe", |r, f| r.vec(f, read_v1_symbol))?
+                    .ok_or_else(|| "snapshot JSON: `sym_universe` missing".to_string())?;
+                r.v1 = Some(V1Names::new(universe));
+            }
+            other => {
+                return Err(format!(
+                    "snapshot format {other} (this build reads {FORMAT} and {FORMAT_V1})"
+                ))
+            }
+        }
         let snap = read_snapshot(&mut r)?;
         if r.peek().is_some() {
             return Err(format!(
@@ -91,42 +120,39 @@ impl ServiceSnapshot {
         Ok(snap)
     }
 
-    /// Encoded size from typical pretty-printed bytes per item, with an
-    /// eighth of headroom so the output buffer is allocated once.
+    /// Encoded size from typical bytes per item, with an eighth of
+    /// headroom so the output buffer is allocated once.
     fn wire_len_hint(&self) -> usize {
         let tagger = self.tagger.as_ref().map_or(0, |t| {
-            t.entities
+            let entities: usize = t
+                .entities
                 .iter()
-                .map(|e| 200 + 32 * e.alpha.len() + 60 * e.recent.len())
-                .sum()
+                .map(|e| 120 + 22 * e.alpha.len() + 24 * e.recent.len())
+                .sum();
+            entities + 16 * t.evicted_latches.len()
         });
         let correlator = self.correlator.as_ref().map_or(0, |c| {
-            let entities: usize = c.entities.iter().map(|e| 270 + 60 * e.steps.len()).sum();
-            let keys: usize = c.keys.iter().map(|k| 120 + 60 * k.slots.len()).sum();
+            let entities: usize = c.entities.iter().map(|e| 130 + 24 * e.steps.len()).sum();
+            let keys: usize = c.keys.iter().map(|k| 60 + 36 * k.slots.len()).sum();
             let campaigns: usize = c
                 .campaigns
                 .iter()
-                .map(|cs| 300 + 40 * cs.members.len() + 120 * cs.links.len())
+                .map(|cs| 200 + 16 * cs.members.len() + 60 * cs.links.len())
                 .sum();
-            entities + keys + campaigns
+            entities + keys + campaigns + 16 * c.promoted_latches.len()
         });
-        let bytes = 1024
-            + 130 * self.filter.windows.len()
-            + tagger
-            + correlator
-            + 42 * self.sym_universe.len();
+        let universe: usize = self.sym_universe.iter().map(|s| s.len() + 3).sum();
+        let bytes = 1024 + 90 * self.filter.windows.len() + tagger + correlator + universe;
         bytes + bytes / 8
     }
 }
 
 // ---- encode ----
 
-/// Pretty JSON writer over one growing `String`, byte-identical to the
-/// `serde_json` pretty printer.
+/// Compact JSON writer over one growing `String`, byte-identical to the
+/// `serde_json` compact printer.
 struct Writer {
     out: String,
-    /// Nesting depth of the container being written.
-    depth: usize,
     /// Whether the innermost open container has no items yet.
     empty: bool,
 }
@@ -135,20 +161,15 @@ impl Writer {
     fn with_capacity(bytes: usize) -> Self {
         Writer {
             out: String::with_capacity(bytes),
-            depth: 0,
             empty: true,
         }
     }
 
     fn container(&mut self, open: char, close: char, body: impl FnOnce(&mut Self)) {
         self.out.push(open);
-        self.depth += 1;
         let outer = std::mem::replace(&mut self.empty, true);
         body(self);
-        self.depth -= 1;
-        if !std::mem::replace(&mut self.empty, outer) {
-            self.newline();
-        }
+        self.empty = outer;
         self.out.push(close);
     }
 
@@ -174,7 +195,6 @@ impl Writer {
         if !std::mem::replace(&mut self.empty, false) {
             self.out.push(',');
         }
-        self.newline();
         self
     }
 
@@ -183,19 +203,8 @@ impl Writer {
         self.item();
         self.out.push('"');
         self.out.push_str(key);
-        self.out.push_str("\": ");
+        self.out.push_str("\":");
         self
-    }
-
-    fn newline(&mut self) {
-        const SPACES: &str = "                                ";
-        self.out.push('\n');
-        let mut width = 2 * self.depth;
-        while width > 0 {
-            let run = width.min(SPACES.len());
-            self.out.push_str(&SPACES[..run]);
-            width -= run;
-        }
     }
 
     fn null(&mut self) {
@@ -261,11 +270,16 @@ impl Writer {
         self.out.push('"');
     }
 
-    fn opt_str(&mut self, s: &Option<String>) {
-        match s {
-            Some(s) => self.str(s),
-            None => self.null(),
-        }
+    /// `[kind, id]`.
+    fn snap_key(&mut self, k: SnapKey) {
+        self.array(|w| {
+            w.item().uint(k.kind);
+            w.item().uint(k.id);
+        })
+    }
+
+    fn snap_keys(&mut self, keys: &[SnapKey]) {
+        self.seq(keys, |w, &k| w.snap_key(k))
     }
 
     /// `[ts, kind]` step-ring slots.
@@ -276,10 +290,6 @@ impl Writer {
                 w.item().uint(kind);
             })
         })
-    }
-
-    fn strings(&mut self, items: &[String]) {
-        self.seq(items, |w, s| w.str(s))
     }
 }
 
@@ -296,7 +306,7 @@ fn write_filter(w: &mut Writer, f: &FilterSnapshot) {
     w.object(|w| {
         w.key("windows").seq(&f.windows, |w, win| {
             w.object(|w| {
-                w.key("source").str(&win.source);
+                w.key("source").snap_key(win.source);
                 w.key("kind").uint(win.kind);
                 w.key("start").time(win.start);
                 w.key("admitted").uint(win.admitted);
@@ -313,7 +323,7 @@ fn write_tagger(w: &mut Writer, t: &TaggerSnapshot) {
     w.object(|w| {
         w.key("entities").seq(&t.entities, |w, e| {
             w.object(|w| {
-                w.key("entity").str(&e.entity);
+                w.key("entity").snap_key(e.entity);
                 w.key("alpha").seq(&e.alpha, |w, &p| w.f64(p));
                 w.key("steps").uint(e.steps as u64);
                 w.key("detected").bool(e.detected);
@@ -322,7 +332,7 @@ fn write_tagger(w: &mut Writer, t: &TaggerSnapshot) {
                 w.key("recent_head").uint(e.recent_head);
             })
         });
-        w.key("evicted_latches").strings(&t.evicted_latches);
+        w.key("evicted_latches").snap_keys(&t.evicted_latches);
         w.key("duplicates_suppressed").uint(t.duplicates_suppressed);
         w.key("entities_evicted").uint(t.entities_evicted);
     })
@@ -332,7 +342,7 @@ fn write_correlator(w: &mut Writer, c: &CorrelatorSnapshot) {
     w.object(|w| {
         w.key("entities").seq(&c.entities, |w, e| {
             w.object(|w| {
-                w.key("entity").str(&e.entity);
+                w.key("entity").snap_key(e.entity);
                 w.key("campaign").uint(e.campaign);
                 w.key("mass").f64(e.mass);
                 w.key("last_ts").time(e.last_ts);
@@ -345,12 +355,11 @@ fn write_correlator(w: &mut Writer, c: &CorrelatorSnapshot) {
         w.key("keys").seq(&c.keys, |w, k| {
             w.object(|w| {
                 w.key("kind").str(k.kind.as_str());
-                w.key("addr").uint(k.addr);
-                w.key("palette").opt_str(&k.palette);
-                w.key("slots").seq(&k.slots, |w, slot| match slot {
+                w.key("id").uint(k.id);
+                w.key("slots").seq(&k.slots, |w, slot| match *slot {
                     Some((entity, ts)) => w.array(|w| {
-                        w.item().str(entity);
-                        w.item().time(*ts);
+                        w.item().snap_key(entity);
+                        w.item().time(ts);
                     }),
                     None => w.null(),
                 });
@@ -360,16 +369,20 @@ fn write_correlator(w: &mut Writer, c: &CorrelatorSnapshot) {
         w.key("campaigns").seq(&c.campaigns, |w, cs| {
             w.object(|w| {
                 w.key("id").uint(cs.id);
-                w.key("members").strings(&cs.members);
+                w.key("members").snap_keys(&cs.members);
                 w.key("links").seq(&cs.links, |w, l| {
                     w.array(|w| {
                         w.item().time(l.ts);
-                        w.item().str(&l.a);
-                        w.item().str(&l.b);
+                        w.item().snap_key(l.a);
+                        w.item().snap_key(l.b);
                         w.item().str(l.kind.as_str());
                     })
                 });
-                w.key("best_key").opt_str(&cs.best_key);
+                w.key("best_key");
+                match cs.best_key {
+                    Some(k) => w.snap_key(k),
+                    None => w.null(),
+                }
                 w.key("best_mass").f64(cs.best_mass);
                 w.key("second").f64(cs.second);
                 w.key("support_ts").time(cs.support_ts);
@@ -377,7 +390,7 @@ fn write_correlator(w: &mut Writer, c: &CorrelatorSnapshot) {
                 w.key("detections").uint(cs.detections);
             })
         });
-        w.key("promoted_latches").strings(&c.promoted_latches);
+        w.key("promoted_latches").snap_keys(&c.promoted_latches);
         w.key("next_campaign").uint(c.next_campaign);
         w.key("promotions").uint(c.promotions);
         w.key("tagger_confirmations").uint(c.tagger_confirmations);
@@ -395,17 +408,78 @@ struct Reader<'a> {
     text: &'a str,
     pos: usize,
     scratch: Scratch,
+    /// Set while reading a format-1 document: its key strings resolve
+    /// against these names.
+    v1: Option<V1Names>,
 }
 
 /// Reused buffers for the short arrays inside entities, join keys and
 /// campaigns: items are decoded here, then copied out at their final
 /// length, so each decoded vector allocates exactly once.
+#[derive(Default)]
 struct Scratch {
     floats: Vec<f64>,
     steps: Vec<(SimTime, u16)>,
-    slots: Vec<Option<(String, SimTime)>>,
-    strings: Vec<String>,
-    links: Vec<LinkSummary>,
+    slots: Vec<Option<(SnapKey, SimTime)>>,
+    keys: Vec<SnapKey>,
+    links: Vec<LinkSnapshot>,
+}
+
+/// A format-1 document's universe, growing as its key strings name
+/// symbols it lacks.
+struct V1Names {
+    universe: Vec<String>,
+    positions: HashMap<String, u32>,
+}
+
+impl V1Names {
+    fn new(universe: Vec<String>) -> Self {
+        let mut positions = HashMap::with_capacity(universe.len());
+        for (i, s) in universe.iter().enumerate() {
+            positions.entry(s.clone()).or_insert(i as u32);
+        }
+        V1Names {
+            universe,
+            positions,
+        }
+    }
+
+    /// `name`'s position, appending it when the universe lacks it.
+    fn position(&mut self, name: &str) -> u32 {
+        if let Some(&at) = self.positions.get(name) {
+            return at;
+        }
+        let at = self.universe.len() as u32;
+        self.universe.push(name.to_owned());
+        self.positions.insert(name.to_owned(), at);
+        at
+    }
+
+    /// A canonical key string: `user:…`, `addr:…`, `unknown`, or `src:…`
+    /// for an anonymous-source filter window.
+    fn key(&mut self, key: &str) -> Option<SnapKey> {
+        if key == "unknown" {
+            return Some(SnapKey {
+                kind: SnapKey::UNKNOWN,
+                id: 0,
+            });
+        }
+        if let Some(user) = key.strip_prefix("user:") {
+            return Some(SnapKey {
+                kind: SnapKey::USER,
+                id: self.position(user),
+            });
+        }
+        let (kind, addr) = match key.strip_prefix("addr:") {
+            Some(addr) => (SnapKey::ADDR, addr),
+            None => (SnapKey::SOURCE, key.strip_prefix("src:")?),
+        };
+        let addr: Ipv4Addr = addr.parse().ok()?;
+        Some(SnapKey {
+            kind,
+            id: u32::from(addr),
+        })
+    }
 }
 
 impl<'a> Reader<'a> {
@@ -413,15 +487,8 @@ impl<'a> Reader<'a> {
         Reader {
             text,
             pos: 0,
-            // Posteriors and rings are a few slots wide; campaigns can
-            // hold hundreds of members and links.
-            scratch: Scratch {
-                floats: Vec::with_capacity(16),
-                steps: Vec::with_capacity(16),
-                slots: Vec::with_capacity(16),
-                strings: Vec::with_capacity(256),
-                links: Vec::with_capacity(256),
-            },
+            scratch: Scratch::default(),
+            v1: None,
         }
     }
 
@@ -602,11 +669,30 @@ impl<'a> Reader<'a> {
         self.string(field).map(Cow::into_owned)
     }
 
-    fn opt_string(&mut self, field: &str) -> Res<Option<String>> {
+    /// An entity or filter-source key: `[kind, id]`, or in a format-1
+    /// document its canonical string.
+    fn key(&mut self, field: &str) -> Res<SnapKey> {
+        if self.v1.is_some() {
+            let key = self.string(field)?;
+            let names = self.v1.as_mut().expect("checked above");
+            return match names.key(&key) {
+                Some(k) => Ok(k),
+                None => Err(self.err(field, format_args!("malformed entity key {key:?}"))),
+            };
+        }
+        self.expect(b'[', field)?;
+        let kind = self.uint(field)?;
+        self.expect(b',', field)?;
+        let id = self.uint(field)?;
+        self.expect(b']', field)?;
+        Ok(SnapKey { kind, id })
+    }
+
+    fn opt_key(&mut self, field: &str) -> Res<Option<SnapKey>> {
         if self.null() {
             Ok(None)
         } else {
-            self.owned_string(field).map(Some)
+            self.key(field).map(Some)
         }
     }
 
@@ -715,41 +801,71 @@ macro_rules! read_struct {
     }};
 }
 
+/// The first value of the document's top-level member `name`, read by
+/// `read`: a pass that validates and skips the members before it. How
+/// the rest of the document reads depends on its `format`, and a format-1
+/// document's keys on its `sym_universe`, wherever they sit.
+fn top_level<'a, T>(
+    text: &'a str,
+    name: &str,
+    read: impl FnOnce(&mut Reader<'a>, &str) -> Res<T>,
+) -> Res<Option<T>> {
+    let mut r = Reader::new(text);
+    r.expect(b'{', "snapshot")?;
+    if r.eat(b'}') {
+        return Ok(None);
+    }
+    loop {
+        let key = r.string("snapshot")?;
+        r.expect(b':', &key)?;
+        if key == name {
+            return read(&mut r, name).map(Some);
+        }
+        r.skip(&key, 0)?;
+        if !r.more(b'}', "snapshot")? {
+            return Ok(None);
+        }
+    }
+}
+
+/// A format-1 universe entry, `[id, string]`; positions, not the stored
+/// ids, name symbols.
+fn read_v1_symbol(r: &mut Reader, field: &str) -> Res<String> {
+    r.expect(b'[', field)?;
+    r.uint::<u32>(field)?;
+    r.expect(b',', field)?;
+    let s = r.owned_string(field)?;
+    r.expect(b']', field)?;
+    Ok(s)
+}
+
 fn read_snapshot(r: &mut Reader) -> Res<ServiceSnapshot> {
-    let (mut format, mut tenant, mut stats, mut filter) = (None, None, None, None);
+    let (mut tenant, mut stats, mut filter) = (None, None, None);
     let (mut tagger, mut correlator, mut sym_universe) = (None, None, None);
+    let v1 = r.v1.is_some();
+    // `format` (and a format-1 universe) were read up front.
     r.object("snapshot", |r, key| match key {
-        "format" => r.field(&mut format, key, |r, f| match r.uint(f)? {
-            FORMAT => Ok(FORMAT),
-            other => Err(format!(
-                "snapshot format {other} (this build reads {FORMAT})"
-            )),
-        }),
         "tenant" => r.field(&mut tenant, key, Reader::uint),
         "stats" => r.field(&mut stats, key, read_stats),
         "filter" => r.field(&mut filter, key, read_filter),
         "tagger" => r.field(&mut tagger, key, |r, f| nullable(r, f, read_tagger)),
         "correlator" => r.field(&mut correlator, key, |r, f| nullable(r, f, read_correlator)),
-        "sym_universe" => r.field(&mut sym_universe, key, |r, f| {
-            r.vec(f, |r, f| {
-                r.expect(b'[', f)?;
-                let id = r.uint(f)?;
-                r.expect(b',', f)?;
-                let s = r.owned_string(f)?;
-                r.expect(b']', f)?;
-                Ok((id, s))
-            })
+        "sym_universe" if !v1 => r.field(&mut sym_universe, key, |r, f| {
+            r.vec(f, Reader::owned_string)
         }),
         _ => Ok(false),
     })?;
-    need(format, "format")?;
+    let sym_universe = match r.v1.take() {
+        Some(names) => names.universe,
+        None => need(sym_universe, "sym_universe")?,
+    };
     Ok(ServiceSnapshot {
         tenant: TenantId(need(tenant, "tenant")?),
         stats: need(stats, "stats")?,
         filter: need(filter, "filter")?,
         tagger: tagger.flatten(),
         correlator: correlator.flatten(),
-        sym_universe: need(sym_universe, "sym_universe")?,
+        sym_universe,
     })
 }
 
@@ -840,12 +956,16 @@ fn read_window(r: &mut Reader, field: &str) -> Res<FilterWindowSnapshot> {
         r,
         field,
         FilterWindowSnapshot {
-            source: Reader::owned_string,
+            source: Reader::key,
             kind: Reader::uint,
             start: Reader::time,
             admitted: Reader::uint,
         }
     )
+}
+
+fn read_keys(r: &mut Reader, field: &str) -> Res<Vec<SnapKey>> {
+    r.short_vec(field, |s| &mut s.keys, Reader::key)
 }
 
 fn read_tagger(r: &mut Reader, field: &str) -> Res<TaggerSnapshot> {
@@ -854,7 +974,7 @@ fn read_tagger(r: &mut Reader, field: &str) -> Res<TaggerSnapshot> {
         field,
         TaggerSnapshot {
             entities: |r, f| r.vec(f, read_tagger_entity),
-            evicted_latches: |r, f| r.vec(f, Reader::owned_string),
+            evicted_latches: read_keys,
             duplicates_suppressed: Reader::uint,
             entities_evicted: Reader::uint,
         }
@@ -866,7 +986,7 @@ fn read_tagger_entity(r: &mut Reader, field: &str) -> Res<EntityStateSnapshot> {
         r,
         field,
         EntityStateSnapshot {
-            entity: Reader::owned_string,
+            entity: Reader::key,
             alpha: |r, f| r.short_vec(f, |s| &mut s.floats, Reader::f64),
             steps: Reader::uint,
             detected: Reader::bool,
@@ -885,7 +1005,7 @@ fn read_correlator(r: &mut Reader, field: &str) -> Res<CorrelatorSnapshot> {
             entities: |r, f| r.vec(f, read_correlator_entity),
             keys: |r, f| r.vec(f, read_join_key),
             campaigns: |r, f| r.vec(f, read_campaign),
-            promoted_latches: |r, f| r.vec(f, Reader::owned_string),
+            promoted_latches: read_keys,
             next_campaign: Reader::uint,
             promotions: Reader::uint,
             tagger_confirmations: Reader::uint,
@@ -899,7 +1019,7 @@ fn read_correlator_entity(r: &mut Reader, field: &str) -> Res<CorrelatorEntitySn
         r,
         field,
         CorrelatorEntitySnapshot {
-            entity: Reader::owned_string,
+            entity: Reader::key,
             campaign: Reader::uint,
             mass: Reader::f64,
             last_ts: Reader::time,
@@ -912,33 +1032,60 @@ fn read_correlator_entity(r: &mut Reader, field: &str) -> Res<CorrelatorEntitySn
 }
 
 fn read_join_key(r: &mut Reader, field: &str) -> Res<JoinKeySnapshot> {
-    read_struct!(
-        r,
-        field,
-        JoinKeySnapshot {
-            kind: link_kind,
-            addr: Reader::uint,
-            palette: Reader::opt_string,
-            slots: |r, f| {
-                r.short_vec(
-                    f,
-                    |s| &mut s.slots,
-                    |r, f| {
-                        if r.null() {
-                            return Ok(None);
-                        }
-                        r.expect(b'[', f)?;
-                        let entity = r.owned_string(f)?;
-                        r.expect(b',', f)?;
-                        let ts = r.time(f)?;
-                        r.expect(b']', f)?;
-                        Ok(Some((entity, ts)))
-                    },
-                )
-            },
-            head: Reader::uint,
+    // Format 1 splits the payload into `addr` and a `palette` string.
+    let (mut kind, mut id, mut addr, mut palette) = (None, None, None, None);
+    let (mut slots, mut head) = (None, None);
+    let v1 = r.v1.is_some();
+    r.object(field, |r, key| match key {
+        "kind" => r.field(&mut kind, key, link_kind),
+        "id" if !v1 => r.field(&mut id, key, Reader::uint),
+        "addr" if v1 => r.field(&mut addr, key, Reader::uint),
+        "palette" if v1 => r.field(&mut palette, key, |r, f| {
+            if r.null() {
+                return Ok(None);
+            }
+            let name = r.string(f)?;
+            Ok(Some(r.v1.as_mut().expect("format 1").position(&name)))
+        }),
+        "slots" => r.field(&mut slots, key, |r, f| {
+            r.short_vec(
+                f,
+                |s| &mut s.slots,
+                |r, f| {
+                    if r.null() {
+                        return Ok(None);
+                    }
+                    r.expect(b'[', f)?;
+                    let entity = r.key(f)?;
+                    r.expect(b',', f)?;
+                    let ts = r.time(f)?;
+                    r.expect(b']', f)?;
+                    Ok(Some((entity, ts)))
+                },
+            )
+        }),
+        "head" => r.field(&mut head, key, Reader::uint),
+        _ => Ok(false),
+    })?;
+    let kind = need(kind, "kind")?;
+    let id = if v1 {
+        let addr = need(addr, "addr")?;
+        match (kind, need(palette, "palette")?) {
+            (LinkKind::Palette, Some(at)) => at,
+            (LinkKind::Palette, None) => {
+                return Err(r.err("palette", "palette join key without payload"))
+            }
+            _ => addr,
         }
-    )
+    } else {
+        need(id, "id")?
+    };
+    Ok(JoinKeySnapshot {
+        kind,
+        id,
+        slots: need(slots, "slots")?,
+        head: need(head, "head")?,
+    })
 }
 
 fn read_campaign(r: &mut Reader, field: &str) -> Res<CampaignSnapshot> {
@@ -947,7 +1094,7 @@ fn read_campaign(r: &mut Reader, field: &str) -> Res<CampaignSnapshot> {
         field,
         CampaignSnapshot {
             id: Reader::uint,
-            members: |r, f| r.short_vec(f, |s| &mut s.strings, Reader::owned_string),
+            members: read_keys,
             links: |r, f| {
                 r.short_vec(
                     f,
@@ -956,17 +1103,17 @@ fn read_campaign(r: &mut Reader, field: &str) -> Res<CampaignSnapshot> {
                         r.expect(b'[', f)?;
                         let ts = r.time(f)?;
                         r.expect(b',', f)?;
-                        let a = EntityKey::from(&*r.string(f)?);
+                        let a = r.key(f)?;
                         r.expect(b',', f)?;
-                        let b = EntityKey::from(&*r.string(f)?);
+                        let b = r.key(f)?;
                         r.expect(b',', f)?;
                         let kind = link_kind(r, f)?;
                         r.expect(b']', f)?;
-                        Ok(LinkSummary { ts, a, b, kind })
+                        Ok(LinkSnapshot { ts, a, b, kind })
                     },
                 )
             },
-            best_key: Reader::opt_string,
+            best_key: Reader::opt_key,
             best_mass: Reader::f64,
             second: Reader::f64,
             support_ts: Reader::time,
@@ -985,7 +1132,7 @@ mod tests {
         assert!(ServiceSnapshot::from_json("").is_err());
         assert!(ServiceSnapshot::from_json("{}").is_err(), "missing format");
         assert!(
-            ServiceSnapshot::from_json(r#"{"format": 999}"#)
+            ServiceSnapshot::from_json(r#"{"format":999}"#)
                 .unwrap_err()
                 .contains("format 999"),
             "future format version rejected by number"

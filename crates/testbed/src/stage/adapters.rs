@@ -715,7 +715,7 @@ impl ResponseStage {
         }
         match self
             .bhr
-            .try_block(ts, addr, reason.clone(), self.detection_block_ttl)
+            .try_block(ts, addr, &reason, self.detection_block_ttl)
         {
             Ok(_) => self.consecutive_failures = 0,
             Err(_) => {
@@ -803,10 +803,7 @@ impl ResponseStage {
             let mut pb = self.pending_blocks.swap_remove(i);
             let attempt_ts = pb.next_ts;
             self.blocks_retried += 1;
-            match self
-                .bhr
-                .try_block(attempt_ts, pb.addr, pb.reason.clone(), pb.ttl)
-            {
+            match self.bhr.try_block(attempt_ts, pb.addr, &pb.reason, pb.ttl) {
                 Ok(_) => self.consecutive_failures = 0,
                 Err(_) => {
                     self.note_block_failure(attempt_ts);

@@ -8,6 +8,13 @@
 //! per-entity state budget (`detect_max_entities`) must be
 //! detection-neutral: a bounded pipeline with eviction active yields
 //! byte-identical detections to the unbounded one.
+//!
+//! Restore-level properties: a committed format-1 snapshot and its
+//! format-2 re-encoding restore with zero drift; a snapshot restores into
+//! a tenant whose scope already holds other symbols; and a mutated
+//! snapshot restored into one tenant never disturbs another.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use scenario::mutate::{generate_campaign, CampaignConfig, MutationConfig};
@@ -58,6 +65,162 @@ fn ingest_all(service: &ServiceHandle, tenant: TenantId, records: &[LogRecord], 
             .ingest(tenant, chunk.to_vec())
             .expect("worker alive");
     }
+}
+
+/// Every notification as the operator reads it, one per line.
+fn notification_bytes(report: &StreamReport) -> String {
+    report
+        .notifications
+        .iter()
+        .map(|n| format!("{} {} {} {}\n", n.ts, n.entity, n.source, n.message()))
+        .collect()
+}
+
+/// Ingest `records` into a fresh service's `tenant`, after `prepare`, and
+/// return its final report.
+fn run_tenant(
+    tenant: TenantId,
+    records: &[LogRecord],
+    batch: usize,
+    prepare: impl FnOnce(&ServiceHandle),
+) -> StreamReport {
+    let service = ServiceHandle::spawn(ServiceConfig::default(), service_factory());
+    prepare(&service);
+    ingest_all(&service, tenant, records, batch);
+    let reports = service.shutdown();
+    let (_, report) = reports.into_iter().find(|(t, _)| *t == tenant).unwrap();
+    report
+}
+
+/// The workload `fixtures/snapshot_v1_campaign.json` was cut from: tenant
+/// 2 of a correlated service, snapshotted after the first half of these
+/// records, ingested in batches of 256.
+fn v1_fixture_records() -> Vec<LogRecord> {
+    let cfg = CampaignConfig {
+        sessions: 20,
+        horizon: SimDuration::from_hours(12),
+        background: Some(RecordStreamConfig {
+            scan_records: 300,
+            benign_flows: 200,
+            exec_records: 600,
+            users: 60,
+            zipf_exponent: 0.0,
+            ..RecordStreamConfig::default()
+        }),
+        ..CampaignConfig::default()
+    };
+    generate_campaign(&cfg, &mut SimRng::seed(0xC0DEC)).records
+}
+
+/// `snap` with its posterior and mass floats cleared. The fixture was
+/// captured from a release build, and their last bits depend on the
+/// build profile.
+fn without_floats(mut snap: ServiceSnapshot) -> ServiceSnapshot {
+    for e in &mut snap.tagger.as_mut().unwrap().entities {
+        e.alpha.clear();
+    }
+    let correlator = snap.correlator.as_mut().unwrap();
+    for e in &mut correlator.entities {
+        e.mass = 0.0;
+    }
+    for c in &mut correlator.campaigns {
+        (c.best_mass, c.second) = (0.0, 0.0);
+    }
+    snap
+}
+
+/// A format-1 snapshot (written before format 2 existed) and its format-2
+/// re-encoding both restore into a fresh service with zero drift: the
+/// restored state re-exports as the live snapshot, and the stitched
+/// notifications equal the uninterrupted run's byte for byte.
+#[test]
+fn v1_campaign_fixture_restores_with_zero_drift() {
+    let records = v1_fixture_records();
+    let (head, tail) = records.split_at(records.len() / 2);
+    let tenant = TenantId(2);
+    let full = run_tenant(tenant, &records, 256, |_| {});
+    let live = ServiceHandle::spawn(ServiceConfig::default(), service_factory());
+    ingest_all(&live, tenant, head, 256);
+    let live_snap = live.snapshot(tenant).unwrap();
+    let (_, head_report) = live.shutdown().pop().unwrap();
+
+    let v1 = ServiceSnapshot::from_json(include_str!("fixtures/snapshot_v1_campaign.json"))
+        .expect("v1 fixture decodes");
+    let correlator = v1.correlator.as_ref().expect("correlated pipeline");
+    assert!(correlator.promotions > 0 && correlator.campaigns.len() > 1);
+    let wire = v1.to_json();
+    assert!(wire.starts_with("{\"format\":2,"));
+    let v2 = ServiceSnapshot::from_json(&wire).unwrap();
+    assert_eq!(v2, v1, "the v2 re-encoding is lossless");
+    for snap in [v1, v2] {
+        let tail_report = run_tenant(tenant, tail, 256, |service| {
+            service.restore(snap).expect("fixture fits the factory");
+            let restored = service.snapshot(tenant).unwrap();
+            assert_eq!(without_floats(restored), without_floats(live_snap.clone()));
+        });
+        assert_eq!(tail_report.stats, full.stats, "zero detection drift");
+        assert_eq!(tail_report.campaigns, full.campaigns);
+        let stitched = notification_bytes(&head_report) + &notification_bytes(&tail_report);
+        assert_eq!(stitched, notification_bytes(&full));
+    }
+    assert!(full.stats.detections > head_report.stats.detections);
+}
+
+/// Restoring into a tenant whose scope already holds other symbols gives
+/// the snapshot's names other ids: every stored position goes through the
+/// universe map, and the detections stay byte-identical.
+#[test]
+fn restore_into_a_populated_scope_keeps_detections() {
+    let records = campaign_records(7, 10, 0.5);
+    let (head, tail) = records.split_at(records.len() / 2);
+    let tenant = TenantId(4);
+    let full = run_tenant(tenant, &records, 64, |_| {});
+    let live = ServiceHandle::spawn(ServiceConfig::default(), service_factory());
+    ingest_all(&live, tenant, head, 64);
+    let snap = live.snapshot(tenant).unwrap();
+    let (_, head_report) = live.shutdown().pop().unwrap();
+    let snap = ServiceSnapshot::from_json(&snap.to_json()).unwrap();
+
+    let tail_report = run_tenant(tenant, tail, 64, |service| {
+        let scope = service.symbols().scope(tenant);
+        for i in 0..40 {
+            scope.sym(&format!("resident-{i}"));
+        }
+        service.restore(snap.clone()).expect("restores");
+        let moved = service.snapshot(tenant).unwrap();
+        assert_eq!(moved.sym_universe[1], "resident-0");
+        assert_ne!(moved.tagger, snap.tagger, "ids moved");
+    });
+    assert_eq!(tail_report.stats, full.stats, "zero detection drift");
+    assert_eq!(tail_report.campaigns, full.campaigns);
+    let stitched = notification_bytes(&head_report) + &notification_bytes(&tail_report);
+    assert_eq!(stitched, notification_bytes(&full));
+    assert!(full.stats.detections > 0);
+}
+
+/// Tenant A's mid-stream snapshot as format-2 wire.
+fn tenant_a_wire() -> &'static str {
+    static WIRE: OnceLock<String> = OnceLock::new();
+    WIRE.get_or_init(|| {
+        let records = campaign_records(11, 8, 0.5);
+        let service = ServiceHandle::spawn(ServiceConfig::default(), service_factory());
+        ingest_all(&service, TENANT_A, &records[..records.len() / 2], 64);
+        service.snapshot(TENANT_A).unwrap().to_json()
+    })
+}
+
+const TENANT_A: TenantId = TenantId(1);
+const TENANT_B: TenantId = TenantId(2);
+
+/// Tenant B's workload and its notifications when it runs alone.
+fn tenant_b_solo() -> &'static (Vec<LogRecord>, String) {
+    static SOLO: OnceLock<(Vec<LogRecord>, String)> = OnceLock::new();
+    SOLO.get_or_init(|| {
+        let records = campaign_records(12, 6, 0.3);
+        let report = run_tenant(TENANT_B, &records, 64, |_| {});
+        assert!(report.stats.detections > 0);
+        (records, notification_bytes(&report))
+    })
 }
 
 fn detection_keys(report: &StreamReport) -> Vec<String> {
@@ -175,5 +338,48 @@ proptest! {
             detection_keys(&bounded_sharded),
             detection_keys(&bounded)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A mutated snapshot that still decodes, restored into tenant A
+    /// (accepted or refused), leaves tenant B's detections byte-identical
+    /// to B running alone. Mutations rewrite, insert or delete one digit,
+    /// so most of them decode: ids, kinds, ring heads, counters and
+    /// floats all move, some past what the restore accepts.
+    #[test]
+    fn mutated_restores_spare_the_other_tenants(
+        at in 0usize..1 << 20,
+        digit in 0u8..10,
+        op in 0u8..3,
+    ) {
+        let wire = tenant_a_wire();
+        let digits: Vec<usize> = wire
+            .bytes()
+            .enumerate()
+            .filter(|(_, b)| b.is_ascii_digit())
+            .map(|(i, _)| i)
+            .collect();
+        let mut bytes = wire.as_bytes().to_vec();
+        let at = digits[at % digits.len()];
+        match op {
+            0 => bytes[at] = b'0' + digit,
+            1 => bytes.insert(at, b'0' + digit),
+            _ => {
+                bytes.remove(at);
+            }
+        }
+        let text = String::from_utf8(bytes).unwrap();
+        // Only mutations that still decode reach the restore.
+        if let Ok(mut snap) = ServiceSnapshot::from_json(&text) {
+            snap.tenant = TENANT_A;
+            let (records, solo) = tenant_b_solo();
+            let report = run_tenant(TENANT_B, records, 64, |service| {
+                let _ = service.restore(snap);
+            });
+            prop_assert_eq!(&notification_bytes(&report), solo);
+        }
     }
 }

