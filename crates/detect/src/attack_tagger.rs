@@ -33,7 +33,7 @@ use crate::stage::Stage;
 ///
 /// - **Evidence decay** — before folding a new alert, the entity's
 ///   posterior is relaxed toward the model prior by
-///   `λ = 0.5^(gap / decay_half_life)`: stale suspicion fades instead of
+///   `λ = 2^(−gap / decay_half_life)`: stale suspicion fades instead of
 ///   compounding across unrelated activity (the false-positive side of
 ///   temporal hardening).
 /// - **Session timeout** — a gap beyond `session_timeout` ends the
@@ -85,6 +85,19 @@ impl TemporalPolicy {
             dedup_window: None,
         }
     }
+}
+
+/// The evidence-decay factor `λ = 2^(−gap/half_life)` shared by the
+/// tagger, the correlator's stitched replay and its mass and support
+/// decay; `None` when nothing decays (no or a zero half-life, or no gap).
+///
+/// Written as `exp2`, not as a power of 0.5: optimised builds fold
+/// `pow(0.5, x)` into `exp2(-x)` while unoptimised ones call `pow`, and
+/// the two differ in the last bit for some `x`.
+pub(crate) fn decay_factor(gap: SimDuration, half_life: Option<SimDuration>) -> Option<f64> {
+    let hl = half_life?.as_secs_f64();
+    let gap = gap.as_secs_f64();
+    (hl > 0.0 && gap > 0.0).then(|| (-(gap / hl)).exp2())
 }
 
 /// Decision configuration.
@@ -329,9 +342,6 @@ pub struct AttackTagger {
     model: ChainModel,
     cfg: TaggerConfig,
     states: FxHashMap<EntityId, EntityState>,
-    /// Scratch for the forward-filter step, reused across `observe`
-    /// calls so the per-alert hot path does not allocate.
-    scratch: Vec<f64>,
     /// Known telemetry blackout windows, sorted and merged. A gap that
     /// overlaps one is a sensor outage, not attacker silence: the
     /// overlapped span is excluded from session-timeout and gap-bin
@@ -371,7 +381,6 @@ impl AttackTagger {
             model,
             cfg,
             states: FxHashMap::default(),
-            scratch: vec![0.0; Stage::COUNT],
             blackouts: Vec::new(),
             duplicates_suppressed: 0,
             evicted_latches: FxHashSet::default(),
@@ -464,57 +473,6 @@ impl AttackTagger {
         overlap
     }
 
-    /// One O(S²) forward-filter step folding `obs` (and, when known, the
-    /// quantized gap bin preceding it) into `alpha`, staged through
-    /// `scratch` (no allocation).
-    fn step(
-        model: &ChainModel,
-        alpha: &mut [f64],
-        scratch: &mut [f64],
-        steps: usize,
-        obs: usize,
-        gap_bin: usize,
-    ) {
-        let s_n = Stage::COUNT;
-        if steps == 0 {
-            for (s, n) in scratch.iter_mut().enumerate() {
-                *n = model.prior()[s] * model.emit(s, obs);
-            }
-        } else {
-            for (s, n) in scratch.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (ps, &a) in alpha.iter().enumerate() {
-                    acc += a * model.trans(ps, s);
-                }
-                *n = acc * model.emit(s, obs) * model.gap_emit(s, gap_bin);
-            }
-        }
-        let norm: f64 = scratch.iter().sum();
-        if norm > 0.0 {
-            for x in scratch.iter_mut() {
-                *x /= norm;
-            }
-        } else {
-            let u = 1.0 / s_n as f64;
-            scratch.fill(u);
-        }
-        alpha.copy_from_slice(scratch);
-    }
-
-    /// Relax `alpha` toward the model prior by `λ = 0.5^(gap/half_life)`:
-    /// both operands are distributions, so the mixture needs no
-    /// renormalization.
-    fn decay(model: &ChainModel, alpha: &mut [f64], gap: SimDuration, half_life: SimDuration) {
-        let hl = half_life.as_secs_f64();
-        if hl <= 0.0 {
-            return;
-        }
-        let lambda = 0.5f64.powf(gap.as_secs_f64() / hl);
-        for (a, &p) in alpha.iter_mut().zip(model.prior()) {
-            *a = lambda * *a + (1.0 - lambda) * p;
-        }
-    }
-
     /// Observe one alert online. Returns a detection the first time the
     /// entity's posterior crosses the threshold (latched per entity).
     ///
@@ -603,8 +561,8 @@ impl AttackTagger {
             {
                 state.steps = 0;
             } else {
-                if let Some(half_life) = temporal.decay_half_life {
-                    Self::decay(&self.model, &mut state.alpha, gap, half_life);
+                if let Some(lambda) = decay_factor(gap, temporal.decay_half_life) {
+                    self.model.relax_to_prior(&mut state.alpha, lambda);
                 }
                 if temporal.gap_observations {
                     gap_bin = self.model.gap_bin(effective_gap.as_secs_f64());
@@ -612,13 +570,12 @@ impl AttackTagger {
             }
         }
         state.last_ts = alert.ts;
-        Self::step(
-            &self.model,
-            &mut state.alpha,
-            &mut self.scratch,
-            state.steps,
+        let prev = state.alpha;
+        self.model.forward_step(
+            (state.steps > 0).then_some(&prev[..]),
             obs,
             gap_bin,
+            &mut state.alpha,
         );
         state.steps += 1;
         let score = Self::decision_mass(&self.cfg.decision_stages, &state.alpha);
@@ -648,7 +605,7 @@ impl AttackTagger {
     }
 
     /// Posterior mass over the configured decision stages.
-    fn decision_mass(stages: &[Stage], alpha: &[f64]) -> f64 {
+    pub(crate) fn decision_mass(stages: &[Stage], alpha: &[f64]) -> f64 {
         stages.iter().map(|s| alpha[s.index()]).sum()
     }
 
@@ -833,7 +790,6 @@ impl AttackTagger {
             model: self.model.clone(),
             cfg: self.cfg.clone(),
             states: FxHashMap::default(),
-            scratch: vec![0.0; Stage::COUNT],
             blackouts: self.blackouts.clone(),
             duplicates_suppressed: 0,
             evicted_latches: FxHashSet::default(),

@@ -68,7 +68,8 @@ use factorgraph::chain::ChainModel;
 use factorgraph::timing::GAP_NONE;
 
 use crate::attack_tagger::{
-    ring_head, snapshot_key, AttackTagger, Detection, TaggerConfig, TaggerSnapshot, TemporalPolicy,
+    decay_factor, ring_head, snapshot_key, AttackTagger, Detection, TaggerConfig, TaggerSnapshot,
+    TemporalPolicy,
 };
 use crate::stage::Stage;
 
@@ -117,7 +118,8 @@ pub struct CorrelationPolicy {
     pub threshold: f64,
     /// Half-life of campaign support and per-entity peak mass — the
     /// [`TemporalPolicy::decay_half_life`] semantics applied to
-    /// cross-entity evidence. `None` disables decay.
+    /// cross-entity evidence: `λ = 2^(−gap/half_life)`. `None` disables
+    /// decay.
     pub decay_half_life: Option<SimDuration>,
     /// Idle gap after which an entity node is eligible for eviction — the
     /// [`TemporalPolicy::session_timeout`] semantics applied to the
@@ -421,13 +423,9 @@ impl CampaignState {
     /// Decay support toward zero with the policy half-life (evidence-decay
     /// semantics of [`TemporalPolicy`], applied to campaign support).
     fn decay_to(&mut self, ts: SimTime, half_life: Option<SimDuration>) {
-        if let Some(hl) = half_life {
-            let gap = ts.saturating_since(self.support_ts).as_secs_f64();
-            if gap > 0.0 && hl.as_secs_f64() > 0.0 {
-                let lambda = 0.5f64.powf(gap / hl.as_secs_f64());
-                self.best.1 *= lambda;
-                self.second *= lambda;
-            }
+        if let Some(lambda) = decay_factor(ts.saturating_since(self.support_ts), half_life) {
+            self.best.1 *= lambda;
+            self.second *= lambda;
         }
         if ts > self.support_ts {
             self.support_ts = ts;
@@ -515,11 +513,9 @@ pub struct CampaignCorrelator {
     /// Scratch for deterministic eviction sweeps (reused, no steady-state
     /// allocation).
     evict_scratch: Vec<(SimTime, u64)>,
-    /// Scratch for stitched replay: merged `(ts, entity, kind)` steps and
-    /// the forward-filter distributions (all reused).
+    /// Scratch for stitched replay: merged `(ts, entity, kind)` steps
+    /// (reused).
     seq_scratch: Vec<(SimTime, u64, u16)>,
-    seq_alpha: Vec<f64>,
-    seq_next: Vec<f64>,
 }
 
 impl CampaignCorrelator {
@@ -539,14 +535,13 @@ impl CampaignCorrelator {
             entities_evicted: 0,
             evict_scratch: Vec::new(),
             seq_scratch: Vec::new(),
-            seq_alpha: Vec::new(),
-            seq_next: Vec::new(),
         }
     }
 
     /// A correlator that can stitch: attach the tagger's chain model and
     /// decision stages so merged campaign sequences are re-scored with
-    /// the exact inference the per-entity tagger runs.
+    /// the exact inference the per-entity tagger runs (both step through
+    /// [`ChainModel::forward_step`]).
     pub fn with_model(
         policy: CorrelationPolicy,
         model: ChainModel,
@@ -652,11 +647,13 @@ impl CampaignCorrelator {
             steps_head: 0,
         });
         // Decay never raises a mass, so a score above the stored mass wins
-        // either way: skip the `powf`.
+        // either way: skip the decay factor.
         if attack_score > node.mass {
             node.mass = attack_score;
         } else {
-            node.mass = decayed(node.mass, ts.saturating_since(node.last_ts), half_life);
+            if let Some(lambda) = decay_factor(ts.saturating_since(node.last_ts), half_life) {
+                node.mass *= lambda;
+            }
             if attack_score > node.mass {
                 node.mass = attack_score;
             }
@@ -773,8 +770,6 @@ impl CampaignCorrelator {
                             &c.members,
                             ts,
                             &mut self.seq_scratch,
-                            &mut self.seq_alpha,
-                            &mut self.seq_next,
                         );
                         fused = fused.max(stitched);
                     }
@@ -1334,17 +1329,17 @@ impl CorrelatorSnapshot {
 
 /// Re-score the stitched campaign sequence: merge the members' step rings
 /// in `(ts, entity, kind)` order (bounded window, bounded member prefix)
-/// and run the chain model's forward filter over the merged steps —
-/// the same inference the per-entity tagger applies, including gap
-/// observations and evidence decay toward the prior. Returns the decision
+/// and run the chain model's forward filter over the merged steps — the
+/// per-entity tagger's own inference: the same
+/// [`ChainModel::forward_step`], gap observations, and
+/// [`decay_factor`] relaxation toward the prior. Returns the decision
 /// mass of the final posterior, or `0.0` when the merge holds fewer than
 /// two steps or only one entity contributed (a single member's fragment
 /// is the tagger's own problem; stitching exists for *cross-entity*
 /// recovery).
 ///
-/// Deterministic and allocation-free in steady state: the merge and the
-/// two filter distributions live in caller-owned reusable scratch.
-#[allow(clippy::too_many_arguments)]
+/// Deterministic and allocation-free in steady state: the merge lives in
+/// caller-owned reusable scratch, the posterior on the stack.
 fn stitched_sequence_score(
     model: &ChainModel,
     decision_stages: &[Stage],
@@ -1353,8 +1348,6 @@ fn stitched_sequence_score(
     members: &[EntityId],
     now: SimTime,
     order: &mut Vec<(SimTime, u64, u16)>,
-    alpha: &mut Vec<f64>,
-    next: &mut Vec<f64>,
 ) -> f64 {
     order.clear();
     for &m in members.iter().take(SEQ_MEMBERS) {
@@ -1372,63 +1365,27 @@ fn stitched_sequence_score(
         return 0.0;
     }
     order.sort_unstable();
-    let s_n = Stage::COUNT;
-    alpha.clear();
-    alpha.resize(s_n, 0.0);
-    next.clear();
-    next.resize(s_n, 0.0);
+    let mut alpha = [0.0f64; Stage::COUNT];
     let mut last_ts = SimTime::EPOCH;
     for (steps, &(ts, _, kind)) in order.iter().enumerate() {
-        let obs = kind as usize;
         let mut gap_bin = GAP_NONE;
         if steps > 0 {
             let gap = ts.saturating_since(last_ts);
-            if let Some(hl) = policy.decay_half_life {
-                let hl_s = hl.as_secs_f64();
-                if hl_s > 0.0 {
-                    let lambda = 0.5f64.powf(gap.as_secs_f64() / hl_s);
-                    for (a, &p) in alpha.iter_mut().zip(model.prior()) {
-                        *a = lambda * *a + (1.0 - lambda) * p;
-                    }
-                }
+            if let Some(lambda) = decay_factor(gap, policy.decay_half_life) {
+                model.relax_to_prior(&mut alpha, lambda);
             }
             gap_bin = model.gap_bin(gap.as_secs_f64());
         }
         last_ts = ts;
-        if steps == 0 {
-            for (s, n) in next.iter_mut().enumerate() {
-                *n = model.prior()[s] * model.emit(s, obs);
-            }
-        } else {
-            for (s, n) in next.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (ps, &a) in alpha.iter().enumerate() {
-                    acc += a * model.trans(ps, s);
-                }
-                *n = acc * model.emit(s, obs) * model.gap_emit(s, gap_bin);
-            }
-        }
-        let norm: f64 = next.iter().sum();
-        if norm > 0.0 {
-            for x in next.iter_mut() {
-                *x /= norm;
-            }
-        } else {
-            next.fill(1.0 / s_n as f64);
-        }
-        alpha.copy_from_slice(next);
+        let prev = alpha;
+        model.forward_step(
+            (steps > 0).then_some(&prev[..]),
+            kind as usize,
+            gap_bin,
+            &mut alpha,
+        );
     }
-    decision_stages.iter().map(|s| alpha[s.index()]).sum()
-}
-
-/// Decay a mass by the half-life over `gap` (no-op when disabled).
-fn decayed(mass: f64, gap: SimDuration, half_life: Option<SimDuration>) -> f64 {
-    match half_life {
-        Some(hl) if hl.as_secs_f64() > 0.0 && gap.as_secs_f64() > 0.0 => {
-            mass * 0.5f64.powf(gap.as_secs_f64() / hl.as_secs_f64())
-        }
-        _ => mass,
-    }
+    AttackTagger::decision_mass(decision_stages, &alpha)
 }
 
 /// Compact join keys carried by one alert (tag | 32-bit payload).
@@ -2350,5 +2307,80 @@ mod tests {
             assert!(err.starts_with(&field), "{field}: {err}");
             assert_eq!(restored.export_state(), before, "{field}: state changed");
         }
+    }
+
+    /// Stitched replay runs the tagger's inference: on two fragments that
+    /// interleave inside the adjacency window (no blackouts, no session
+    /// timeout), the stitched score equals, bit for bit, the decision mass
+    /// a fresh tagger with gap observations reaches on the merged sequence
+    /// fed as one entity — decay, gap bins and all.
+    #[test]
+    fn stitched_score_is_the_taggers_decision_mass_bit_for_bit() {
+        use factorgraph::timing::GapModel;
+        let mut emit = Vec::new();
+        for s in 0..Stage::COUNT {
+            emit.extend(if s >= Stage::Foothold.index() {
+                [0.3, 0.7]
+            } else {
+                [0.8, 0.2]
+            });
+        }
+        let model =
+            toy_training_model().with_gap_model(GapModel::new(Stage::COUNT, vec![3_600.0], emit));
+        let policy = CorrelationPolicy::default();
+        let cfg = TaggerConfig {
+            temporal: TemporalPolicy {
+                decay_half_life: policy.decay_half_life,
+                session_timeout: None,
+                gap_observations: true,
+                dedup_window: None,
+            },
+            ..TaggerConfig::default()
+        };
+        // `(secs, kind, fragment)`, in merged order.
+        let merged = [
+            (0, AlertKind::PortScan, 0),
+            (900, AlertKind::PortScan, 1),
+            (2_400, AlertKind::DownloadSensitive, 0),
+            (9_000, AlertKind::DownloadSensitive, 1),
+            (16_200, AlertKind::CompileKernelModule, 0),
+            (18_000, AlertKind::CompileKernelModule, 1),
+            (30_000, AlertKind::LogWipe, 0),
+        ];
+        let ids = ["198.18.0.1", "198.18.0.2"].map(|ip| Entity::Address(ip.parse().unwrap()).id());
+        let mut entities = FxHashMap::default();
+        for (t, kind, f) in merged {
+            let node = entities.entry(ids[f]).or_insert(EntityNode {
+                campaign: NO_CAMPAIGN,
+                mass: 0.0,
+                last_ts: SimTime::EPOCH,
+                seen: 0,
+                promoted: false,
+                steps: [(SimTime::EPOCH, STEP_EMPTY); SEQ_RING],
+                steps_head: 0,
+            });
+            node.steps[node.steps_head as usize] = (SimTime::from_secs(t), kind.index() as u16);
+            node.steps_head += 1;
+        }
+        let stitched = stitched_sequence_score(
+            &model,
+            &cfg.decision_stages,
+            &policy,
+            &entities,
+            &ids,
+            SimTime::from_secs(30_000),
+            &mut Vec::new(),
+        );
+
+        let mut tagger = AttackTagger::new(model, cfg);
+        let one = Entity::Address("198.18.0.9".parse().unwrap());
+        let mut mass = 0.0;
+        for (t, kind, _) in merged {
+            mass = tagger
+                .observe_scored(&Alert::new(SimTime::from_secs(t), kind, one))
+                .attack_score;
+        }
+        assert!(mass > 0.0);
+        assert_eq!(stitched.to_bits(), mass.to_bits(), "{stitched} vs {mass}");
     }
 }

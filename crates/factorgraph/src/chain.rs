@@ -148,46 +148,78 @@ impl ChainModel {
         self.filter_impl(obs, Some(gap_bins))
     }
 
-    #[allow(clippy::needless_range_loop)] // index form mirrors the math
     fn filter_impl(&self, obs: &[usize], gap_bins: Option<&[usize]>) -> (Vec<Vec<f64>>, f64) {
-        let s_n = self.n_states;
-        let mut alphas = Vec::with_capacity(obs.len());
+        let mut alphas: Vec<Vec<f64>> = Vec::with_capacity(obs.len());
         let mut loglik = 0.0;
-        let mut prev: Vec<f64> = Vec::new();
         for (t, &o) in obs.iter().enumerate() {
             assert!(o < self.n_obs, "observation {o} out of range");
             let bin = gap_bins.map_or(GAP_NONE, |g| g[t]);
-            let mut a = vec![0.0f64; s_n];
-            if t == 0 {
-                for s in 0..s_n {
-                    a[s] = self.prior[s] * self.emit(s, o) * self.gap_emit(s, bin);
-                }
+            let mut a = vec![0.0f64; self.n_states];
+            let norm = self.forward_step(alphas.last().map(Vec::as_slice), o, bin, &mut a);
+            // An impossible observation under the model costs a heavy
+            // likelihood penalty (the posterior fell back to uniform).
+            loglik += if norm > 0.0 {
+                norm.ln()
             } else {
-                for s in 0..s_n {
-                    let mut acc = 0.0;
-                    for ps in 0..s_n {
-                        acc += prev[ps] * self.trans(ps, s);
-                    }
-                    a[s] = acc * self.emit(s, o) * self.gap_emit(s, bin);
-                }
-            }
-            let norm: f64 = a.iter().sum();
-            if norm > 0.0 {
-                for x in &mut a {
-                    *x /= norm;
-                }
-                loglik += norm.ln();
-            } else {
-                // Impossible observation under the model: fall back to
-                // uniform and a heavy likelihood penalty.
-                let u = 1.0 / s_n as f64;
-                a.fill(u);
-                loglik += f64::MIN_POSITIVE.ln();
-            }
-            prev.clone_from(&a);
+                f64::MIN_POSITIVE.ln()
+            };
             alphas.push(a);
         }
         (alphas, loglik)
+    }
+
+    /// One forward-filter step, the online update of every chain filter
+    /// (this model's [`ChainModel::filter`], the per-entity tagger and the
+    /// correlator's stitched replay). Writes `P(s_t | o_1..o_t)` into
+    /// `out`: `prev` is the step-`t-1` posterior, or `None` at `t = 0`
+    /// (start from the prior); `gap_bin` is the quantized gap preceding
+    /// `obs` ([`GAP_NONE`] is neutral). Returns the normaliser
+    /// `P(o_t | o_1..o_{t-1})`; when it is 0 (an impossible observation)
+    /// `out` falls back to uniform. Allocation-free.
+    #[inline]
+    pub fn forward_step(
+        &self,
+        prev: Option<&[f64]>,
+        obs: usize,
+        gap_bin: usize,
+        out: &mut [f64],
+    ) -> f64 {
+        debug_assert_eq!(out.len(), self.n_states);
+        match prev {
+            None => {
+                for (s, a) in out.iter_mut().enumerate() {
+                    *a = self.prior[s] * self.emit(s, obs) * self.gap_emit(s, gap_bin);
+                }
+            }
+            Some(prev) => {
+                for (s, a) in out.iter_mut().enumerate() {
+                    let mut acc = 0.0;
+                    for (ps, &p) in prev.iter().enumerate() {
+                        acc += p * self.trans(ps, s);
+                    }
+                    *a = acc * self.emit(s, obs) * self.gap_emit(s, gap_bin);
+                }
+            }
+        }
+        let norm: f64 = out.iter().sum();
+        if norm > 0.0 {
+            for x in out.iter_mut() {
+                *x /= norm;
+            }
+        } else {
+            out.fill(1.0 / out.len() as f64);
+        }
+        norm
+    }
+
+    /// Relax a posterior toward the prior, `α ← λα + (1−λ)·prior` (the
+    /// evidence decay applied between steps). Both operands are
+    /// distributions, so the mixture needs no renormalisation.
+    #[inline]
+    pub fn relax_to_prior(&self, alpha: &mut [f64], lambda: f64) {
+        for (a, &p) in alpha.iter_mut().zip(&self.prior) {
+            *a = lambda * *a + (1.0 - lambda) * p;
+        }
     }
 
     /// Smoothed posteriors `gamma[t][s] = P(s_t = s | o_1..o_n)` via scaled

@@ -17,8 +17,6 @@
 //!   wrappers over it.
 //! - [`pipeline`] — the in-line, closed-loop detection sink.
 //! - [`testbed`] — the orchestrator wiring topology, honeynet, filters.
-//! - [`streaming`] — record-driven runs for throughput
-//!   (compatibility entry point [`process_records`]).
 //! - [`eval`] — the preemption evaluation harness: scores any executor's
 //!   run of an adversarial [`scenario::mutate`] campaign against ground
 //!   truth (preemption rate, lead-time distributions, per-family TP/FN,
@@ -66,7 +64,6 @@ pub mod pipeline;
 pub mod report;
 pub mod service;
 pub mod stage;
-pub mod streaming;
 pub mod testbed;
 
 pub use adapt::{
@@ -78,8 +75,7 @@ pub use eval::{evaluate_campaign, run_campaign, CampaignRun, EvalReport, FamilyE
 pub use pipeline::PipelineSink;
 pub use report::{OperatorNotification, RunReport};
 pub use service::{ServiceConfig, ServiceError, ServiceHandle, ServiceSnapshot};
-pub use stage::{BuiltPipeline, PipelineBuilder, Stage, StreamReport};
-pub use streaming::{process_records, StreamStats};
+pub use stage::{BuiltPipeline, PipelineBuilder, Stage, StreamReport, StreamStats};
 pub use testbed::{FilterChain, Testbed};
 
 /// Common imports for testbed users.
@@ -88,7 +84,6 @@ pub mod prelude {
     pub use crate::eval::{evaluate_campaign, run_campaign, CampaignRun, EvalReport};
     pub use crate::report::{OperatorNotification, RunReport};
     pub use crate::service::{ServiceConfig, ServiceError, ServiceHandle, ServiceSnapshot};
-    pub use crate::stage::{BuiltPipeline, PipelineBuilder, StreamReport};
-    pub use crate::streaming::StreamStats;
+    pub use crate::stage::{BuiltPipeline, PipelineBuilder, StreamReport, StreamStats};
     pub use crate::testbed::Testbed;
 }

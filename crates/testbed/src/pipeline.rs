@@ -15,23 +15,19 @@
 //! [`EventCtx`].
 
 use alertlib::alert::Alert;
-use alertlib::filter::ScanFilter;
-use alertlib::symbolize::Symbolizer;
 use bhr::api::BhrHandle;
-use detect::attack_tagger::AttackTagger;
 use simnet::action::Action;
 use simnet::engine::{ActionSink, EventCtx};
 use simnet::event::EventQueue;
-use simnet::time::SimDuration;
-use telemetry::monitor::Monitor;
 use telemetry::record::LogRecord;
 
 use crate::report::RunReport;
 use crate::stage::adapters::MonitorStage;
-use crate::stage::builder::{BuiltPipeline, PipelineBuilder};
+use crate::stage::builder::BuiltPipeline;
 use crate::stage::executor::InlineCore;
 
 /// The closed-loop pipeline sink: stage counters + the detection loop.
+/// Assemble one with [`PipelineBuilder::build_sink`](crate::stage::PipelineBuilder::build_sink).
 pub struct PipelineSink {
     monitors: MonitorStage,
     core: InlineCore,
@@ -41,28 +37,6 @@ pub struct PipelineSink {
 }
 
 impl PipelineSink {
-    /// Compatibility constructor mirroring the pre-redesign signature;
-    /// equivalent to assembling the same stages with
-    /// [`PipelineBuilder`] and calling
-    /// [`build_sink`](PipelineBuilder::build_sink).
-    pub fn new(
-        monitors: Vec<Box<dyn Monitor>>,
-        symbolizer: Symbolizer,
-        filter: ScanFilter,
-        tagger: AttackTagger,
-        bhr: BhrHandle,
-        block_on_detection: bool,
-        detection_block_ttl: Option<SimDuration>,
-    ) -> PipelineSink {
-        PipelineBuilder::new()
-            .symbolizer(symbolizer)
-            .filter(filter)
-            .tagger(tagger)
-            .bhr(bhr)
-            .block_on_detection(block_on_detection, detection_block_ttl)
-            .build_sink(monitors)
-    }
-
     pub(crate) fn from_built(monitors: MonitorStage, built: BuiltPipeline) -> PipelineSink {
         PipelineSink {
             monitors,
@@ -136,10 +110,8 @@ impl ActionSink for PipelineSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alertlib::filter::FilterConfig;
-    use alertlib::symbolize::SymbolizerConfig;
-    use detect::attack_tagger::TaggerConfig;
-    use detect::train::toy_training_model;
+    use crate::stage::PipelineBuilder;
+    use alertlib::symbolize::{Symbolizer, SymbolizerConfig};
     use simnet::engine::Engine;
     use simnet::flow::{Flow, FlowId};
     use simnet::time::SimTime;
@@ -147,19 +119,14 @@ mod tests {
     use telemetry::hostmon::HostMonitor;
     use telemetry::zeek::ZeekMonitor;
 
+    /// The default stages (toy-model tagger) blocking on detection.
     fn sink() -> PipelineSink {
-        PipelineSink::new(
-            vec![
+        PipelineBuilder::new()
+            .block_on_detection(true, None)
+            .build_sink(vec![
                 Box::new(ZeekMonitor::with_defaults()),
                 Box::new(HostMonitor::new()),
-            ],
-            Symbolizer::new(SymbolizerConfig::default()),
-            ScanFilter::new(FilterConfig::default()),
-            AttackTagger::new(toy_training_model(), TaggerConfig::default()),
-            BhrHandle::new(),
-            true,
-            None,
-        )
+            ])
     }
 
     #[test]
@@ -245,15 +212,10 @@ mod tests {
         // Outbound C2-ish: configure symbolizer with a C2 feed.
         let mut cfg = SymbolizerConfig::default();
         cfg.c2_addresses.insert("194.145.22.33".parse().unwrap());
-        let mut s = PipelineSink::new(
-            vec![Box::new(ZeekMonitor::with_defaults())],
-            Symbolizer::new(cfg),
-            ScanFilter::new(FilterConfig::default()),
-            AttackTagger::new(toy_training_model(), TaggerConfig::default()),
-            BhrHandle::new(),
-            true,
-            None,
-        );
+        let mut s = PipelineBuilder::new()
+            .symbolizer(Symbolizer::new(cfg))
+            .block_on_detection(true, None)
+            .build_sink(vec![Box::new(ZeekMonitor::with_defaults())]);
         // Repeated C2 beacons from one internal source push its entity
         // posterior over the threshold.
         for i in 0..6u64 {

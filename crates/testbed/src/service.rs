@@ -52,7 +52,7 @@ use telemetry::record::LogRecord;
 use crate::stage::builder::BuiltPipeline;
 use crate::stage::executor::InlineCore;
 use crate::stage::StreamReport;
-use crate::streaming::StreamStats;
+use crate::stage::StreamStats;
 
 mod codec;
 

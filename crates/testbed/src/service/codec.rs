@@ -51,7 +51,7 @@ use simnet::intern::TenantId;
 use simnet::time::SimTime;
 
 use super::ServiceSnapshot;
-use crate::streaming::StreamStats;
+use crate::stage::StreamStats;
 
 /// Wire-format version; bumped on incompatible shape changes so a stale
 /// fixture fails loudly instead of restoring garbage.

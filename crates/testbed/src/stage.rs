@@ -1,10 +1,9 @@
 //! # The composable pipeline stage API.
 //!
 //! The paper's Fig. 4 pipeline (monitors → symbolization → repeated-scan
-//! filter → online detection → response) used to exist twice: hardwired in
-//! the closed-loop [`PipelineSink`](crate::pipeline::PipelineSink) and
-//! re-implemented in the threaded `streaming` module. This module is the
-//! single definition both deployments now share:
+//! filter → online detection → response) is defined once, here; the
+//! closed-loop [`PipelineSink`](crate::pipeline::PipelineSink) and the
+//! record-stream executors both run it:
 //!
 //! - [`Stage`] — the batched stage trait: `process_batch` turns a slice of
 //!   inputs into outputs, `flush` drains windowed state at end of stream.
@@ -53,7 +52,7 @@ pub use adapters::{
     NotifyBackend, ResponseStage, SymbolizeStage, TagStage, TimedAction,
 };
 pub use builder::{BuiltPipeline, PipelineBuilder};
-pub use executor::StreamReport;
+pub use executor::{StreamReport, StreamStats};
 
 use alertlib::alert::Alert;
 use std::collections::VecDeque;

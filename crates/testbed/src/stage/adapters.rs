@@ -419,7 +419,8 @@ impl DetectorStage {
     /// merged outcome stream, when the detector carries a correlation
     /// policy: the tagger's own chain model and decision stages are
     /// attached so stitched campaign sequences are re-scored with the
-    /// exact inference the per-entity tagger runs.
+    /// exact inference the per-entity tagger runs (one shared
+    /// `ChainModel::forward_step`).
     pub fn build_correlator(&self) -> Option<detect::CampaignCorrelator> {
         match self {
             DetectorStage::Tagger(s) => {

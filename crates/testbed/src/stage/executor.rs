@@ -28,6 +28,7 @@ use crossbeam::channel::{bounded, Sender};
 use detect::correlate::{CampaignCorrelator, CampaignSummary};
 use rayon::prelude::*;
 use scenario::faults::{FaultInjector, FaultStats};
+use serde::{Deserialize, Serialize};
 use simnet::time::SimTime;
 use telemetry::record::LogRecord;
 
@@ -35,7 +36,15 @@ use crate::report::OperatorNotification;
 use crate::stage::adapters::{DetectOutcome, DetectorStage, ResponseStage};
 use crate::stage::builder::BuiltPipeline;
 use crate::stage::{AlertRetention, Stage};
-use crate::streaming::StreamStats;
+
+/// Aggregate counters of a pipeline run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct StreamStats {
+    pub records: u64,
+    pub alerts: u64,
+    pub admitted: u64,
+    pub detections: u64,
+}
 
 /// Everything one pipeline run produces, identical across executors.
 #[derive(Debug)]
@@ -784,5 +793,60 @@ mod tests {
             assert_eq!(report.stats, StreamStats::default());
             assert!(report.notifications.is_empty());
         }
+    }
+
+    /// Retention-off stage components, as a stats-only caller holds them.
+    fn stats_only_pipeline() -> BuiltPipeline {
+        use alertlib::filter::{FilterConfig, ScanFilter};
+        use alertlib::symbolize::{Symbolizer, SymbolizerConfig};
+        use detect::attack_tagger::{AttackTagger, TaggerConfig};
+        BuiltPipeline::from_stages(
+            Symbolizer::new(SymbolizerConfig::default()),
+            ScanFilter::new(FilterConfig::default()),
+            AttackTagger::new(detect::train::toy_training_model(), TaggerConfig::default()),
+            crate::config::PipelineTuning {
+                alert_retention: 0,
+                ..crate::config::PipelineTuning::default()
+            },
+        )
+    }
+
+    #[test]
+    fn empty_input() {
+        let report = stats_only_pipeline().run_threaded(Vec::<LogRecord>::new());
+        assert_eq!(report.stats, StreamStats::default());
+    }
+
+    /// Regression: a stats-only (retention-off) run used to count every
+    /// admitted alert as "dropped", reporting huge drop counts in a mode
+    /// that never retains. Disabled retention must report discards, not
+    /// drops.
+    #[test]
+    fn stats_only_run_reports_discards_not_drops() {
+        let records: Vec<LogRecord> = (0..2_000).map(probe_record).collect();
+        let report = stats_only_pipeline().run_threaded(records);
+        assert!(report.stats.admitted > 0, "workload admits alerts");
+        assert_eq!(
+            report.alerts_dropped, 0,
+            "retention-off must not report cap drops"
+        );
+        assert_eq!(
+            report.alerts_discarded, report.stats.admitted,
+            "every admitted alert accounted as a discard"
+        );
+        assert!(report.retained_alerts.is_empty());
+    }
+
+    #[test]
+    fn large_volume_bounded_memory() {
+        // 100k probe records flow through bounded channels without
+        // accumulating unbounded intermediate vectors.
+        let records: Vec<LogRecord> = (0..100_000).map(probe_record).collect();
+        let stats = stats_only_pipeline().run_threaded(records).stats;
+        assert_eq!(stats.records, 100_000);
+        assert!(
+            stats.admitted < stats.alerts / 10,
+            "filter collapses the flood"
+        );
     }
 }
