@@ -85,6 +85,43 @@ impl TemporalPolicy {
             dedup_window: None,
         }
     }
+
+    /// Apply the gap from an entity's previous alert at `last` to its
+    /// next at `ts` to the posterior `alpha`: the temporal half of one
+    /// filter step, shared by the tagger and the correlator's stitched
+    /// replay. Known `blackouts` are subtracted from the gap first — a
+    /// dark sensor is not attacker silence — while decay keeps
+    /// wall-clock time (the evidence really is that old). `None` when the
+    /// net gap ends the session (`alpha` untouched; the filter restarts
+    /// from the prior); otherwise `alpha` has been relaxed toward the
+    /// prior and the result is the gap bin to fold ([`GAP_NONE`] unless
+    /// gap observations are on).
+    #[inline]
+    pub(crate) fn apply_gap(
+        &self,
+        model: &ChainModel,
+        blackouts: &[(SimTime, SimTime)],
+        last: SimTime,
+        ts: SimTime,
+        alpha: &mut [f64],
+    ) -> Option<usize> {
+        let gap = ts.saturating_since(last);
+        let effective_gap = AttackTagger::net_gap(blackouts, last, ts);
+        if self
+            .session_timeout
+            .is_some_and(|limit| effective_gap > limit)
+        {
+            return None;
+        }
+        if let Some(lambda) = decay_factor(gap, self.decay_half_life) {
+            model.relax_to_prior(alpha, lambda);
+        }
+        Some(if self.gap_observations {
+            model.gap_bin(effective_gap.as_secs_f64())
+        } else {
+            GAP_NONE
+        })
+    }
 }
 
 /// The evidence-decay factor `λ = 2^(−gap/half_life)` shared by the
@@ -457,6 +494,16 @@ impl AttackTagger {
         Self::overlap_of(&self.blackouts, from, to)
     }
 
+    /// The gap from `from` to `to` net of its overlap with `blackouts`.
+    fn net_gap(blackouts: &[(SimTime, SimTime)], from: SimTime, to: SimTime) -> SimDuration {
+        let gap = to.saturating_since(from);
+        if blackouts.is_empty() {
+            gap
+        } else {
+            gap.saturating_sub(Self::overlap_of(blackouts, from, to))
+        }
+    }
+
     fn overlap_of(blackouts: &[(SimTime, SimTime)], from: SimTime, to: SimTime) -> SimDuration {
         let mut overlap = SimDuration::ZERO;
         for &(s, e) in blackouts {
@@ -543,30 +590,18 @@ impl AttackTagger {
         }
         // Temporal policy: the gap since the entity's previous alert ends
         // the session (timeout), fades stale evidence (decay), and is
-        // itself an observation (quantized gap factor). Known blackout
-        // spans are subtracted from the gap first — a dark sensor is not
-        // attacker silence — while decay keeps wall-clock time (the
-        // evidence really is that old).
+        // itself an observation (quantized gap factor).
         let mut gap_bin = GAP_NONE;
         if state.steps > 0 {
-            let gap = alert.ts.saturating_since(state.last_ts);
-            let effective_gap = if self.blackouts.is_empty() {
-                gap
-            } else {
-                gap.saturating_sub(Self::overlap_of(&self.blackouts, state.last_ts, alert.ts))
-            };
-            if temporal
-                .session_timeout
-                .is_some_and(|limit| effective_gap > limit)
-            {
-                state.steps = 0;
-            } else {
-                if let Some(lambda) = decay_factor(gap, temporal.decay_half_life) {
-                    self.model.relax_to_prior(&mut state.alpha, lambda);
-                }
-                if temporal.gap_observations {
-                    gap_bin = self.model.gap_bin(effective_gap.as_secs_f64());
-                }
+            match temporal.apply_gap(
+                &self.model,
+                &self.blackouts,
+                state.last_ts,
+                alert.ts,
+                &mut state.alpha,
+            ) {
+                Some(bin) => gap_bin = bin,
+                None => state.steps = 0,
             }
         }
         state.last_ts = alert.ts;
@@ -624,13 +659,7 @@ impl AttackTagger {
         let mut expired = std::mem::take(&mut self.evict_scratch);
         expired.clear();
         for (&id, state) in &self.states {
-            let gap = now.saturating_since(state.last_ts);
-            let effective = if self.blackouts.is_empty() {
-                gap
-            } else {
-                gap.saturating_sub(Self::overlap_of(&self.blackouts, state.last_ts, now))
-            };
-            if effective > timeout {
+            if Self::net_gap(&self.blackouts, state.last_ts, now) > timeout {
                 expired.push(id);
             }
         }

@@ -488,13 +488,10 @@ pub struct CampaignCorrelator {
     ///
     /// [`set_scope`]: CampaignCorrelator::set_scope
     scope: simnet::intern::SymScope,
-    /// The tagger's chain model, when attached — enables stitched
+    /// The tagger's inference, when attached — enables stitched
     /// sequence re-scoring of merged campaign step rings. Without it the
     /// correlator falls back to posterior fusion alone.
-    model: Option<ChainModel>,
-    /// Decision stages for stitched replay (mirrors
-    /// [`TaggerConfig::decision_stages`]).
-    decision_stages: Vec<Stage>,
+    replay: Option<Replay>,
     entities: FxHashMap<EntityId, EntityNode>,
     keys: FxHashMap<u64, KeyRing>,
     campaigns: FxHashMap<u32, CampaignState>,
@@ -523,8 +520,7 @@ impl CampaignCorrelator {
         CampaignCorrelator {
             policy,
             scope: simnet::intern::SymScope::global(),
-            model: None,
-            decision_stages: Vec::new(),
+            replay: None,
             entities: FxHashMap::default(),
             keys: FxHashMap::default(),
             campaigns: FxHashMap::default(),
@@ -538,18 +534,19 @@ impl CampaignCorrelator {
         }
     }
 
-    /// A correlator that can stitch: attach the tagger's chain model and
-    /// decision stages so merged campaign sequences are re-scored with
-    /// the exact inference the per-entity tagger runs (both step through
-    /// [`ChainModel::forward_step`]).
-    pub fn with_model(
-        policy: CorrelationPolicy,
-        model: ChainModel,
-        decision_stages: Vec<Stage>,
-    ) -> CampaignCorrelator {
+    /// A correlator that can stitch: attach `tagger`'s chain model,
+    /// decision stages, temporal policy and declared blackouts, so merged
+    /// campaign sequences are re-scored with the exact inference the
+    /// per-entity tagger runs. Build it after the tagger's temporal policy
+    /// and blackouts are set: the correlator keeps copies.
+    pub fn with_tagger(policy: CorrelationPolicy, tagger: &AttackTagger) -> CampaignCorrelator {
         let mut c = CampaignCorrelator::new(policy);
-        c.model = Some(model);
-        c.decision_stages = decision_stages;
+        c.replay = Some(Replay {
+            model: tagger.model().clone(),
+            decision_stages: tagger.config().decision_stages.clone(),
+            temporal: tagger.config().temporal.clone(),
+            blackouts: tagger.blackouts().to_vec(),
+        });
         c
     }
 
@@ -761,10 +758,9 @@ impl CampaignCorrelator {
                     0.0
                 };
                 if fused < self.policy.threshold {
-                    if let Some(model) = self.model.as_ref() {
+                    if let Some(replay) = self.replay.as_ref() {
                         let stitched = stitched_sequence_score(
-                            model,
-                            &self.decision_stages,
+                            replay,
                             &self.policy,
                             &self.entities,
                             &c.members,
@@ -1327,22 +1323,34 @@ impl CorrelatorSnapshot {
     }
 }
 
+/// What stitched replay steps a merged sequence with: the tagger's chain
+/// model, decision stages, temporal policy and declared blackouts. The
+/// temporal policy governs only the replay; campaign support and entity
+/// mass decay with [`CorrelationPolicy::decay_half_life`].
+#[derive(Debug, Clone)]
+struct Replay {
+    model: ChainModel,
+    decision_stages: Vec<Stage>,
+    temporal: TemporalPolicy,
+    blackouts: Vec<(SimTime, SimTime)>,
+}
+
 /// Re-score the stitched campaign sequence: merge the members' step rings
 /// in `(ts, entity, kind)` order (bounded window, bounded member prefix)
 /// and run the chain model's forward filter over the merged steps — the
 /// per-entity tagger's own inference: the same
-/// [`ChainModel::forward_step`], gap observations, and
-/// [`decay_factor`] relaxation toward the prior. Returns the decision
-/// mass of the final posterior, or `0.0` when the merge holds fewer than
-/// two steps or only one entity contributed (a single member's fragment
-/// is the tagger's own problem; stitching exists for *cross-entity*
-/// recovery).
+/// [`ChainModel::forward_step`] and the same temporal step
+/// ([`TemporalPolicy::apply_gap`]: session timeout, decay toward the
+/// prior and gap observations, net of declared blackouts). Returns the
+/// decision mass of the final posterior, or `0.0` when the merge holds
+/// fewer than two steps or only one entity contributed (a single
+/// member's fragment is the tagger's own problem; stitching exists for
+/// *cross-entity* recovery).
 ///
 /// Deterministic and allocation-free in steady state: the merge lives in
 /// caller-owned reusable scratch, the posterior on the stack.
 fn stitched_sequence_score(
-    model: &ChainModel,
-    decision_stages: &[Stage],
+    replay: &Replay,
     policy: &CorrelationPolicy,
     entities: &FxHashMap<EntityId, EntityNode>,
     members: &[EntityId],
@@ -1365,27 +1373,32 @@ fn stitched_sequence_score(
         return 0.0;
     }
     order.sort_unstable();
+    let model = &replay.model;
     let mut alpha = [0.0f64; Stage::COUNT];
     let mut last_ts = SimTime::EPOCH;
-    for (steps, &(ts, _, kind)) in order.iter().enumerate() {
+    let mut started = false;
+    for &(ts, _, kind) in order.iter() {
         let mut gap_bin = GAP_NONE;
-        if steps > 0 {
-            let gap = ts.saturating_since(last_ts);
-            if let Some(lambda) = decay_factor(gap, policy.decay_half_life) {
-                model.relax_to_prior(&mut alpha, lambda);
+        if started {
+            match replay
+                .temporal
+                .apply_gap(model, &replay.blackouts, last_ts, ts, &mut alpha)
+            {
+                Some(bin) => gap_bin = bin,
+                None => started = false,
             }
-            gap_bin = model.gap_bin(gap.as_secs_f64());
         }
         last_ts = ts;
         let prev = alpha;
         model.forward_step(
-            (steps > 0).then_some(&prev[..]),
+            started.then_some(&prev[..]),
             kind as usize,
             gap_bin,
             &mut alpha,
         );
+        started = true;
     }
-    AttackTagger::decision_mass(decision_stages, &alpha)
+    AttackTagger::decision_mass(&replay.decision_stages, &alpha)
 }
 
 /// Compact join keys carried by one alert (tag | 32-bit payload).
@@ -1460,11 +1473,7 @@ impl CorrelatedTagger {
     }
 
     pub fn with_policy(tagger: AttackTagger, policy: CorrelationPolicy) -> CorrelatedTagger {
-        let correlator = CampaignCorrelator::with_model(
-            policy,
-            tagger.model().clone(),
-            tagger.config().decision_stages.clone(),
-        );
+        let correlator = CampaignCorrelator::with_tagger(policy, &tagger);
         CorrelatedTagger { tagger, correlator }
     }
 
@@ -2156,9 +2165,8 @@ mod tests {
             idle_timeout: Some(SimDuration::from_mins(10)),
             ..CorrelationPolicy::default()
         };
-        let stages = TaggerConfig::default().decision_stages;
-        let fresh =
-            || CampaignCorrelator::with_model(policy.clone(), toy_training_model(), stages.clone());
+        let tagger = AttackTagger::new(toy_training_model(), TaggerConfig::default());
+        let fresh = || CampaignCorrelator::with_tagger(policy.clone(), &tagger);
         let cmd = Sym::new("./miner --pool stratum+tcp://evil:3333");
         let exec = |t: u64, user: &str| {
             Alert::new(
@@ -2310,10 +2318,11 @@ mod tests {
     }
 
     /// Stitched replay runs the tagger's inference: on two fragments that
-    /// interleave inside the adjacency window (no blackouts, no session
-    /// timeout), the stitched score equals, bit for bit, the decision mass
-    /// a fresh tagger with gap observations reaches on the merged sequence
-    /// fed as one entity — decay, gap bins and all.
+    /// interleave inside the adjacency window, the stitched score equals,
+    /// bit for bit, the decision mass a fresh tagger with the same temporal
+    /// policy and declared blackouts reaches on the merged sequence fed as
+    /// one entity — decay, gap bins, blackout-net gaps and session
+    /// timeouts all follow the tagger, not the correlation policy.
     #[test]
     fn stitched_score_is_the_taggers_decision_mass_bit_for_bit() {
         use factorgraph::timing::GapModel;
@@ -2328,15 +2337,6 @@ mod tests {
         let model =
             toy_training_model().with_gap_model(GapModel::new(Stage::COUNT, vec![3_600.0], emit));
         let policy = CorrelationPolicy::default();
-        let cfg = TaggerConfig {
-            temporal: TemporalPolicy {
-                decay_half_life: policy.decay_half_life,
-                session_timeout: None,
-                gap_observations: true,
-                dedup_window: None,
-            },
-            ..TaggerConfig::default()
-        };
         // `(secs, kind, fragment)`, in merged order.
         let merged = [
             (0, AlertKind::PortScan, 0),
@@ -2362,25 +2362,82 @@ mod tests {
             node.steps[node.steps_head as usize] = (SimTime::from_secs(t), kind.index() as u16);
             node.steps_head += 1;
         }
-        let stitched = stitched_sequence_score(
-            &model,
-            &cfg.decision_stages,
-            &policy,
-            &entities,
-            &ids,
-            SimTime::from_secs(30_000),
-            &mut Vec::new(),
-        );
-
-        let mut tagger = AttackTagger::new(model, cfg);
-        let one = Entity::Address("198.18.0.9".parse().unwrap());
-        let mut mass = 0.0;
-        for (t, kind, _) in merged {
-            mass = tagger
-                .observe_scored(&Alert::new(SimTime::from_secs(t), kind, one))
-                .attack_score;
+        // Stitched score and the one-entity tagger's mass under `temporal`
+        // with `blackouts` declared.
+        let score = |temporal: TemporalPolicy, blackouts: Vec<(SimTime, SimTime)>| {
+            let mut tagger = AttackTagger::new(
+                model.clone(),
+                TaggerConfig {
+                    temporal,
+                    ..TaggerConfig::default()
+                },
+            );
+            tagger.set_blackouts(blackouts);
+            let correlator = CampaignCorrelator::with_tagger(policy.clone(), &tagger);
+            let stitched = stitched_sequence_score(
+                correlator.replay.as_ref().expect("stitching correlator"),
+                &policy,
+                &entities,
+                &ids,
+                SimTime::from_secs(30_000),
+                &mut Vec::new(),
+            );
+            let one = Entity::Address("198.18.0.9".parse().unwrap());
+            let mut mass = 0.0;
+            for (t, kind, _) in merged {
+                mass = tagger
+                    .observe_scored(&Alert::new(SimTime::from_secs(t), kind, one))
+                    .attack_score;
+            }
+            assert!(mass > 0.0);
+            assert_eq!(stitched.to_bits(), mass.to_bits(), "{stitched} vs {mass}");
+            stitched
+        };
+        let base = TemporalPolicy {
+            decay_half_life: policy.decay_half_life,
+            session_timeout: None,
+            gap_observations: true,
+            dedup_window: None,
+        };
+        let reference = score(base.clone(), Vec::new());
+        let variants = [
+            (
+                "gap observations off",
+                TemporalPolicy {
+                    gap_observations: false,
+                    ..base.clone()
+                },
+                Vec::new(),
+            ),
+            (
+                "a declared blackout shrinks a gap below its bin edge",
+                base.clone(),
+                vec![(SimTime::from_secs(10_000), SimTime::from_secs(15_000))],
+            ),
+            (
+                "the tagger's own half-life",
+                TemporalPolicy {
+                    decay_half_life: Some(SimDuration::from_hours(1)),
+                    ..base.clone()
+                },
+                Vec::new(),
+            ),
+            (
+                "a session timeout inside the merged sequence",
+                TemporalPolicy {
+                    session_timeout: Some(SimDuration::from_hours(3)),
+                    ..base.clone()
+                },
+                Vec::new(),
+            ),
+        ];
+        for (what, temporal, blackouts) in variants {
+            let stitched = score(temporal, blackouts);
+            assert_ne!(
+                stitched.to_bits(),
+                reference.to_bits(),
+                "{what} moves the score"
+            );
         }
-        assert!(mass > 0.0);
-        assert_eq!(stitched.to_bits(), mass.to_bits(), "{stitched} vs {mass}");
     }
 }

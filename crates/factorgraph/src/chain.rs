@@ -13,6 +13,11 @@ use crate::factor::Factor;
 use crate::graph::FactorGraph;
 use crate::timing::{GapModel, GAP_NONE};
 
+/// `f64::MIN_POSITIVE.ln()`: the log-likelihood an impossible
+/// observation costs in [`ChainModel::filter`]. A literal, so every build
+/// reads the same bits without a run-time `ln` call.
+const LN_MIN_POSITIVE: f64 = -708.396_418_532_264_1;
+
 /// A stationary chain model: prior, transition and emission tables, plus
 /// an optional quantized inter-observation-gap emission model
 /// ([`GapModel`], Insight 3: attack tempo is evidence).
@@ -161,7 +166,7 @@ impl ChainModel {
             loglik += if norm > 0.0 {
                 norm.ln()
             } else {
-                f64::MIN_POSITIVE.ln()
+                LN_MIN_POSITIVE
             };
             alphas.push(a);
         }
@@ -566,6 +571,11 @@ mod tests {
         let likely = m.loglik(&[0, 0, 0]);
         let unlikely = m.loglik(&[2, 2, 2]);
         assert!(likely > unlikely);
+    }
+
+    #[test]
+    fn ln_min_positive_literal_is_exact() {
+        assert_eq!(LN_MIN_POSITIVE.to_bits(), f64::MIN_POSITIVE.ln().to_bits());
     }
 
     #[test]

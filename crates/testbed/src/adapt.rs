@@ -257,7 +257,7 @@ pub fn run_reactive_campaign(
         buf.clear();
         gen.emit_until(t, &mut buf);
         if !buf.is_empty() {
-            core.process_records_at(None, &buf);
+            core.process_records_at(None, &mut buf, |_| {});
             records.extend_from_slice(&buf);
         }
         let events = tap.drain();

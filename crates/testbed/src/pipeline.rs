@@ -97,7 +97,7 @@ impl ActionSink for PipelineSink {
         // are stamped with the engine's event time, exactly as the
         // pre-redesign sink did.
         self.core
-            .process_records_at(Some(ctx.time), &self.records_scratch);
+            .process_records_at(Some(ctx.time), &mut self.records_scratch, |_| {});
         // Mirror the core counters so the public `report` stays live
         // mid-run, as it always was.
         self.report.records = self.core.stats.records;

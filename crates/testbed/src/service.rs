@@ -16,11 +16,15 @@
 //!   receives it so the symbolizer, correlator and response stage all
 //!   mint and resolve in the tenant's table, and ingest re-mints
 //!   record symbols from the caller's global scope into it. The re-mint
-//!   rewrites the owned batch in place ([`LogRecord::remap_syms`])
-//!   through a per-session memo indexed by global symbol id, so each
-//!   distinct string is re-interned once, in the order
-//!   [`LogRecord::rescope`] would intern it. Snapshots never persist raw
-//!   symbol ids: they name symbols by position in the tenant's universe.
+//!   runs inside the symbolize loop, in the pipeline's one pass over the
+//!   owned batch: each record is rewritten in place
+//!   ([`LogRecord::remap_syms`]) just before it is symbolized, through a
+//!   per-session memo indexed by global symbol id, so each distinct
+//!   string is re-interned once. Symbolize and the later stages intern
+//!   nothing per record, so ids come out in the order
+//!   [`LogRecord::rescope`] would intern them. Snapshots never persist
+//!   raw symbol ids: they name symbols by position in the tenant's
+//!   universe.
 //! - **Snapshot / restore**: [`ServiceHandle::snapshot`] captures a
 //!   tenant's full mid-stream detection state — scan-filter windows,
 //!   tagger posteriors, the campaign graph, stream counters, and the
@@ -147,9 +151,11 @@ struct SymMemo {
 impl SymMemo {
     const UNSEEN: u32 = u32::MAX;
 
+    /// The tenant symbol for global `s`. The hit path is an array load
+    /// kept inline in the per-symbol loop; a miss goes out of line.
+    #[inline]
     fn translate(&mut self, global: &SymScope, scope: &SymScope, s: Sym) -> Sym {
-        let i = s.id() as usize;
-        match self.ids.get(i) {
+        match self.ids.get(s.id() as usize) {
             Some(&id) if id != Self::UNSEEN => {
                 // A hit skips `global.resolve`, so keep its debug
                 // cross-table guard here.
@@ -159,17 +165,24 @@ impl SymMemo {
                 }
                 scope.sym_from_id(id)
             }
-            _ => {
-                // Resolve before growing: a foreign or out-of-range id
-                // panics here instead of sizing the memo to it.
-                let t = scope.sym(global.resolve(s));
-                if i >= self.ids.len() {
-                    self.ids.resize(i + 1, Self::UNSEEN);
-                }
-                self.ids[i] = t.id();
-                t
-            }
+            _ => self.mint(global, scope, s),
         }
+    }
+
+    /// First sighting of global `s`: re-mint its string into the tenant
+    /// scope and remember the tenant id.
+    #[cold]
+    #[inline(never)]
+    fn mint(&mut self, global: &SymScope, scope: &SymScope, s: Sym) -> Sym {
+        // Resolve before growing: a foreign or out-of-range id panics
+        // here instead of sizing the memo to it.
+        let t = scope.sym(global.resolve(s));
+        let i = s.id() as usize;
+        if i >= self.ids.len() {
+            self.ids.resize(i + 1, Self::UNSEEN);
+        }
+        self.ids[i] = t.id();
+        t
     }
 }
 
@@ -335,11 +348,12 @@ fn worker_loop(
                 // Callers mint record symbols in the global scope;
                 // re-mint them into the tenant's universe so every
                 // symbol the session touches lives (and dies) with it.
+                // Each record is translated just before it is symbolized,
+                // in the pipeline's one pass over the batch.
                 let TenantSession { core, scope, memo } = session;
-                for r in &mut records {
-                    r.remap_syms(|s| memo.translate(&global, scope, s));
-                }
-                core.process_records_at(None, &records);
+                core.process_records_at(None, &mut records, |r| {
+                    r.remap_syms(|s| memo.translate(&global, scope, s))
+                });
             }
             Control::Snapshot(tenant, reply) => {
                 let result = match sessions.get(&tenant) {
@@ -722,6 +736,33 @@ mod tests {
         memo.translate(&global, &tenant, foreign);
     }
 
+    /// A record carrying a global id past the global table panics in the
+    /// memo's miss path, in release builds too, before the memo grows or
+    /// the tenant table interns anything.
+    #[test]
+    fn memo_miss_rejects_ids_past_the_global_table() {
+        let global = SymScope::global();
+        let tenant = SymScope::fresh();
+        let mut memo = SymMemo::default();
+        let mut known = attack_records("memo-miss-user", 0).swap_remove(0);
+        known.remap_syms(|s| memo.translate(&global, &tenant, s));
+        let (memo_len, tenant_len) = (memo.ids.len(), tenant.len());
+        assert!(memo_len > 0);
+        // Far enough past the table that concurrent tests cannot reach it,
+        // near enough that a memo grown to it stays small.
+        let past = Sym::from_id(global.len() as u32 + (1 << 20));
+        let mut bad = attack_records("memo-miss-user", 0).swap_remove(0);
+        if let LogRecord::Process(p) = &mut bad {
+            p.hostname = past;
+        }
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            bad.remap_syms(|s| memo.translate(&global, &tenant, s))
+        }));
+        assert!(caught.is_err(), "an id past the global table must panic");
+        assert_eq!(memo.ids.len(), memo_len, "a rejected miss grows nothing");
+        assert_eq!(tenant.len(), tenant_len, "a rejected miss interns nothing");
+    }
+
     #[test]
     fn memoised_ingest_interns_in_rescope_order() {
         let batches: Vec<Vec<LogRecord>> = (0..6).map(mixed_records).collect();
@@ -741,8 +782,9 @@ mod tests {
         let fresh = SymScope::fresh();
         let mut core = InlineCore::new(factory()(tenant, fresh.clone()));
         for batch in &batches {
-            let scoped: Vec<LogRecord> = batch.iter().map(|r| r.rescope(&global, &fresh)).collect();
-            core.process_records_at(None, &scoped);
+            let mut scoped: Vec<LogRecord> =
+                batch.iter().map(|r| r.rescope(&global, &fresh)).collect();
+            core.process_records_at(None, &mut scoped, |_| {});
         }
         assert_eq!(universe, fresh.snapshot());
         core.flush();

@@ -163,6 +163,21 @@ impl SymbolizeStage {
     pub fn symbolizer(&self) -> &Symbolizer {
         &self.symbolizer
     }
+
+    /// Symbolize an owned batch in one pass, running `prep` on each
+    /// record just before it is symbolized (the service's tenant remap;
+    /// a no-op elsewhere).
+    pub(crate) fn prep_and_process(
+        &mut self,
+        records: &mut [LogRecord],
+        mut prep: impl FnMut(&mut LogRecord),
+        out: &mut Vec<Alert>,
+    ) {
+        for r in records {
+            prep(r);
+            self.symbolizer.symbolize_into(r, out);
+        }
+    }
 }
 
 impl Stage<LogRecord, Alert> for SymbolizeStage {
@@ -417,21 +432,18 @@ impl DetectorStage {
 
     /// Build the campaign correlator the pipeline should run over the
     /// merged outcome stream, when the detector carries a correlation
-    /// policy: the tagger's own chain model and decision stages are
-    /// attached so stitched campaign sequences are re-scored with the
-    /// exact inference the per-entity tagger runs (one shared
-    /// `ChainModel::forward_step`).
+    /// policy: the tagger's own chain model, decision stages, temporal
+    /// policy and blackouts are attached so stitched campaign sequences
+    /// are re-scored with the exact inference the per-entity tagger runs
+    /// (see [`detect::CampaignCorrelator::with_tagger`]). Call it after
+    /// [`apply_temporal`](Self::apply_temporal) and
+    /// [`apply_blackouts`](Self::apply_blackouts).
     pub fn build_correlator(&self) -> Option<detect::CampaignCorrelator> {
         match self {
             DetectorStage::Tagger(s) => {
                 let tagger = s.tagger();
-                tagger.config().correlation.clone().map(|policy| {
-                    detect::CampaignCorrelator::with_model(
-                        policy,
-                        tagger.model().clone(),
-                        tagger.config().decision_stages.clone(),
-                    )
-                })
+                (tagger.config().correlation.clone())
+                    .map(|policy| detect::CampaignCorrelator::with_tagger(policy, tagger))
             }
             _ => None,
         }

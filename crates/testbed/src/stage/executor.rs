@@ -140,13 +140,22 @@ impl InlineCore {
     }
 
     /// Run one record batch through symbolize → filter → detect →
-    /// response → retention, updating counters. `now` is the response
-    /// timestamp (see [`ResponseStage::respond`]): the closed-loop sink
-    /// passes the engine's event time, record-stream runs pass `None`.
-    pub(crate) fn process_records_at(&mut self, now: Option<SimTime>, records: &[LogRecord]) {
+    /// response → retention, updating counters. `prep` runs on each
+    /// record just before it is symbolized, in the same pass: the
+    /// service worker translates tenant symbols there, every other
+    /// caller passes a no-op. `now` is the response timestamp (see
+    /// [`ResponseStage::respond`]): the closed-loop sink passes the
+    /// engine's event time, record-stream runs pass `None`.
+    pub(crate) fn process_records_at(
+        &mut self,
+        now: Option<SimTime>,
+        records: &mut [LogRecord],
+        prep: impl FnMut(&mut LogRecord),
+    ) {
         self.stats.records += records.len() as u64;
         self.alerts_buf.clear();
-        self.symbolize.process_batch(records, &mut self.alerts_buf);
+        self.symbolize
+            .prep_and_process(records, prep, &mut self.alerts_buf);
         self.stats.alerts += self.alerts_buf.len() as u64;
         self.run_tail(now);
     }
@@ -261,7 +270,7 @@ where
             for r in records {
                 buf.push(r);
                 if buf.len() >= batch {
-                    core.process_records_at(None, &buf);
+                    core.process_records_at(None, &mut buf, |_| {});
                     buf.clear();
                 }
             }
@@ -271,7 +280,7 @@ where
             for r in records {
                 inj.push(r, &mut buf);
                 if buf.len() >= batch {
-                    core.process_records_at(None, &buf);
+                    core.process_records_at(None, &mut buf, |_| {});
                     buf.clear();
                 }
             }
@@ -280,7 +289,7 @@ where
         }
     };
     if !buf.is_empty() {
-        core.process_records_at(None, &buf);
+        core.process_records_at(None, &mut buf, |_| {});
     }
     core.flush();
     let mut report = core.into_report();
