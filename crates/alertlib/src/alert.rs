@@ -78,19 +78,13 @@ impl EntityId {
         }
     }
 
-    /// The canonical key (`user:…` / `addr:…` / `unknown`) for reports
-    /// and ground-truth tables. Resolves user symbols against the global
-    /// scope; snapshot paths carrying tenant-scoped ids use
-    /// [`EntityId::key_in`].
-    pub fn key(self) -> EntityKey {
-        self.key_in(&SymScope::global())
-    }
-
-    /// [`EntityId::key`] against an explicit symbol scope. Rebuilds the
-    /// user handle via [`SymScope::sym_from_id`] (not
-    /// [`EntityId::entity`], whose handles are global-tagged) so
-    /// tenant-scoped ids resolve against the table that minted them.
-    pub fn key_in(self, scope: &SymScope) -> EntityKey {
+    /// The canonical key (`user:…` / `addr:…` / `unknown`) for reports,
+    /// ground-truth tables and snapshots, with a user's symbol resolved
+    /// against `scope`, the table that minted it. Rebuilds the user
+    /// handle via [`SymScope::sym_from_id`] (not [`EntityId::entity`],
+    /// whose handles are global-tagged). [`EntityId::from_key`] parses
+    /// the same format back.
+    pub fn key(self, scope: &SymScope) -> EntityKey {
         let payload = self.0 as u32;
         match self.0 & !0xFFFF_FFFF {
             TAG_USER => EntityKey::render(format_args!(
@@ -180,19 +174,10 @@ impl EntityId {
 
 impl Entity {
     /// Canonical key for reports, ground truth and sessionization
-    /// *boundaries*. Hot paths key by [`Entity::id`] instead. Resolves
-    /// user symbols against the global scope; see [`Entity::key_in`].
-    pub fn key(&self) -> EntityKey {
-        self.key_in(&SymScope::global())
-    }
-
-    /// [`Entity::key`] against an explicit symbol scope.
-    pub fn key_in(&self, scope: &SymScope) -> EntityKey {
-        match self {
-            Entity::User(u) => EntityKey::render(format_args!("user:{}", scope.resolve(*u))),
-            Entity::Address(a) => EntityKey::render(format_args!("addr:{a}")),
-            Entity::Unknown => EntityKey::from("unknown"),
-        }
+    /// *boundaries*, resolved against `scope` (see [`EntityId::key`]).
+    /// Hot paths key by [`Entity::id`] instead.
+    pub fn key(&self, scope: &SymScope) -> EntityKey {
+        self.id().key(scope)
     }
 
     /// The allocation-free integer identity (see [`EntityId`]).
@@ -205,16 +190,8 @@ impl Entity {
         }
     }
 
-    /// The user name if this is a user entity.
-    pub fn user(&self) -> Option<&'static str> {
-        match self {
-            Entity::User(u) => Some(u.as_str()),
-            _ => None,
-        }
-    }
-
-    /// The user name resolved against an explicit scope.
-    pub fn user_in<'a>(&self, scope: &'a SymScope) -> Option<&'a str> {
+    /// The user name if this is a user entity, resolved against `scope`.
+    pub fn user<'a>(&self, scope: &'a SymScope) -> Option<&'a str> {
         match self {
             Entity::User(u) => Some(scope.resolve(*u)),
             _ => None,
@@ -234,6 +211,9 @@ impl Entity {
     }
 }
 
+/// Global-only: a user is resolved against the global table. Text for a
+/// tenant-scoped entity comes from [`Entity::key`] and
+/// [`EntityKey::describe`].
 impl fmt::Display for Entity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -245,7 +225,7 @@ impl fmt::Display for Entity {
 }
 
 /// A canonical entity key (`user:…` / `addr:…` / `unknown`), stored
-/// inline: what [`EntityId::key_in`] returns and what reports hold.
+/// inline: what [`EntityId::key`] returns and what reports hold.
 ///
 /// Keys of up to [`EntityKey::INLINE_CAP`] bytes (every address, and
 /// user names of up to 25 bytes) live in the value itself, so rendering
@@ -472,6 +452,7 @@ impl Alert {
     }
 }
 
+/// Global-only, like the `Display` of [`Entity`] and [`MessageSpec`].
 impl fmt::Display for Alert {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} {} [{}]", self.ts, self.kind, self.entity)?;
@@ -488,16 +469,18 @@ mod tests {
 
     #[test]
     fn entity_keys_are_distinct() {
+        let g = SymScope::global();
         let u = Entity::User("alice".into());
         let a = Entity::Address("10.0.0.1".parse().unwrap());
-        assert_ne!(u.key(), a.key());
-        assert_eq!(u.key(), "user:alice");
-        assert_eq!(u.user(), Some("alice"));
-        assert_eq!(a.user(), None);
+        assert_ne!(u.key(&g), a.key(&g));
+        assert_eq!(u.key(&g), "user:alice");
+        assert_eq!(u.user(&g), Some("alice"));
+        assert_eq!(a.user(&g), None);
     }
 
     #[test]
     fn entity_id_round_trips() {
+        let g = SymScope::global();
         for e in [
             Entity::User("alice".into()),
             Entity::Address("10.0.0.1".parse().unwrap()),
@@ -505,10 +488,10 @@ mod tests {
         ] {
             let id = e.id();
             assert_eq!(id.entity(), e, "lossless encoding");
-            assert_eq!(id.key(), e.key());
-            assert_eq!(EntityId::from_key(&e.key()), Some(id), "key parses back");
+            assert_eq!(id.key(&g), e.key(&g));
+            assert_eq!(EntityId::from_key(&e.key(&g)), Some(id), "key parses back");
             assert_eq!(
-                e.key().describe().to_string(),
+                e.key(&g).describe().to_string(),
                 e.to_string(),
                 "operator text"
             );
@@ -525,19 +508,20 @@ mod tests {
     #[test]
     fn entity_keys_spill_only_past_the_inline_capacity() {
         const CAP: usize = EntityKey::INLINE_CAP;
+        let g = SymScope::global();
         assert_eq!(std::mem::size_of::<EntityKey>(), 32);
         let inline = |k: &EntityKey| matches!(k.0, KeyRepr::Inline { .. });
         assert!(inline(&EntityKey::from("u".repeat(CAP).as_str())));
         assert!(!inline(&EntityKey::from("u".repeat(CAP + 1).as_str())));
         // A key that crosses the capacity mid-write keeps its whole text.
         let long = Entity::User("a-user-name-of-exactly-thirty-two".into());
-        let key = long.key();
+        let key = long.key(&g);
         assert!(!inline(&key));
         assert_eq!(key, "user:a-user-name-of-exactly-thirty-two");
-        let widest = Entity::Address(Ipv4Addr::new(255, 255, 255, 255)).key();
+        let widest = Entity::Address(Ipv4Addr::new(255, 255, 255, 255)).key(&g);
         assert!(inline(&widest));
         assert_eq!(widest, "addr:255.255.255.255");
-        assert_eq!(Entity::Unknown.key(), "unknown");
+        assert_eq!(Entity::Unknown.key(&g), "unknown");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! - [`alert`] — the alert type and attack [`alert::Entity`].
 //! - [`pattern`] — wildcard matching used by the rules.
 //! - [`symbolize`] — the record→alert rule engine.
-//! - [`sanitize`] — PII scrubbing (paper's `xxx.yyy` address masking).
+//! - [`sanitize`](mod@sanitize) — PII scrubbing (paper's `xxx.yyy` address masking).
 //! - [`filter`] — streaming repeated-scan filter.
 //! - [`annotate`] — auto + expert annotation against ground truth.
 //! - [`store`] — incidents and the longitudinal corpus.

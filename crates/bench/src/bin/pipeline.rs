@@ -6,6 +6,7 @@
 //! in-line (deterministic) and crossbeam-streaming variants.
 
 use bench::{banner, write_artifact};
+use simnet::intern::SymScope;
 use simnet::prelude::*;
 use testbed::{Testbed, TestbedConfig};
 
@@ -109,7 +110,7 @@ fn main() {
         use simnet::engine::ActionSink;
         // Rebuild the same scan workload and collect raw records.
         let topo = simnet::topology::NcsaTopologyBuilder::default().build();
-        let mut hub = telemetry::MonitorHub::standard();
+        let mut hub = telemetry::MonitorHub::standard(&SymScope::global());
         let mut engine = simnet::engine::Engine::new(topo, start);
         for i in 0..50_000u64 {
             let t = start + SimDuration::from_millis(i * 4);

@@ -15,7 +15,7 @@ use alertlib::alert::{Alert, Entity};
 use alertlib::taxonomy::AlertKind;
 use bhr::BhrHandle;
 use detect::attack_tagger::{AttackTagger, Detection, TaggerConfig};
-use scenario::stream::{record_stream_in, RecordStreamConfig};
+use scenario::stream::{record_stream, RecordStreamConfig};
 use simnet::intern::SymScope;
 use simnet::rng::SimRng;
 use simnet::time::SimTime;
@@ -34,7 +34,7 @@ fn run(scope: &SymScope) -> StreamReport {
         users: 12,
         ..RecordStreamConfig::default()
     };
-    let records = record_stream_in(scope, &cfg, &mut SimRng::seed(0x601D));
+    let records = record_stream(scope, &cfg, &mut SimRng::seed(0x601D));
     PipelineBuilder::new()
         .tagger(AttackTagger::new(
             detect::train::toy_training_model(),

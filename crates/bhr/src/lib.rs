@@ -1,7 +1,7 @@
 //! # bhr — the Black Hole Router
 //!
 //! The response component of Fig. 4: a null-route table with a
-//! programmable API (modeled after `ncsa/bhr-client` [37]) plus a
+//! programmable API (modeled after `ncsa/bhr-client` \[37\]) plus a
 //! rate-based auto-block policy, packaged as a border-router filter for the
 //! simulation engine.
 //!

@@ -1,6 +1,6 @@
 //! The factor-graph AttackTagger detector.
 //!
-//! Per §IV and refs [5], [6]: each attack entity (user account or source
+//! Per §IV and refs \[5\], \[6\]: each attack entity (user account or source
 //! address) carries a chain of hidden attack stages linked by learned
 //! transition factors, with learned observation factors tying each stage to
 //! the observed alert. Online, the detector maintains the *filtered*
@@ -18,7 +18,7 @@ use alertlib::taxonomy::AlertKind;
 use factorgraph::chain::ChainModel;
 use factorgraph::timing::GAP_NONE;
 use serde::{Deserialize, Serialize};
-use simnet::intern::SymMap;
+use simnet::intern::{SymMap, SymScope};
 use simnet::rng::{FxHashMap, FxHashSet};
 use simnet::time::{SimDuration, SimTime};
 
@@ -728,10 +728,13 @@ impl AttackTagger {
     }
 
     /// Canonical-key convenience over
-    /// [`AttackTagger::detected_entity_ids`] (tests only — hot paths use
-    /// the id variant).
-    pub fn detected_entities(&self) -> impl Iterator<Item = EntityKey> + '_ {
-        self.detected_entity_ids().map(|id| id.key())
+    /// [`AttackTagger::detected_entity_ids`], with user names resolved
+    /// against `scope` (tests only — hot paths use the id variant).
+    pub fn detected_entities<'a>(
+        &'a self,
+        scope: &'a SymScope,
+    ) -> impl Iterator<Item = EntityKey> + 'a {
+        self.detected_entity_ids().map(|id| id.key(scope))
     }
 
     /// Ground-truth hook: alerts folded into an entity's filter so far
@@ -1295,7 +1298,9 @@ mod tests {
             tagger.is_detected("user:eve"),
             "the latch survives in the side set"
         );
-        assert!(tagger.detected_entities().any(|k| k == "user:eve"));
+        assert!(tagger
+            .detected_entities(&SymScope::global())
+            .any(|k| k == "user:eve"));
         // Eve returns with the same kill chain: latched, so no re-count.
         let t0 = 86_400 * 3;
         for (dt, k) in [
@@ -1441,7 +1446,7 @@ mod tests {
         assert!(tagger.is_detected("user:eve"));
         assert!(!tagger.is_detected("user:alice"));
         assert!(!tagger.is_detected("user:nobody"));
-        let detected: Vec<EntityKey> = tagger.detected_entities().collect();
+        let detected: Vec<EntityKey> = tagger.detected_entities(&SymScope::global()).collect();
         assert_eq!(detected, ["user:eve"]);
         assert_eq!(tagger.entity_steps("user:eve"), Some(3));
         assert_eq!(tagger.entity_steps("user:alice"), Some(1));

@@ -1001,16 +1001,15 @@ impl CampaignCorrelator {
             .campaigns
             .iter()
             .map(|(&id, c)| {
-                let mut members: Vec<EntityKey> =
-                    c.members.iter().map(|m| m.key_in(scope)).collect();
+                let mut members: Vec<EntityKey> = c.members.iter().map(|m| m.key(scope)).collect();
                 members.sort_unstable();
                 let mut links: Vec<LinkSummary> = c
                     .links
                     .iter()
                     .map(|l| LinkSummary {
                         ts: l.ts,
-                        a: l.a.key_in(scope),
-                        b: l.b.key_in(scope),
+                        a: l.a.key(scope),
+                        b: l.b.key(scope),
                         kind: l.kind,
                     })
                     .collect();
@@ -1039,8 +1038,7 @@ impl CampaignCorrelator {
             .campaigns
             .values()
             .map(|c| {
-                let mut m: Vec<EntityKey> =
-                    c.members.iter().map(|e| e.key_in(&self.scope)).collect();
+                let mut m: Vec<EntityKey> = c.members.iter().map(|e| e.key(&self.scope)).collect();
                 m.sort_unstable();
                 m
             })
@@ -1057,7 +1055,7 @@ impl CampaignCorrelator {
             .campaigns
             .values()
             .flat_map(|c| c.links.iter())
-            .map(|l| (l.a.key_in(&self.scope), l.b.key_in(&self.scope), l.kind))
+            .map(|l| (l.a.key(&self.scope), l.b.key(&self.scope), l.kind))
             .collect();
         out.sort();
         out.dedup();
@@ -2439,5 +2437,60 @@ mod tests {
                 "{what} moves the score"
             );
         }
+    }
+
+    /// A `COPY FROM PROGRAM` payload arrives as a plain string, and the
+    /// symbolizer interns it as the alert's palette symbol. In a tenant
+    /// pipeline the exported palette key has to name that string by its
+    /// position in the tenant's universe, or a restored correlator could
+    /// never join the next alert carrying the same program.
+    #[test]
+    fn tenant_palette_key_indexes_the_program_in_the_tenant_universe() {
+        use alertlib::symbolize::Symbolizer;
+        use simnet::action::DbCommandKind;
+        use simnet::flow::FlowId;
+        use simnet::intern::SymScope;
+        use telemetry::record::{DbRecord, LogRecord};
+
+        let tenant = SymScope::fresh();
+        let mut symbolizer = Symbolizer::with_defaults();
+        symbolizer.set_scope(tenant.clone());
+        let mut c = CampaignCorrelator::new(CorrelationPolicy::default());
+        c.set_scope(tenant.clone());
+        let program = "/tmp/kp-palette --daemon";
+        let mut none = None;
+        for (t, src) in [(0, "111.200.1.1"), (30, "111.200.1.2")] {
+            let record = LogRecord::Db(DbRecord {
+                ts: simnet::time::SimTime::from_secs(t),
+                uid: FlowId(t),
+                orig_h: src.parse().unwrap(),
+                resp_h: victim(),
+                host: None,
+                user: tenant.sym("postgres"),
+                command: DbCommandKind::CopyFromProgram {
+                    program: program.to_owned(),
+                },
+                statement: tenant.sym("COPY t FROM PROGRAM"),
+            });
+            for alert in symbolizer.symbolize(&record) {
+                c.observe(&alert, 0.6, &mut none);
+            }
+        }
+        let universe = tenant.snapshot();
+        let palette: Vec<u32> = c
+            .export_state()
+            .keys
+            .iter()
+            .filter(|k| k.kind == LinkKind::Palette)
+            .map(|k| k.id)
+            .collect();
+        assert_eq!(palette.len(), 1, "one palette key: {palette:?}");
+        assert_eq!(
+            universe.get(palette[0] as usize).map(String::as_str),
+            Some(program),
+            "palette id {} in a {}-symbol tenant universe",
+            palette[0],
+            universe.len()
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Full factor-graph session model (skip-chain extension).
 //!
 //! The chain model of [`crate::attack_tagger`] links consecutive events
-//! only. The factor-graph formulation of ref [6] is richer: repeated
+//! only. The factor-graph formulation of ref \[6\] is richer: repeated
 //! observations of the *same alert kind* within a session are linked by
 //! additional "skip" factors, encoding that recurrences of an indicative
 //! alert refer to the same underlying attack state even when far apart in

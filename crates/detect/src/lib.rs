@@ -2,7 +2,7 @@
 //!
 //! The detection models deployed on the testbed (§IV, §V):
 //!
-//! - [`attack_tagger`] — the factor-graph detector ([5], [6]): per-entity
+//! - [`attack_tagger`] — the factor-graph detector (\[5\], \[6\]): per-entity
 //!   hidden attack-stage chains with learned observation and transition
 //!   factors; causal forward filtering raises detections *before* damage.
 //! - [`correlate`] — cross-entity campaign correlation: stitches
@@ -14,11 +14,11 @@
 //! - [`critical`] — the critical-alert-only baseline, which detects but by
 //!   construction cannot preempt (Insight 4).
 //! - [`fg_session`] — the full (loopy) skip-chain session factor graph of
-//!   ref [6], for offline forensic inference.
+//!   ref \[6\], for offline forensic inference.
 //! - [`online`] — online per-entity adapter for the offline baselines.
 //! - [`stage`] — the hidden attack-stage vocabulary.
-//! - [`sessionize`] — entity sessionization per the §III-B threat model.
-//! - [`train`] — supervised MLE training from annotated incidents.
+//! - [`sessionize`](mod@sessionize) — entity sessionization per the §III-B threat model.
+//! - [`train`](mod@train) — supervised MLE training from annotated incidents.
 //! - [`metrics`] — detection / preemption / lead-time evaluation.
 
 pub mod attack_tagger;

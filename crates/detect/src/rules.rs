@@ -1,6 +1,6 @@
-//! Rule-based baseline detector (ref [5]).
+//! Rule-based baseline detector (ref \[5\]).
 //!
-//! The paper's testbed runs both a "rule-based detector [5]" and the
+//! The paper's testbed runs both a "rule-based detector \[5\]" and the
 //! factor-graph detector. This baseline matches ordered alert-kind
 //! sequences within a time window — the signature-matching approach that
 //! Insight 1 motivates (recurring alert sequences) but that lacks the

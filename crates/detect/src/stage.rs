@@ -1,6 +1,6 @@
 //! Hidden attack stages.
 //!
-//! The factor-graph models of refs [5], [6] infer a *hidden attack state*
+//! The factor-graph models of refs \[5\], \[6\] infer a *hidden attack state*
 //! per observed event. We use a six-stage progression; the decision rule
 //! collapses it to the paper's benign / suspicious / malicious verdicts.
 

@@ -1,6 +1,6 @@
 //! Exact inference on chain-structured models.
 //!
-//! The AttackTagger detector (refs [5], [6] of the paper) models each
+//! The AttackTagger detector (refs \[5\], \[6\] of the paper) models each
 //! attack entity as a chain of hidden attack stages `s_1 → s_2 → … → s_n`
 //! with one observed alert per step. This module provides the exact,
 //! numerically scaled algorithms on that chain: forward filtering (the

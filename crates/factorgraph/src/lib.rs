@@ -1,6 +1,6 @@
 //! # factorgraph — discrete probabilistic graphical models
 //!
-//! The inference substrate behind the paper's preemption models ([5], [6]):
+//! The inference substrate behind the paper's preemption models (\[5\], \[6\]):
 //! "Factor-Graph-based models ... to infer hidden attack states and stop
 //! attacks before the damage."
 //!

@@ -13,7 +13,7 @@
 //!
 //! The seed implementation — per-edge `Vec<Vec<Vec<f64>>>` storage and an
 //! odometer walk per factor table — is preserved unchanged in
-//! [`reference`] as the baseline the benchmark suite and the equivalence
+//! [`reference`](mod@reference) as the baseline the benchmark suite and the equivalence
 //! tests compare against.
 
 use crate::factor::Factor;

@@ -1,7 +1,7 @@
 //! CAUDIT-style SSH honeypot deployment.
 //!
 //! The testbed is "a successor to our previously deployed Secure Shell
-//! (SSH) honeypot at NCSA" (CAUDIT, ref [7]). This module deploys SSH
+//! (SSH) honeypot at NCSA" (CAUDIT, ref \[7\]). This module deploys SSH
 //! emulators on the honeynet entry points, plants channel-unique leaked
 //! credentials (§IV-B), captures every authentication attempt, attributes
 //! successful uses of planted secrets to the leak channel the attacker

@@ -16,7 +16,7 @@
 //! - [`deploy`] — the /24 with sixteen entry points forwarding into
 //!   containers, turning attacker sessions into action streams.
 //! - [`caudit`] — the CAUDIT-style SSH honeypot fleet with leak-channel
-//!   attribution (the testbed's predecessor, ref [7]).
+//!   attribution (the testbed's predecessor, ref \[7\]).
 
 pub mod caudit;
 pub mod container;

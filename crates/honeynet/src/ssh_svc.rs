@@ -1,6 +1,6 @@
 //! Emulated SSH service with credential capture.
 //!
-//! Successor to the paper's earlier SSH honeypot (CAUDIT [7]): accepts the
+//! Successor to the paper's earlier SSH honeypot (CAUDIT \[7\]): accepts the
 //! advertised ghost-account credentials (§IV-B), records every attempt for
 //! attacker attribution, and passes executed commands through as
 //! observable events.

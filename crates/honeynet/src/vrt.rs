@@ -1,7 +1,7 @@
 //! Vulnerability Reproduction Tool (VRT).
 //!
 //! §IV-A: compiling an old vulnerable package fails on modern systems
-//! because its dependency closure is gone; the VRT tool [38] rebuilds "old
+//! because its dependency closure is gone; the VRT tool \[38\] rebuilds "old
 //! Linux containers at any point in the past (2005–present) using the
 //! Debian snapshot repository": give it a date, it finds the distribution
 //! released just before that date and pins every package to the latest

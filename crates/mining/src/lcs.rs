@@ -2,7 +2,7 @@
 //!
 //! Insight 2 identifies "common alert sequences (named from S1 to S43)"
 //! via longest common subsequences between incident alert sequences
-//! (the paper cites the NIST LCS definition [15]). This module provides:
+//! (the paper cites the NIST LCS definition \[15\]). This module provides:
 //!
 //! - the classic O(n·m) LCS DP over arbitrary `Eq` tokens,
 //! - a miner that extracts the common patterns across an incident corpus,

@@ -3,8 +3,8 @@
 //! The analyses of §II-C, which extract the paper's four insights from the
 //! incident corpus:
 //!
-//! - [`jaccard`] — pairwise attack similarity CDF (Fig. 3a, Insight 1).
-//! - [`lcs`] — longest-common-subsequence pattern mining, producing the
+//! - [`jaccard`](mod@jaccard) — pairwise attack similarity CDF (Fig. 3a, Insight 1).
+//! - [`lcs`](mod@lcs) — longest-common-subsequence pattern mining, producing the
 //!   `S1..S43` common sequences and their counts (Fig. 3b, Insight 2).
 //! - [`timing`] — automated-vs-manual inter-alert timing dispersion
 //!   (Insight 3).

@@ -32,6 +32,7 @@ use std::sync::{Arc, Mutex};
 
 use alertlib::taxonomy::AlertKind;
 use serde::{Deserialize, Serialize};
+use simnet::intern::SymScope;
 use simnet::rng::{FxHashSet, SimRng};
 use simnet::time::{SimDuration, SimTime};
 use telemetry::record::{LogRecord, NoticeKind, NoticeRecord};
@@ -422,7 +423,7 @@ impl ReactiveGenerator {
         }
 
         let background = match &cfg.background {
-            Some(bcfg) => record_stream(bcfg, &mut background_rng),
+            Some(bcfg) => record_stream(&SymScope::global(), bcfg, &mut background_rng),
             None => Vec::new(),
         };
 

@@ -422,9 +422,11 @@ pub fn apply_fault_plan(plan: &FaultPlan, records: &[LogRecord]) -> (Vec<LogReco
 mod tests {
     use super::*;
     use crate::stream::{record_stream, RecordStreamConfig};
+    use simnet::intern::SymScope;
 
     fn workload(n: usize) -> Vec<LogRecord> {
         record_stream(
+            &SymScope::global(),
             &RecordStreamConfig {
                 scan_records: n / 2,
                 benign_flows: n / 4,

@@ -30,7 +30,7 @@ use std::net::Ipv4Addr;
 
 use alertlib::taxonomy::AlertKind;
 use serde::{Deserialize, Serialize};
-use simnet::intern::Sym;
+use simnet::intern::{Sym, SymScope};
 use simnet::rng::SimRng;
 use simnet::time::{SimDuration, SimTime};
 use telemetry::record::{LogRecord, NoticeKind, NoticeRecord};
@@ -207,28 +207,11 @@ impl MutatedSession {
             .collect()
     }
 
-    /// Render the session as time-ordered notice records.
-    pub fn records(&self) -> Vec<LogRecord> {
-        let mut out = Vec::with_capacity(self.steps.len());
-        self.records_into(&mut out, &mut String::new());
-        out
-    }
-
-    /// Append the session's notice records to `out`, reusing `scratch`
-    /// for the formatted message — the campaign generator's scratch-buffer
-    /// path (one `String` serves every session of a campaign).
-    pub fn records_into(&self, out: &mut Vec<LogRecord>, scratch: &mut String) {
-        self.records_into_scoped(&simnet::intern::SymScope::global(), out, scratch)
-    }
-
-    /// [`MutatedSession::records_into`] minting symbols into an explicit
-    /// scope.
-    pub fn records_into_scoped(
-        &self,
-        scope: &simnet::intern::SymScope,
-        out: &mut Vec<LogRecord>,
-        scratch: &mut String,
-    ) {
+    /// Append the session's time-ordered notice records to `out`,
+    /// minting their symbols into `scope` and reusing `scratch` for the
+    /// formatted message — the campaign generator's scratch-buffer path
+    /// (one `String` serves every session of a campaign).
+    pub fn records_into(&self, scope: &SymScope, out: &mut Vec<LogRecord>, scratch: &mut String) {
         use std::fmt::Write as _;
         let family: Sym = scope.sym(self.family.as_str());
         out.reserve(self.steps.len());
@@ -593,10 +576,12 @@ pub(crate) fn campaign_entity_addr(n: u32) -> Ipv4Addr {
 
 /// Generate a campaign: `cfg.sessions` mutated/decoy sessions multiplexed
 /// with the optional background stream into one time-ordered record
-/// stream. Deterministic in `rng` (fork-isolated per subsystem, so session
+/// stream, minted in the global scope (a tenant run rescopes it).
+/// Deterministic in `rng` (fork-isolated per subsystem, so session
 /// structure is independent of background volume).
 pub fn generate_campaign(cfg: &CampaignConfig, rng: &mut SimRng) -> Campaign {
     assert!(!cfg.families.is_empty(), "campaign needs templates");
+    let global = SymScope::global();
     let mut session_rng = rng.fork(0x5E55);
     let mut background_rng = rng.fork(0xBAC6);
 
@@ -632,7 +617,7 @@ pub fn generate_campaign(cfg: &CampaignConfig, rng: &mut SimRng) -> Campaign {
                 &mut session_rng,
             )
         };
-        session.records_into(&mut records, &mut scratch);
+        session.records_into(&global, &mut records, &mut scratch);
         let steps: Vec<(SimTime, AlertKind)> = session
             .steps
             .iter()
@@ -663,7 +648,7 @@ pub fn generate_campaign(cfg: &CampaignConfig, rng: &mut SimRng) -> Campaign {
     }
 
     if let Some(bcfg) = &cfg.background {
-        let background = record_stream(bcfg, &mut background_rng);
+        let background = record_stream(&global, bcfg, &mut background_rng);
         truth.background_records = background.len() as u64;
         records.extend(background);
     }
@@ -931,16 +916,19 @@ mod tests {
             "141.142.2.9".parse().unwrap(),
             &mut SimRng::seed(13),
         );
+        let global = SymScope::global();
+        let mut records = Vec::new();
+        s.records_into(&global, &mut records, &mut String::new());
         let mut sym = alertlib::Symbolizer::with_defaults();
         let mut alerts = Vec::new();
-        for r in s.records() {
-            sym.symbolize_into(&r, &mut alerts);
+        for r in &records {
+            sym.symbolize_into(r, &mut alerts);
         }
         assert_eq!(alerts.len(), s.steps.len(), "one alert per planned step");
         for (a, st) in alerts.iter().zip(&s.steps) {
             assert_eq!(a.kind, st.kind);
             assert_eq!(
-                a.entity.key().as_str(),
+                a.entity.key(&global).as_str(),
                 format!("addr:{}", s.entities[st.entity])
             );
         }

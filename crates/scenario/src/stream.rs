@@ -83,7 +83,9 @@ const INDICATIVE_CMDS: &[&str] = &[
     "crontab /tmp/cron.txt",
 ];
 
-/// Generate a time-ordered mixed record stream in the global scope.
+/// Generate a time-ordered mixed record stream, minting its symbols into
+/// `scope` — a tenant pipeline feeds on a stream minted in its own scope
+/// so the stream's symbols live (and die) with the tenant.
 ///
 /// Allocation-light by construction: command/exe palettes, hostnames and
 /// the user population are interned once up front (reused verbatim across
@@ -91,14 +93,7 @@ const INDICATIVE_CMDS: &[&str] = &[
 /// computed numerically instead of `format!`+parse, and each emitted
 /// record is a flat `Sym`-carrying value. The only per-call heap cost is
 /// the records vector itself.
-pub fn record_stream(cfg: &RecordStreamConfig, rng: &mut SimRng) -> Vec<LogRecord> {
-    record_stream_in(&SymScope::global(), cfg, rng)
-}
-
-/// [`record_stream`] minting its palettes into an explicit scope — what a
-/// tenant pipeline feeds on so the stream's symbols live (and die) with
-/// the tenant.
-pub fn record_stream_in(
+pub fn record_stream(
     scope: &SymScope,
     cfg: &RecordStreamConfig,
     rng: &mut SimRng,
@@ -214,8 +209,8 @@ mod tests {
             users: 50,
             ..RecordStreamConfig::default()
         };
-        let a = record_stream(&cfg, &mut SimRng::seed(7));
-        let b = record_stream(&cfg, &mut SimRng::seed(7));
+        let a = record_stream(&SymScope::global(), &cfg, &mut SimRng::seed(7));
+        let b = record_stream(&SymScope::global(), &cfg, &mut SimRng::seed(7));
         assert_eq!(a.len(), 1_200);
         assert_eq!(a, b, "seeded generation is deterministic");
         assert!(a.windows(2).all(|w| w[0].ts() <= w[1].ts()));
@@ -230,7 +225,7 @@ mod tests {
             users: 100,
             ..RecordStreamConfig::default()
         };
-        let records = record_stream(&cfg, &mut SimRng::seed(1));
+        let records = record_stream(&SymScope::global(), &cfg, &mut SimRng::seed(1));
         let users: std::collections::HashSet<Sym> = records
             .iter()
             .filter_map(|r| match r {
@@ -261,7 +256,7 @@ mod tests {
             };
             let mut sym = alertlib::Symbolizer::with_defaults();
             let mut alerts = Vec::new();
-            for r in record_stream(&cfg, &mut SimRng::seed(2)) {
+            for r in record_stream(&SymScope::global(), &cfg, &mut SimRng::seed(2)) {
                 sym.symbolize_into(&r, &mut alerts);
             }
             alerts.len()

@@ -406,7 +406,7 @@ mod regex {
 pub mod collection {
     use super::{Range, RangeInclusive, Strategy, TestRng};
 
-    /// Size specification for [`vec`]: exact, `a..b`, or `a..=b`.
+    /// Size specification for [`vec()`]: exact, `a..b`, or `a..=b`.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         min: usize,

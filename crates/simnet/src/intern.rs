@@ -7,14 +7,12 @@
 //! shared interning layer every record type builds on:
 //!
 //! - [`Sym`] — a `Copy` 32-bit handle to an interned string. Comparing,
-//!   hashing and moving a `Sym` never touches the heap; resolving one
-//!   (`as_str`, `Deref<Target = str>`) returns a `&'static str` backed by
-//!   the process-wide table.
+//!   hashing and moving a `Sym` never touches the heap.
 //! - [`SymTable`] — the append-only table itself: one implementation
 //!   backing *every* interning scope in the process.
-//! - [`SymScope`] — a cheap clonable handle to one table. The process-wide
-//!   default scope ([`SymScope::global`]) is what `Sym::from`/[`intern`]
-//!   use; tenant scopes are the same type with a bounded lifetime.
+//! - [`SymScope`] — a cheap clonable handle to one table: the
+//!   process-wide scope ([`SymScope::global`]) or a tenant scope of the
+//!   same type with a bounded lifetime.
 //! - [`TenantSymbols`] — a registry of per-tenant [`SymScope`]s for the
 //!   always-on service mode: each tenant's symbol universe lives in its own
 //!   scope and is *freed* when the tenant is evicted, unlike the global
@@ -58,6 +56,19 @@
 //! Scoped tables *own* their strings (dropping the table frees them); the
 //! global table is simply never dropped, which is what makes
 //! `Sym::as_str`'s `&'static str` sound.
+//!
+//! # Naming the scope
+//!
+//! Every pipeline API that mints or resolves symbols takes its scope from
+//! the caller: as an argument (`Entity::key(scope)`,
+//! `MessageSpec::render(scope)`, `LogRecord::user(scope)`), or from the
+//! object that owns one (a symbolizer, correlator or response stage
+//! after `set_scope`). The global scope is one value of that argument,
+//! not a fallback. What stays global-only is `Sym`'s own surface:
+//! [`Sym::new`], `From<&str>`, `as_str`, `Deref`, `Display`,
+//! `Debug`, `Ord` and the string comparisons all use the global table.
+//! They serve tests, generators and single-site tools that work in the
+//! global scope throughout.
 
 use std::fmt;
 use std::mem::MaybeUninit;
@@ -74,6 +85,12 @@ use crate::rng::FxHashMap;
 /// table are equal iff their strings are equal); ordering resolves and
 /// compares the underlying strings so sort-based reports keep their
 /// pre-interning order.
+///
+/// A handle means nothing without its table. The conveniences on `Sym`
+/// itself (`Sym::new`, `From<&str>`, `as_str`, `Deref`, `Display`,
+/// `Debug`, `Ord`, string comparisons) are global-only: they mint into
+/// and resolve against the global table. A handle from a tenant scope
+/// resolves through that [`SymScope`].
 ///
 /// In debug builds each handle additionally carries the id of the table
 /// that minted it, and resolving against any *other* table is a typed
@@ -482,9 +499,8 @@ struct AppendState {
 /// [`global`] table and every tenant table are the same implementation,
 /// differing only in ownership ([`SymScope`]). **Handles are
 /// table-scoped.** A [`Sym`] minted by [`SymTable::intern`] is an index
-/// into *that* table; every convenience on `Sym` itself (`as_str`,
-/// `Deref`, `Display`, `Debug`, string comparisons, `Ord`) resolves
-/// against the [`global`] table. Resolving a handle against the wrong
+/// into *that* table and resolves through it; `Sym`'s own conveniences
+/// are global-only (see [`Sym`]). Resolving a handle against the wrong
 /// table is caught: debug builds tag each handle with its minting table
 /// and panic on any mismatch, release builds bounds-check the id (see
 /// [`SymTable::try_resolve`] for the non-panicking form). Scoped tables
@@ -773,21 +789,16 @@ pub fn global() -> &'static SymTable {
     global_scope_arc()
 }
 
-/// Intern into the global table (alias of [`Sym::new`]).
-#[inline]
-pub fn intern(s: &str) -> Sym {
-    Sym::new(s)
-}
-
 /// A clonable handle to one interning scope — the unified way every layer
 /// names *which* symbol universe it mints into and resolves against.
 ///
 /// The process-global table and per-tenant tables are the **same
 /// implementation type** ([`SymTable`]); a `SymScope` is just shared
-/// ownership of one of them. [`SymScope::global`] is the default scope
-/// (what `Sym::from`/[`intern`] use implicitly); [`TenantSymbols::scope`]
-/// hands out tenant scopes whose strings are freed when the last handle
-/// goes. Cloning is one `Arc` bump; interning and resolving through a
+/// ownership of one of them. [`SymScope::global`] is the scope `Sym`'s
+/// own global-only conveniences use; [`TenantSymbols::scope`] hands out
+/// tenant scopes whose strings are freed when the last handle goes.
+/// There is no default scope: a caller names the global scope the same
+/// way it names a tenant's. Cloning is one `Arc` bump; interning and resolving through a
 /// scope are exactly as lock-free as the underlying table.
 ///
 /// Holding a `SymScope` keeps its table alive: a reader resolving through
@@ -922,12 +933,6 @@ impl SymMap {
 
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
-    }
-}
-
-impl Default for SymScope {
-    fn default() -> Self {
-        SymScope::global()
     }
 }
 
@@ -1409,14 +1414,13 @@ mod tests {
 
     #[test]
     fn global_scope_is_the_default_scope_of_the_same_type() {
-        let scope = SymScope::default();
+        let scope = SymScope::global();
         assert!(scope.is_global());
         assert_eq!(scope.scope_id(), 0);
         let via_scope = scope.sym("default-scope-roundtrip");
         let via_global = Sym::new("default-scope-roundtrip");
         assert_eq!(via_scope, via_global);
         assert_eq!(scope.resolve(via_scope), "default-scope-roundtrip");
-        assert!(scope.ptr_eq(&SymScope::global()));
         assert!(!scope.ptr_eq(&SymScope::fresh()));
     }
 

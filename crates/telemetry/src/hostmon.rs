@@ -5,6 +5,10 @@
 //! osquery "at the kernel level" on production hosts; honeypot containers
 //! are instrumented the same way (§IV-A: "commands issued by attackers must
 //! be closely monitored by the host and network monitors").
+//!
+//! The monitor mints every record string into the [`SymScope`] it is
+//! built with ([`HostMonitor::new`]): the global scope for a single-site
+//! testbed, a tenant's scope for tenant-scoped emission.
 
 use simnet::action::Action;
 use simnet::engine::EventCtx;
@@ -19,8 +23,7 @@ use crate::record::{AuditRecord, AuthRecord, DbRecord, FileRecord, LogRecord, Pr
 /// collector keeps the pipeline simple without changing what downstream
 /// stages see.
 ///
-/// Records are minted into the monitor's [`SymScope`] (global by default;
-/// see [`HostMonitor::with_scope`] for tenant-scoped emission).
+/// Records are minted into the [`SymScope`] the monitor is built with.
 #[derive(Debug)]
 pub struct HostMonitor {
     scope: SymScope,
@@ -30,19 +33,9 @@ pub struct HostMonitor {
     disabled: Vec<HostId>,
 }
 
-impl Default for HostMonitor {
-    fn default() -> Self {
-        Self::with_scope(SymScope::global())
-    }
-}
-
 impl HostMonitor {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A monitor minting record symbols into an explicit scope.
-    pub fn with_scope(scope: SymScope) -> Self {
+    /// A monitor minting record symbols into `scope`.
+    pub fn new(scope: SymScope) -> Self {
         HostMonitor {
             scope,
             records_emitted: 0,
@@ -198,7 +191,7 @@ mod tests {
     #[test]
     fn exec_produces_process_record() {
         let topo = NcsaTopologyBuilder::default().build();
-        let mut mon = HostMonitor::new();
+        let mut mon = HostMonitor::new(SymScope::global());
         let mut out = Vec::new();
         mon.observe(&ctx(&topo), &exec_on(HostId(0)), &mut out);
         assert_eq!(out.len(), 1);
@@ -214,7 +207,7 @@ mod tests {
     #[test]
     fn disabled_agent_stops_records() {
         let topo = NcsaTopologyBuilder::default().build();
-        let mut mon = HostMonitor::new();
+        let mut mon = HostMonitor::new(SymScope::global());
         mon.disable_on(HostId(0));
         let mut out = Vec::new();
         mon.observe(&ctx(&topo), &exec_on(HostId(0)), &mut out);
@@ -228,7 +221,7 @@ mod tests {
     fn unmonitored_external_hosts_produce_nothing() {
         let mut topo = NcsaTopologyBuilder::default().build();
         let ext = topo.add_external("attacker-box", "103.102.1.1".parse().unwrap());
-        let mut mon = HostMonitor::new();
+        let mut mon = HostMonitor::new(SymScope::global());
         let mut out = Vec::new();
         mon.observe(&ctx(&topo), &exec_on(ext), &mut out);
         assert!(out.is_empty());
@@ -237,7 +230,7 @@ mod tests {
     #[test]
     fn file_ops_recorded() {
         let topo = NcsaTopologyBuilder::default().build();
-        let mut mon = HostMonitor::new();
+        let mut mon = HostMonitor::new(SymScope::global());
         let mut out = Vec::new();
         let a = Action::FileOp(FileOpAction {
             host: HostId(2),

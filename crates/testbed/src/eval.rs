@@ -589,6 +589,7 @@ mod tests {
     use alertlib::alert::EntityKey;
     use scenario::mutate::MutationConfig;
     use scenario::stream::RecordStreamConfig;
+    use simnet::intern::SymScope;
     use simnet::time::SimDuration;
 
     fn campaign_cfg(sessions: usize) -> CampaignConfig {
@@ -748,7 +749,8 @@ mod tests {
             .iter()
             .map(|n| n.entity.clone())
             .collect();
-        let latched: std::collections::HashSet<EntityKey> = tagger.detected_entities().collect();
+        let latched: std::collections::HashSet<EntityKey> =
+            tagger.detected_entities(&SymScope::global()).collect();
         assert_eq!(notified, latched, "hooks and notifications must agree");
         assert!(!latched.is_empty(), "campaign must trigger detections");
         for k in &latched {
@@ -856,6 +858,7 @@ mod tests {
         use scenario::faults::FaultPlan;
         use scenario::{record_stream, RecordStreamConfig};
         let records = record_stream(
+            &SymScope::global(),
             &RecordStreamConfig {
                 scan_records: 400,
                 benign_flows: 100,

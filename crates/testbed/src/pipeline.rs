@@ -114,18 +114,19 @@ mod tests {
     use alertlib::symbolize::{Symbolizer, SymbolizerConfig};
     use simnet::engine::Engine;
     use simnet::flow::{Flow, FlowId};
+    use simnet::intern::SymScope;
     use simnet::time::SimTime;
     use simnet::topology::NcsaTopologyBuilder;
     use telemetry::hostmon::HostMonitor;
-    use telemetry::zeek::ZeekMonitor;
+    use telemetry::zeek::{ZeekConfig, ZeekMonitor};
 
     /// The default stages (toy-model tagger) blocking on detection.
     fn sink() -> PipelineSink {
         PipelineBuilder::new()
             .block_on_detection(true, None)
             .build_sink(vec![
-                Box::new(ZeekMonitor::with_defaults()),
-                Box::new(HostMonitor::new()),
+                Box::new(ZeekMonitor::new(ZeekConfig::default(), SymScope::global())),
+                Box::new(HostMonitor::new(SymScope::global())),
             ])
     }
 
@@ -215,7 +216,10 @@ mod tests {
         let mut s = PipelineBuilder::new()
             .symbolizer(Symbolizer::new(cfg))
             .block_on_detection(true, None)
-            .build_sink(vec![Box::new(ZeekMonitor::with_defaults())]);
+            .build_sink(vec![Box::new(ZeekMonitor::new(
+                ZeekConfig::default(),
+                SymScope::global(),
+            ))]);
         // Repeated C2 beacons from one internal source push its entity
         // posterior over the threshold.
         for i in 0..6u64 {
@@ -264,7 +268,10 @@ mod tests {
         }
         let mut s = PipelineBuilder::new()
             .alert_retention(5)
-            .build_sink(vec![Box::new(ZeekMonitor::with_defaults())]);
+            .build_sink(vec![Box::new(ZeekMonitor::new(
+                ZeekConfig::default(),
+                SymScope::global(),
+            ))]);
         engine.run(&mut [&mut s]);
         let report = s.finish();
         assert!(report.alerts_filtered >= 50);

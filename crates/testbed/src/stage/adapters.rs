@@ -910,7 +910,7 @@ impl ResponseStage {
             }
             let note = OperatorNotification {
                 ts,
-                entity: o.alert.entity.key_in(&self.scope),
+                entity: o.alert.entity.key(&self.scope),
                 detection: detection.clone(),
                 source: self.source,
             };
@@ -1294,6 +1294,7 @@ mod tests {
         use scenario::faults::{ClockSkewConfig, FaultPlan};
         use scenario::{record_stream, RecordStreamConfig};
         let records = record_stream(
+            &SymScope::global(),
             &RecordStreamConfig {
                 scan_records: 200,
                 benign_flows: 100,
@@ -1332,8 +1333,9 @@ mod tests {
         // A monitor fleet handed over from a MonitorHub, driven as a
         // batched stage against a synthesized context.
         let topo = simnet::topology::NcsaTopologyBuilder::default().build();
-        let mut stage = MonitorStage::new(telemetry::MonitorHub::standard().into_monitors())
-            .with_topology(topo);
+        let mut stage =
+            MonitorStage::new(telemetry::MonitorHub::standard(&SymScope::global()).into_monitors())
+                .with_topology(topo);
         let actions: Vec<TimedAction> = (0..5u64)
             .map(|i| {
                 let t = SimTime::from_secs(i);

@@ -13,6 +13,7 @@ use honeynet::isolation::EgressFirewall;
 use simnet::action::Action;
 use simnet::engine::Engine;
 use simnet::flow::Flow;
+use simnet::intern::SymScope;
 use simnet::router::{RouteDecision, RouteFilter};
 use simnet::time::SimTime;
 use simnet::topology::{NcsaTopologyBuilder, Topology};
@@ -109,8 +110,8 @@ impl Testbed {
     /// installed blocks stay installed).
     pub fn run(&mut self) -> RunReport {
         let monitors: Vec<Box<dyn Monitor>> = vec![
-            Box::new(ZeekMonitor::new(self.cfg.zeek.clone())),
-            Box::new(HostMonitor::new()),
+            Box::new(ZeekMonitor::new(self.cfg.zeek.clone(), SymScope::global())),
+            Box::new(HostMonitor::new(SymScope::global())),
             Box::new(honeynet::isolation::IsolationMonitor::new()),
         ];
         let mut sink = PipelineBuilder::from_config(&self.cfg, self.model.clone())

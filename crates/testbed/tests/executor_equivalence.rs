@@ -13,6 +13,7 @@
 use proptest::prelude::*;
 use scenario::mutate::{generate_campaign, CampaignConfig, MutationConfig};
 use scenario::stream::{record_stream, RecordStreamConfig};
+use simnet::intern::SymScope;
 use simnet::rng::SimRng;
 use simnet::time::SimDuration;
 use telemetry::record::{LogRecord, NoticeKind};
@@ -100,7 +101,7 @@ fn workload(seed: u64, scans: usize, execs: usize, users: usize) -> Vec<LogRecor
         users,
         ..RecordStreamConfig::default()
     };
-    record_stream(&cfg, &mut SimRng::seed(seed))
+    record_stream(&SymScope::global(), &cfg, &mut SimRng::seed(seed))
 }
 
 /// The raw sequential composition, written against the component APIs
@@ -125,7 +126,7 @@ fn sequential_reference(records: &[LogRecord]) -> (StreamStats, Vec<String>) {
                     stats.detections += 1;
                     detections.push(format!(
                         "{}|{}|{}|{}",
-                        a.entity.key(),
+                        a.entity.key(sym.scope()),
                         d.ts,
                         d.trigger,
                         d.stage

@@ -5,6 +5,7 @@
 
 use alertlib::alert::{Alert, Entity};
 use alertlib::taxonomy::AlertKind;
+use simnet::intern::SymScope;
 use simnet::time::SimTime;
 use telemetry::record::LogRecord;
 use testbed::stage::adapters::{
@@ -89,7 +90,7 @@ fn dropped_counter_is_exact_through_pipeline_runs() {
         users: 20,
         ..scenario::stream::RecordStreamConfig::default()
     };
-    let records = scenario::stream::record_stream(&cfg, &mut rng);
+    let records = scenario::stream::record_stream(&SymScope::global(), &cfg, &mut rng);
     let admitted = PipelineBuilder::new()
         .alert_retention(usize::MAX)
         .build()
@@ -204,7 +205,8 @@ fn response_stage_empty_batch_sends_nothing() {
 fn monitor_stage_empty_batch_produces_no_records() {
     let topo = simnet::topology::NcsaTopologyBuilder::default().build();
     let mut stage =
-        MonitorStage::new(telemetry::MonitorHub::standard().into_monitors()).with_topology(topo);
+        MonitorStage::new(telemetry::MonitorHub::standard(&SymScope::global()).into_monitors())
+            .with_topology(topo);
     let mut records: Vec<LogRecord> = Vec::new();
     stage.process_batch(&[], &mut records);
     assert!(records.is_empty());

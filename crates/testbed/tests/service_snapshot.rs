@@ -299,7 +299,7 @@ proptest! {
             users,
             ..RecordStreamConfig::default()
         };
-        let records = record_stream(&cfg, &mut SimRng::seed(seed));
+        let records = record_stream(&SymScope::global(), &cfg, &mut SimRng::seed(seed));
         let build = |max_entities: usize| {
             PipelineBuilder::new()
                 .tagger(detect::AttackTagger::new(

@@ -17,6 +17,7 @@ use scenario::faults::{ClockSkewConfig, FaultInjector, FaultPlan};
 use scenario::mutate::{generate_campaign, CampaignConfig};
 use scenario::stream::{record_stream, RecordStreamConfig};
 use simnet::alloc_count::{allocations, thread_allocations, CountingAllocator};
+use simnet::intern::SymScope;
 use simnet::intern::TenantId;
 use simnet::rng::SimRng;
 use simnet::time::SimDuration;
@@ -46,7 +47,7 @@ fn workload() -> Vec<LogRecord> {
         users: 60,
         ..RecordStreamConfig::default()
     };
-    record_stream(&cfg, &mut SimRng::seed(0x5EED))
+    record_stream(&SymScope::global(), &cfg, &mut SimRng::seed(0x5EED))
 }
 
 #[test]
@@ -517,7 +518,7 @@ fn snapshot_codec_builds_no_intermediate_tree() {
             zipf_exponent: 0.0,
             ..RecordStreamConfig::default()
         };
-        let records = record_stream(&cfg, &mut SimRng::seed(0xC0DEC));
+        let records = record_stream(&SymScope::global(), &cfg, &mut SimRng::seed(0xC0DEC));
         let service = ServiceHandle::spawn(ServiceConfig::default(), |_, scope| {
             PipelineBuilder::new()
                 .tagger(detect::AttackTagger::new(

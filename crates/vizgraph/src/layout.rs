@@ -1,7 +1,7 @@
 //! Yifan Hu force-directed layout.
 //!
 //! The paper renders Fig. 1 with Gephi, whose default large-graph layout
-//! is Yifan Hu's multilevel force-directed algorithm (the paper's ref [4]:
+//! is Yifan Hu's multilevel force-directed algorithm (the paper's ref \[4\]:
 //! "Efficient, high-quality force-directed graph drawing"). We implement
 //! the full scheme:
 //!

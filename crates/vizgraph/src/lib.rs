@@ -2,13 +2,13 @@
 //!
 //! The Fig. 1 pipeline: build a connection graph from flows, lay it out
 //! with Yifan Hu's multilevel force-directed algorithm (the paper's
-//! ref [4], as used by Gephi), and export DOT (the paper's anonymized
+//! ref \[4\], as used by Gephi), and export DOT (the paper's anonymized
 //! `103.102. -> 141.142.` format) or SVG. Degree analytics surface the
 //! mass scanner structurally.
 //!
 //! - [`graph`] — nodes/edges with role annotations.
 //! - [`quadtree`] — Barnes–Hut approximation for repulsive forces.
-//! - [`layout`] — multilevel Yifan Hu with adaptive cooling, parallel
+//! - [`layout`](mod@layout) — multilevel Yifan Hu with adaptive cooling, parallel
 //!   force accumulation (rayon).
 //! - [`dot`] / [`svg`] — exporters (+ DOT parser).
 //! - [`degree`] — hubs, histograms, structural scanner detection.

@@ -75,6 +75,7 @@ fn main() {
     // executor (detect stage partitioned per entity across the worker
     // pool). Results are byte-identical to the sequential executor.
     let records = scenario::record_stream(
+        &SymScope::global(),
         &scenario::RecordStreamConfig {
             scan_records: 20_000,
             benign_flows: 5_000,

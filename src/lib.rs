@@ -80,6 +80,7 @@ pub mod prelude {
     pub use scenario::{
         Campaign, CampaignConfig, LongitudinalConfig, MutationConfig, RansomwareConfig,
     };
+    pub use simnet::intern::SymScope;
     pub use simnet::prelude::{
         Action, Cidr, Engine, ExecAction, Flow, FlowId, SimDuration, SimRng, SimTime, Topology,
     };
