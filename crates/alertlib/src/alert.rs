@@ -85,13 +85,15 @@ impl EntityId {
     /// whose handles are global-tagged). [`EntityId::from_key`] parses
     /// the same format back.
     pub fn key(self, scope: &SymScope) -> EntityKey {
-        let payload = self.0 as u32;
+        self.render_key(|| scope.resolve(scope.sym_from_id(self.0 as u32)))
+    }
+
+    /// The one place the key format is written; `user` resolves a user's
+    /// name and is called for user ids only.
+    fn render_key<'a>(self, user: impl FnOnce() -> &'a str) -> EntityKey {
         match self.0 & !0xFFFF_FFFF {
-            TAG_USER => EntityKey::render(format_args!(
-                "user:{}",
-                scope.resolve(scope.sym_from_id(payload))
-            )),
-            TAG_ADDR => EntityKey::render(format_args!("addr:{}", Ipv4Addr::from(payload))),
+            TAG_USER => EntityKey::render(format_args!("user:{}", user())),
+            TAG_ADDR => EntityKey::render(format_args!("addr:{}", Ipv4Addr::from(self.0 as u32))),
             _ => EntityKey::from("unknown"),
         }
     }
@@ -175,9 +177,12 @@ impl EntityId {
 impl Entity {
     /// Canonical key for reports, ground truth and sessionization
     /// *boundaries*, resolved against `scope` (see [`EntityId::key`]).
-    /// Hot paths key by [`Entity::id`] instead.
+    /// The user handle is resolved as it is, table tag included, so a
+    /// debug build panics when `scope` did not mint it. Hot paths key by
+    /// [`Entity::id`] instead.
     pub fn key(&self, scope: &SymScope) -> EntityKey {
-        self.id().key(scope)
+        self.id()
+            .render_key(|| self.user(scope).unwrap_or_default())
     }
 
     /// The allocation-free integer identity (see [`EntityId`]).
@@ -476,6 +481,20 @@ mod tests {
         assert_eq!(u.key(&g), "user:alice");
         assert_eq!(u.user(&g), Some("alice"));
         assert_eq!(a.user(&g), None);
+    }
+
+    /// A global user keyed in another scope is caught, even where its id
+    /// is in range there and release would render that scope's string.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "resolved against table")]
+    fn entity_key_rejects_a_user_from_another_scope() {
+        let user = SymScope::global().sym("alice");
+        let tenant = SymScope::fresh();
+        while tenant.len() <= user.id() as usize {
+            tenant.sym(&format!("tenant-{}", tenant.len()));
+        }
+        Entity::User(user).key(&tenant);
     }
 
     #[test]

@@ -183,7 +183,9 @@ pub struct Symbolizer {
 impl Symbolizer {
     /// A symbolizer over the global scope. A tenant pipeline re-points it
     /// with [`Symbolizer::set_scope`], so its records, config sets and
-    /// alerts all live in the tenant's symbol universe.
+    /// alerts all live in the tenant's symbol universe. The config sets
+    /// are interned into the global table here first, and those entries
+    /// stay after `set_scope`.
     pub fn new(cfg: SymbolizerConfig) -> Self {
         let scope = SymScope::global();
         let ghost_users = cfg.ghost_accounts.iter().map(|s| scope.sym(s)).collect();

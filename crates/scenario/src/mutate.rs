@@ -187,7 +187,7 @@ impl MutatedSession {
             .map(|s| self.start.saturating_add(s.offset))
     }
 
-    /// Entity keys in hop order (matching `Entity::Address(ip).key()`).
+    /// Entity keys in hop order (matching `Entity::Address(ip).key(scope)`).
     pub fn entity_keys(&self) -> Vec<String> {
         self.entities
             .iter()

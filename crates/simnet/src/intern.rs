@@ -1412,6 +1412,8 @@ mod tests {
         drop(t); // miri/asan would flag a leak or double free here
     }
 
+    // "Default" here means `SymScope::global()`: the scope `Sym`'s own
+    // global-only conveniences use.
     #[test]
     fn global_scope_is_the_default_scope_of_the_same_type() {
         let scope = SymScope::global();
@@ -1421,6 +1423,7 @@ mod tests {
         let via_global = Sym::new("default-scope-roundtrip");
         assert_eq!(via_scope, via_global);
         assert_eq!(scope.resolve(via_scope), "default-scope-roundtrip");
+        assert!(scope.ptr_eq(&SymScope::global()));
         assert!(!scope.ptr_eq(&SymScope::fresh()));
     }
 

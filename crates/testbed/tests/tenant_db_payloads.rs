@@ -8,6 +8,11 @@
 //! runs in a process of its own: the global table is shared by every test
 //! in a binary, and a neighbour interning concurrently would move its
 //! length.
+//!
+//! The check covers the run only. The table length is read after
+//! `build()`, because building still mints into the global table:
+//! `Symbolizer::new` interns the configured ghost accounts and default DB
+//! users there before the builder re-points it with `set_scope`.
 
 use simnet::action::DbCommandKind;
 use simnet::flow::FlowId;
