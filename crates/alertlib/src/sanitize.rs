@@ -74,10 +74,12 @@ fn is_octet(bytes: &[u8]) -> Option<(usize, u16)> {
     }
 }
 
-/// Mask `a.b.c.d` → `a.b.xxx.yyy` (paper format).
+/// Mask `a.b.c.d` → `a.b.xxx.yyy` (paper format). Text between matches
+/// is copied as `&str` slices, so non-ASCII characters survive intact.
 fn mask_ipv4(input: &str) -> String {
     let bytes = input.as_bytes();
     let mut out = String::with_capacity(input.len());
+    let mut copied = 0;
     let mut i = 0;
     'outer: while i < bytes.len() {
         // Try to parse an IPv4 literal starting at i, not preceded by a
@@ -109,15 +111,16 @@ fn mask_ipv4(input: &str) -> String {
             let tail_ok =
                 pos >= bytes.len() || (!bytes[pos].is_ascii_digit() && bytes[pos] != b'.');
             if octets == 4 && tail_ok {
-                out.push_str(&input[i..first_two_end]);
+                out.push_str(&input[copied..first_two_end]);
                 out.push_str(".xxx.yyy");
                 i = pos;
+                copied = pos;
                 continue 'outer;
             }
         }
-        out.push(bytes[i] as char);
         i += 1;
     }
+    out.push_str(&input[copied..]);
     out
 }
 
@@ -177,27 +180,33 @@ fn has_digit_run(input: &str, min_len: usize) -> bool {
     false
 }
 
+/// Replace each run of at least `min_len` digits with `<num>`. A run an
+/// ASCII letter touches on either side is part of a token such as a hex
+/// string (`7F454C46020101…`, the ELF evidence in a DB blob) and is kept.
 fn mask_digit_runs(input: &str, min_len: usize) -> String {
     let bytes = input.as_bytes();
     let mut out = String::with_capacity(input.len());
+    let mut copied = 0;
     let mut i = 0;
     while i < bytes.len() {
-        if bytes[i].is_ascii_digit() {
-            let mut j = i;
-            while j < bytes.len() && bytes[j].is_ascii_digit() {
-                j += 1;
-            }
-            if j - i >= min_len {
-                out.push_str("<num>");
-            } else {
-                out.push_str(&input[i..j]);
-            }
-            i = j;
-        } else {
-            out.push(bytes[i] as char);
+        if !bytes[i].is_ascii_digit() {
             i += 1;
+            continue;
         }
+        let mut j = i;
+        while j < bytes.len() && bytes[j].is_ascii_digit() {
+            j += 1;
+        }
+        let letter_before = i > 0 && bytes[i - 1].is_ascii_alphabetic();
+        let letter_after = j < bytes.len() && bytes[j].is_ascii_alphabetic();
+        if j - i >= min_len && !letter_before && !letter_after {
+            out.push_str(&input[copied..i]);
+            out.push_str("<num>");
+            copied = j;
+        }
+        i = j;
     }
+    out.push_str(&input[copied..]);
     out
 }
 
@@ -208,7 +217,7 @@ fn mask_home_dirs(input: &str) -> String {
         let after = &rest[pos + 6..];
         let name_len = after
             .char_indices()
-            .find(|(_, c)| !(c.is_ascii_alphanumeric() || *c == '_' || *c == '-'))
+            .find(|(_, c)| !(c.is_alphanumeric() || *c == '_' || *c == '-'))
             .map(|(i, _)| i)
             .unwrap_or(after.len());
         if name_len > 0 {
@@ -268,6 +277,30 @@ mod tests {
     fn long_digit_runs_masked() {
         assert_eq!(scrub("ssn 123456789 leaked"), "ssn <num> leaked");
         assert_eq!(scrub("pid 7036 ok"), "pid 7036 ok");
+    }
+
+    #[test]
+    fn non_ascii_text_survives() {
+        assert_eq!(
+            scrub("cat /home/josé/résumé.pdf"),
+            "cat /home/<user>/résumé.pdf"
+        );
+        assert_eq!(
+            scrub("héllo 10.1.2.3 ünïcode 1234567"),
+            "héllo 10.1.xxx.yyy ünïcode <num>"
+        );
+    }
+
+    #[test]
+    fn hex_tokens_keep_their_digits() {
+        assert_eq!(
+            scrub("prefix=7F454C46020101000000"),
+            "prefix=7F454C46020101000000"
+        );
+        assert_eq!(
+            scrub("ssn=123456789 id 123456789a"),
+            "ssn=<num> id 123456789a"
+        );
     }
 
     #[test]

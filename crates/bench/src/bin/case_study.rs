@@ -126,7 +126,7 @@ fn main() {
             "c2_time": format!("{c2_time}"),
             "production_time": format!("{production_time}"),
             "lead_days": lead.as_days(),
-            "detections": report.detections,
+            "detections": report.stats.detections,
             "detector_comparison": rows,
             "paper": {"lead_days": 12},
         }),

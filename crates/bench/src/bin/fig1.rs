@@ -5,7 +5,7 @@
 //! it out with multilevel Yifan Hu, checks the structural story, and
 //! exports DOT + SVG.
 
-use bench::{banner, compare, write_artifact};
+use bench::{artifact_dir, banner, compare, write_artifact};
 use scenario::background::{fig1_flows, Fig1Config};
 use simnet::rng::SimRng;
 use vizgraph::{
@@ -81,10 +81,11 @@ fn main() {
     let star_mean = star_d.iter().sum::<f64>() / star_d.len().max(1) as f64;
     println!("mean scanner-to-target distance: {star_mean:.2} (tight star)");
 
+    let dir = artifact_dir();
     let dot = to_dot(&graph, &DotOptions::default());
-    std::fs::write("target/experiments/fig1.dot", &dot).expect("write dot");
+    std::fs::write(dir.join("fig1.dot"), &dot).expect("write dot");
     let svg = to_svg(&graph, &positions, &SvgOptions::default());
-    std::fs::write("target/experiments/fig1.svg", &svg).expect("write svg");
+    std::fs::write(dir.join("fig1.svg"), &svg).expect("write svg");
     println!("wrote target/experiments/fig1.dot and fig1.svg");
 
     write_artifact(

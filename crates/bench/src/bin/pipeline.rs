@@ -91,14 +91,14 @@ fn main() {
     println!("  actions (E1..En)      : {}", report.actions);
     println!("  flows routed          : {}", report.router.total());
     println!("  flows dropped (BHR)   : {}", report.router.dropped);
-    println!("  records               : {}", report.records);
-    println!("  alerts (symbolized)   : {}", report.alerts);
-    println!("  alerts after filter   : {}", report.alerts_filtered);
-    println!("  detections            : {}", report.detections);
+    println!("  records               : {}", report.stats.records);
+    println!("  alerts (symbolized)   : {}", report.stats.alerts);
+    println!("  alerts after filter   : {}", report.stats.admitted);
+    println!("  detections            : {}", report.stats.detections);
     println!("  blocked sources       : {}", report.blocked_sources);
     println!("\nin-line pipeline: {n_actions} actions in {elapsed:?} ({throughput:.0} actions/s)");
     assert_eq!(
-        report.detections, 3,
+        report.stats.detections, 3,
         "the three embedded attacks must be detected"
     );
     for n in &report.notifications {
@@ -155,10 +155,10 @@ fn main() {
         "pipeline",
         &serde_json::json!({
             "actions": report.actions,
-            "records": report.records,
-            "alerts": report.alerts,
-            "alerts_filtered": report.alerts_filtered,
-            "detections": report.detections,
+            "records": report.stats.records,
+            "alerts": report.stats.alerts,
+            "alerts_filtered": report.stats.admitted,
+            "detections": report.stats.detections,
             "blocked_sources": report.blocked_sources,
             "router_dropped": report.router.dropped,
             "inline_actions_per_sec": throughput,

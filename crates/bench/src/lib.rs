@@ -19,11 +19,16 @@
 //! | `annotation` | §II-A — 99.7% auto-annotation |
 //! | `preemption_range` | Insight 2 — 2–4 alert effective range |
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// Where experiment JSON artifacts land.
+/// Where experiment artifacts land: the workspace's
+/// `target/experiments/`, whatever the working directory. Created on
+/// first use.
 pub fn artifact_dir() -> PathBuf {
-    let dir = PathBuf::from("target/experiments");
+    let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2);
+    let dir = workspace
+        .expect("crates/bench sits two levels deep")
+        .join("target/experiments");
     std::fs::create_dir_all(&dir).expect("create target/experiments");
     dir
 }

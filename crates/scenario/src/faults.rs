@@ -692,4 +692,45 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn fault_stage_is_batch_boundary_invariant() {
+        let records = record_stream(
+            &SymScope::global(),
+            &RecordStreamConfig {
+                scan_records: 200,
+                benign_flows: 100,
+                exec_records: 100,
+                users: 10,
+                ..RecordStreamConfig::default()
+            },
+            &mut SimRng::seed(8),
+        );
+        let plan = FaultPlan::clean(3)
+            .with_loss(0.1)
+            .with_duplication(0.05)
+            .with_reorder(8)
+            .with_clock(ClockSkewConfig {
+                max_skew: SimDuration::from_secs(10),
+                jitter: SimDuration::from_secs(1),
+            });
+        // The executors push records one at a time but hand the output
+        // downstream in batches of any size: chunking the input must not
+        // change the faulted stream.
+        let run = |batch: usize| {
+            let mut injector = FaultInjector::new(plan.clone());
+            let mut out = Vec::new();
+            for chunk in records.chunks(batch) {
+                for r in chunk {
+                    injector.push(r.clone(), &mut out);
+                }
+            }
+            injector.finish(&mut out);
+            (out, injector.stats())
+        };
+        let (a, sa) = run(1);
+        let (b, sb) = run(97);
+        assert_eq!(a, b, "batching must be unobservable");
+        assert_eq!(sa, sb);
+    }
 }

@@ -10,11 +10,10 @@
 //!
 //! - [`config`] — one struct configuring every stage, including the
 //!   pipeline batching / capacity / sharding knobs.
-//! - [`stage`] — **the composable stage API**: the [`Stage`](stage::Stage)
-//!   trait, adapters for every Fig. 4 component,
-//!   [`PipelineBuilder`](stage::PipelineBuilder), and the inline /
-//!   threaded / sharded executors. Both deployments below are thin
-//!   wrappers over it.
+//! - [`stage`] — **the Fig. 4 stages**: the [`Stage`] trait, the four
+//!   concrete stages (symbolize, scan filter, detector, response),
+//!   [`PipelineBuilder`], and the inline / threaded / sharded executors.
+//!   Both deployments below are thin wrappers over it.
 //! - [`pipeline`] — the in-line, closed-loop detection sink.
 //! - [`testbed`] — the orchestrator wiring topology, honeynet, filters.
 //! - [`eval`] — the preemption evaluation harness: scores any executor's

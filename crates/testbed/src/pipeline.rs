@@ -10,26 +10,28 @@
 //! Since the stage-API redesign the sink is a thin adapter: the stage
 //! chain itself lives in [`crate::stage`] (shared with the streaming
 //! executors) and is assembled by
-//! [`PipelineBuilder`](crate::stage::PipelineBuilder); the sink merely
-//! feeds it one action's records at a time under the engine's live
-//! [`EventCtx`].
+//! [`PipelineBuilder`](crate::stage::PipelineBuilder); the sink holds the
+//! monitor fleet and feeds the chain the records each action produces
+//! under the engine's live [`EventCtx`].
 
 use alertlib::alert::Alert;
 use bhr::api::BhrHandle;
 use simnet::action::Action;
 use simnet::engine::{ActionSink, EventCtx};
 use simnet::event::EventQueue;
+use telemetry::monitor::Monitor;
 use telemetry::record::LogRecord;
 
 use crate::report::RunReport;
-use crate::stage::adapters::MonitorStage;
 use crate::stage::builder::BuiltPipeline;
 use crate::stage::executor::InlineCore;
 
 /// The closed-loop pipeline sink: stage counters + the detection loop.
 /// Assemble one with [`PipelineBuilder::build_sink`](crate::stage::PipelineBuilder::build_sink).
 pub struct PipelineSink {
-    monitors: MonitorStage,
+    /// The monitor fleet, in registration order (§III-B: one action can
+    /// be witnessed by several monitors).
+    monitors: Vec<Box<dyn Monitor>>,
     core: InlineCore,
     pub report: RunReport,
     // Reused scratch buffer (alloc-free steady state).
@@ -37,7 +39,10 @@ pub struct PipelineSink {
 }
 
 impl PipelineSink {
-    pub(crate) fn from_built(monitors: MonitorStage, built: BuiltPipeline) -> PipelineSink {
+    pub(crate) fn from_built(
+        monitors: Vec<Box<dyn Monitor>>,
+        built: BuiltPipeline,
+    ) -> PipelineSink {
         PipelineSink {
             monitors,
             core: InlineCore::new(built),
@@ -71,10 +76,6 @@ impl PipelineSink {
     /// Finalize counters into the report (router stats are filled by the
     /// caller who owns the engine).
     pub fn finish(&mut self) -> RunReport {
-        self.report.records = self.core.stats.records;
-        self.report.alerts = self.core.stats.alerts;
-        self.report.alerts_filtered = self.core.stats.admitted;
-        self.report.detections = self.core.stats.detections;
         self.report
             .notifications
             .append(&mut self.core.notifications);
@@ -91,8 +92,9 @@ impl ActionSink for PipelineSink {
     fn on_action(&mut self, ctx: &EventCtx<'_>, action: &Action, _queue: &mut EventQueue<Action>) {
         self.report.actions += 1;
         self.records_scratch.clear();
-        self.monitors
-            .observe(ctx, action, &mut self.records_scratch);
+        for m in &mut self.monitors {
+            m.observe(ctx, action, &mut self.records_scratch);
+        }
         // Responses (block install time, TTL anchor, notification time)
         // are stamped with the engine's event time, exactly as the
         // pre-redesign sink did.
@@ -100,10 +102,7 @@ impl ActionSink for PipelineSink {
             .process_records_at(Some(ctx.time), &mut self.records_scratch, |_| {});
         // Mirror the core counters so the public `report` stays live
         // mid-run, as it always was.
-        self.report.records = self.core.stats.records;
-        self.report.alerts = self.core.stats.alerts;
-        self.report.alerts_filtered = self.core.stats.admitted;
-        self.report.detections = self.core.stats.detections;
+        self.report.stats = self.core.stats;
     }
 }
 
@@ -151,19 +150,19 @@ mod tests {
         engine.run(&mut [&mut s]);
         let report = s.finish();
         assert_eq!(report.actions, 500);
-        assert!(report.alerts >= 500, "each probe symbolizes");
+        assert!(report.stats.alerts >= 500, "each probe symbolizes");
         assert!(
-            report.alerts_filtered < 20,
+            report.stats.admitted < 20,
             "scan flood must collapse: {}",
-            report.alerts_filtered
+            report.stats.admitted
         );
         assert_eq!(
-            report.detections, 0,
+            report.stats.detections, 0,
             "scans alone must not trigger preemption"
         );
         assert_eq!(
             s.retained_alerts().count() as u64 + s.alerts_dropped(),
-            report.alerts_filtered,
+            report.stats.admitted,
             "retention accounts for every admitted alert"
         );
     }
@@ -197,7 +196,7 @@ mod tests {
         let mut s = sink();
         engine.run(&mut [&mut s]);
         let report = s.finish();
-        assert_eq!(report.detections, 1, "S1 chain must be detected once");
+        assert_eq!(report.stats.detections, 1, "S1 chain must be detected once");
         assert_eq!(report.notifications.len(), 1);
         let n = &report.notifications[0];
         assert!(n.message().to_string().contains("preemption"));
@@ -241,7 +240,7 @@ mod tests {
         }
         engine.run(&mut [&mut s]);
         let report = s.finish();
-        assert!(report.detections >= 1, "beaconing must be detected");
+        assert!(report.stats.detections >= 1, "beaconing must be detected");
         assert_eq!(report.blocked_sources, 1);
         assert!(s
             .bhr()
@@ -274,8 +273,8 @@ mod tests {
             ))]);
         engine.run(&mut [&mut s]);
         let report = s.finish();
-        assert!(report.alerts_filtered >= 50);
+        assert!(report.stats.admitted >= 50);
         assert_eq!(s.retained_alerts().count(), 5, "cap enforced");
-        assert_eq!(report.alerts_dropped, report.alerts_filtered - 5);
+        assert_eq!(report.alerts_dropped, report.stats.admitted - 5);
     }
 }

@@ -10,6 +10,8 @@ use serde::{Deserialize, Serialize};
 use simnet::router::RouterStats;
 use simnet::time::SimTime;
 
+use crate::stage::StreamStats;
+
 /// A notification sent to security operators — the §V mechanism that gave
 /// NCSA its twelve-day warning. It holds no heap string: the entity key is
 /// inline and the operator text is rendered on demand by
@@ -54,14 +56,10 @@ impl OperatorNotification {
 pub struct RunReport {
     /// Actions processed by the engine.
     pub actions: u64,
-    /// Log records produced by the monitors.
-    pub records: u64,
-    /// Alerts after symbolization.
-    pub alerts: u64,
-    /// Alerts after the repeated-scan filter.
-    pub alerts_filtered: u64,
-    /// Detections raised.
-    pub detections: u64,
+    /// Stage counters: log records produced by the monitors, alerts after
+    /// symbolization, alerts admitted by the repeated-scan filter, and
+    /// detections raised.
+    pub stats: StreamStats,
     /// Notifications delivered to operators.
     pub notifications: Vec<OperatorNotification>,
     /// Border router counters.
@@ -92,10 +90,10 @@ impl RunReport {
         format!(
             "actions={} records={} alerts={} filtered={} detections={} blocked={} (router: {} flows, {} dropped)",
             self.actions,
-            self.records,
-            self.alerts,
-            self.alerts_filtered,
-            self.detections,
+            self.stats.records,
+            self.stats.alerts,
+            self.stats.admitted,
+            self.stats.detections,
             self.blocked_sources,
             self.router.total(),
             self.router.dropped,
@@ -114,7 +112,7 @@ pub fn render_incident_report(report: &RunReport) -> String {
     let _ = writeln!(
         out,
         "pipeline: {} actions, {} alerts ({} after filtering), {} detections",
-        report.actions, report.alerts, report.alerts_filtered, report.detections
+        report.actions, report.stats.alerts, report.stats.admitted, report.stats.detections
     );
     let _ = writeln!(
         out,

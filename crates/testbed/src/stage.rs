@@ -1,55 +1,36 @@
-//! # The composable pipeline stage API.
+//! # The Fig. 4 pipeline stages.
 //!
 //! The paper's Fig. 4 pipeline (monitors → symbolization → repeated-scan
 //! filter → online detection → response) is defined once, here; the
-//! closed-loop [`PipelineSink`](crate::pipeline::PipelineSink) and the
-//! record-stream executors both run it:
+//! closed-loop [`PipelineSink`](crate::pipeline::PipelineSink), the
+//! record-stream executors and the service worker all run it:
 //!
 //! - [`Stage`] — the batched stage trait: `process_batch` turns a slice of
-//!   inputs into outputs, `flush` drains windowed state at end of stream.
-//!   (Not to be confused with [`detect::Stage`], the hidden attack-stage
-//!   enum — this one is a pipeline processing stage.)
-//! - [`adapters`] — `Stage` impls wrapping every existing Fig. 4 component:
-//!   monitors, `Symbolizer`, `ScanFilter`, `AttackTagger`, the
-//!   rule-based/critical baselines, and the BHR-block + operator
-//!   notification response step.
-//! - [`builder`] — [`PipelineBuilder`] assembles a typed stage chain plus
-//!   its tee points (counters, capped alert retention) into a
+//!   inputs into outputs, `flush` drains end-of-stream state. The
+//!   executors and external drivers (the benchmark's traced driver) call
+//!   the concrete stages through it. (Not to be confused with
+//!   [`detect::Stage`], the hidden attack-stage enum — this one is a
+//!   pipeline processing stage.)
+//! - [`adapters`] — the four concrete stages, one per component:
+//!   `Symbolizer`, `ScanFilter`, the detector slot (factor-graph
+//!   `AttackTagger` or a rule-based / critical-only baseline), and the
+//!   BHR-block + operator notification response step. The monitor fleet
+//!   in front of them is held by the closed-loop sink.
+//! - [`builder`] — [`PipelineBuilder`] assembles the stages plus their
+//!   tee points (counters, capped alert retention) into a
 //!   [`BuiltPipeline`].
 //! - [`executor`] — three drivers over the same assembled pipeline:
 //!   inline (sequential), threaded (one thread per stage, batched bounded
 //!   channels), and sharded (detect stage partitioned by entity hash
 //!   across the rayon worker pool). All three produce *identical*
 //!   [`StreamReport`]s; only wall-clock differs.
-//!
-//! ## Composing custom chains
-//!
-//! The executors drive the standard record→alert→detection chain, but the
-//! trait composes freely; [`Chain`] fuses two stages and [`FnStage`] lifts
-//! a closure:
-//!
-//! ```
-//! use testbed::stage::{Chain, FnStage, Stage};
-//!
-//! let double = FnStage::new("double", |x: &u32, out: &mut Vec<u32>| out.push(x * 2));
-//! let odd = FnStage::new("odd", |x: &u32, out: &mut Vec<u32>| {
-//!     if x % 2 == 1 {
-//!         out.push(*x)
-//!     }
-//! });
-//! let mut chain = Chain::new(double, odd);
-//! let mut out = Vec::new();
-//! chain.process_batch(&[1, 2, 3], &mut out);
-//! assert!(out.is_empty()); // doubling leaves nothing odd
-//! ```
 
 pub mod adapters;
 pub mod builder;
 pub mod executor;
 
 pub use adapters::{
-    BaselineStage, DetectOutcome, DetectorStage, FaultStage, FilterStage, MonitorStage,
-    NotifyBackend, ResponseStage, SymbolizeStage, TagStage, TimedAction,
+    DetectOutcome, DetectorStage, FilterStage, NotifyBackend, ResponseStage, SymbolizeStage,
 };
 pub use builder::{BuiltPipeline, PipelineBuilder};
 pub use executor::{StreamReport, StreamStats};
@@ -65,8 +46,9 @@ use std::collections::VecDeque;
 ///   `process_batch` on `[a, b]` equals calling it on `[a]` then `[b]`.
 ///   This is what makes batch boundaries (and therefore executor choice)
 ///   unobservable.
-/// - `flush` is called exactly once, after the final batch, for stages
-///   with windowed state (e.g. scan-notice windows in monitors).
+/// - `flush` drains end-of-stream state after the final batch. Only the
+///   response stage has any (its retry queues), so the executors flush
+///   only that stage; the others keep the default no-op.
 pub trait Stage<In, Out>: Send {
     /// Stage name for diagnostics and counters.
     fn name(&self) -> &'static str;
@@ -76,76 +58,6 @@ pub trait Stage<In, Out>: Send {
 
     /// Drain any end-of-stream state.
     fn flush(&mut self, _out: &mut Vec<Out>) {}
-}
-
-/// Two stages fused into one: `A`'s output feeds `B` within the same
-/// `process_batch` call (no intermediate channel).
-pub struct Chain<A, B, Mid> {
-    a: A,
-    b: B,
-    mid: Vec<Mid>,
-}
-
-impl<A, B, Mid> Chain<A, B, Mid> {
-    pub fn new(a: A, b: B) -> Self {
-        Chain {
-            a,
-            b,
-            mid: Vec::new(),
-        }
-    }
-}
-
-impl<In, Mid, Out, A, B> Stage<In, Out> for Chain<A, B, Mid>
-where
-    Mid: Send,
-    A: Stage<In, Mid>,
-    B: Stage<Mid, Out>,
-{
-    fn name(&self) -> &'static str {
-        "chain"
-    }
-
-    fn process_batch(&mut self, input: &[In], out: &mut Vec<Out>) {
-        self.mid.clear();
-        self.a.process_batch(input, &mut self.mid);
-        self.b.process_batch(&self.mid, out);
-    }
-
-    fn flush(&mut self, out: &mut Vec<Out>) {
-        self.mid.clear();
-        self.a.flush(&mut self.mid);
-        self.b.process_batch(&self.mid, out);
-        self.b.flush(out);
-    }
-}
-
-/// A stage defined by a closure over single items — handy glue for tests
-/// and ad-hoc tees.
-pub struct FnStage<F> {
-    name: &'static str,
-    f: F,
-}
-
-impl<F> FnStage<F> {
-    pub fn new(name: &'static str, f: F) -> Self {
-        FnStage { name, f }
-    }
-}
-
-impl<In, Out, F> Stage<In, Out> for FnStage<F>
-where
-    F: FnMut(&In, &mut Vec<Out>) + Send,
-{
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn process_batch(&mut self, input: &[In], out: &mut Vec<Out>) {
-        for item in input {
-            (self.f)(item, out);
-        }
-    }
 }
 
 /// Capped retention of post-filter alerts for post-run analysis.
@@ -257,41 +169,5 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.dropped(), 0, "retention-off is not a cap overflow");
         assert_eq!(r.discarded(), 10, "retention-off counts discards");
-    }
-
-    #[test]
-    fn fn_stage_and_chain_compose() {
-        let double = FnStage::new("double", |x: &u32, out: &mut Vec<u32>| out.push(x * 2));
-        let add_one = FnStage::new("inc", |x: &u32, out: &mut Vec<u32>| out.push(x + 1));
-        let mut chain = Chain::new(double, add_one);
-        assert_eq!(chain.name(), "chain");
-        let mut out = Vec::new();
-        chain.process_batch(&[1, 2, 3], &mut out);
-        assert_eq!(out, vec![3, 5, 7]);
-    }
-
-    #[test]
-    fn chain_flush_drains_both_sides() {
-        struct Windowed {
-            pending: Vec<u32>,
-        }
-        impl Stage<u32, u32> for Windowed {
-            fn name(&self) -> &'static str {
-                "windowed"
-            }
-            fn process_batch(&mut self, input: &[u32], _out: &mut Vec<u32>) {
-                self.pending.extend_from_slice(input);
-            }
-            fn flush(&mut self, out: &mut Vec<u32>) {
-                out.append(&mut self.pending);
-            }
-        }
-        let tail = FnStage::new("x10", |x: &u32, out: &mut Vec<u32>| out.push(x * 10));
-        let mut chain = Chain::new(Windowed { pending: vec![] }, tail);
-        let mut out = Vec::new();
-        chain.process_batch(&[1, 2], &mut out);
-        assert!(out.is_empty(), "all buffered until flush");
-        chain.flush(&mut out);
-        assert_eq!(out, vec![10, 20]);
     }
 }

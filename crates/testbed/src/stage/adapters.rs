@@ -1,9 +1,12 @@
-//! [`Stage`] adapters wrapping the existing Fig. 4 components.
+//! The concrete [`Stage`]s of the Fig. 4 pipeline.
 //!
-//! Each adapter owns the component it wraps and exposes the batched
-//! [`Stage`] interface; the detection adapters additionally guarantee the
-//! **1:1 contract** the sharded executor relies on: exactly one
-//! [`DetectOutcome`] is emitted per input alert, in input order.
+//! Each stage owns the component it wraps: [`SymbolizeStage`] the
+//! `Symbolizer`, [`FilterStage`] the `ScanFilter`, [`DetectorStage`] the
+//! factor-graph tagger or a session-scan baseline, and [`ResponseStage`]
+//! the BHR handle and operator notification delivery. The detector
+//! guarantees the **1:1 contract** the sharded executor relies on:
+//! exactly one [`DetectOutcome`] is emitted per input alert, in input
+//! order.
 
 use std::net::Ipv4Addr;
 
@@ -18,136 +21,13 @@ use detect::online::OnlineSessionDetector;
 use detect::rules::RuleBasedDetector;
 use detect::Detection;
 use scenario::adapt::FeedbackTap;
-use simnet::action::Action;
-use simnet::engine::EventCtx;
-use simnet::flow::Direction;
 use simnet::intern::SymScope;
 use simnet::rng::{FxHashSet, SimRng};
 use simnet::time::{SimDuration, SimTime};
-use simnet::topology::Topology;
-use telemetry::monitor::Monitor;
 use telemetry::record::LogRecord;
 
 use crate::report::OperatorNotification;
 use crate::stage::Stage;
-
-/// An action with its observation context, for driving [`MonitorStage`]
-/// outside the simulation engine (which supplies a live [`EventCtx`]).
-#[derive(Debug, Clone)]
-pub struct TimedAction {
-    pub time: SimTime,
-    pub direction: Direction,
-    pub action: Action,
-}
-
-/// The monitor fleet as a stage: fans each action out to every monitor in
-/// registration order (§III-B: one action can be witnessed by several
-/// monitors).
-pub struct MonitorStage {
-    monitors: Vec<Box<dyn Monitor>>,
-    /// Topology used to synthesize an [`EventCtx`] when driven as a
-    /// batched [`Stage`]; the closed-loop sink instead passes the
-    /// engine's live context to [`MonitorStage::observe`].
-    topology: Option<Topology>,
-}
-
-impl MonitorStage {
-    pub fn new(monitors: Vec<Box<dyn Monitor>>) -> Self {
-        MonitorStage {
-            monitors,
-            topology: None,
-        }
-    }
-
-    /// Attach a topology so the stage can be driven from [`TimedAction`]s
-    /// without a running engine.
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = Some(topology);
-        self
-    }
-
-    /// Observe one action under the engine's live context — the single
-    /// definition of the monitor fan-out both deployments share.
-    pub fn observe(&mut self, ctx: &EventCtx<'_>, action: &Action, out: &mut Vec<LogRecord>) {
-        for m in &mut self.monitors {
-            m.observe(ctx, action, out);
-        }
-    }
-
-    /// Drain windowed monitor state (pending scan notices etc.).
-    pub fn flush_records(&mut self, out: &mut Vec<LogRecord>) {
-        for m in &mut self.monitors {
-            m.flush(out);
-        }
-    }
-}
-
-impl Stage<TimedAction, LogRecord> for MonitorStage {
-    fn name(&self) -> &'static str {
-        "monitors"
-    }
-
-    fn process_batch(&mut self, input: &[TimedAction], out: &mut Vec<LogRecord>) {
-        let topo = self
-            .topology
-            .as_ref()
-            .expect("MonitorStage needs with_topology() to run as a batched stage");
-        for ta in input {
-            let ctx = EventCtx {
-                time: ta.time,
-                direction: ta.direction,
-                dropped: None,
-                topo,
-            };
-            for m in &mut self.monitors {
-                m.observe(&ctx, &ta.action, out);
-            }
-        }
-    }
-
-    fn flush(&mut self, out: &mut Vec<LogRecord>) {
-        self.flush_records(out);
-    }
-}
-
-/// Telemetry fault injection as a stage: sits between generation and
-/// symbolize, corrupting the record stream per a
-/// [`scenario::faults::FaultPlan`] (loss, blackouts, duplication,
-/// bounded reordering, clock skew). Deterministic in `(plan, input)` and
-/// batch-boundary-invariant, so every executor sees the identical
-/// faulted stream.
-#[derive(Debug)]
-pub struct FaultStage {
-    injector: scenario::faults::FaultInjector,
-}
-
-impl FaultStage {
-    pub fn new(plan: scenario::faults::FaultPlan) -> Self {
-        FaultStage {
-            injector: scenario::faults::FaultInjector::new(plan),
-        }
-    }
-
-    pub fn stats(&self) -> scenario::faults::FaultStats {
-        self.injector.stats()
-    }
-}
-
-impl Stage<LogRecord, LogRecord> for FaultStage {
-    fn name(&self) -> &'static str {
-        "fault-injection"
-    }
-
-    fn process_batch(&mut self, input: &[LogRecord], out: &mut Vec<LogRecord>) {
-        for r in input {
-            self.injector.push(r.clone(), out);
-        }
-    }
-
-    fn flush(&mut self, out: &mut Vec<LogRecord>) {
-        self.injector.finish(out);
-    }
-}
 
 /// Symbolization: records → alerts (§II-A).
 #[derive(Debug, Clone)]
@@ -258,112 +138,33 @@ pub struct DetectOutcome {
     pub attack_score: f64,
 }
 
-/// The factor-graph [`AttackTagger`] as a detection stage.
-#[derive(Debug, Clone)]
-pub struct TagStage {
-    tagger: AttackTagger,
-}
-
-impl TagStage {
-    pub fn new(tagger: AttackTagger) -> Self {
-        TagStage { tagger }
-    }
-
-    pub fn tagger(&self) -> &AttackTagger {
-        &self.tagger
-    }
-
-    pub fn tagger_mut(&mut self) -> &mut AttackTagger {
-        &mut self.tagger
-    }
-
-    fn outcome(&mut self, alert: Alert) -> DetectOutcome {
-        let scored = self.tagger.observe_scored(&alert);
-        DetectOutcome {
-            detection: scored.detection,
-            attack_score: scored.attack_score,
-            alert,
-        }
-    }
-}
-
-impl Stage<Alert, DetectOutcome> for TagStage {
-    fn name(&self) -> &'static str {
-        "attack-tagger"
-    }
-
-    fn process_batch(&mut self, input: &[Alert], out: &mut Vec<DetectOutcome>) {
-        for a in input {
-            out.push(self.outcome(*a));
-        }
-    }
-}
-
-/// A session-scan baseline (rule-based or critical-only) as an online
-/// detection stage, via [`OnlineSessionDetector`].
-#[derive(Debug, Clone)]
-pub struct BaselineStage<D> {
-    name: &'static str,
-    online: OnlineSessionDetector<D>,
-}
-
-impl<D: detect::SequenceDetector> BaselineStage<D> {
-    pub fn new(name: &'static str, detector: D) -> Self {
-        BaselineStage {
-            name,
-            online: OnlineSessionDetector::new(detector),
-        }
-    }
-
-    fn outcome(&mut self, alert: Alert) -> DetectOutcome {
-        let detection = self.online.observe(&alert);
-        DetectOutcome {
-            attack_score: if detection.is_some() { 1.0 } else { 0.0 },
-            detection,
-            alert,
-        }
-    }
-}
-
-impl<D: detect::SequenceDetector + Send> Stage<Alert, DetectOutcome> for BaselineStage<D> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn process_batch(&mut self, input: &[Alert], out: &mut Vec<DetectOutcome>) {
-        for a in input {
-            out.push(self.outcome(*a));
-        }
-    }
-}
-
-/// The detection slot of an assembled pipeline. An enum (rather than a
-/// boxed trait object) so the sharded executor can clone per-entity-empty
-/// replicas for its shards.
+/// The detection slot of an assembled pipeline: the factor-graph tagger
+/// or a session-scan baseline (rule-based or critical-only) run online
+/// through [`OnlineSessionDetector`]. An enum (rather than a boxed trait
+/// object) so the sharded executor can clone per-entity-empty replicas
+/// for its shards.
 #[derive(Debug, Clone)]
 pub enum DetectorStage {
-    Tagger(Box<TagStage>),
-    Rules(BaselineStage<RuleBasedDetector>),
-    Critical(BaselineStage<CriticalOnlyDetector>),
+    Tagger(Box<AttackTagger>),
+    Rules(OnlineSessionDetector<RuleBasedDetector>),
+    Critical(OnlineSessionDetector<CriticalOnlyDetector>),
 }
 
 impl DetectorStage {
     pub fn tagger(tagger: AttackTagger) -> Self {
-        DetectorStage::Tagger(Box::new(TagStage::new(tagger)))
+        DetectorStage::Tagger(Box::new(tagger))
     }
 
     pub fn rules(rules: RuleBasedDetector) -> Self {
-        DetectorStage::Rules(BaselineStage::new("rule-based", rules))
+        DetectorStage::Rules(OnlineSessionDetector::new(rules))
     }
 
     pub fn critical() -> Self {
-        DetectorStage::Critical(BaselineStage::new(
-            "critical-only",
-            CriticalOnlyDetector::new(),
-        ))
+        DetectorStage::Critical(OnlineSessionDetector::new(CriticalOnlyDetector::new()))
     }
 
-    /// Detector source label carried on operator notifications.
+    /// Detector source label carried on operator notifications (and the
+    /// stage's [`Stage::name`]).
     pub fn source(&self) -> &'static str {
         match self {
             DetectorStage::Tagger(_) => "attack-tagger",
@@ -377,7 +178,7 @@ impl DetectorStage {
     /// detection state.
     pub fn as_tagger(&self) -> Option<&AttackTagger> {
         match self {
-            DetectorStage::Tagger(s) => Some(s.tagger()),
+            DetectorStage::Tagger(t) => Some(t),
             _ => None,
         }
     }
@@ -386,7 +187,7 @@ impl DetectorStage {
     /// state through this.
     pub fn as_tagger_mut(&mut self) -> Option<&mut AttackTagger> {
         match self {
-            DetectorStage::Tagger(s) => Some(s.tagger_mut()),
+            DetectorStage::Tagger(t) => Some(t),
             _ => None,
         }
     }
@@ -395,8 +196,8 @@ impl DetectorStage {
     /// factor-graph tagger (the baselines have no temporal state). This is
     /// how [`crate::config::PipelineTuning::temporal`] reaches the stage.
     pub fn apply_temporal(&mut self, temporal: &detect::attack_tagger::TemporalPolicy) {
-        if let DetectorStage::Tagger(s) = self {
-            s.tagger_mut().set_temporal(temporal.clone());
+        if let DetectorStage::Tagger(t) = self {
+            t.set_temporal(temporal.clone());
         }
     }
 
@@ -405,8 +206,8 @@ impl DetectorStage {
     /// [`crate::config::PipelineTuning::detect_max_entities`] reaches the
     /// stage.
     pub fn apply_entity_budget(&mut self, max_entities: usize) {
-        if let DetectorStage::Tagger(s) = self {
-            s.tagger_mut().set_max_entities(max_entities);
+        if let DetectorStage::Tagger(t) = self {
+            t.set_max_entities(max_entities);
         }
     }
 
@@ -414,19 +215,8 @@ impl DetectorStage {
     /// only — the baselines carry no temporal state). See
     /// [`AttackTagger::set_blackouts`].
     pub fn apply_blackouts(&mut self, windows: Vec<(SimTime, SimTime)>) {
-        if let DetectorStage::Tagger(s) = self {
-            s.tagger_mut().set_blackouts(windows);
-        }
-    }
-
-    /// The opt-in cross-entity correlation policy carried by the tagger's
-    /// config (`None` for the baselines and for taggers without one).
-    /// The pipeline builder reads this to construct the campaign
-    /// correlator that runs over the merged outcome stream.
-    pub fn correlation_policy(&self) -> Option<detect::CorrelationPolicy> {
-        match self {
-            DetectorStage::Tagger(s) => s.tagger().config().correlation.clone(),
-            _ => None,
+        if let DetectorStage::Tagger(t) = self {
+            t.set_blackouts(windows);
         }
     }
 
@@ -440,11 +230,8 @@ impl DetectorStage {
     /// [`apply_blackouts`](Self::apply_blackouts).
     pub fn build_correlator(&self) -> Option<detect::CampaignCorrelator> {
         match self {
-            DetectorStage::Tagger(s) => {
-                let tagger = s.tagger();
-                (tagger.config().correlation.clone())
-                    .map(|policy| detect::CampaignCorrelator::with_tagger(policy, tagger))
-            }
+            DetectorStage::Tagger(t) => (t.config().correlation.clone())
+                .map(|policy| detect::CampaignCorrelator::with_tagger(policy, t)),
             _ => None,
         }
     }
@@ -453,8 +240,8 @@ impl DetectorStage {
     /// detector is the factor-graph tagger — the builder's override hook,
     /// mirroring [`DetectorStage::apply_temporal`].
     pub fn apply_correlation(&mut self, correlation: Option<detect::CorrelationPolicy>) {
-        if let DetectorStage::Tagger(s) = self {
-            s.tagger_mut().set_correlation(correlation);
+        if let DetectorStage::Tagger(t) = self {
+            t.set_correlation(correlation);
         }
     }
 
@@ -462,8 +249,25 @@ impl DetectorStage {
     /// baselines, and for a tagger with no dedup window configured).
     pub fn duplicates_suppressed(&self) -> u64 {
         match self {
-            DetectorStage::Tagger(s) => s.tagger().duplicates_suppressed(),
+            DetectorStage::Tagger(t) => t.duplicates_suppressed(),
             _ => 0,
+        }
+    }
+
+    /// The verdict on one alert: the tagger's detection and posterior
+    /// attack mass, or a baseline's detection with a 0.0 / 1.0 score.
+    fn outcome(&mut self, alert: Alert) -> DetectOutcome {
+        match self {
+            DetectorStage::Tagger(t) => {
+                let scored = t.observe_scored(&alert);
+                DetectOutcome {
+                    detection: scored.detection,
+                    attack_score: scored.attack_score,
+                    alert,
+                }
+            }
+            DetectorStage::Rules(d) => baseline_outcome(d.observe(&alert), alert),
+            DetectorStage::Critical(d) => baseline_outcome(d.observe(&alert), alert),
         }
     }
 
@@ -472,30 +276,27 @@ impl DetectorStage {
     /// capacity intact.
     pub fn process_drain(&mut self, batch: &mut Vec<Alert>, out: &mut Vec<DetectOutcome>) {
         for a in batch.drain(..) {
-            let o = match self {
-                DetectorStage::Tagger(s) => s.outcome(a),
-                DetectorStage::Rules(s) => s.outcome(a),
-                DetectorStage::Critical(s) => s.outcome(a),
-            };
-            out.push(o);
+            out.push(self.outcome(a));
         }
+    }
+}
+
+fn baseline_outcome(detection: Option<Detection>, alert: Alert) -> DetectOutcome {
+    DetectOutcome {
+        attack_score: if detection.is_some() { 1.0 } else { 0.0 },
+        detection,
+        alert,
     }
 }
 
 impl Stage<Alert, DetectOutcome> for DetectorStage {
     fn name(&self) -> &'static str {
-        match self {
-            DetectorStage::Tagger(s) => s.name(),
-            DetectorStage::Rules(s) => s.name(),
-            DetectorStage::Critical(s) => s.name(),
-        }
+        self.source()
     }
 
     fn process_batch(&mut self, input: &[Alert], out: &mut Vec<DetectOutcome>) {
-        match self {
-            DetectorStage::Tagger(s) => s.process_batch(input, out),
-            DetectorStage::Rules(s) => s.process_batch(input, out),
-            DetectorStage::Critical(s) => s.process_batch(input, out),
+        for a in input {
+            out.push(self.outcome(*a));
         }
     }
 }
@@ -626,13 +427,7 @@ impl ResponseStage {
 
     /// Route notifications through a fallible backend (fault injection);
     /// without one every notification lands directly.
-    pub fn with_notify_backend(mut self, backend: impl NotifyBackend + 'static) -> Self {
-        self.notify_backend = Some(Box::new(backend));
-        self
-    }
-
-    /// [`ResponseStage::with_notify_backend`] for an already-boxed backend.
-    pub fn with_boxed_notify_backend(mut self, backend: Box<dyn NotifyBackend>) -> Self {
+    pub fn with_notify_backend(mut self, backend: Box<dyn NotifyBackend>) -> Self {
         self.notify_backend = Some(backend);
         self
     }
@@ -972,7 +767,7 @@ mod tests {
 
     #[test]
     fn tag_stage_emits_one_outcome_per_alert() {
-        let mut stage = TagStage::new(AttackTagger::new(
+        let mut stage = DetectorStage::tagger(AttackTagger::new(
             toy_training_model(),
             TaggerConfig::default(),
         ));
@@ -1275,10 +1070,10 @@ mod tests {
         let bhr = BhrHandle::new();
         let mut resp = ResponseStage::new(bhr.clone(), false, None, "attack-tagger")
             .with_retry(fast_retry(), 1)
-            .with_notify_backend(FlakyNotify {
+            .with_notify_backend(Box::new(FlakyNotify {
                 fail_first: 2,
                 calls: 0,
-            });
+            }));
         let src: Ipv4Addr = "103.102.1.3".parse().unwrap();
         let mut notes = Vec::new();
         resp.respond(None, &[outcome_at(5, "eve", src)], &mut notes);
@@ -1287,76 +1082,6 @@ mod tests {
         assert_eq!(notes.len(), 1, "notification re-delivered");
         assert_eq!(resp.notifications_retried(), 2);
         assert_eq!(resp.notifications_abandoned(), 0);
-    }
-
-    #[test]
-    fn fault_stage_is_batch_boundary_invariant() {
-        use scenario::faults::{ClockSkewConfig, FaultPlan};
-        use scenario::{record_stream, RecordStreamConfig};
-        let records = record_stream(
-            &SymScope::global(),
-            &RecordStreamConfig {
-                scan_records: 200,
-                benign_flows: 100,
-                exec_records: 100,
-                users: 10,
-                ..RecordStreamConfig::default()
-            },
-            &mut simnet::rng::SimRng::seed(8),
-        );
-        let plan = FaultPlan::clean(3)
-            .with_loss(0.1)
-            .with_duplication(0.05)
-            .with_reorder(8)
-            .with_clock(ClockSkewConfig {
-                max_skew: SimDuration::from_secs(10),
-                jitter: SimDuration::from_secs(1),
-            });
-        let run = |batch: usize| {
-            let mut stage = FaultStage::new(plan.clone());
-            let mut out = Vec::new();
-            for chunk in records.chunks(batch) {
-                stage.process_batch(chunk, &mut out);
-            }
-            stage.flush(&mut out);
-            (out, stage.stats())
-        };
-        let (a, sa) = run(1);
-        let (b, sb) = run(97);
-        assert_eq!(a, b, "batching must be unobservable");
-        assert_eq!(sa, sb);
-    }
-
-    #[test]
-    fn monitor_stage_runs_batched_without_an_engine() {
-        use simnet::flow::{Flow, FlowId};
-        // A monitor fleet handed over from a MonitorHub, driven as a
-        // batched stage against a synthesized context.
-        let topo = simnet::topology::NcsaTopologyBuilder::default().build();
-        let mut stage =
-            MonitorStage::new(telemetry::MonitorHub::standard(&SymScope::global()).into_monitors())
-                .with_topology(topo);
-        let actions: Vec<TimedAction> = (0..5u64)
-            .map(|i| {
-                let t = SimTime::from_secs(i);
-                TimedAction {
-                    time: t,
-                    direction: Direction::Inbound,
-                    action: Action::Flow(Flow::probe(
-                        FlowId(i),
-                        t,
-                        "103.102.1.1".parse().unwrap(),
-                        "141.142.2.9".parse().unwrap(),
-                        22,
-                    )),
-                }
-            })
-            .collect();
-        let mut records = Vec::new();
-        stage.process_batch(&actions, &mut records);
-        assert_eq!(records.len(), 5, "each probe yields a conn record");
-        stage.flush(&mut records);
-        assert!(records.len() >= 5, "flush may add windowed scan notices");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Assembling stage chains.
+//! Assembling the Fig. 4 stages.
 //!
 //! [`PipelineBuilder`] collects the Fig. 4 components plus the tee points
 //! (alert retention, response wiring) and batching knobs, then produces
@@ -24,7 +24,7 @@ use telemetry::record::LogRecord;
 use crate::config::{ExecutorKind, PipelineTuning, TestbedConfig};
 use crate::pipeline::PipelineSink;
 use crate::stage::adapters::{
-    DetectorStage, FilterStage, MonitorStage, NotifyBackend, ResponseStage, SymbolizeStage,
+    DetectorStage, FilterStage, NotifyBackend, ResponseStage, SymbolizeStage,
 };
 use crate::stage::executor::{self, StreamReport};
 use crate::stage::AlertRetention;
@@ -314,7 +314,7 @@ impl PipelineBuilder {
             response = response.with_scope(scope.clone());
         }
         if let Some(backend) = self.notify_backend {
-            response = response.with_boxed_notify_backend(backend);
+            response = response.with_notify_backend(backend);
         }
         if let Some(tap) = self.block_feedback {
             response = response.with_block_feedback(tap);
@@ -333,7 +333,7 @@ impl PipelineBuilder {
 
     /// Assemble the closed-loop simulation sink around a monitor fleet.
     pub fn build_sink(self, monitors: Vec<Box<dyn Monitor>>) -> PipelineSink {
-        PipelineSink::from_built(MonitorStage::new(monitors), self.build())
+        PipelineSink::from_built(monitors, self.build())
     }
 }
 

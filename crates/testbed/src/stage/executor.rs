@@ -49,8 +49,9 @@ pub struct StreamStats {
 /// Everything one pipeline run produces, identical across executors.
 #[derive(Debug)]
 pub struct StreamReport {
-    /// Per-stage counters (same meaning as the closed-loop
-    /// [`RunReport`](crate::report::RunReport) fields).
+    /// Per-stage counters (the closed-loop
+    /// [`RunReport::stats`](crate::report::RunReport::stats) has the same
+    /// meaning).
     pub stats: StreamStats,
     /// Scan-filter counters.
     pub filter: FilterStats,
@@ -98,11 +99,39 @@ pub struct StreamReport {
     pub correlated_confirmations: u64,
 }
 
-/// Correlation surfaces for a [`StreamReport`] from a finished correlator.
-fn correlation_report(correlate: &Option<CampaignCorrelator>) -> (Vec<CampaignSummary>, u64, u64) {
-    match correlate {
+/// Assemble the [`StreamReport`] of a finished run from its tail stages —
+/// the one definition every executor and the service share. `fault` is
+/// left `None` for the caller to fill in.
+fn stream_report(
+    stats: StreamStats,
+    filter: FilterStats,
+    duplicates_suppressed: u64,
+    correlate: Option<&CampaignCorrelator>,
+    response: &ResponseStage,
+    retention: AlertRetention,
+    notifications: Vec<OperatorNotification>,
+) -> StreamReport {
+    let (campaigns, correlated_promotions, correlated_confirmations) = match correlate {
         Some(c) => (c.summaries(), c.promotions(), c.tagger_confirmations()),
         None => (Vec::new(), 0, 0),
+    };
+    StreamReport {
+        stats,
+        filter,
+        notifications,
+        alerts_dropped: retention.dropped(),
+        alerts_discarded: retention.discarded(),
+        retained_alerts: retention.into_vec(),
+        blocked_sources: response.blocked_sources(),
+        duplicates_suppressed,
+        blocks_retried: response.blocks_retried(),
+        blocks_abandoned: response.blocks_abandoned(),
+        notifications_retried: response.notifications_retried(),
+        notifications_abandoned: response.notifications_abandoned(),
+        fault: None,
+        campaigns,
+        correlated_promotions,
+        correlated_confirmations,
     }
 }
 
@@ -157,29 +186,8 @@ impl InlineCore {
         self.symbolize
             .prep_and_process(records, prep, &mut self.alerts_buf);
         self.stats.alerts += self.alerts_buf.len() as u64;
-        self.run_tail(now);
-    }
-
-    /// Drain windowed stage state at end of stream.
-    pub(crate) fn flush(&mut self) {
-        self.alerts_buf.clear();
-        self.symbolize.flush(&mut self.alerts_buf);
-        self.stats.alerts += self.alerts_buf.len() as u64;
-        self.run_tail(None);
-        self.admitted_buf.clear();
-        self.filter.flush(&mut self.admitted_buf);
-        self.stats.admitted += self.admitted_buf.len() as u64;
-        self.outcomes_buf.clear();
-        self.detect
-            .process_drain(&mut self.admitted_buf, &mut self.outcomes_buf);
-        self.detect.flush(&mut self.outcomes_buf);
-        self.finish_outcomes(None);
-        self.response.flush(&mut self.notifications);
-    }
-
-    /// Filter → detect → response → retention over `alerts_buf`
-    /// (drain-based: alerts move through without cloning).
-    fn run_tail(&mut self, now: Option<SimTime>) {
+        // Filter → detect → response → retention, drain-based: alerts
+        // move through without cloning.
         self.admitted_buf.clear();
         self.filter
             .admit_drain(&mut self.alerts_buf, &mut self.admitted_buf);
@@ -187,10 +195,6 @@ impl InlineCore {
         self.outcomes_buf.clear();
         self.detect
             .process_drain(&mut self.admitted_buf, &mut self.outcomes_buf);
-        self.finish_outcomes(now);
-    }
-
-    fn finish_outcomes(&mut self, now: Option<SimTime>) {
         finish_outcomes(
             &mut self.outcomes_buf,
             now,
@@ -202,27 +206,22 @@ impl InlineCore {
         );
     }
 
+    /// Drain end-of-stream state: only the response stage's retry queues
+    /// hold any (see [`Stage::flush`]).
+    pub(crate) fn flush(&mut self) {
+        self.response.flush(&mut self.notifications);
+    }
+
     pub(crate) fn into_report(self) -> StreamReport {
-        let (campaigns, correlated_promotions, correlated_confirmations) =
-            correlation_report(&self.correlate);
-        StreamReport {
-            campaigns,
-            correlated_promotions,
-            correlated_confirmations,
-            stats: self.stats,
-            filter: self.filter.stats(),
-            notifications: self.notifications,
-            alerts_dropped: self.retention.dropped(),
-            alerts_discarded: self.retention.discarded(),
-            blocked_sources: self.response.blocked_sources(),
-            duplicates_suppressed: self.detect.duplicates_suppressed(),
-            blocks_retried: self.response.blocks_retried(),
-            blocks_abandoned: self.response.blocks_abandoned(),
-            notifications_retried: self.response.notifications_retried(),
-            notifications_abandoned: self.response.notifications_abandoned(),
-            fault: None,
-            retained_alerts: self.retention.into_vec(),
-        }
+        stream_report(
+            self.stats,
+            self.filter.stats(),
+            self.detect.duplicates_suppressed(),
+            self.correlate.as_ref(),
+            &self.response,
+            self.retention,
+            self.notifications,
+        )
     }
 }
 
@@ -262,39 +261,36 @@ where
     I: IntoIterator<Item = LogRecord>,
 {
     let batch = p.tuning.batch_size.max(1);
-    let faults = p.faults.take();
+    let mut faults = p.faults.take();
     let mut core = InlineCore::new(p);
     let mut buf: Vec<LogRecord> = Vec::with_capacity(batch);
-    let fault = match faults {
-        None => {
-            for r in records {
-                buf.push(r);
-                if buf.len() >= batch {
-                    core.process_records_at(None, &mut buf, |_| {});
-                    buf.clear();
-                }
-            }
-            None
+    for r in records {
+        fill(faults.as_mut(), r, &mut buf);
+        if buf.len() >= batch {
+            core.process_records_at(None, &mut buf, |_| {});
+            buf.clear();
         }
-        Some(mut inj) => {
-            for r in records {
-                inj.push(r, &mut buf);
-                if buf.len() >= batch {
-                    core.process_records_at(None, &mut buf, |_| {});
-                    buf.clear();
-                }
-            }
-            inj.finish(&mut buf);
-            Some(inj.stats())
-        }
-    };
+    }
+    if let Some(inj) = faults.as_mut() {
+        inj.finish(&mut buf);
+    }
     if !buf.is_empty() {
         core.process_records_at(None, &mut buf, |_| {});
     }
     core.flush();
     let mut report = core.into_report();
-    report.fault = fault;
+    report.fault = faults.map(|inj| inj.stats());
     report
+}
+
+/// Append one source record to the batch being filled, through the fault
+/// injector when one is configured.
+#[inline]
+fn fill(faults: Option<&mut FaultInjector>, record: LogRecord, buf: &mut Vec<LogRecord>) {
+    match faults {
+        Some(inj) => inj.push(record, buf),
+        None => buf.push(record),
+    }
 }
 
 /// Feed records into the first channel in batches, pushing them through
@@ -304,44 +300,33 @@ fn feed<I>(
     records: I,
     tx: Sender<Vec<LogRecord>>,
     batch: usize,
-    faults: Option<FaultInjector>,
+    mut faults: Option<FaultInjector>,
 ) -> (u64, Option<FaultStats>)
 where
     I: IntoIterator<Item = LogRecord>,
 {
     let mut n = 0u64;
     let mut buf: Vec<LogRecord> = Vec::with_capacity(batch);
-    let send = |buf: &mut Vec<LogRecord>, n: &mut u64| {
-        *n += buf.len() as u64;
-        tx.send(std::mem::replace(buf, Vec::with_capacity(batch)))
-            .is_err()
-    };
-    let fault = match faults {
-        None => {
-            for r in records {
-                buf.push(r);
-                if buf.len() >= batch && send(&mut buf, &mut n) {
-                    return (n, None);
-                }
+    for r in records {
+        fill(faults.as_mut(), r, &mut buf);
+        if buf.len() >= batch {
+            n += buf.len() as u64;
+            if tx
+                .send(std::mem::replace(&mut buf, Vec::with_capacity(batch)))
+                .is_err()
+            {
+                return (n, faults.map(|inj| inj.stats()));
             }
-            None
         }
-        Some(mut inj) => {
-            for r in records {
-                inj.push(r, &mut buf);
-                if buf.len() >= batch && send(&mut buf, &mut n) {
-                    return (n, Some(inj.stats()));
-                }
-            }
-            inj.finish(&mut buf);
-            Some(inj.stats())
-        }
-    };
+    }
+    if let Some(inj) = faults.as_mut() {
+        inj.finish(&mut buf);
+    }
     if !buf.is_empty() {
         n += buf.len() as u64;
         let _ = tx.send(buf);
     }
-    (n, fault)
+    (n, faults.map(|inj| inj.stats()))
 }
 
 /// Threaded executor: one thread per stage, batched bounded channels.
@@ -402,9 +387,6 @@ where
                     return produced;
                 }
             }
-            let before = staging.len();
-            symbolize.flush(&mut staging);
-            produced += (staging.len() - before) as u64;
             if !staging.is_empty() {
                 let _ = alert_tx.send(staging);
             }
@@ -426,9 +408,6 @@ where
                     return (filter, admitted);
                 }
             }
-            let before = staging.len();
-            filter.flush(&mut staging);
-            admitted += (staging.len() - before) as u64;
             if !staging.is_empty() {
                 let _ = adm_tx.send(staging);
             }
@@ -478,31 +457,23 @@ where
         let (filter, admitted) = filtering.join().expect("filter thread");
         let (response, retention, detections, notifications, duplicates_suppressed, correlate) =
             sinking.join().expect("detect/response thread");
-        let (campaigns, correlated_promotions, correlated_confirmations) =
-            correlation_report(&correlate);
-        StreamReport {
-            campaigns,
-            correlated_promotions,
-            correlated_confirmations,
-            stats: StreamStats {
-                records,
-                alerts,
-                admitted,
-                detections,
-            },
-            filter: filter.stats(),
-            notifications,
-            alerts_dropped: retention.dropped(),
-            alerts_discarded: retention.discarded(),
-            blocked_sources: response.blocked_sources(),
+        let stats = StreamStats {
+            records,
+            alerts,
+            admitted,
+            detections,
+        };
+        let mut report = stream_report(
+            stats,
+            filter.stats(),
             duplicates_suppressed,
-            blocks_retried: response.blocks_retried(),
-            blocks_abandoned: response.blocks_abandoned(),
-            notifications_retried: response.notifications_retried(),
-            notifications_abandoned: response.notifications_abandoned(),
-            fault,
-            retained_alerts: retention.into_vec(),
-        }
+            correlate.as_ref(),
+            &response,
+            retention,
+            notifications,
+        );
+        report.fault = fault;
+        report
     })
 }
 

@@ -197,7 +197,7 @@ mod tests {
             "egress containment must drop the flow"
         );
         // The isolation monitor turned the drop into an alert.
-        assert!(report.alerts >= 1);
+        assert!(report.stats.alerts >= 1);
     }
 
     #[test]

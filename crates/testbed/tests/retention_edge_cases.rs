@@ -9,7 +9,7 @@ use simnet::intern::SymScope;
 use simnet::time::SimTime;
 use telemetry::record::LogRecord;
 use testbed::stage::adapters::{
-    DetectOutcome, DetectorStage, FilterStage, MonitorStage, ResponseStage, SymbolizeStage,
+    DetectOutcome, DetectorStage, FilterStage, ResponseStage, SymbolizeStage,
 };
 use testbed::stage::{AlertRetention, PipelineBuilder, Stage};
 
@@ -199,22 +199,6 @@ fn response_stage_empty_batch_sends_nothing() {
     assert!(notes.is_empty());
     assert_eq!(stage.blocked_sources(), 0);
     assert_eq!(bhr.stats().blocks_added, 0);
-}
-
-#[test]
-fn monitor_stage_empty_batch_produces_no_records() {
-    let topo = simnet::topology::NcsaTopologyBuilder::default().build();
-    let mut stage =
-        MonitorStage::new(telemetry::MonitorHub::standard(&SymScope::global()).into_monitors())
-            .with_topology(topo);
-    let mut records: Vec<LogRecord> = Vec::new();
-    stage.process_batch(&[], &mut records);
-    assert!(records.is_empty());
-    stage.flush(&mut records);
-    assert!(
-        records.is_empty(),
-        "no observations, no windowed scan notices"
-    );
 }
 
 /// Empty record streams leave retention untouched on every executor.

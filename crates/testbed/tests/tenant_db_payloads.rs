@@ -41,7 +41,7 @@ fn tenant_pipeline_interns_db_payloads_in_the_tenant_scope() {
         db(
             1,
             DbCommandKind::LargeObjectWrite {
-                hex_prefix: "7F454C46feedface".to_owned(),
+                hex_prefix: "7F454C46020101000000000000000000".to_owned(),
                 bytes: 50_000,
             },
         ),
@@ -81,7 +81,7 @@ fn tenant_pipeline_interns_db_payloads_in_the_tenant_scope() {
     assert_eq!(
         rendered,
         [
-            "largeobject ELF payload (50000B) prefix=7F454C46feedface",
+            "largeobject ELF payload (50000B) prefix=7F454C46020101000000000000000000",
             "lo_export to /tmp/kp-tenant-payload",
             "COPY FROM PROGRAM '/tmp/kp-tenant-payload --daemon'",
         ]

@@ -22,7 +22,7 @@ use simnet::intern::TenantId;
 use simnet::rng::SimRng;
 use simnet::time::SimDuration;
 use telemetry::record::LogRecord;
-use testbed::stage::{DetectOutcome, ResponseStage, Stage, TagStage};
+use testbed::stage::{DetectOutcome, DetectorStage, ResponseStage, Stage};
 use testbed::{PipelineBuilder, ServiceConfig, ServiceError, ServiceHandle, ServiceSnapshot};
 
 #[global_allocator]
@@ -259,7 +259,7 @@ fn storm_detections() -> Vec<DetectOutcome> {
     inj.finish(&mut records);
     let mut config = detect::TaggerConfig::default();
     config.temporal.dedup_window = Some(SimDuration::from_mins(5));
-    let mut tag = TagStage::new(detect::AttackTagger::new(
+    let mut tag = DetectorStage::tagger(detect::AttackTagger::new(
         detect::train::toy_training_model(),
         config,
     ));

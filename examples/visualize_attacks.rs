@@ -5,7 +5,8 @@
 //! ```text
 //! cargo run --release --example visualize_attacks
 //! ```
-//! Outputs `target/fig1.dot` and `target/fig1.svg`.
+//! Outputs `fig1.dot` and `fig1.svg` in the workspace's `target/`, from
+//! any working directory.
 
 use attack_tagger::prelude::*;
 use scenario::{fig1_flows, Fig1Config};
@@ -55,10 +56,12 @@ fn main() {
         t0.elapsed()
     );
 
+    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target");
+    std::fs::create_dir_all(&out).expect("create target/");
     let dot = to_dot(&graph, &DotOptions::default());
-    std::fs::write("target/fig1.dot", &dot).expect("write dot");
+    std::fs::write(out.join("fig1.dot"), &dot).expect("write dot");
     let svg = to_svg(&graph, &positions, &SvgOptions::default());
-    std::fs::write("target/fig1.svg", &svg).expect("write svg");
+    std::fs::write(out.join("fig1.svg"), &svg).expect("write svg");
     println!("wrote target/fig1.dot ({} bytes)", dot.len());
     println!("wrote target/fig1.svg ({} bytes)", svg.len());
 

@@ -54,7 +54,7 @@
 //!     )]);
 //! }
 //! let report = tb.run();
-//! assert_eq!(report.detections, 1, "the S1 chain is preempted");
+//! assert_eq!(report.stats.detections, 1, "the S1 chain is preempted");
 //! ```
 
 pub use alertlib;

@@ -33,7 +33,7 @@ fn ransomware_preempted_with_twelve_day_lead() {
         "expected ~12 days of lead, got {}",
         lead.as_days()
     );
-    assert!(report.detections >= 1);
+    assert!(report.stats.detections >= 1);
     // The ransomware source was null-routed by the response stage.
     assert!(
         tb.bhr().is_blocked(production_time, rw.attacker),
@@ -65,7 +65,7 @@ fn scanner_flood_absorbed_without_false_positives() {
     tb.schedule(actions);
     let report = tb.run();
     assert_eq!(
-        report.detections, 0,
+        report.stats.detections, 0,
         "scans alone must not raise detections"
     );
     assert!(
@@ -73,9 +73,9 @@ fn scanner_flood_absorbed_without_false_positives() {
         "auto-block must absorb the flood"
     );
     assert!(
-        report.alerts_filtered < 100,
+        report.stats.admitted < 100,
         "scan filter must collapse the flood (got {})",
-        report.alerts_filtered
+        report.stats.admitted
     );
 }
 
@@ -137,7 +137,10 @@ fn honeynet_egress_containment_alerts() {
     tb.schedule(actions);
     let report = tb.run();
     assert_eq!(report.router.dropped, 5, "all egress attempts dropped");
-    assert!(report.alerts >= 5, "isolation monitor must alert on drops");
+    assert!(
+        report.stats.alerts >= 5,
+        "isolation monitor must alert on drops"
+    );
 }
 
 /// Determinism: the same seed and workload give bit-identical reports.
@@ -164,14 +167,7 @@ fn runs_are_deterministic() {
         }
         tb.schedule(actions);
         let r = tb.run();
-        (
-            r.actions,
-            r.records,
-            r.alerts,
-            r.alerts_filtered,
-            r.detections,
-            r.router.dropped,
-        )
+        (r.actions, r.stats, r.router.dropped)
     };
     assert_eq!(run(), run());
 }
