@@ -502,8 +502,8 @@ mod tests {
         let snap = f.export_state();
         let universe = tenant.snapshot();
         assert_eq!(
-            universe[snap.windows[0].source.id as usize],
-            format!("tenant-user-{}", past - 1)
+            universe.get(snap.windows[0].source.id as usize),
+            Some(format!("tenant-user-{}", past - 1).as_str())
         );
         let mut restored = ScanFilter::default();
         restored

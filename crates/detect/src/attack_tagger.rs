@@ -219,12 +219,13 @@ pub struct Observation {
 /// [`TaggerSnapshot`]. Entities are [`SnapKey`]s, not raw ids: a user is
 /// named by its position in the snapshot's symbol universe, so a snapshot
 /// restores correctly in a fresh process whose intern table assigns
-/// different ids.
+/// different ids. The posterior and the dedup ring have fixed arity, so a
+/// snapshot entity owns no heap buffer of its own.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EntityStateSnapshot {
     pub entity: SnapKey,
     /// Filtered posterior over stages.
-    pub alpha: Vec<f64>,
+    pub alpha: [f64; Stage::COUNT],
     /// Alerts folded in since the last session restart.
     pub steps: usize,
     /// Detection latch.
@@ -233,7 +234,7 @@ pub struct EntityStateSnapshot {
     pub last_ts: SimTime,
     /// Duplicate-suppression ring, `(ts, kind index)`; `u16::MAX` kind
     /// marks an empty slot.
-    pub recent: Vec<(SimTime, u16)>,
+    pub recent: [(SimTime, u16); DEDUP_SLOTS],
     /// Next ring slot to overwrite.
     pub recent_head: u8,
 }
@@ -276,6 +277,18 @@ pub(crate) fn snapshot_key(
     EntityId::from_snap_key(key, syms).map_err(|why| format!("{}: {why}", field()))
 }
 
+/// `items` rendered in ascending key order. Sorts the small `(key, item)`
+/// pairs rather than the rendered snapshot entries, which hold whole rings
+/// and cost far more to move.
+pub(crate) fn sorted_by_key<'a, K: Ord + Copy, T: 'a, S>(
+    items: impl Iterator<Item = (K, &'a T)>,
+    mut render: impl FnMut(K, &'a T) -> S,
+) -> Vec<S> {
+    let mut order: Vec<(K, &T)> = items.collect();
+    order.sort_unstable_by_key(|&(k, _)| k);
+    order.into_iter().map(|(k, t)| render(k, t)).collect()
+}
+
 /// Reject a snapshot ring head at or past its ring's length.
 pub(crate) fn ring_head(
     head: u8,
@@ -291,40 +304,23 @@ pub(crate) fn ring_head(
 
 impl TaggerSnapshot {
     /// Decode into fresh tagger state, translating users through
-    /// `syms`. Fails on a key of no entity kind or past the universe, a
-    /// posterior or dedup ring of the wrong arity, or a ring head past
-    /// the ring.
+    /// `syms`. Fails on a key of no entity kind or past the universe, or
+    /// a ring head past the ring.
     pub fn decode(&self, syms: &SymMap) -> Result<DecodedTagger, String> {
         let mut states = FxHashMap::default();
         states.reserve(self.entities.len());
         for (i, e) in self.entities.iter().enumerate() {
             let field = || format!("tagger.entities[{i}]");
             let id = snapshot_key(e.entity, syms, || format!("{}.entity", field()))?;
-            let alpha = <[f64; Stage::COUNT]>::try_from(e.alpha.as_slice()).map_err(|_| {
-                format!(
-                    "{}.alpha: {} stages, expected {}",
-                    field(),
-                    e.alpha.len(),
-                    Stage::COUNT
-                )
-            })?;
-            let recent =
-                <[(SimTime, u16); DEDUP_SLOTS]>::try_from(e.recent.as_slice()).map_err(|_| {
-                    format!(
-                        "{}.recent: {} slots, expected {DEDUP_SLOTS}",
-                        field(),
-                        e.recent.len()
-                    )
-                })?;
             ring_head(e.recent_head, DEDUP_SLOTS, || {
                 format!("{}.recent_head", field())
             })?;
             let state = EntityState {
-                alpha,
+                alpha: e.alpha,
                 steps: e.steps,
                 detected: e.detected,
                 last_ts: e.last_ts,
-                recent,
+                recent: e.recent,
                 recent_head: e.recent_head,
             };
             states.insert(id, state);
@@ -348,7 +344,7 @@ impl TaggerSnapshot {
 /// duplicates arrive within a handful of records of the original (the
 /// fault model's reorder window is bounded), so a small fixed ring
 /// suffices and keeps the hot path allocation-free.
-const DEDUP_SLOTS: usize = 8;
+pub const DEDUP_SLOTS: usize = 8;
 
 /// Sentinel kind index marking an empty dedup slot (no [`AlertKind`]
 /// reaches `u16::MAX`).
@@ -767,20 +763,18 @@ impl AttackTagger {
     ///
     /// [`SymScope::snapshot`]: simnet::intern::SymScope::snapshot
     pub fn export_state(&self) -> TaggerSnapshot {
-        let mut entities: Vec<EntityStateSnapshot> = self
-            .states
-            .iter()
-            .map(|(id, s)| EntityStateSnapshot {
-                entity: id.snap_key(),
-                alpha: s.alpha.to_vec(),
+        let entities = sorted_by_key(
+            self.states.iter().map(|(id, s)| (id.snap_key(), s)),
+            |entity, s| EntityStateSnapshot {
+                entity,
+                alpha: s.alpha,
                 steps: s.steps,
                 detected: s.detected,
                 last_ts: s.last_ts,
-                recent: s.recent.to_vec(),
+                recent: s.recent,
                 recent_head: s.recent_head,
-            })
-            .collect();
-        entities.sort_unstable_by_key(|e| e.entity);
+            },
+        );
         let mut evicted_latches: Vec<SnapKey> = self
             .evicted_latches
             .iter()
@@ -1396,7 +1390,7 @@ mod tests {
         // Malformed variants of the snapshot are refused with the field
         // named, and leave the restoring tagger untouched.
         type Mutation = fn(&mut TaggerSnapshot);
-        let cases: [(&str, Mutation); 6] = [
+        let cases: [(&str, Mutation); 4] = [
             ("tagger.entities[1].entity: kind 7", |s| {
                 s.entities[1].entity.kind = 7
             }),
@@ -1405,12 +1399,6 @@ mod tests {
                     kind: SnapKey::USER,
                     id: u32::MAX,
                 }
-            }),
-            ("tagger.entities[0].alpha", |s| {
-                s.entities[0].alpha.pop();
-            }),
-            ("tagger.entities[0].recent:", |s| {
-                s.entities[0].recent.push((SimTime::EPOCH, DEDUP_EMPTY))
             }),
             ("tagger.entities[0].recent_head", |s| {
                 s.entities[0].recent_head = DEDUP_SLOTS as u8

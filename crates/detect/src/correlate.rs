@@ -68,8 +68,8 @@ use factorgraph::chain::ChainModel;
 use factorgraph::timing::GAP_NONE;
 
 use crate::attack_tagger::{
-    decay_factor, ring_head, snapshot_key, AttackTagger, Detection, TaggerConfig, TaggerSnapshot,
-    TemporalPolicy,
+    decay_factor, ring_head, snapshot_key, sorted_by_key, AttackTagger, Detection, TaggerConfig,
+    TaggerSnapshot, TemporalPolicy,
 };
 use crate::stage::Stage;
 
@@ -235,7 +235,7 @@ pub struct CorrelatorEntitySnapshot {
     /// Surfaced-detection latch.
     pub promoted: bool,
     /// The full step ring in slot order (`u16::MAX` kind = empty slot).
-    pub steps: Vec<(SimTime, u16)>,
+    pub steps: [(SimTime, u16); SEQ_RING],
     /// Rotation head of the step ring.
     pub steps_head: u8,
 }
@@ -248,7 +248,7 @@ pub struct JoinKeySnapshot {
     /// position in the snapshot's symbol universe.
     pub id: u32,
     /// Ring slots in slot order: `(entity, ts)`.
-    pub slots: Vec<Option<(SnapKey, SimTime)>>,
+    pub slots: [Option<(SnapKey, SimTime)>; RING],
     /// Rotation head.
     pub head: u8,
 }
@@ -317,10 +317,10 @@ const NO_CAMPAIGN: u32 = u32::MAX;
 const ANON_SUPPORT: u64 = u64::MAX - 1;
 
 /// Slots per join-key recency ring.
-const RING: usize = 8;
+pub const RING: usize = 8;
 
 /// Slots per entity step-history ring (sequence stitching).
-const SEQ_RING: usize = 12;
+pub const SEQ_RING: usize = 12;
 
 /// Sentinel kind index marking an empty step slot (no alert kind reaches
 /// `u16::MAX`).
@@ -1068,39 +1068,30 @@ impl CampaignCorrelator {
     /// position in the correlator's scope's universe. Allocates —
     /// snapshot/report time only, never on the alert path.
     pub fn export_state(&self) -> CorrelatorSnapshot {
-        let mut entities: Vec<CorrelatorEntitySnapshot> = self
-            .entities
-            .iter()
-            .map(|(&id, n)| CorrelatorEntitySnapshot {
-                entity: id.snap_key(),
+        let entities = sorted_by_key(
+            self.entities.iter().map(|(id, n)| (id.snap_key(), n)),
+            |entity, n| CorrelatorEntitySnapshot {
+                entity,
                 campaign: n.campaign,
                 mass: n.mass,
                 last_ts: n.last_ts,
                 seen: n.seen,
                 promoted: n.promoted,
-                steps: n.steps.to_vec(),
+                steps: n.steps,
                 steps_head: n.steps_head,
-            })
-            .collect();
-        entities.sort_unstable_by_key(|e| e.entity);
-        let mut keys: Vec<JoinKeySnapshot> = self
-            .keys
-            .iter()
-            .map(|(&key, ring)| {
-                let (kind, id) = decode_join_key(key);
-                JoinKeySnapshot {
-                    kind,
-                    id,
-                    slots: ring
-                        .slots
-                        .iter()
-                        .map(|s| s.map(|(id, ts)| (id.snap_key(), ts)))
-                        .collect(),
-                    head: ring.head,
-                }
-            })
-            .collect();
-        keys.sort_unstable_by_key(|k| (k.kind, k.id));
+            },
+        );
+        let keys = sorted_by_key(
+            self.keys
+                .iter()
+                .map(|(&key, ring)| (decode_join_key(key), ring)),
+            |(kind, id), ring| JoinKeySnapshot {
+                kind,
+                id,
+                slots: ring.slots.map(|s| s.map(|(id, ts)| (id.snap_key(), ts))),
+                head: ring.head,
+            },
+        );
         let mut campaigns: Vec<CampaignSnapshot> = self
             .campaigns
             .iter()
@@ -1191,23 +1182,14 @@ impl CorrelatorSnapshot {
     /// Decode into fresh correlator state, translating users and palette
     /// payloads through `syms`. Fails on a key of no entity kind or past
     /// the universe (nodes, ring slots, members, link endpoints, support
-    /// anchors, latches), a palette payload past the universe, a step or
-    /// key ring of the wrong arity, a ring head past its ring, or a node
-    /// naming a missing campaign.
+    /// anchors, latches), a palette payload past the universe, a ring head
+    /// past its ring, or a node naming a missing campaign.
     pub fn decode(&self, syms: &SymMap) -> Result<DecodedCorrelator, String> {
         let mut entities = FxHashMap::default();
         entities.reserve(self.entities.len());
         for (i, e) in self.entities.iter().enumerate() {
             let field = || format!("correlator.entities[{i}]");
             let id = snapshot_key(e.entity, syms, || format!("{}.entity", field()))?;
-            let steps =
-                <[(SimTime, u16); SEQ_RING]>::try_from(e.steps.as_slice()).map_err(|_| {
-                    format!(
-                        "{}.steps: {} slots, expected {SEQ_RING}",
-                        field(),
-                        e.steps.len()
-                    )
-                })?;
             ring_head(e.steps_head, SEQ_RING, || format!("{}.steps_head", field()))?;
             let node = EntityNode {
                 campaign: e.campaign,
@@ -1215,7 +1197,7 @@ impl CorrelatorSnapshot {
                 last_ts: e.last_ts,
                 seen: e.seen,
                 promoted: e.promoted,
-                steps,
+                steps: e.steps,
                 steps_head: e.steps_head,
             };
             entities.insert(id, node);
@@ -1223,13 +1205,6 @@ impl CorrelatorSnapshot {
         let mut keys = FxHashMap::default();
         for (i, k) in self.keys.iter().enumerate() {
             let field = || format!("correlator.keys[{i}]");
-            if k.slots.len() != RING {
-                return Err(format!(
-                    "{}.slots: {} slots, expected {RING}",
-                    field(),
-                    k.slots.len()
-                ));
-            }
             ring_head(k.head, RING, || format!("{}.head", field()))?;
             let mut ring = KeyRing {
                 head: k.head,
@@ -2274,18 +2249,8 @@ mod tests {
                 Box::new(|s| s.entities[0].entity.kind = 0),
             ),
             (
-                "correlator.entities[0].steps".into(),
-                Box::new(|s| {
-                    s.entities[0].steps.pop();
-                }),
-            ),
-            (
                 "correlator.entities[0].steps_head".into(),
                 Box::new(|s| s.entities[0].steps_head = SEQ_RING as u8),
-            ),
-            (
-                "correlator.keys[0].slots".into(),
-                Box::new(|s| s.keys[0].slots.push(None)),
             ),
             (
                 format!("correlator.keys[{palette}].id: palette"),
@@ -2486,7 +2451,7 @@ mod tests {
             .collect();
         assert_eq!(palette.len(), 1, "one palette key: {palette:?}");
         assert_eq!(
-            universe.get(palette[0] as usize).map(String::as_str),
+            universe.get(palette[0] as usize),
             Some(program),
             "palette id {} in a {}-symbol tenant universe",
             palette[0],

@@ -53,9 +53,19 @@
 //! table drops (their memory is bounded by a geometric series), which is
 //! what lets concurrent readers probe them without any epoch scheme.
 //!
-//! Scoped tables *own* their strings (dropping the table frees them); the
-//! global table is simply never dropped, which is what makes
-//! `Sym::as_str`'s `&'static str` sound.
+//! A miss copies the string into a byte arena instead of allocating it on
+//! its own: chunks double from a small first size (a string longer than a
+//! chunk gets a chunk of its own), so a table of `n` strings makes
+//! `O(log n)` allocations, not `n`. Chunks are allocated under the append
+//! lock before the slot that points into them is published, and never
+//! move or free while the table lives. Scoped tables *own* their arena
+//! chunks (dropping the table frees them); the global table is simply
+//! never dropped, which is what makes `Sym::as_str`'s `&'static str`
+//! sound.
+//!
+//! [`SymUniverse`] is the exported form of a table: every string in
+//! intern order, packed into one text buffer, so a snapshot of `n`
+//! symbols is two allocations.
 //!
 //! # Naming the scope
 //!
@@ -330,11 +340,84 @@ impl fmt::Display for SymResolveError {
 
 impl std::error::Error for SymResolveError {}
 
-/// One published string: raw parts of a `Box<str>` owned by the table.
+/// One published string: a pointer into the table's arena (dangling for
+/// the empty string) and its length.
 #[derive(Clone, Copy)]
 struct Slot {
     ptr: *const u8,
     len: usize,
+}
+
+/// Size of the first arena chunk; each later chunk doubles the last.
+const ARENA_CHUNK0: usize = 512;
+
+/// The byte arena interned strings are copied into, behind the append
+/// lock. Chunks are raw parts of `Box<[u8]>`s, freed only when the table
+/// drops, so a published slot's bytes never move.
+struct Arena {
+    /// Every chunk allocated so far: `(base, capacity)`.
+    chunks: Vec<(*mut u8, usize)>,
+    /// Next free byte of the current chunk, and the bytes left after it.
+    cursor: *mut u8,
+    left: usize,
+    /// Capacity of the next regular chunk.
+    next: usize,
+}
+
+impl Arena {
+    fn new() -> Arena {
+        Arena {
+            chunks: Vec::new(),
+            cursor: std::ptr::null_mut(),
+            left: 0,
+            next: ARENA_CHUNK0,
+        }
+    }
+
+    fn alloc_chunk(&mut self, cap: usize) -> *mut u8 {
+        let base = Box::into_raw(vec![0u8; cap].into_boxed_slice()) as *mut u8;
+        self.chunks.push((base, cap));
+        base
+    }
+
+    /// Copy `s` into the arena and return its stable address.
+    fn copy(&mut self, s: &str) -> *const u8 {
+        let len = s.len();
+        if len == 0 {
+            return std::ptr::NonNull::<u8>::dangling().as_ptr();
+        }
+        let dst = if len > self.next {
+            // Too long for a regular chunk: it gets one of its own, and the
+            // current chunk keeps its free tail.
+            self.alloc_chunk(len)
+        } else {
+            if len > self.left {
+                let cap = self.next;
+                self.next *= 2;
+                self.cursor = self.alloc_chunk(cap);
+                self.left = cap;
+            }
+            let dst = self.cursor;
+            // SAFETY: `len ≤ left` (a fresh chunk holds `next ≥ len`
+            // bytes), so the cursor stays inside its chunk.
+            self.cursor = unsafe { self.cursor.add(len) };
+            self.left -= len;
+            dst
+        };
+        // SAFETY: `dst` has `len` unused bytes no published slot points at.
+        unsafe { std::ptr::copy_nonoverlapping(s.as_ptr(), dst, len) };
+        dst
+    }
+}
+
+impl Drop for Arena {
+    fn drop(&mut self) {
+        for &(base, cap) in &self.chunks {
+            // SAFETY: allocated in `alloc_chunk` via `Box::into_raw` with
+            // this exact length; freed once, here.
+            unsafe { drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(base, cap))) };
+        }
+    }
 }
 
 /// First chunk holds `1 << CHUNK0_BITS` slots; chunk `k` holds twice as
@@ -488,6 +571,8 @@ struct AppendState {
     /// until the table drops. Geometric sizes: total retired memory is
     /// bounded by the live index's size.
     retired: Vec<*mut IdIndex>,
+    /// Backing bytes of every interned string.
+    arena: Arena,
 }
 
 /// An append-only string table: `&str → Sym` on intern, `Sym → &str` on
@@ -504,7 +589,7 @@ struct AppendState {
 /// table is caught: debug builds tag each handle with its minting table
 /// and panic on any mismatch, release builds bounds-check the id (see
 /// [`SymTable::try_resolve`] for the non-panicking form). Scoped tables
-/// ([`TenantSymbols`]) own their strings, so evicting a dead tenant
+/// ([`TenantSymbols`]) own their string arena, so evicting a dead tenant
 /// actually returns its symbol memory — the global table's entries live
 /// for the process instead.
 pub struct SymTable {
@@ -524,7 +609,11 @@ pub struct SymTable {
 // SAFETY: the raw chunk/slot/index pointers are only written while holding
 // the append lock and only read after an `Acquire` load publishes them
 // (index entries for slots, the atomic index pointer for probe tables).
-// All published data is immutable thereafter.
+// The arena's bytes are written under the same lock before the slot that
+// points at them, so the slot's publication publishes them too; the
+// arena's own pointers are touched only under the lock. All published
+// data is immutable thereafter, and nothing is freed before the table
+// drops.
 unsafe impl Send for SymTable {}
 unsafe impl Sync for SymTable {}
 
@@ -547,6 +636,7 @@ impl SymTable {
             index: AtomicPtr::new(index),
             append: Mutex::new(AppendState {
                 retired: Vec::new(),
+                arena: Arena::new(),
             }),
         };
         table.intern("");
@@ -592,13 +682,12 @@ impl SymTable {
         }
         let id = self.len.load(Ordering::Relaxed);
         assert!(id != u32::MAX, "symbol universe exceeds u32");
-        let owned: Box<str> = s.into();
+        // The arena chunk exists before the slot that points into it is
+        // published, and stays put until the table drops.
         let slot = Slot {
-            ptr: owned.as_ptr(),
-            len: owned.len(),
+            ptr: state.arena.copy(s),
+            len: s.len(),
         };
-        // The table now owns the allocation; it is freed in `drop`.
-        std::mem::forget(owned);
         // SAFETY: we hold the append lock, so we are the only writer; slot
         // `id == len` is not yet visible to any reader.
         unsafe {
@@ -723,31 +812,24 @@ impl SymTable {
     /// Every interned string in intern order, so a string's position is
     /// its id — lets a report, artifact or service snapshot embed the
     /// symbol universe it references. Lock-free; concurrent interns past
-    /// the observed length are not included.
-    pub fn snapshot(&self) -> Vec<String> {
+    /// the observed length are not included. Two allocations, sized from
+    /// [`len`](SymTable::len) and [`payload_bytes`](SymTable::payload_bytes).
+    pub fn snapshot(&self) -> SymUniverse {
         let len = self.len.load(Ordering::Acquire);
-        (0..len)
+        // Every id below `len` has its bytes counted already: the count is
+        // bumped before the length is published.
+        let mut universe = SymUniverse::with_capacity(len as usize, self.payload_bytes());
+        for id in 0..len {
             // SAFETY: every id below the published length is initialized.
-            .map(|id| unsafe { self.read_slot(id) }.to_string())
-            .collect()
+            universe.push(unsafe { self.read_slot(id) });
+        }
+        universe
     }
 }
 
 impl Drop for SymTable {
     fn drop(&mut self) {
-        let len = self.len.load(Ordering::Acquire);
-        for id in 0..len {
-            let (chunk, offset) = locate(id);
-            let base = self.chunks[chunk].load(Ordering::Acquire);
-            // SAFETY: slots below `len` hold raw parts of forgotten
-            // `Box<str>`s; rebuild and drop each exactly once.
-            unsafe {
-                let slot = (*base.add(offset)).assume_init();
-                drop(Box::from_raw(
-                    std::ptr::slice_from_raw_parts_mut(slot.ptr as *mut u8, slot.len) as *mut str,
-                ));
-            }
-        }
+        // The arena's chunks are freed when the append state drops.
         for (chunk, ptr) in self.chunks.iter().enumerate() {
             let base = ptr.load(Ordering::Acquire);
             if !base.is_null() {
@@ -895,8 +977,152 @@ impl SymScope {
 
     /// This scope's strings in intern order (a string's position is its
     /// id).
-    pub fn snapshot(&self) -> Vec<String> {
+    pub fn snapshot(&self) -> SymUniverse {
         self.table.snapshot()
+    }
+}
+
+/// A symbol universe: strings in order, packed into one text buffer plus
+/// one end offset per string. The exported form of a [`SymTable`]
+/// ([`SymTable::snapshot`]) and the `sym_universe` of a service snapshot,
+/// where a string's position is its id in the exporting scope. Holding
+/// `n` strings costs two allocations, not `n + 1`.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct SymUniverse {
+    text: String,
+    /// `ends[i]` is where string `i` ends in `text`; it starts where
+    /// string `i - 1` ends (string 0 at 0).
+    ends: Vec<usize>,
+}
+
+impl SymUniverse {
+    /// An empty universe with room for `symbols` strings of `bytes` text
+    /// in total.
+    pub fn with_capacity(symbols: usize, bytes: usize) -> SymUniverse {
+        SymUniverse {
+            text: String::with_capacity(bytes),
+            ends: Vec::with_capacity(symbols),
+        }
+    }
+
+    /// Drop unused capacity.
+    pub fn shrink_to_fit(&mut self) {
+        self.ends.shrink_to_fit();
+        self.text.shrink_to_fit();
+    }
+
+    /// Number of strings.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The string at position `i`, or `None` past the end.
+    pub fn get(&self, i: usize) -> Option<&str> {
+        let end = *self.ends.get(i)?;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        Some(&self.text[start..end])
+    }
+
+    /// The strings in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let s = &self.text[start..end];
+            start = end;
+            s
+        })
+    }
+
+    /// Append `s`.
+    pub fn push(&mut self, s: &str) {
+        self.text.push_str(s);
+        self.ends.push(self.text.len());
+    }
+
+    /// Append one string that `write` appends to the text buffer (it must
+    /// only append), such as a decoder unescaping a string token in place.
+    /// If `write` fails, the universe is left as it was.
+    pub fn push_with<E>(
+        &mut self,
+        write: impl FnOnce(&mut String) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let start = self.text.len();
+        match write(&mut self.text) {
+            Ok(()) => {
+                self.ends.push(self.text.len());
+                Ok(())
+            }
+            Err(e) => {
+                self.text.truncate(start);
+                Err(e)
+            }
+        }
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for SymUniverse {
+    fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> SymUniverse {
+        let mut universe = SymUniverse::default();
+        for s in iter {
+            universe.push(s.as_ref());
+        }
+        universe
+    }
+}
+
+impl fmt::Debug for SymUniverse {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl std::ops::Index<usize> for SymUniverse {
+    type Output = UniverseStr;
+
+    /// The string at position `i`; panics past the end.
+    fn index(&self, i: usize) -> &UniverseStr {
+        match self.get(i) {
+            Some(s) => UniverseStr::new(s),
+            None => panic!("position {i} past a {}-symbol universe", self.len()),
+        }
+    }
+}
+
+/// One string of a [`SymUniverse`], as indexing returns it: a `str`
+/// (through `Deref`) that also compares with `&str`, so
+/// `universe[i] == "name"` reads as it would on a `Vec<String>`.
+#[repr(transparent)]
+#[derive(PartialEq, Eq)]
+pub struct UniverseStr(str);
+
+impl UniverseStr {
+    fn new(s: &str) -> &UniverseStr {
+        // SAFETY: `UniverseStr` is a `repr(transparent)` wrapper of `str`.
+        unsafe { &*(s as *const str as *const UniverseStr) }
+    }
+}
+
+impl Deref for UniverseStr {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl PartialEq<&str> for UniverseStr {
+    fn eq(&self, other: &&str) -> bool {
+        &self.0 == *other
+    }
+}
+
+impl fmt::Debug for UniverseStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.0, f)
     }
 }
 
@@ -914,7 +1140,7 @@ impl SymMap {
     /// Intern `universe` into `scope` in order and map each position to
     /// the id it got. Into a fresh scope that interned the same prefix,
     /// every string keeps its position and the map is the identity.
-    pub fn replay(scope: &SymScope, universe: &[String]) -> SymMap {
+    pub fn replay(scope: &SymScope, universe: &SymUniverse) -> SymMap {
         SymMap {
             ids: universe.iter().map(|s| scope.sym(s).id()).collect(),
         }
@@ -998,6 +1224,15 @@ impl TenantSymbols {
             .entry(tenant.0)
             .or_insert_with(SymScope::fresh)
             .clone()
+    }
+
+    /// Register `scope` as the tenant's universe, replacing any earlier
+    /// one — for a session built on a scope before it is known to be kept.
+    pub fn insert(&self, tenant: TenantId, scope: SymScope) {
+        self.scopes
+            .lock()
+            .expect("tenant registry")
+            .insert(tenant.0, scope);
     }
 
     /// The tenant's scope, if it exists.
@@ -1130,7 +1365,64 @@ mod tests {
         assert_eq!(t.intern("one"), a);
         assert_eq!(t.resolve(b), "two");
         assert_eq!(t.len(), 3);
-        assert_eq!(t.snapshot(), ["", "one", "two"]);
+        assert_eq!(t.snapshot(), SymUniverse::from_iter(["", "one", "two"]));
+    }
+
+    #[test]
+    fn universe_packs_strings_in_order() {
+        let mut u: SymUniverse = ["", "alpha", "", "βeta"].into_iter().collect();
+        assert_eq!(u.len(), 4);
+        assert_eq!(u.get(0), Some(""));
+        assert_eq!(u.get(1), Some("alpha"));
+        assert_eq!(u.get(3), Some("βeta"));
+        assert_eq!(u.get(4), None);
+        let refused = u.push_with(|text| {
+            text.push_str("half-written");
+            Err(())
+        });
+        assert_eq!(refused, Err(()));
+        assert_eq!(u.len(), 4, "a failed push leaves no string");
+        u.push_with::<()>(|text| {
+            text.push_str("gam");
+            text.push('m');
+            Ok(())
+        })
+        .unwrap();
+        u.push("a");
+        assert_eq!(
+            u.iter().collect::<Vec<_>>(),
+            ["", "alpha", "", "βeta", "gamm", "a"]
+        );
+        assert_ne!(
+            u,
+            ["", "alpha", "", "βeta", "gam", "ma"].into_iter().collect()
+        );
+    }
+
+    #[test]
+    fn arena_strings_survive_chunk_boundaries_and_long_strings() {
+        // Short strings fill chunks past several doublings; strings longer
+        // than the current chunk get chunks of their own in between.
+        let t = SymTable::new();
+        let strings: Vec<String> = (0..3_000)
+            .map(|i| match i % 500 {
+                0 => "L".repeat(ARENA_CHUNK0 * (1 + i / 500)),
+                _ => format!("arena-{i}"),
+            })
+            .collect();
+        let syms: Vec<Sym> = strings.iter().map(|s| t.intern(s)).collect();
+        for (s, &sym) in strings.iter().zip(&syms) {
+            assert_eq!(t.resolve(sym), s);
+            assert_eq!(t.intern(s), sym);
+        }
+        let bytes: usize = strings.iter().map(String::len).sum();
+        assert_eq!(t.payload_bytes(), bytes, "payload counts string bytes");
+        let universe = t.snapshot();
+        assert_eq!(universe.len(), 1 + strings.len());
+        assert!(universe
+            .iter()
+            .skip(1)
+            .eq(strings.iter().map(String::as_str)));
     }
 
     #[test]

@@ -81,23 +81,6 @@ impl MonitorHub {
     pub fn total(&self) -> u64 {
         self.counts.values().sum()
     }
-
-    /// Flush windowed monitor state.
-    pub fn flush(&mut self) {
-        self.scratch.clear();
-        for m in &mut self.monitors {
-            m.flush(&mut self.scratch);
-        }
-        self.commit_scratch();
-    }
-
-    /// Move staged records into the time-ordered log, updating counts.
-    fn commit_scratch(&mut self) {
-        for r in self.scratch.drain(..) {
-            *self.counts.entry(r.kind()).or_insert(0) += 1;
-            self.records.push(r);
-        }
-    }
 }
 
 impl ActionSink for MonitorHub {
@@ -106,7 +89,11 @@ impl ActionSink for MonitorHub {
         for m in &mut self.monitors {
             m.observe(ctx, action, &mut self.scratch);
         }
-        self.commit_scratch();
+        // Move the staged records into the time-ordered log.
+        for r in self.scratch.drain(..) {
+            *self.counts.entry(r.kind()).or_insert(0) += 1;
+            self.records.push(r);
+        }
     }
 }
 

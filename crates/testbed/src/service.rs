@@ -49,7 +49,7 @@ use std::thread::JoinHandle;
 use alertlib::filter::FilterSnapshot;
 use detect::attack_tagger::TaggerSnapshot;
 use detect::correlate::CorrelatorSnapshot;
-use simnet::intern::{Sym, SymMap, SymScope, TenantId, TenantSymbols};
+use simnet::intern::{Sym, SymMap, SymScope, SymUniverse, TenantId, TenantSymbols};
 use simnet::rng::FxHashMap;
 use telemetry::record::LogRecord;
 
@@ -125,7 +125,7 @@ pub struct ServiceSnapshot {
     /// The tenant's scoped symbol universe in intern order. Every user
     /// and palette payload in the state above is a position in it;
     /// restore re-interns the strings and translates the positions.
-    pub sym_universe: Vec<String>,
+    pub sym_universe: SymUniverse,
 }
 
 /// One tenant's live pipeline session inside the worker.
@@ -133,6 +133,21 @@ struct TenantSession {
     core: InlineCore,
     scope: SymScope,
     memo: SymMemo,
+}
+
+impl TenantSession {
+    /// A fresh session: the factory's pipeline, minting into `scope`.
+    fn new(
+        factory: &mut (impl FnMut(TenantId, SymScope) -> BuiltPipeline + Send),
+        tenant: TenantId,
+        scope: SymScope,
+    ) -> TenantSession {
+        TenantSession {
+            core: InlineCore::new(factory(tenant, scope.clone())),
+            scope,
+            memo: SymMemo::default(),
+        }
+    }
 }
 
 /// Dense global→tenant symbol translation for one session, indexed by
@@ -344,7 +359,9 @@ fn worker_loop(
         };
         match msg {
             Control::Ingest(tenant, mut records) => {
-                let session = session_entry(&mut sessions, symbols, factory, tenant);
+                let session = sessions
+                    .entry(tenant)
+                    .or_insert_with(|| TenantSession::new(factory, tenant, symbols.scope(tenant)));
                 // Callers mint record symbols in the global scope;
                 // re-mint them into the tenant's universe so every
                 // symbol the session touches lives (and dies) with it.
@@ -363,8 +380,23 @@ fn worker_loop(
                 let _ = reply.send(result);
             }
             Control::Restore(snapshot, reply) => {
-                let session = session_entry(&mut sessions, symbols, factory, snapshot.tenant);
-                let _ = reply.send(import_session(session, &snapshot));
+                let tenant = snapshot.tenant;
+                let result = match sessions.get_mut(&tenant) {
+                    Some(session) => import_session(session, &snapshot),
+                    None => {
+                        // Build the session detached, on the tenant's
+                        // registered scope if it has one, and register both
+                        // only once the restore succeeds: a refused restore
+                        // leaves no tenant behind.
+                        let scope = symbols.get(tenant).unwrap_or_else(SymScope::fresh);
+                        let mut session = TenantSession::new(factory, tenant, scope);
+                        import_session(&mut session, &snapshot).map(|()| {
+                            symbols.insert(tenant, session.scope.clone());
+                            sessions.insert(tenant, session);
+                        })
+                    }
+                };
+                let _ = reply.send(result);
             }
             Control::Evict(tenant, reply) => {
                 let result = match sessions.remove(&tenant) {
@@ -393,22 +425,6 @@ fn worker_loop(
         .collect();
     reports.sort_by_key(|(t, _)| *t);
     reports
-}
-
-fn session_entry<'a>(
-    sessions: &'a mut FxHashMap<TenantId, TenantSession>,
-    symbols: &TenantSymbols,
-    factory: &mut (impl FnMut(TenantId, SymScope) -> BuiltPipeline + Send),
-    tenant: TenantId,
-) -> &'a mut TenantSession {
-    sessions.entry(tenant).or_insert_with(|| {
-        let scope = symbols.scope(tenant);
-        TenantSession {
-            core: InlineCore::new(factory(tenant, scope.clone())),
-            scope,
-            memo: SymMemo::default(),
-        }
-    })
 }
 
 fn export_session(tenant: TenantId, session: &TenantSession) -> ServiceSnapshot {
@@ -937,6 +953,39 @@ mod tests {
         assert_eq!(tenants, vec![t1, t2]);
         assert_eq!(reports[0].1.stats.detections, 1);
         assert_eq!(reports[1].1.stats.records, 4 + 10);
+    }
+
+    /// A refused restore into a tenant with no session leaves nothing
+    /// behind: no session, no symbol scope, no final report.
+    #[test]
+    fn refused_restore_of_an_absent_tenant_leaves_no_tenant() {
+        let source = ServiceHandle::spawn(ServiceConfig::default(), factory());
+        let (t, other) = (TenantId(1), TenantId(2));
+        source.ingest(t, attack_records("eve", 0)).unwrap();
+        let mut bad = source.snapshot(t).unwrap();
+        drop(source);
+        bad.tagger.as_mut().unwrap().entities[0].entity = alertlib::alert::SnapKey {
+            kind: alertlib::alert::SnapKey::USER,
+            id: bad.sym_universe.len() as u32,
+        };
+
+        let service = ServiceHandle::spawn(ServiceConfig::default(), factory());
+        service.ingest(other, attack_records("trent", 0)).unwrap();
+        match service.restore(bad) {
+            Err(ServiceError::MalformedSnapshot(why)) => {
+                assert!(why.starts_with("tagger.entities[0].entity"), "{why}")
+            }
+            other => panic!("expected MalformedSnapshot, got {other:?}"),
+        }
+        assert_eq!(service.snapshot(t), Err(ServiceError::UnknownTenant(t)));
+        assert_eq!(service.symbols().tenants(), vec![other]);
+        let reports = service.shutdown();
+        let tenants: Vec<TenantId> = reports.iter().map(|(t, _)| *t).collect();
+        assert_eq!(
+            tenants,
+            vec![other],
+            "no final report for the refused tenant"
+        );
     }
 
     /// The tentpole invariant: snapshot mid-stream, restart into a fresh

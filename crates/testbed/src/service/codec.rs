@@ -11,8 +11,12 @@
 //! `serde_json::Value` tree. [`Writer`] appends the document into one
 //! pre-sized `String`. [`Reader`] pulls tokens off the input bytes,
 //! matches object keys as borrowed slices and decodes straight into the
-//! snapshot structs, so a restore allocates little beyond the universe's
-//! strings and the decoded vectors themselves.
+//! snapshot structs. The rings inside an entity or join key (posterior,
+//! dedup, step and slot rings) decode into fixed-length arrays whose
+//! length comes from the field's type, and the universe's strings are
+//! copied, or unescaped, straight into one [`SymUniverse`] text buffer.
+//! So a decode allocates per top-level array and per campaign, never per
+//! entity or per symbol.
 //!
 //! The bytes are exactly what `serde_json::to_string` prints for the
 //! equivalent tree: `"`, `\\`, `\n`, `\r`, `\t` and other control bytes
@@ -24,8 +28,8 @@
 //! validating their JSON (nesting bounded by [`MAX_DEPTH`]), and keeps the
 //! first occurrence of a repeated key. A missing or `null` `tagger` /
 //! `correlator` decodes to `None`; every other missing field, wrong type,
-//! out-of-range integer, wrong tuple arity, unknown link kind or trailing
-//! byte is an `Err` naming the field. Whether an id fits the universe is
+//! out-of-range integer, wrong tuple or ring arity, unknown link kind or
+//! trailing byte is an `Err` naming the field. Whether an id fits the universe is
 //! the restore's check, not the codec's.
 //!
 //! Format 1 (pretty-printed, with canonical key strings such as
@@ -42,12 +46,13 @@ use std::net::Ipv4Addr;
 use alertlib::alert::SnapKey;
 use alertlib::filter::FilterStats;
 use alertlib::filter::{FilterSnapshot, FilterWindowSnapshot};
-use detect::attack_tagger::{EntityStateSnapshot, TaggerSnapshot};
+use detect::attack_tagger::{EntityStateSnapshot, TaggerSnapshot, DEDUP_SLOTS};
 use detect::correlate::{
     CampaignSnapshot, CorrelatorEntitySnapshot, CorrelatorSnapshot, JoinKeySnapshot, LinkKind,
-    LinkSnapshot,
+    LinkSnapshot, RING, SEQ_RING,
 };
-use simnet::intern::TenantId;
+use detect::Stage;
+use simnet::intern::{SymUniverse, TenantId};
 use simnet::time::SimTime;
 
 use super::ServiceSnapshot;
@@ -84,8 +89,11 @@ impl ServiceSnapshot {
                 Some(c) => write_correlator(w, c),
                 None => w.null(),
             }
-            w.key("sym_universe")
-                .seq(&self.sym_universe, |w, s| w.str(s));
+            w.key("sym_universe").array(|w| {
+                for s in self.sym_universe.iter() {
+                    w.item().str(s);
+                }
+            });
         });
         w.out
     }
@@ -100,8 +108,9 @@ impl ServiceSnapshot {
         match format {
             FORMAT => {}
             FORMAT_V1 => {
-                let universe = top_level(text, "sym_universe", |r, f| r.vec(f, read_v1_symbol))?
-                    .ok_or_else(|| "snapshot JSON: `sym_universe` missing".to_string())?;
+                let universe =
+                    top_level(text, "sym_universe", |r, f| r.universe(f, read_v1_symbol))?
+                        .ok_or_else(|| "snapshot JSON: `sym_universe` missing".to_string())?;
                 r.v1 = Some(V1Names::new(universe));
             }
             other => {
@@ -123,17 +132,15 @@ impl ServiceSnapshot {
     /// Encoded size from typical bytes per item, with an eighth of
     /// headroom so the output buffer is allocated once.
     fn wire_len_hint(&self) -> usize {
+        const TAGGER_ENTITY: usize = 120 + 22 * Stage::COUNT + 24 * DEDUP_SLOTS;
+        const CORRELATOR_ENTITY: usize = 130 + 24 * SEQ_RING;
+        const JOIN_KEY: usize = 60 + 36 * RING;
         let tagger = self.tagger.as_ref().map_or(0, |t| {
-            let entities: usize = t
-                .entities
-                .iter()
-                .map(|e| 120 + 22 * e.alpha.len() + 24 * e.recent.len())
-                .sum();
-            entities + 16 * t.evicted_latches.len()
+            TAGGER_ENTITY * t.entities.len() + 16 * t.evicted_latches.len()
         });
         let correlator = self.correlator.as_ref().map_or(0, |c| {
-            let entities: usize = c.entities.iter().map(|e| 130 + 24 * e.steps.len()).sum();
-            let keys: usize = c.keys.iter().map(|k| 60 + 36 * k.slots.len()).sum();
+            let entities = CORRELATOR_ENTITY * c.entities.len();
+            let keys = JOIN_KEY * c.keys.len();
             let campaigns: usize = c
                 .campaigns
                 .iter()
@@ -413,14 +420,13 @@ struct Reader<'a> {
     v1: Option<V1Names>,
 }
 
-/// Reused buffers for the short arrays inside entities, join keys and
-/// campaigns: items are decoded here, then copied out at their final
-/// length, so each decoded vector allocates exactly once.
+/// Reused buffers for the variable-length arrays inside campaigns (and
+/// the latch lists): items are decoded here, then copied out at their
+/// final length, so each decoded vector allocates exactly once. The
+/// rings inside entities and join keys need none: they decode into
+/// fixed-length arrays.
 #[derive(Default)]
 struct Scratch {
-    floats: Vec<f64>,
-    steps: Vec<(SimTime, u16)>,
-    slots: Vec<Option<(SnapKey, SimTime)>>,
     keys: Vec<SnapKey>,
     links: Vec<LinkSnapshot>,
 }
@@ -428,15 +434,15 @@ struct Scratch {
 /// A format-1 document's universe, growing as its key strings name
 /// symbols it lacks.
 struct V1Names {
-    universe: Vec<String>,
+    universe: SymUniverse,
     positions: HashMap<String, u32>,
 }
 
 impl V1Names {
-    fn new(universe: Vec<String>) -> Self {
+    fn new(universe: SymUniverse) -> Self {
         let mut positions = HashMap::with_capacity(universe.len());
         for (i, s) in universe.iter().enumerate() {
-            positions.entry(s.clone()).or_insert(i as u32);
+            positions.entry(s.to_owned()).or_insert(i as u32);
         }
         V1Names {
             universe,
@@ -450,7 +456,7 @@ impl V1Names {
             return at;
         }
         let at = self.universe.len() as u32;
-        self.universe.push(name.to_owned());
+        self.universe.push(name);
         self.positions.insert(name.to_owned(), at);
         at
     }
@@ -614,6 +620,46 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// A fixed-arity array of exactly `N` items, `N` taken from the
+    /// field's type; any other count is an error naming the field.
+    /// Unread slots start as `fill`.
+    fn ring<T: Copy, const N: usize>(
+        &mut self,
+        field: &str,
+        fill: T,
+        mut item: impl FnMut(&mut Self, &str) -> Res<T>,
+    ) -> Res<[T; N]> {
+        let mut out = [fill; N];
+        let mut n = 0;
+        self.array(field, |r| {
+            let next = item(r, field)?;
+            *out.get_mut(n)
+                .ok_or_else(|| r.err(field, format_args!("more than {N} items")))? = next;
+            n += 1;
+            Ok(())
+        })?;
+        if n < N {
+            return Err(self.err(field, format_args!("{n} items, expected {N}")));
+        }
+        Ok(out)
+    }
+
+    /// The symbol universe: each string is copied, or unescaped, straight
+    /// into one [`SymUniverse`]. Its text is reserved for every byte the
+    /// input has left (never more), its offsets for one string per
+    /// offset's worth of those bytes, and both are trimmed at the end.
+    fn universe(
+        &mut self,
+        field: &str,
+        mut item: impl FnMut(&mut Self, &str, &mut SymUniverse) -> Res<()>,
+    ) -> Res<SymUniverse> {
+        let rest = self.text.len() - self.pos;
+        let mut out = SymUniverse::with_capacity(rest / std::mem::size_of::<usize>(), rest);
+        self.array(field, |r| item(r, field, &mut out))?;
+        out.shrink_to_fit();
+        Ok(out)
+    }
+
     /// A short array, decoded through the [`Scratch`] buffer `buf` selects.
     fn short_vec<T>(
         &mut self,
@@ -633,9 +679,31 @@ impl<'a> Reader<'a> {
     }
 
     /// A string token, borrowed from the input unless it has escapes.
-    /// Escaped strings (names with quotes, backslashes or control bytes)
-    /// are rare, so the `serde_json` parser decodes those.
     fn string(&mut self, field: &str) -> Res<Cow<'a, str>> {
+        let (body, escaped) = self.string_token(field)?;
+        if !escaped {
+            return Ok(Cow::Borrowed(body));
+        }
+        let mut out = String::with_capacity(body.len());
+        unescape(body, &mut out).map_err(|why| self.err(field, why))?;
+        Ok(Cow::Owned(out))
+    }
+
+    /// A string token appended to `universe`.
+    fn symbol(&mut self, field: &str, universe: &mut SymUniverse) -> Res<()> {
+        let (body, escaped) = self.string_token(field)?;
+        if !escaped {
+            universe.push(body);
+            return Ok(());
+        }
+        universe
+            .push_with(|text| unescape(body, text))
+            .map_err(|why| self.err(field, why))
+    }
+
+    /// The body of a string token as it stands in the input, and whether
+    /// it holds escapes.
+    fn string_token(&mut self, field: &str) -> Res<(&'a str, bool)> {
         if self.peek() != Some(b'"') {
             return Err(self.err(field, "expected string"));
         }
@@ -656,17 +724,7 @@ impl<'a> Reader<'a> {
         }
         self.pos = end + 1;
         // Both ends sit on ASCII quotes: valid char boundaries.
-        if !escaped {
-            return Ok(Cow::Borrowed(&self.text[start + 1..end]));
-        }
-        match serde_json::from_str(&self.text[start..=end]) {
-            Ok(serde_json::Value::String(s)) => Ok(Cow::Owned(s)),
-            _ => Err(self.err(field, "bad escape")),
-        }
-    }
-
-    fn owned_string(&mut self, field: &str) -> Res<String> {
-        self.string(field).map(Cow::into_owned)
+        Ok((&self.text[start + 1..end], escaped))
     }
 
     /// An entity or filter-source key: `[kind, id]`, or in a format-1
@@ -783,6 +841,62 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Append the string-token body `body` to `out`, decoding its escapes as
+/// the `serde_json` parser does: the two-character escapes, and `\uXXXX`
+/// with surrogate pairs combined.
+fn unescape(body: &str, out: &mut String) -> Result<(), &'static str> {
+    let bytes = body.as_bytes();
+    let (mut run, mut i) = (0, 0);
+    while let Some(at) = bytes[i..].iter().position(|&b| b == b'\\') {
+        // Escapes are ASCII, so `run..i + at` ends on a char boundary.
+        out.push_str(&body[run..i + at]);
+        i += at + 2;
+        let c = match bytes.get(i - 1) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let first = hex4(bytes, i)?;
+                i += 4;
+                let code = if (0xD800..0xDC00).contains(&first) {
+                    // A high surrogate: a `\uXXXX` low surrogate follows.
+                    if bytes.get(i..i + 2) != Some(b"\\u") {
+                        return Err("unpaired surrogate");
+                    }
+                    let second = hex4(bytes, i + 2)?;
+                    i += 6;
+                    if !(0xDC00..0xE000).contains(&second) {
+                        return Err("invalid low surrogate");
+                    }
+                    0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
+                } else {
+                    first
+                };
+                char::from_u32(code).ok_or("bad code point")?
+            }
+            _ => return Err("bad escape"),
+        };
+        out.push(c);
+        run = i;
+    }
+    out.push_str(&body[run..]);
+    Ok(())
+}
+
+/// The four hex digits of a `\u` escape at `at`.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, &'static str> {
+    let digits = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+    digits.iter().try_fold(0, |v, &d| {
+        let d = char::from(d).to_digit(16).ok_or("bad \\u escape")?;
+        Ok(v * 16 + d)
+    })
+}
+
 fn need<T>(slot: Option<T>, field: &str) -> Res<T> {
     slot.ok_or_else(|| format!("snapshot JSON: `{field}` missing"))
 }
@@ -830,13 +944,12 @@ fn top_level<'a, T>(
 
 /// A format-1 universe entry, `[id, string]`; positions, not the stored
 /// ids, name symbols.
-fn read_v1_symbol(r: &mut Reader, field: &str) -> Res<String> {
+fn read_v1_symbol(r: &mut Reader, field: &str, universe: &mut SymUniverse) -> Res<()> {
     r.expect(b'[', field)?;
     r.uint::<u32>(field)?;
     r.expect(b',', field)?;
-    let s = r.owned_string(field)?;
-    r.expect(b']', field)?;
-    Ok(s)
+    r.symbol(field, universe)?;
+    r.expect(b']', field)
 }
 
 fn read_snapshot(r: &mut Reader) -> Res<ServiceSnapshot> {
@@ -850,9 +963,9 @@ fn read_snapshot(r: &mut Reader) -> Res<ServiceSnapshot> {
         "filter" => r.field(&mut filter, key, read_filter),
         "tagger" => r.field(&mut tagger, key, |r, f| nullable(r, f, read_tagger)),
         "correlator" => r.field(&mut correlator, key, |r, f| nullable(r, f, read_correlator)),
-        "sym_universe" if !v1 => r.field(&mut sym_universe, key, |r, f| {
-            r.vec(f, Reader::owned_string)
-        }),
+        "sym_universe" if !v1 => {
+            r.field(&mut sym_universe, key, |r, f| r.universe(f, Reader::symbol))
+        }
         _ => Ok(false),
     })?;
     let sym_universe = match r.v1.take() {
@@ -892,19 +1005,15 @@ fn link_kind(r: &mut Reader, field: &str) -> Res<LinkKind> {
 }
 
 /// `[ts, kind]` step-ring slots.
-fn read_step_ring(r: &mut Reader, field: &str) -> Res<Vec<(SimTime, u16)>> {
-    r.short_vec(
-        field,
-        |s| &mut s.steps,
-        |r, f| {
-            r.expect(b'[', f)?;
-            let ts = r.time(f)?;
-            r.expect(b',', f)?;
-            let kind = r.uint(f)?;
-            r.expect(b']', f)?;
-            Ok((ts, kind))
-        },
-    )
+fn read_step_ring<const N: usize>(r: &mut Reader, field: &str) -> Res<[(SimTime, u16); N]> {
+    r.ring(field, (SimTime::EPOCH, 0), |r, f| {
+        r.expect(b'[', f)?;
+        let ts = r.time(f)?;
+        r.expect(b',', f)?;
+        let kind = r.uint(f)?;
+        r.expect(b']', f)?;
+        Ok((ts, kind))
+    })
 }
 
 fn read_stats(r: &mut Reader, field: &str) -> Res<StreamStats> {
@@ -987,7 +1096,7 @@ fn read_tagger_entity(r: &mut Reader, field: &str) -> Res<EntityStateSnapshot> {
         field,
         EntityStateSnapshot {
             entity: Reader::key,
-            alpha: |r, f| r.short_vec(f, |s| &mut s.floats, Reader::f64),
+            alpha: |r, f| r.ring(f, 0.0, Reader::f64),
             steps: Reader::uint,
             detected: Reader::bool,
             last_ts: Reader::time,
@@ -1048,21 +1157,17 @@ fn read_join_key(r: &mut Reader, field: &str) -> Res<JoinKeySnapshot> {
             Ok(Some(r.v1.as_mut().expect("format 1").position(&name)))
         }),
         "slots" => r.field(&mut slots, key, |r, f| {
-            r.short_vec(
-                f,
-                |s| &mut s.slots,
-                |r, f| {
-                    if r.null() {
-                        return Ok(None);
-                    }
-                    r.expect(b'[', f)?;
-                    let entity = r.key(f)?;
-                    r.expect(b',', f)?;
-                    let ts = r.time(f)?;
-                    r.expect(b']', f)?;
-                    Ok(Some((entity, ts)))
-                },
-            )
+            r.ring(f, None, |r, f| {
+                if r.null() {
+                    return Ok(None);
+                }
+                r.expect(b'[', f)?;
+                let entity = r.key(f)?;
+                r.expect(b',', f)?;
+                let ts = r.time(f)?;
+                r.expect(b']', f)?;
+                Ok(Some((entity, ts)))
+            })
         }),
         "head" => r.field(&mut head, key, Reader::uint),
         _ => Ok(false),
@@ -1137,5 +1242,42 @@ mod tests {
                 .contains("format 999"),
             "future format version rejected by number"
         );
+    }
+
+    /// The decoder's unescaping agrees with the `serde_json` parser on
+    /// every escape form, and refuses what it refuses.
+    #[test]
+    fn unescape_agrees_with_the_serde_json_parser() {
+        let bodies = [
+            r#"plain"#,
+            r#"q\"uote\\back\/slash"#,
+            r#"\b\f\n\r\t"#,
+            r#"\u0001\u001f\u00e9\u20AC"#,
+            r#"pair \ud83d\ude00 end"#,
+            r#"é\n€"#,
+        ];
+        for body in bodies {
+            let mut out = String::from("kept:");
+            unescape(body, &mut out).unwrap();
+            let parsed = serde_json::from_str(&format!("\"{body}\""));
+            let Ok(serde_json::Value::String(want)) = parsed else {
+                panic!("{body}: {parsed:?}");
+            };
+            assert_eq!(out, format!("kept:{want}"), "{body}");
+        }
+        for bad in [
+            r#"\x"#,
+            r#"\u12"#,
+            r#"\u12G4"#,
+            r#"\ud83d"#,
+            r#"\ud83d\u0041"#,
+            r#"\udc00"#,
+        ] {
+            assert!(unescape(bad, &mut String::new()).is_err(), "{bad}");
+            assert!(
+                serde_json::from_str(&format!("\"{bad}\"")).is_err(),
+                "{bad}"
+            );
+        }
     }
 }

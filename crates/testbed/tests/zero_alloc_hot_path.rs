@@ -11,14 +11,15 @@
 //! (integer `EntityId` key, reused scratch) without touching the
 //! allocator. The same holds through the service: ingest re-mints the
 //! owned batch in place through the session's memo and reuses the
-//! pipeline's scratch buffers.
+//! pipeline's scratch buffers. Off the per-record path, a restart
+//! (snapshot → JSON → restore) allocates per snapshot and per campaign,
+//! and a symbol table per doubling, never per entity or per symbol.
 
 use scenario::faults::{ClockSkewConfig, FaultInjector, FaultPlan};
 use scenario::mutate::{generate_campaign, CampaignConfig};
 use scenario::stream::{record_stream, RecordStreamConfig};
 use simnet::alloc_count::{allocations, thread_allocations, CountingAllocator};
-use simnet::intern::SymScope;
-use simnet::intern::TenantId;
+use simnet::intern::{SymScope, SymTable, TenantId};
 use simnet::rng::SimRng;
 use simnet::time::SimDuration;
 use telemetry::record::LogRecord;
@@ -478,28 +479,19 @@ fn service_ingest_steady_state_allocates_nothing_per_batch_or_record() {
     });
 }
 
-/// Heap buffers a decoded snapshot owns: its non-empty `String`s and
-/// `Vec`s (empty ones never allocate). Keys are integers and own nothing.
+/// Heap buffers a decoded snapshot owns: its non-empty `Vec`s (empty ones
+/// never allocate) and the universe's text and offsets. Keys are integers
+/// and rings fixed-length arrays: they own nothing.
 fn owned_buffers(snap: &ServiceSnapshot) -> u64 {
     fn n<T>(v: &[T]) -> u64 {
         u64::from(!v.is_empty())
     }
-    let mut total = n(&snap.filter.windows) + n(&snap.sym_universe);
-    total += snap
-        .sym_universe
-        .iter()
-        .map(|v| u64::from(!v.is_empty()))
-        .sum::<u64>();
+    let mut total = n(&snap.filter.windows) + 2 * u64::from(!snap.sym_universe.is_empty());
     if let Some(t) = &snap.tagger {
         total += n(&t.entities) + n(&t.evicted_latches);
-        for e in &t.entities {
-            total += n(&e.alpha) + n(&e.recent);
-        }
     }
     if let Some(c) = &snap.correlator {
         total += n(&c.entities) + n(&c.keys) + n(&c.campaigns) + n(&c.promoted_latches);
-        total += c.entities.iter().map(|e| n(&e.steps)).sum::<u64>();
-        total += c.keys.iter().map(|k| n(&k.slots)).sum::<u64>();
         for cs in &c.campaigns {
             total += n(&cs.members) + n(&cs.links);
         }
@@ -556,6 +548,116 @@ fn snapshot_codec_builds_no_intermediate_tree() {
         assert!(
             decode <= buffers + SLACK,
             "from_json: {decode} allocations for {buffers} owned buffers"
+        );
+    });
+}
+
+/// A tenant of the correlated pipeline over a uniform background of
+/// `users` users, with the stream scaled to match.
+fn restart_tenant(users: usize) -> ServiceHandle {
+    let cfg = RecordStreamConfig {
+        scan_records: 2 * users,
+        benign_flows: users,
+        exec_records: 6 * users,
+        users,
+        zipf_exponent: 0.0,
+        ..RecordStreamConfig::default()
+    };
+    let records = record_stream(&SymScope::global(), &cfg, &mut SimRng::seed(0x2E57));
+    let service = ServiceHandle::spawn(ServiceConfig::default(), correlated_pipeline);
+    service.ingest(TenantId(1), records).unwrap();
+    service
+}
+
+fn correlated_pipeline(_: TenantId, scope: SymScope) -> testbed::stage::builder::BuiltPipeline {
+    PipelineBuilder::new()
+        .tagger(detect::AttackTagger::new(
+            detect::train::toy_training_model(),
+            detect::TaggerConfig::default(),
+        ))
+        .correlation(detect::CorrelationPolicy::default())
+        .scope(scope)
+        .build()
+}
+
+/// Allocations of one restart of `service`'s tenant: snapshot →
+/// `to_json` → `from_json` → restore into a fresh service, counted
+/// process-wide (the snapshot and the restore run on worker threads).
+/// Also returns the snapshot's entity, symbol and campaign counts.
+fn restart_allocations(service: &ServiceHandle) -> (u64, [usize; 4]) {
+    let tenant = TenantId(1);
+    let fresh = ServiceHandle::spawn(ServiceConfig::default(), correlated_pipeline);
+    let (allocs, sizes) = allocations(|| {
+        let snap = service.snapshot(tenant).unwrap();
+        let sizes = [
+            snap.tagger.as_ref().map_or(0, |t| t.entities.len()),
+            snap.correlator.as_ref().map_or(0, |c| c.entities.len()),
+            snap.sym_universe.len(),
+            snap.correlator.as_ref().map_or(0, |c| c.campaigns.len()),
+        ];
+        let wire = snap.to_json();
+        drop(snap);
+        fresh
+            .restore(ServiceSnapshot::from_json(&wire).unwrap())
+            .unwrap();
+        sizes
+    });
+    let restored = fresh.snapshot(tenant).unwrap();
+    assert_eq!(restored, service.snapshot(tenant).unwrap(), "restart drift");
+    (allocs, sizes)
+}
+
+#[test]
+fn restart_allocations_do_not_scale_with_entities_or_symbols() {
+    serialized(|| {
+        let (small, small_sizes) = restart_allocations(&restart_tenant(300));
+        let (large, large_sizes) = restart_allocations(&restart_tenant(1_500));
+        for (what, i) in [
+            ("tagger entities", 0),
+            ("correlator entities", 1),
+            ("symbols", 2),
+        ] {
+            assert!(
+                large_sizes[i] >= 4 * small_sizes[i],
+                "{what}: {} vs {}",
+                large_sizes[i],
+                small_sizes[i]
+            );
+        }
+        // What may grow: each campaign's member and link vectors (export,
+        // decode and restore), and a few doublings of the hash maps, the
+        // restored table's arena and index, and the universe buffers.
+        const SLACK: u64 = 64;
+        const PER_CAMPAIGN: u64 = 8;
+        let campaigns = large_sizes[3] as u64;
+        assert!(
+            large <= small + SLACK + PER_CAMPAIGN * campaigns,
+            "{large} allocations restarting {large_sizes:?} (entities, entities, symbols, \
+             campaigns) vs {small} restarting {small_sizes:?}"
+        );
+    });
+}
+
+#[test]
+fn sym_table_interning_allocates_per_doubling_not_per_string() {
+    serialized(|| {
+        let names: Vec<String> = (0..10_000).map(|i| format!("gate-{i:05}")).collect();
+        let (allocs, table) = thread_allocations(|| {
+            let table = SymTable::new();
+            for name in &names {
+                table.intern(name);
+            }
+            table
+        });
+        assert_eq!(table.len(), 1 + names.len());
+        // Per doubling of the table: a slot chunk, an arena chunk, a probe
+        // table (two allocations) and the occasional growth of the lists
+        // that hold them.
+        let doublings = u64::from(names.len().ilog2()) + 1;
+        assert!(
+            allocs <= 6 * doublings,
+            "{allocs} allocations interning {} distinct strings",
+            names.len()
         );
     });
 }
