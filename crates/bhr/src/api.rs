@@ -6,6 +6,7 @@
 //! `ncsa/bhr-client` (block / unblock / query / list) over a shared,
 //! thread-safe table, and keeps an audit log of every call.
 
+use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -14,15 +15,69 @@ use serde::{Deserialize, Serialize};
 use simnet::time::{SimDuration, SimTime};
 
 use crate::retry::{BlockBackend, BlockError, ReliableBackend};
-use crate::table::{Block, BlockOutcome, NullRouteTable, TableStats};
+use crate::table::{Block, BlockOutcome, BlockReason, NullRouteTable, TableStats};
 
-/// One audited API call.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One audited API call or response-path event. `Copy`: appending one
+/// costs at most the log's own growth, and its text is rendered only when
+/// the entry is displayed.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AuditEntry {
     pub ts: SimTime,
-    pub command: String,
+    pub command: &'static str,
     pub addr: Option<Ipv4Addr>,
-    pub detail: String,
+    pub detail: AuditDetail,
+}
+
+/// What an [`AuditEntry`] records about its command, displayed as the
+/// ledger's detail text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum AuditDetail {
+    /// An installed block's reason.
+    Reason(BlockReason),
+    /// A failed delivery.
+    Error(BlockError),
+    /// `after {n} failed attempts`: a block given up on.
+    FailedAttempts(u32),
+    /// `{n} consecutive delivery failures`: a tripped circuit breaker.
+    ConsecutiveFailures(u32),
+    /// `{n} entries`: a listing.
+    Entries(usize),
+    /// `{n} expired`: a sweep.
+    Expired(usize),
+    /// Fixed text.
+    Text(&'static str),
+}
+
+impl From<BlockReason> for AuditDetail {
+    fn from(reason: BlockReason) -> Self {
+        AuditDetail::Reason(reason)
+    }
+}
+
+impl From<BlockError> for AuditDetail {
+    fn from(error: BlockError) -> Self {
+        AuditDetail::Error(error)
+    }
+}
+
+impl From<&'static str> for AuditDetail {
+    fn from(text: &'static str) -> Self {
+        AuditDetail::Text(text)
+    }
+}
+
+impl fmt::Display for AuditDetail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AuditDetail::Reason(reason) => reason.fmt(f),
+            AuditDetail::Error(error) => error.fmt(f),
+            AuditDetail::FailedAttempts(n) => write!(f, "after {n} failed attempts"),
+            AuditDetail::ConsecutiveFailures(n) => write!(f, "{n} consecutive delivery failures"),
+            AuditDetail::Entries(n) => write!(f, "{n} entries"),
+            AuditDetail::Expired(n) => write!(f, "{n} expired"),
+            AuditDetail::Text(text) => f.write_str(text),
+        }
+    }
 }
 
 /// Shared handle to the BHR. Cloneable; all clones address the same table
@@ -67,10 +122,16 @@ impl BhrHandle {
         }
     }
 
-    fn log(&self, ts: SimTime, command: &str, addr: Option<Ipv4Addr>, detail: impl Into<String>) {
+    fn log(
+        &self,
+        ts: SimTime,
+        command: &'static str,
+        addr: Option<Ipv4Addr>,
+        detail: impl Into<AuditDetail>,
+    ) {
         self.audit.lock().push(AuditEntry {
             ts,
-            command: command.to_string(),
+            command,
             addr,
             detail: detail.into(),
         });
@@ -85,11 +146,11 @@ impl BhrHandle {
         &self,
         ts: SimTime,
         addr: Ipv4Addr,
-        reason: impl Into<String>,
+        reason: impl Into<BlockReason>,
         ttl: Option<SimDuration>,
     ) -> BlockOutcome {
         let reason = reason.into();
-        let outcome = self.inner.lock().block(addr, reason.clone(), ts, ttl);
+        let outcome = self.inner.lock().block(addr, reason, ts, ttl);
         if outcome != BlockOutcome::Duplicate {
             self.log(ts, "block", Some(addr), reason);
         }
@@ -100,27 +161,26 @@ impl BhrHandle {
     /// first; the table is only updated (and the call audited as
     /// `block`) when the RPC succeeds. A failed delivery is audited as
     /// `block-failed` and leaves the table untouched — the caller's
-    /// retry policy decides what happens next. `reason` is copied only
-    /// when the block is installed, so a failed attempt allocates nothing
-    /// beyond its audit entry.
+    /// retry policy decides what happens next. Reasons and errors are
+    /// `Copy` values, so an attempt allocates nothing beyond the growth
+    /// of the table and the audit log.
     pub fn try_block(
         &self,
         ts: SimTime,
         addr: Ipv4Addr,
-        reason: &str,
+        reason: BlockReason,
         ttl: Option<SimDuration>,
     ) -> Result<BlockOutcome, BlockError> {
         match self.backend.lock().try_block(ts, addr, reason, ttl) {
             Ok(()) => {
-                let reason = reason.to_string();
-                let outcome = self.inner.lock().block(addr, reason.clone(), ts, ttl);
+                let outcome = self.inner.lock().block(addr, reason, ts, ttl);
                 if outcome != BlockOutcome::Duplicate {
                     self.log(ts, "block", Some(addr), reason);
                 }
                 Ok(outcome)
             }
             Err(e) => {
-                self.log(ts, "block-failed", Some(addr), e.to_string());
+                self.log(ts, "block-failed", Some(addr), e);
                 Err(e)
             }
         }
@@ -131,19 +191,19 @@ impl BhrHandle {
     /// per detection. Idempotent like [`BhrHandle::block`].
     pub fn block_batch<I>(&self, blocks: I)
     where
-        I: IntoIterator<Item = (SimTime, Ipv4Addr, String, Option<SimDuration>)>,
+        I: IntoIterator<Item = (SimTime, Ipv4Addr, BlockReason, Option<SimDuration>)>,
     {
         let mut table = self.inner.lock();
         let mut audit = self.audit.lock();
         for (ts, addr, reason, ttl) in blocks {
-            if table.block(addr, reason.clone(), ts, ttl) == BlockOutcome::Duplicate {
+            if table.block(addr, reason, ts, ttl) == BlockOutcome::Duplicate {
                 continue;
             }
             audit.push(AuditEntry {
                 ts,
-                command: "block".to_string(),
+                command: "block",
                 addr: Some(addr),
-                detail: reason,
+                detail: AuditDetail::Reason(reason),
             });
         }
     }
@@ -154,9 +214,9 @@ impl BhrHandle {
     pub fn audit_event(
         &self,
         ts: SimTime,
-        command: &str,
+        command: &'static str,
         addr: Option<Ipv4Addr>,
-        detail: impl Into<String>,
+        detail: impl Into<AuditDetail>,
     ) {
         self.log(ts, command, addr, detail);
     }
@@ -175,7 +235,7 @@ impl BhrHandle {
 
     /// `bhr-client query`: look up an address (audited, non-routing).
     pub fn query(&self, ts: SimTime, addr: Ipv4Addr) -> Option<Block> {
-        let found = self.inner.lock().query(addr).cloned();
+        let found = self.inner.lock().query(addr).copied();
         self.log(
             ts,
             "query",
@@ -187,13 +247,8 @@ impl BhrHandle {
 
     /// `bhr-client list`: snapshot of active blocks.
     pub fn list(&self, ts: SimTime) -> Vec<(Ipv4Addr, Block)> {
-        let snapshot: Vec<_> = self
-            .inner
-            .lock()
-            .list()
-            .map(|(a, b)| (*a, b.clone()))
-            .collect();
-        self.log(ts, "list", None, format!("{} entries", snapshot.len()));
+        let snapshot: Vec<_> = self.inner.lock().list().map(|(a, b)| (*a, *b)).collect();
+        self.log(ts, "list", None, AuditDetail::Entries(snapshot.len()));
         snapshot
     }
 
@@ -205,7 +260,7 @@ impl BhrHandle {
     /// Sweep expired routes.
     pub fn sweep(&self, ts: SimTime) -> usize {
         let n = self.inner.lock().sweep(ts);
-        self.log(ts, "sweep", None, format!("{n} expired"));
+        self.log(ts, "sweep", None, AuditDetail::Expired(n));
         n
     }
 
@@ -240,7 +295,7 @@ mod tests {
         assert!(bhr.unblock(t0, addr("103.102.1.1")));
         assert!(!bhr.unblock(t0, addr("103.102.1.1")));
         let log = bhr.audit_log();
-        let commands: Vec<_> = log.iter().map(|e| e.command.as_str()).collect();
+        let commands: Vec<_> = log.iter().map(|e| e.command).collect();
         assert_eq!(
             commands,
             vec!["block", "query", "list", "unblock", "unblock"]
@@ -251,9 +306,7 @@ mod tests {
     fn block_batch_matches_singles() {
         let bhr = BhrHandle::new();
         let t0 = SimTime::from_secs(0);
-        bhr.block_batch(
-            (0..5u8).map(|i| (t0, Ipv4Addr::new(10, 0, 0, i), format!("batch {i}"), None)),
-        );
+        bhr.block_batch((0..5u8).map(|i| (t0, Ipv4Addr::new(10, 0, 0, i), "batch".into(), None)));
         assert_eq!(bhr.active_blocks(), 5);
         let log = bhr.audit_log();
         assert_eq!(log.len(), 5);
@@ -274,7 +327,7 @@ mod tests {
             BlockOutcome::Duplicate
         );
         assert_eq!(
-            bhr.try_block(SimTime::from_secs(6), a, "r", None),
+            bhr.try_block(SimTime::from_secs(6), a, "r".into(), None),
             Ok(BlockOutcome::Duplicate)
         );
         assert!(bhr.unblock(SimTime::from_secs(10), a));
@@ -282,7 +335,7 @@ mod tests {
             bhr.block(SimTime::from_secs(20), a, "r", None),
             BlockOutcome::Added
         );
-        let commands: Vec<String> = bhr.audit_log().iter().map(|e| e.command.clone()).collect();
+        let commands: Vec<&str> = bhr.audit_log().iter().map(|e| e.command).collect();
         assert_eq!(
             commands,
             vec!["block", "unblock", "block"],
@@ -292,7 +345,7 @@ mod tests {
         assert_eq!(s.blocks_added, 2);
         assert_eq!(s.blocks_duplicate, 2);
         // Batched re-delivery is absorbed the same way.
-        bhr.block_batch(vec![(SimTime::from_secs(30), a, "r".to_string(), None)]);
+        bhr.block_batch(vec![(SimTime::from_secs(30), a, "r".into(), None)]);
         assert_eq!(bhr.audit_log().len(), 3);
     }
 
@@ -301,20 +354,24 @@ mod tests {
         use crate::retry::FlakyBackend;
         let bhr = BhrHandle::with_backend(FlakyBackend::failing_first(2));
         let a = addr("198.51.100.1");
-        assert!(bhr.try_block(SimTime::from_secs(0), a, "r", None).is_err());
+        assert!(bhr
+            .try_block(SimTime::from_secs(0), a, "r".into(), None)
+            .is_err());
         assert!(
             !bhr.is_blocked(SimTime::from_secs(1), a),
             "no phantom block"
         );
         assert_eq!(bhr.stats().blocks_added, 0);
-        assert!(bhr.try_block(SimTime::from_secs(2), a, "r", None).is_err());
+        assert!(bhr
+            .try_block(SimTime::from_secs(2), a, "r".into(), None)
+            .is_err());
         // Third attempt lands.
         assert_eq!(
-            bhr.try_block(SimTime::from_secs(4), a, "r", None),
+            bhr.try_block(SimTime::from_secs(4), a, "r".into(), None),
             Ok(BlockOutcome::Added)
         );
         assert!(bhr.is_blocked(SimTime::from_secs(5), a));
-        let commands: Vec<String> = bhr.audit_log().iter().map(|e| e.command.clone()).collect();
+        let commands: Vec<&str> = bhr.audit_log().iter().map(|e| e.command).collect();
         assert_eq!(commands, vec!["block-failed", "block-failed", "block"]);
     }
 

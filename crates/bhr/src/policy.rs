@@ -106,8 +106,7 @@ impl RouteFilter for BhrFilter {
                 reason: self
                     .handle
                     .query(t, flow.src)
-                    .map(|b| b.reason)
-                    .unwrap_or_else(|| "blocked".into()),
+                    .map_or_else(|| "blocked".into(), |b| b.reason.to_string()),
             });
         }
         if flow.state.probe_like() {

@@ -16,11 +16,19 @@ use serde::{Deserialize, Serialize};
 use simnet::rng::SimRng;
 use simnet::time::{SimDuration, SimTime};
 
-/// Why a block RPC failed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+use crate::table::BlockReason;
+
+/// Why a block RPC failed. `Copy`: a failed delivery is recorded and
+/// audited without allocating, and rendered only when displayed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BlockError {
-    /// The backend RPC failed (transient: connection refused, 5xx, ...).
-    Rpc(String),
+    /// The backend RPC for the block of `addr` failed (transient:
+    /// connection refused, 5xx, ...). Displays as
+    /// `rpc error: {detail} for {addr}`.
+    Rpc {
+        detail: &'static str,
+        addr: Ipv4Addr,
+    },
     /// The backend did not answer within its deadline.
     Timeout,
 }
@@ -28,7 +36,7 @@ pub enum BlockError {
 impl std::fmt::Display for BlockError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BlockError::Rpc(detail) => write!(f, "rpc error: {detail}"),
+            BlockError::Rpc { detail, addr } => write!(f, "rpc error: {detail} for {addr}"),
             BlockError::Timeout => write!(f, "rpc timeout"),
         }
     }
@@ -42,7 +50,7 @@ pub trait BlockBackend: Send + std::fmt::Debug {
         &mut self,
         ts: SimTime,
         addr: Ipv4Addr,
-        reason: &str,
+        reason: BlockReason,
         ttl: Option<SimDuration>,
     ) -> Result<(), BlockError>;
 }
@@ -58,7 +66,7 @@ impl BlockBackend for ReliableBackend {
         &mut self,
         _ts: SimTime,
         _addr: Ipv4Addr,
-        _reason: &str,
+        _reason: BlockReason,
         _ttl: Option<SimDuration>,
     ) -> Result<(), BlockError> {
         Ok(())
@@ -113,14 +121,17 @@ impl BlockBackend for FlakyBackend {
         &mut self,
         _ts: SimTime,
         addr: Ipv4Addr,
-        _reason: &str,
+        _reason: BlockReason,
         _ttl: Option<SimDuration>,
     ) -> Result<(), BlockError> {
         let n = self.attempts.fetch_add(1, Ordering::Relaxed);
         let fail = n < self.fail_first || self.rng.chance(self.fail_prob);
         if fail {
             self.failures.fetch_add(1, Ordering::Relaxed);
-            Err(BlockError::Rpc(format!("injected failure for {addr}")))
+            Err(BlockError::Rpc {
+                detail: "injected failure",
+                addr,
+            })
         } else {
             Ok(())
         }
@@ -207,7 +218,7 @@ mod tests {
         let mut b = ReliableBackend;
         for i in 0..100 {
             assert!(b
-                .try_block(SimTime::from_secs(i), addr(), "r", None)
+                .try_block(SimTime::from_secs(i), addr(), "r".into(), None)
                 .is_ok());
         }
     }
@@ -218,7 +229,7 @@ mod tests {
             let mut b = FlakyBackend::new(0.4, 99);
             (0..200)
                 .map(|i| {
-                    b.try_block(SimTime::from_secs(i), addr(), "r", None)
+                    b.try_block(SimTime::from_secs(i), addr(), "r".into(), None)
                         .is_ok()
                 })
                 .collect::<Vec<bool>>()
@@ -234,12 +245,16 @@ mod tests {
         let mut b = FlakyBackend::failing_first(3);
         let fails = b.failure_counter();
         for i in 0..3 {
-            assert!(b
-                .try_block(SimTime::from_secs(i), addr(), "r", None)
-                .is_err());
+            let err = b
+                .try_block(SimTime::from_secs(i), addr(), "r".into(), None)
+                .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "rpc error: injected failure for 203.0.113.1"
+            );
         }
         assert!(b
-            .try_block(SimTime::from_secs(3), addr(), "r", None)
+            .try_block(SimTime::from_secs(3), addr(), "r".into(), None)
             .is_ok());
         assert_eq!(fails.load(Ordering::Relaxed), 3);
     }

@@ -5,16 +5,51 @@
 //! figures like "26.85 million scans recorded in one hour" (Fig. 1's data
 //! source).
 
+use std::fmt;
 use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
 use simnet::rng::FxHashMap;
 use simnet::time::{SimDuration, SimTime};
 
+/// Why a source is null-routed. A `Copy` value that holds only static
+/// text and is rendered when displayed, so installing, retrying and
+/// auditing a block allocates no string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum BlockReason {
+    /// A detector decided to block: displays as
+    /// `detector: {trigger} at {stage}`.
+    Detector {
+        /// The triggering alert kind's symbol.
+        trigger: &'static str,
+        /// The attack stage inferred at the trigger.
+        stage: &'static str,
+    },
+    /// Fixed text: operator, manual and policy blocks.
+    Text(&'static str),
+}
+
+impl From<&'static str> for BlockReason {
+    fn from(text: &'static str) -> Self {
+        BlockReason::Text(text)
+    }
+}
+
+impl fmt::Display for BlockReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BlockReason::Detector { trigger, stage } => {
+                write!(f, "detector: {trigger} at {stage}")
+            }
+            BlockReason::Text(text) => f.write_str(text),
+        }
+    }
+}
+
 /// One null-route entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Block {
-    pub reason: String,
+    pub reason: BlockReason,
     pub inserted: SimTime,
     /// `None` = permanent.
     pub expires: Option<SimTime>,
@@ -79,7 +114,7 @@ impl NullRouteTable {
     pub fn block(
         &mut self,
         addr: Ipv4Addr,
-        reason: impl Into<String>,
+        reason: impl Into<BlockReason>,
         now: SimTime,
         ttl: Option<SimDuration>,
     ) -> BlockOutcome {
@@ -212,7 +247,7 @@ mod tests {
         let mut t = NullRouteTable::new();
         t.block(addr("1.1.1.1"), "x", SimTime::from_secs(0), None);
         let removed = t.unblock(addr("1.1.1.1")).unwrap();
-        assert_eq!(removed.reason, "x");
+        assert_eq!(removed.reason, BlockReason::Text("x"));
         assert!(t.unblock(addr("1.1.1.1")).is_none());
         assert!(!t.is_blocked(addr("1.1.1.1"), SimTime::from_secs(1)));
     }
@@ -243,7 +278,7 @@ mod tests {
             Some(SimDuration::from_secs(5)),
         );
         t.block(addr("1.1.1.1"), "second", SimTime::from_secs(1), None);
-        assert_eq!(t.query(addr("1.1.1.1")).unwrap().reason, "second");
+        assert_eq!(t.query(addr("1.1.1.1")).unwrap().reason, "second".into());
         assert!(t.is_blocked(addr("1.1.1.1"), SimTime::from_secs(1_000)));
     }
 
@@ -261,7 +296,7 @@ mod tests {
             t.block(a, "retry-me", SimTime::from_secs(30), None),
             BlockOutcome::Duplicate
         );
-        let entry = t.query(a).unwrap().clone();
+        let entry = *t.query(a).unwrap();
         assert_eq!(entry.inserted, SimTime::from_secs(0), "original kept");
         let s = t.stats();
         assert_eq!(
@@ -274,8 +309,35 @@ mod tests {
             t.block(a, "escalated", SimTime::from_secs(60), None),
             BlockOutcome::Updated
         );
-        assert_eq!(t.query(a).unwrap().reason, "escalated");
+        assert_eq!(t.query(a).unwrap().reason, "escalated".into());
         assert_eq!(t.stats().blocks_updated, 1);
+    }
+
+    #[test]
+    fn detector_reasons_render_on_display_and_compare_by_value() {
+        let reason = |stage| BlockReason::Detector {
+            trigger: "alert_download_sensitive",
+            stage,
+        };
+        assert_eq!(
+            reason("foothold").to_string(),
+            "detector: alert_download_sensitive at foothold"
+        );
+        assert_eq!(BlockReason::from("manual").to_string(), "manual");
+        let mut t = NullRouteTable::new();
+        let a = addr("203.0.113.8");
+        assert_eq!(
+            t.block(a, reason("foothold"), SimTime::from_secs(0), None),
+            BlockOutcome::Added
+        );
+        assert_eq!(
+            t.block(a, reason("foothold"), SimTime::from_secs(1), None),
+            BlockOutcome::Duplicate
+        );
+        assert_eq!(
+            t.block(a, reason("lateral"), SimTime::from_secs(2), None),
+            BlockOutcome::Updated
+        );
     }
 
     #[test]

@@ -81,19 +81,23 @@ impl Stage {
     pub fn is_damage(self) -> bool {
         self == Stage::Damage
     }
-}
 
-impl fmt::Display for Stage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The stage's lower-case name, as displayed.
+    pub fn name(self) -> &'static str {
+        match self {
             Stage::Benign => "benign",
             Stage::Recon => "recon",
             Stage::Foothold => "foothold",
             Stage::Escalation => "escalation",
             Stage::Lateral => "lateral",
             Stage::Damage => "damage",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Stage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

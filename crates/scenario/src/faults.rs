@@ -32,7 +32,8 @@
 //!   [`SimTime::EPOCH`] rather than wrapping.
 //!
 //! The injector is allocation-free after construction: the release ring
-//! is sized to the window up front and records move through by value.
+//! is sized to the window up front, the offsets of the first 1,024
+//! clocks are computed once, and records move through by value.
 
 use serde::{Deserialize, Serialize};
 use simnet::rng::SimRng;
@@ -284,6 +285,23 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The stable offset of clock `clock_id` (`0` for the network sensors'
+/// shared clock, `host + 1` for a host) under `seed`, bounded by `max`:
+/// `(offset, is_negative)`.
+fn clock_skew(seed: u64, max: SimDuration, clock_id: u64) -> (SimDuration, bool) {
+    if max == SimDuration::ZERO {
+        return (SimDuration::ZERO, false);
+    }
+    let h = splitmix64(seed ^ clock_id.wrapping_mul(0xD6E8_FEB8_6659_FD93));
+    // 53 uniform bits → [0, 1), stretched to [-1, 1).
+    let signed = ((h >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
+    (max.mul_f64(signed.abs()), signed < 0.0)
+}
+
+/// Clock ids whose offset the injector computes once, up front; later
+/// ids are hashed per record.
+const SKEW_TABLE: usize = 1024;
+
 /// The streaming fault injector: push records in arrival order, collect
 /// the faulted stream, [`FaultInjector::finish`] at end of stream to drain
 /// the reorder window. Deterministic in `(plan, input)`; batch boundaries
@@ -295,6 +313,9 @@ pub struct FaultInjector {
     rng: SimRng,
     ring: ReleaseRing,
     stats: FaultStats,
+    /// [`clock_skew`] of clock ids below [`SKEW_TABLE`]; empty when the
+    /// plan has no skew.
+    skews: Vec<(SimDuration, bool)>,
 }
 
 impl FaultInjector {
@@ -304,11 +325,20 @@ impl FaultInjector {
             profile: plan.profile.clone(),
             ..FaultStats::default()
         };
+        let max = plan.clock.max_skew;
+        let skews = if max == SimDuration::ZERO {
+            Vec::new()
+        } else {
+            (0..SKEW_TABLE as u64)
+                .map(|id| clock_skew(plan.seed, max, id))
+                .collect()
+        };
         FaultInjector {
             ring: ReleaseRing::new(plan.reorder_window),
             rng,
             stats,
             plan,
+            skews,
         }
     }
 
@@ -321,19 +351,45 @@ impl FaultInjector {
         self.stats.clone()
     }
 
-    /// The stable clock offset of the host that produced `record`
-    /// (network-sensor records without a host share one Zeek-cluster
-    /// clock): `(offset, is_negative)`.
-    fn host_skew(&self, record: &LogRecord) -> (SimDuration, bool) {
-        let max = self.plan.clock.max_skew;
-        if max == SimDuration::ZERO {
-            return (SimDuration::ZERO, false);
+    /// The stable clock offset of `host` (network-sensor records without
+    /// a host share one Zeek-cluster clock): `(offset, is_negative)`.
+    fn host_skew(&self, host: Option<HostId>) -> (SimDuration, bool) {
+        let clock_id = host.map_or(0, |h| h.0 as u64 + 1);
+        match self.skews.get(clock_id as usize) {
+            Some(&skew) => skew,
+            None => clock_skew(self.plan.seed, self.plan.clock.max_skew, clock_id),
         }
-        let clock_id = record.host().map(|h| h.0 as u64 + 1).unwrap_or(0);
-        let h = splitmix64(self.plan.seed ^ clock_id.wrapping_mul(0xD6E8_FEB8_6659_FD93));
-        // 53 uniform bits → [0, 1), stretched to [-1, 1).
-        let signed = ((h >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
-        (max.mul_f64(signed.abs()), signed < 0.0)
+    }
+
+    /// Apply the record's host-clock offset, then its jitter, each
+    /// saturating at the epoch.
+    fn skew_clock(&mut self, record: &mut LogRecord) {
+        let (ts, host) = record.clock_mut();
+        let (skew, skew_neg) = self.host_skew(host);
+        let jitter_signed = if self.plan.clock.jitter == SimDuration::ZERO {
+            0.0
+        } else {
+            self.rng.uniform(-1.0, 1.0)
+        };
+        if skew == SimDuration::ZERO && jitter_signed == 0.0 {
+            return;
+        }
+        let orig = *ts;
+        let skewed = if skew_neg {
+            orig.saturating_sub(skew)
+        } else {
+            orig.saturating_add(skew)
+        };
+        let jitter = self.plan.clock.jitter.mul_f64(jitter_signed.abs());
+        let skewed = if jitter_signed < 0.0 {
+            skewed.saturating_sub(jitter)
+        } else {
+            skewed.saturating_add(jitter)
+        };
+        if skewed != orig {
+            self.stats.skewed += 1;
+            *ts = skewed;
+        }
     }
 
     /// Offer one record; surviving (possibly skewed, duplicated,
@@ -352,29 +408,8 @@ impl FaultInjector {
             self.stats.lost_iid += 1;
             return;
         }
-        let (skew, skew_neg) = self.host_skew(&record);
-        let jitter_signed = if self.plan.clock.jitter == SimDuration::ZERO {
-            0.0
-        } else {
-            self.rng.uniform(-1.0, 1.0)
-        };
-        if skew != SimDuration::ZERO || jitter_signed != 0.0 {
-            let orig = record.ts();
-            let mut ts = if skew_neg {
-                orig.saturating_sub(skew)
-            } else {
-                orig.saturating_add(skew)
-            };
-            let jitter = self.plan.clock.jitter.mul_f64(jitter_signed.abs());
-            ts = if jitter_signed < 0.0 {
-                ts.saturating_sub(jitter)
-            } else {
-                ts.saturating_add(jitter)
-            };
-            if ts != orig {
-                self.stats.skewed += 1;
-                record.set_ts(ts);
-            }
+        if !self.plan.clock.is_none() {
+            self.skew_clock(&mut record);
         }
         let duplicate = self.plan.dup_prob > 0.0 && self.rng.chance(self.plan.dup_prob);
         if duplicate {
@@ -389,7 +424,13 @@ impl FaultInjector {
     /// everything whose release slot has arrived.
     fn enqueue(&mut self, record: LogRecord, out: &mut Vec<LogRecord>) {
         let k = self.plan.reorder_window;
-        let delay = if k == 0 { 0 } else { self.rng.index(k + 1) };
+        if k == 0 {
+            // No window: every record is released where it enters.
+            out.push(record);
+            self.stats.records_out += 1;
+            return;
+        }
+        let delay = self.rng.index(k + 1);
         if delay > 0 {
             self.stats.reordered += 1;
         }
@@ -644,7 +685,7 @@ mod tests {
             .into_iter()
             .enumerate()
             .map(|(i, mut r)| {
-                r.set_ts(SimTime::from_secs(i as u64 % 5));
+                *r.clock_mut().0 = SimTime::from_secs(i as u64 % 5);
                 r
             })
             .collect();
@@ -690,6 +731,47 @@ mod tests {
                     assert_eq!(*o.get(), delta, "one constant offset per host clock");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn precomputed_and_hashed_clock_offsets_agree() {
+        // Hosts inside and past the precomputed table, and the shared
+        // network-sensor clock: each record moves by exactly its clock's
+        // hashed offset.
+        let plan = FaultPlan::clean(19).with_clock(ClockSkewConfig {
+            max_skew: SimDuration::from_mins(30),
+            jitter: SimDuration::ZERO,
+        });
+        let base = workload(400);
+        let network = base.iter().find(|r| r.host().is_none()).unwrap().clone();
+        let hosted = base.iter().find(|r| r.host().is_some()).unwrap().clone();
+        let last = SKEW_TABLE as u32;
+        let mut records = vec![network];
+        for id in [0, 7, last - 2, last - 1, last, last + 7, u32::MAX - 1] {
+            let mut r = hosted.clone();
+            match &mut r {
+                LogRecord::Process(p) => p.host = HostId(id),
+                LogRecord::File(p) => p.host = HostId(id),
+                LogRecord::Auth(p) => p.host = HostId(id),
+                LogRecord::Audit(p) => p.host = HostId(id),
+                LogRecord::Db(p) => p.host = Some(HostId(id)),
+                _ => unreachable!("a hosted record"),
+            }
+            *r.clock_mut().0 = SimTime::from_secs(86_400);
+            records.push(r);
+        }
+        *records[0].clock_mut().0 = SimTime::from_secs(86_400);
+        let (out, _) = apply_fault_plan(&plan, &records);
+        for (orig, faulted) in records.iter().zip(&out) {
+            let clock_id = orig.host().map_or(0, |h| h.0 as u64 + 1);
+            let (skew, neg) = clock_skew(plan.seed, plan.clock.max_skew, clock_id);
+            let expected = if neg {
+                orig.ts().saturating_sub(skew)
+            } else {
+                orig.ts().saturating_add(skew)
+            };
+            assert_eq!(faulted.ts(), expected, "clock {clock_id}");
         }
     }
 

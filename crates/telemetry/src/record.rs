@@ -234,22 +234,6 @@ impl LogRecord {
         }
     }
 
-    /// Overwrite the record timestamp (clock-skew / jitter fault models
-    /// rewrite observation times without touching any other field).
-    pub fn set_ts(&mut self, ts: SimTime) {
-        match self {
-            LogRecord::Conn(r) => r.ts = ts,
-            LogRecord::Http(r) => r.ts = ts,
-            LogRecord::Ssh(r) => r.ts = ts,
-            LogRecord::Notice(r) => r.ts = ts,
-            LogRecord::Process(r) => r.ts = ts,
-            LogRecord::File(r) => r.ts = ts,
-            LogRecord::Auth(r) => r.ts = ts,
-            LogRecord::Audit(r) => r.ts = ts,
-            LogRecord::Db(r) => r.ts = ts,
-        }
-    }
-
     /// The stream this record belongs to.
     pub fn kind(&self) -> RecordKind {
         match self {
@@ -299,6 +283,24 @@ impl LogRecord {
             LogRecord::Audit(r) => Some(r.host),
             LogRecord::Db(r) => r.host,
             _ => None,
+        }
+    }
+
+    /// The timestamp, writable, and the host whose clock stamped it
+    /// ([`LogRecord::host`]), in one match: clock-skew and jitter fault
+    /// models rewrite observation times without touching any other
+    /// field.
+    pub fn clock_mut(&mut self) -> (&mut SimTime, Option<HostId>) {
+        match self {
+            LogRecord::Conn(r) => (&mut r.ts, None),
+            LogRecord::Http(r) => (&mut r.ts, None),
+            LogRecord::Ssh(r) => (&mut r.ts, None),
+            LogRecord::Notice(r) => (&mut r.ts, None),
+            LogRecord::Process(r) => (&mut r.ts, Some(r.host)),
+            LogRecord::File(r) => (&mut r.ts, Some(r.host)),
+            LogRecord::Auth(r) => (&mut r.ts, Some(r.host)),
+            LogRecord::Audit(r) => (&mut r.ts, Some(r.host)),
+            LogRecord::Db(r) => (&mut r.ts, r.host),
         }
     }
 

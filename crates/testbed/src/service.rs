@@ -299,7 +299,9 @@ impl ServiceHandle {
     }
 
     /// End a dead tenant's session: flush its pipeline, return its final
-    /// report, and evict its scoped symbol universe.
+    /// report, and evict its scoped symbol universe. A tenant with a
+    /// registered scope but no session loses the scope and gets
+    /// [`ServiceError::UnknownTenant`].
     pub fn evict_tenant(&self, tenant: TenantId) -> Result<StreamReport, ServiceError> {
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
         self.tx
@@ -403,10 +405,12 @@ fn worker_loop(
                     None => Err(ServiceError::UnknownTenant(tenant)),
                     Some(mut s) => {
                         s.core.flush();
-                        symbols.evict(tenant);
                         Ok(Box::new(s.core.into_report()))
                     }
                 };
+                // A scope registered through `symbols().scope(t)` may have
+                // no session; it goes with the tenant all the same.
+                symbols.evict(tenant);
                 let _ = reply.send(result);
             }
             Control::Shutdown => break,
@@ -885,6 +889,24 @@ mod tests {
         let reports = service.shutdown();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].0, t2);
+    }
+
+    /// A scope registered without a session (as a caller does before a
+    /// restore) is evicted like any other: the registry forgets it even
+    /// though there is no report to return.
+    #[test]
+    fn evicting_a_scope_only_tenant_drops_its_scope() {
+        let service = ServiceHandle::spawn(ServiceConfig::default(), factory());
+        let t = TenantId(3);
+        service.symbols().scope(t).sym("pre-seeded");
+        assert_eq!(service.symbols().tenants(), vec![t]);
+        assert_eq!(
+            service.evict_tenant(t).err(),
+            Some(ServiceError::UnknownTenant(t))
+        );
+        assert!(service.symbols().tenants().is_empty());
+        assert_eq!(service.symbols().evicted(), 1);
+        assert!(service.shutdown().is_empty());
     }
 
     #[test]

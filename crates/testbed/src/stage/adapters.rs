@@ -13,8 +13,9 @@ use std::net::Ipv4Addr;
 use alertlib::alert::Alert;
 use alertlib::filter::{FilterStats, ScanFilter};
 use alertlib::symbolize::Symbolizer;
-use bhr::api::BhrHandle;
+use bhr::api::{AuditDetail, BhrHandle};
 use bhr::retry::{BlockError, RetryPolicy};
+use bhr::table::BlockReason;
 use detect::attack_tagger::AttackTagger;
 use detect::critical::CriticalOnlyDetector;
 use detect::online::OnlineSessionDetector;
@@ -310,10 +311,10 @@ pub trait NotifyBackend: Send {
 }
 
 /// A block whose delivery failed, waiting for its next retry slot.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PendingBlock {
     addr: Ipv4Addr,
-    reason: String,
+    reason: BlockReason,
     ttl: Option<SimDuration>,
     /// When the first delivery failed (deadline anchor).
     first_failure: SimTime,
@@ -498,16 +499,13 @@ impl ResponseStage {
                 ts,
                 "circuit-open",
                 None,
-                format!(
-                    "{} consecutive delivery failures",
-                    self.consecutive_failures
-                ),
+                AuditDetail::ConsecutiveFailures(self.consecutive_failures),
             );
         }
     }
 
     /// Queue (or immediately deliver) one block decision.
-    fn submit_block(&mut self, ts: SimTime, addr: Ipv4Addr, reason: String) {
+    fn submit_block(&mut self, ts: SimTime, addr: Ipv4Addr, reason: BlockReason) {
         if let Breaker::Open { until } = self.breaker {
             // No RPCs while the breaker is open: straight to the queue,
             // first attempt when the breaker closes.
@@ -523,7 +521,7 @@ impl ResponseStage {
         }
         match self
             .bhr
-            .try_block(ts, addr, &reason, self.detection_block_ttl)
+            .try_block(ts, addr, reason, self.detection_block_ttl)
         {
             Ok(_) => self.consecutive_failures = 0,
             Err(_) => {
@@ -567,8 +565,7 @@ impl ResponseStage {
         match backend.try_notify(&note) {
             Ok(()) => out.push(note),
             Err(e) => {
-                self.bhr
-                    .audit_event(ts, "notify-failed", None, e.to_string());
+                self.bhr.audit_event(ts, "notify-failed", None, e);
                 if self.retry.max_attempts <= 1 {
                     self.notifications_abandoned += 1;
                     self.bhr
@@ -611,7 +608,7 @@ impl ResponseStage {
             let mut pb = self.pending_blocks.swap_remove(i);
             let attempt_ts = pb.next_ts;
             self.blocks_retried += 1;
-            match self.bhr.try_block(attempt_ts, pb.addr, &pb.reason, pb.ttl) {
+            match self.bhr.try_block(attempt_ts, pb.addr, pb.reason, pb.ttl) {
                 Ok(_) => self.consecutive_failures = 0,
                 Err(_) => {
                     self.note_block_failure(attempt_ts);
@@ -625,7 +622,7 @@ impl ResponseStage {
                             attempt_ts,
                             "block-abandoned",
                             Some(pb.addr),
-                            format!("after {} failed attempts", pb.attempts),
+                            AuditDetail::FailedAttempts(pb.attempts),
                         );
                     } else {
                         let delay = self.retry.backoff(pb.attempts, &mut self.rng);
@@ -663,7 +660,7 @@ impl ResponseStage {
                     if pn.attempts >= self.retry.max_attempts || over_deadline {
                         self.notifications_abandoned += 1;
                         self.bhr
-                            .audit_event(attempt_ts, "notify-abandoned", None, e.to_string());
+                            .audit_event(attempt_ts, "notify-abandoned", None, e);
                     } else {
                         let delay = self.retry.backoff(pn.attempts, &mut self.rng);
                         pn.next_ts = attempt_ts.saturating_add(delay);
@@ -697,8 +694,10 @@ impl ResponseStage {
                         if let Some(tap) = &self.feedback {
                             tap.publish(ts, src);
                         }
-                        let reason =
-                            format!("detector: {} at {}", detection.trigger, detection.stage);
+                        let reason = BlockReason::Detector {
+                            trigger: detection.trigger.symbol(),
+                            stage: detection.stage.name(),
+                        };
                         self.submit_block(ts, src, reason);
                     }
                 }
@@ -872,7 +871,7 @@ mod tests {
         assert!(bhr.is_blocked(SimTime::from_secs(100), src), "block landed");
         assert_eq!(resp.blocks_abandoned(), 0, "nothing permanently lost");
         assert_eq!(resp.blocks_retried(), 2);
-        let commands: Vec<String> = bhr.audit_log().iter().map(|e| e.command.clone()).collect();
+        let commands: Vec<&str> = bhr.audit_log().iter().map(|e| e.command).collect();
         assert_eq!(commands, vec!["block-failed", "block-failed", "block"]);
     }
 
@@ -1082,6 +1081,105 @@ mod tests {
         assert_eq!(notes.len(), 1, "notification re-delivered");
         assert_eq!(resp.notifications_retried(), 2);
         assert_eq!(resp.notifications_abandoned(), 0);
+    }
+
+    /// The audit ledger and block table of a retrying run, rendered.
+    /// Entries are typed values now; every line must still read exactly
+    /// as the text the ledger stored when it held formatted strings.
+    #[test]
+    fn rendered_ledger_is_unchanged() {
+        struct DownNotify;
+        impl NotifyBackend for DownNotify {
+            fn try_notify(&mut self, _: &OperatorNotification) -> Result<(), BlockError> {
+                Err(BlockError::Timeout)
+            }
+        }
+        let policy = bhr::retry::RetryPolicy {
+            max_attempts: 3,
+            breaker_threshold: 2,
+            breaker_cooldown: SimDuration::from_secs(30),
+            ..fast_retry()
+        };
+        let bhr = BhrHandle::with_backend(bhr::retry::FlakyBackend::failing_first(5));
+        let ttl = Some(SimDuration::from_secs(600));
+        let mut resp = ResponseStage::new(bhr.clone(), true, ttl, "attack-tagger")
+            .with_retry(policy, 1)
+            .with_notify_backend(Box::new(DownNotify));
+        let mut notes = Vec::new();
+        for (t, user, src) in [
+            (5, "u1", "10.2.0.1"),
+            (6, "u2", "10.2.0.2"),
+            (60, "u3", "10.2.0.3"),
+            (200, "u4", "10.2.0.4"),
+        ] {
+            resp.respond(
+                None,
+                &[outcome_at(t, user, src.parse().unwrap())],
+                &mut notes,
+            );
+        }
+        resp.flush(&mut notes);
+        bhr.block(
+            SimTime::from_secs(300),
+            "10.9.9.9".parse().unwrap(),
+            "manual",
+            None,
+        );
+        let mut table: Vec<String> = bhr
+            .list(SimTime::from_secs(400))
+            .iter()
+            .map(|(addr, b)| format!("{addr} {} {:?} {:?}", b.reason, b.inserted, b.expires))
+            .collect();
+        table.sort();
+        bhr.sweep(SimTime::from_secs(850));
+        bhr.query(SimTime::from_secs(900), "10.2.0.4".parse().unwrap());
+        bhr.unblock(SimTime::from_secs(910), "10.9.9.9".parse().unwrap());
+        let ledger: Vec<String> = bhr
+            .audit_log()
+            .iter()
+            .map(|e| format!("{} {} {:?} {}", e.ts, e.command, e.addr, e.detail))
+            .collect();
+        assert_eq!(
+            ledger,
+            [
+                "2000-01-01 00:00:05 block-failed Some(10.2.0.1) rpc error: injected failure for 10.2.0.1",
+                "2000-01-01 00:00:05 notify-failed None rpc timeout",
+                "2000-01-01 00:00:06 block-failed Some(10.2.0.1) rpc error: injected failure for 10.2.0.1",
+                "2000-01-01 00:00:06 circuit-open None 2 consecutive delivery failures",
+                "2000-01-01 00:00:06 notify-failed None rpc timeout",
+                "2000-01-01 00:00:36 circuit-close None cooldown elapsed",
+                "2000-01-01 00:00:36 block-failed Some(10.2.0.1) rpc error: injected failure for 10.2.0.1",
+                "2000-01-01 00:00:36 block-abandoned Some(10.2.0.1) after 3 failed attempts",
+                "2000-01-01 00:00:36 block-failed Some(10.2.0.2) rpc error: injected failure for 10.2.0.2",
+                "2000-01-01 00:00:36 circuit-open None 2 consecutive delivery failures",
+                "2000-01-01 00:00:08 notify-abandoned None rpc timeout",
+                "2000-01-01 00:00:09 notify-abandoned None rpc timeout",
+                "2000-01-01 00:01:00 notify-failed None rpc timeout",
+                "2000-01-01 00:01:06 circuit-close None cooldown elapsed",
+                "2000-01-01 00:01:06 block-failed Some(10.2.0.2) rpc error: injected failure for 10.2.0.2",
+                "2000-01-01 00:01:06 block Some(10.2.0.3) detector: alert_c2_communication at foothold",
+                "2000-01-01 00:01:08 block Some(10.2.0.2) detector: alert_c2_communication at foothold",
+                "2000-01-01 00:01:03 notify-abandoned None rpc timeout",
+                "2000-01-01 00:03:20 block Some(10.2.0.4) detector: alert_c2_communication at foothold",
+                "2000-01-01 00:03:20 notify-failed None rpc timeout",
+                "2000-01-01 00:03:23 notify-abandoned None rpc timeout",
+                "2000-01-01 00:05:00 block Some(10.9.9.9) manual",
+                "2000-01-01 00:06:40 list None 4 entries",
+                "2000-01-01 00:14:10 sweep None 3 expired",
+                "2000-01-01 00:15:00 query Some(10.2.0.4) clear",
+                "2000-01-01 00:15:10 unblock Some(10.9.9.9) removed",
+            ]
+        );
+        assert_eq!(
+            table,
+            [
+                "10.2.0.2 detector: alert_c2_communication at foothold SimTime(68000000000) Some(SimTime(668000000000))",
+                "10.2.0.3 detector: alert_c2_communication at foothold SimTime(66000000000) Some(SimTime(666000000000))",
+                "10.2.0.4 detector: alert_c2_communication at foothold SimTime(200000000000) Some(SimTime(800000000000))",
+                "10.9.9.9 manual SimTime(300000000000) None",
+            ]
+        );
+        assert!(notes.is_empty(), "every notification was abandoned");
     }
 
     #[test]

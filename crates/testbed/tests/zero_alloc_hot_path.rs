@@ -324,7 +324,7 @@ impl bhr::BlockBackend for DownBackend {
         &mut self,
         _: simnet::time::SimTime,
         _: std::net::Ipv4Addr,
-        _: &str,
+        _: bhr::BlockReason,
         _: Option<SimDuration>,
     ) -> Result<(), bhr::BlockError> {
         Err(bhr::BlockError::Timeout)
@@ -332,7 +332,7 @@ impl bhr::BlockBackend for DownBackend {
 }
 
 #[test]
-fn retried_block_delivery_allocates_only_its_audit_entries() {
+fn retried_block_delivery_allocates_only_audit_log_growth() {
     serialized(|| {
         let detection = storm_detections()
             .into_iter()
@@ -357,13 +357,81 @@ fn retried_block_delivery_allocates_only_its_audit_entries() {
         assert_eq!(response.blocks_abandoned(), 1);
         let entries = (bhr.audit_log().len() - logged) as u64;
         assert_eq!(entries, 64, "63 failed retries and the abandonment");
-        // An audit entry owns its command and its detail; the log itself
-        // grows by doubling.
+        // Audit entries own nothing: only the log's doublings allocate.
         let growth = u64::from(u64::BITS - entries.leading_zeros()) + 1;
         assert!(
-            allocs <= 2 * entries + growth,
+            allocs <= growth,
             "{allocs} allocations for {entries} audit entries"
         );
+    });
+}
+
+/// One whole `run_inline` pass of a correlated campaign of `sessions`
+/// mutated attack sessions over a fixed background, with correlation on
+/// and a 30%-failing block backend. Returns the pass's allocations, its
+/// block decisions and its failed deliveries; `block` off gives the same
+/// pass without a response path to the BHR.
+fn flaky_campaign_pass(records: &[LogRecord], block: bool) -> (u64, u64, u64) {
+    let backend = bhr::retry::FlakyBackend::new(0.30, 0xB10C);
+    let failures = backend.failure_counter();
+    let pipeline = PipelineBuilder::new()
+        .tagger(detect::AttackTagger::new(
+            detect::train::toy_training_model(),
+            detect::TaggerConfig::default(),
+        ))
+        .correlation(detect::CorrelationPolicy::default())
+        .bhr(bhr::BhrHandle::with_backend(backend))
+        .block_on_detection(block, None)
+        .build();
+    let records = records.to_vec();
+    let (allocs, report) = thread_allocations(|| pipeline.run_inline(records));
+    let failed = failures.load(std::sync::atomic::Ordering::Relaxed);
+    (allocs, report.blocked_sources, failed)
+}
+
+/// What blocking adds to a whole pass of `sessions` attack sessions:
+/// `(allocations, block decisions, failed deliveries)`.
+fn response_path_allocations(sessions: usize) -> (u64, u64, u64) {
+    let campaign = CampaignConfig {
+        sessions,
+        horizon: SimDuration::from_hours(24),
+        background: Some(RecordStreamConfig {
+            scan_records: 2_000,
+            benign_flows: 500,
+            exec_records: 2_000,
+            users: 60,
+            horizon: SimDuration::from_hours(24),
+            ..RecordStreamConfig::default()
+        }),
+        ..CampaignConfig::default()
+    };
+    let records = generate_campaign(&campaign, &mut SimRng::seed(0xCA_4415)).records;
+    let (with_blocks, blocks, failed) = flaky_campaign_pass(&records, true);
+    let (without, _, _) = flaky_campaign_pass(&records, false);
+    (with_blocks.saturating_sub(without), blocks, failed)
+}
+
+#[test]
+fn whole_pass_response_allocations_do_not_scale_with_blocks() {
+    serialized(|| {
+        let small = response_path_allocations(24);
+        let large = response_path_allocations(192);
+        assert!(
+            large.1 >= 4 * small.1 && large.2 >= 4 * small.2,
+            "sanity: more block decisions and failed deliveries ({small:?} vs {large:?})"
+        );
+        // Deciding, delivering, retrying and auditing a block own nothing:
+        // what blocking adds is the doubling of four collections (the
+        // blocked-source set, the null-route table, the audit log and the
+        // retry queue), never an allocation per block or per failure.
+        for (allocs, blocks, failed) in [small, large] {
+            let growth = 4 * (u64::from((blocks + failed).max(1).ilog2()) + 2);
+            assert!(
+                allocs <= growth,
+                "{allocs} allocations for {blocks} blocks and {failed} failed deliveries \
+                 (growth bound {growth})"
+            );
+        }
     });
 }
 
