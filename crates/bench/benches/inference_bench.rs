@@ -1,8 +1,8 @@
 //! Factor-graph inference benchmarks: chain filtering/Viterbi throughput
 //! versus sequence length, generic BP on equivalent chain graphs, and the
 //! seed-vs-optimized engine comparison on the skip-chain session
-//! workload (the repo's first measured perf milestone; `BENCH_1.json` is
-//! produced by the `bench1` binary from the same workloads).
+//! workload (the repo's first measured perf milestone, frozen in
+//! `BENCH_1.json`; these benches still time the same workloads).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use detect::fg_session::{build_session_graph, SessionEngine, SessionGraphConfig};

@@ -1,5 +1,5 @@
-//! Layout benchmarks + the Barnes–Hut θ ablation (DESIGN.md ablation (a)
-//! and (d): quadtree vs naive O(n²), sequential vs parallel).
+//! Layout benchmarks + the Barnes–Hut θ ablation (README "Ablations":
+//! quadtree vs naive O(n²), sequential vs parallel).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simnet::rng::SimRng;

@@ -2,9 +2,10 @@
 //!
 //! Insight 2: 43 recurring sequences, lengths 2–14, the most frequent seen
 //! 14 times. Mining uses LCS-peer support (the number of incidents whose
-//! shared signature with a peer is exactly the pattern) — see DESIGN.md
-//! for how this reconciles with the 60.08% S1-motif prevalence, and the
-//! `planted` series for the generator's ground-truth family sizes.
+//! shared signature with a peer is exactly the pattern) — see the README's
+//! "Fig. 3b counts and the 60.08% S1 motif" for how this reconciles with
+//! the S1-motif prevalence, and the `planted` series for the generator's
+//! ground-truth family sizes.
 
 use bench::{banner, compare, write_artifact};
 use mining::lcs::{mine_common_patterns, MinerConfig, SupportMode};
@@ -51,7 +52,7 @@ fn main() {
     compare("planted max support", planted[0] as f64, 14.0);
     if let Some(top) = patterns.first() {
         println!(
-            "mined top pattern: {} count={} (motif-superset counts run above the planted 14; see EXPERIMENTS.md)",
+            "mined top pattern: {} count={} (motif-superset counts run above the planted 14; see README)",
             top.name(),
             top.support
         );

@@ -1,6 +1,6 @@
 //! E11 — Insight 2's effective range: detection as a function of the
-//! observed alert prefix, plus the full detector comparison (the ablation
-//! DESIGN.md calls out: factor graph vs rule-based vs critical-only).
+//! observed alert prefix, plus the full detector comparison (the README's
+//! "Ablations": factor graph vs rule-based vs critical-only).
 //!
 //! "An attack preemption model must work with sequences of two to five
 //! alerts to detect the attack."

@@ -1,7 +1,7 @@
 //! # bench — experiment harnesses
 //!
-//! One binary per paper artifact (see `EXPERIMENTS.md` at the workspace
-//! root). Each binary regenerates its table/figure from scratch with fixed
+//! One binary per paper artifact (see "Paper artifacts" in the workspace
+//! README). Each binary regenerates its table/figure from scratch with fixed
 //! seeds, prints the same rows/series the paper reports, and writes a
 //! machine-readable JSON copy under `target/experiments/`.
 //!
@@ -50,9 +50,10 @@ pub fn banner(title: &str) {
 }
 
 /// Serialize a stream report's detection/notification stream to one
-/// canonical string — the byte-identity witness the executor benchmarks
-/// (`bench2`, `bench3`) compare across executors. Defined once so both
-/// benches assert the same identity predicate.
+/// canonical string — the byte-identity witness the quality gates
+/// (`tests/quality_gates.rs`) and perfbench compare across executors,
+/// scopes and restarts. Defined once so every comparison asserts the same
+/// identity predicate.
 pub fn detection_bytes(report: &testbed::StreamReport) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();

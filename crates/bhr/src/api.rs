@@ -257,6 +257,19 @@ impl BhrHandle {
         self.inner.lock().is_blocked(addr, ts)
     }
 
+    /// Routing-path lookup: the block null-routing `addr` at `ts`, if
+    /// any. Counted like [`BhrHandle::is_blocked`] and, like it, not
+    /// audited, so a router reading every dropped flow's reason leaves the
+    /// ledger alone.
+    pub fn active_block(&self, ts: SimTime, addr: Ipv4Addr) -> Option<Block> {
+        let mut table = self.inner.lock();
+        if table.is_blocked(addr, ts) {
+            table.query(addr).copied()
+        } else {
+            None
+        }
+    }
+
     /// Sweep expired routes.
     pub fn sweep(&self, ts: SimTime) -> usize {
         let n = self.inner.lock().sweep(ts);

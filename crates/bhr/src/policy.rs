@@ -100,13 +100,10 @@ impl BhrFilter {
 
 impl RouteFilter for BhrFilter {
     fn check(&mut self, t: SimTime, flow: &Flow) -> RouteDecision {
-        if self.handle.is_blocked(t, flow.src) {
+        if let Some(block) = self.handle.active_block(t, flow.src) {
             self.scans_recorded += 1;
             return RouteDecision::Drop(DropReason::NullRouted {
-                reason: self
-                    .handle
-                    .query(t, flow.src)
-                    .map_or_else(|| "blocked".into(), |b| b.reason.to_string()),
+                reason: block.reason.to_string(),
             });
         }
         if flow.state.probe_like() {
@@ -156,6 +153,34 @@ mod tests {
         assert_eq!(filter.scans_recorded(), 40);
         assert_eq!(filter.auto_blocks(), 1);
         assert_eq!(handle.active_blocks(), 1);
+    }
+
+    #[test]
+    fn dropped_flows_leave_the_audit_log_alone() {
+        let policy = AutoBlockPolicy {
+            max_probes: 10,
+            window: SimDuration::from_mins(1),
+            block_ttl: None,
+        };
+        let audit_len_after = |dropped: u64| {
+            let handle = BhrHandle::new();
+            let mut filter = BhrFilter::new(handle.clone(), Some(policy.clone()));
+            for i in 0..10 + dropped {
+                let f = probe(i, "103.102.1.1", (i % 250) as u8);
+                let decision = filter.check(SimTime::from_secs(i), &f);
+                if i >= 10 {
+                    let RouteDecision::Drop(DropReason::NullRouted { reason }) = decision else {
+                        panic!("probe {i} after the auto-block forwarded");
+                    };
+                    assert_eq!(reason, "auto: scan rate exceeded");
+                }
+            }
+            assert_eq!(filter.scans_recorded(), dropped);
+            handle.audit_log().len()
+        };
+        // One auto-block, then N dropped probes: only the block is logged.
+        assert_eq!(audit_len_after(1), 1);
+        assert_eq!(audit_len_after(500), 1);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Several harnesses in this workspace assert "this hot path performs N
 //! heap allocations" (the factor-graph engine, the symbolize→filter→detect
-//! pipeline, BENCH_4). They share this one implementation so the counting
-//! semantics — every `alloc` *and* `realloc` increments, `dealloc` does
-//! not, `Relaxed` ordering — cannot drift between them. Each binary or
-//! test crate still has to install it itself:
+//! pipeline, the bench quality gates). They share this one implementation
+//! so the counting semantics — every `alloc` *and* `realloc` increments,
+//! `dealloc` does not, `Relaxed` ordering — cannot drift between them.
+//! Each binary or test crate still has to install it itself:
 //!
 //! ```ignore
 //! use simnet::alloc_count::{allocations, CountingAllocator};

@@ -172,9 +172,10 @@ pub struct LearningPoint {
 
 /// Replay one fixed mutated campaign (generated once from `cfg.seed`)
 /// against each `(corpus_size, model)` pair: training volume vs
-/// preemption-under-mutation. Callers train the models (see `bench9`) —
-/// this keeps the harness free of a training-pipeline dependency and the
-/// sweep paired on an identical record stream.
+/// preemption-under-mutation. Callers train the models (see the bench
+/// crate's `reactive_and_learning_curve_gates`) — this keeps the harness
+/// free of a training-pipeline dependency and the sweep paired on an
+/// identical record stream.
 pub fn learning_curve(
     cfg: &TestbedConfig,
     campaign_cfg: &CampaignConfig,

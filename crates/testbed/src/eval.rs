@@ -185,8 +185,8 @@ pub struct EvalReport {
 }
 
 impl EvalReport {
-    /// Serialize the report as a JSON value (the `BENCH_3.json` /
-    /// `ADVERSARIAL_EVAL.json` artifact payload).
+    /// Serialize the report as a JSON value (the `ADVERSARIAL_EVAL.json`
+    /// artifact payload).
     pub fn to_json(&self) -> serde_json::Value {
         let family_json = |f: &FamilyEval| {
             serde_json::json!({
@@ -938,8 +938,8 @@ mod tests {
     #[test]
     fn lateral_split_breakdown_reaches_report_and_json() {
         // Force every attack session to split across 3 entities and turn
-        // the correlator on (via the tagger config, the `run_campaign`
-        // path bench7 uses).
+        // the correlator on (via the tagger config, as the lateral-split
+        // quality gate does).
         let mut cfg = TestbedConfig::default();
         cfg.tagger.correlation = Some(detect::CorrelationPolicy::default());
         let mut ccfg = campaign_cfg(32);

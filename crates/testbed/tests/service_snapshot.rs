@@ -7,7 +7,9 @@
 //! stream counters, same detection stream, same campaign graph. And the
 //! per-entity state budget (`detect_max_entities`) must be
 //! detection-neutral: a bounded pipeline with eviction active yields
-//! byte-identical detections to the unbounded one.
+//! byte-identical detections to the unbounded one. A tenant-scoped
+//! service run matches the global-scope inline run's notifications byte
+//! for byte.
 //!
 //! Restore-level properties: a committed format-1 snapshot and its
 //! format-2 re-encoding restore with zero drift; a snapshot restores into
@@ -324,6 +326,24 @@ proptest! {
             detection_keys(&bounded_sharded),
             detection_keys(&bounded)
         );
+    }
+
+    /// The same pipeline run inline in the global scope and through a
+    /// tenant-scoped service gives byte-identical notifications and equal
+    /// stats, whatever the batch size.
+    #[test]
+    fn tenant_service_matches_global_inline(
+        seed in 0u64..100_000,
+        sessions in 2usize..16,
+        lateral_x10 in 0u64..10,
+        batch in 1usize..200,
+    ) {
+        let records = campaign_records(seed, sessions, lateral_x10 as f64 / 10.0);
+        let tenant = TenantId(5);
+        let inline = service_factory()(tenant, SymScope::global()).run_inline(records.clone());
+        let service = run_tenant(tenant, &records, batch, |_| {});
+        prop_assert_eq!(notification_bytes(&service), notification_bytes(&inline));
+        prop_assert_eq!(service.stats, inline.stats);
     }
 }
 

@@ -33,8 +33,8 @@ fn main() {
 
     // Insight 2: common alert sequences (Fig. 3b). LcsPeers counts the
     // incidents whose shared signature with a peer is exactly the pattern
-    // (see DESIGN.md on how this reconciles "S1 seen 14 times" with the
-    // 60% motif prevalence).
+    // (see the README's "Fig. 3b counts and the 60.08% S1 motif" on how
+    // this reconciles "S1 seen 14 times" with the 60% motif prevalence).
     let patterns = mine_common_patterns(
         &store,
         &MinerConfig {

@@ -19,10 +19,11 @@
 //! | [`vizgraph`] | `vizgraph` | Fig. 1 graph + Yifan Hu layout + exports |
 //! | [`testbed`] | `testbed` | the end-to-end ATTACKTAGGER pipeline |
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! per-figure/table reproduction index. The `examples/` directory contains
-//! runnable walkthroughs (`quickstart`, `ransomware_replay`,
-//! `incident_mining`, `honeynet_blocking`, `visualize_attacks`).
+//! See the workspace README for the system inventory ("Workspace layout",
+//! "Pipeline architecture") and the per-figure/table reproduction index
+//! ("Paper artifacts"). The `examples/` directory contains runnable
+//! walkthroughs (`quickstart`, `ransomware_replay`, `incident_mining`,
+//! `honeynet_blocking`, `visualize_attacks`).
 //!
 //! ## Quickstart
 //! ```
