@@ -19,7 +19,6 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
 use simnet::intern::{Sym, SymMap, SymScope};
 use simnet::time::SimTime;
 use simnet::topology::HostId;
@@ -28,7 +27,7 @@ use crate::message::MessageSpec;
 use crate::taxonomy::{AlertKind, Severity};
 
 /// The acting entity an alert is attributed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Entity {
     /// A user account (the primary attack-session key, §III-B).
     User(Sym),
@@ -45,7 +44,7 @@ pub enum Entity {
 /// symbol id, or the address as a `u32`). The encoding is lossless, so an
 /// id converts back to its [`Entity`] (and key string) without any lookup
 /// table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EntityId(u64);
 
 const TAG_USER: u64 = 1 << 32;
@@ -123,7 +122,7 @@ impl EntityId {
 /// For a user the id is a position in the snapshot's symbol universe
 /// (see [`SymMap`]); otherwise it is the key's own payload (an IPv4
 /// address as a `u32`, 0 for `unknown`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SnapKey {
     /// One of [`SnapKey::USER`], [`SnapKey::ADDR`], [`SnapKey::UNKNOWN`]
     /// or [`SnapKey::SOURCE`].
@@ -395,7 +394,7 @@ impl fmt::Debug for EntityKey {
 }
 
 /// A symbolized alert. `Copy`-cheap: no field owns heap storage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Alert {
     pub ts: SimTime,
     pub kind: AlertKind,

@@ -13,28 +13,27 @@
 
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
 use simnet::rng::FxHashSet;
 
 use crate::alert::{Alert, Entity};
 use crate::taxonomy::{AlertKind, Severity};
 
 /// Binary attack-state label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Label {
     Benign,
     Malicious,
 }
 
 /// How a label was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     Auto,
     Expert,
 }
 
 /// An annotated alert label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Annotation {
     pub label: Label,
     pub method: Method,
@@ -42,7 +41,7 @@ pub struct Annotation {
 
 /// The ground truth from a human-written incident report: "the users and
 /// the machines involved in the incident" (§II-A).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GroundTruth {
     /// Compromised or attacker-controlled accounts.
     pub users: Vec<String>,
@@ -65,7 +64,7 @@ impl GroundTruth {
 }
 
 /// Summary counts of an annotation run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnnotationReport {
     pub total: u64,
     pub auto_annotated: u64,

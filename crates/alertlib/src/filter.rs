@@ -9,7 +9,6 @@
 
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
 use simnet::intern::SymMap;
 use simnet::rng::FxHashMap;
 use simnet::time::{SimDuration, SimTime};
@@ -17,7 +16,7 @@ use simnet::time::{SimDuration, SimTime};
 use crate::alert::{Alert, Entity, EntityId, SnapKey};
 
 /// Filter settings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FilterConfig {
     /// Dedup window for noise alerts.
     pub window: SimDuration,
@@ -38,7 +37,7 @@ impl Default for FilterConfig {
 }
 
 /// Streaming filter statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
     pub seen: u64,
     pub admitted: u64,
@@ -246,7 +245,7 @@ impl ScanFilter {
 const ANON_SRC_TAG: u64 = 4 << 32;
 
 /// One `(source, kind)` dedup window in process-independent form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FilterWindowSnapshot {
     /// The window's entity, or a [`SnapKey::SOURCE`] for windows keyed
     /// by an anonymous source address.
@@ -258,7 +257,7 @@ pub struct FilterWindowSnapshot {
 }
 
 /// Full dedup state of a [`ScanFilter`], for service snapshot/restore.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FilterSnapshot {
     /// Sorted by `(source, kind)`.
     pub windows: Vec<FilterWindowSnapshot>,

@@ -21,14 +21,13 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
 use simnet::flow::{ConnState, Proto};
 use simnet::intern::{Sym, SymScope, SymTable};
 
 use crate::sanitize::{sanitize, SanitizeConfig};
 
 /// A structured, allocation-free alert message, rendered on demand.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MessageSpec {
     /// No message.
     #[default]

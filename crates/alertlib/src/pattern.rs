@@ -6,11 +6,9 @@
 //! O(n·m) worst case with the classic two-pointer backtracking algorithm
 //! and allocation-free.
 
-use serde::{Deserialize, Serialize};
-
 /// A compiled wildcard pattern. `*` matches any (possibly empty) substring;
 /// every other byte matches itself, case-sensitively.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pattern {
     raw: String,
 }

@@ -6,10 +6,8 @@
 //! This module scrubs alert messages: IP addresses, email addresses, long
 //! digit runs (IDs, SSNs, card numbers) and home-directory user names.
 
-use serde::{Deserialize, Serialize};
-
 /// What to scrub. All on by default.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SanitizeConfig {
     /// Mask the last two octets of IPv4 addresses (`a.b.xxx.yyy`).
     pub mask_ips: bool,

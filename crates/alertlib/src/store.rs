@@ -7,7 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use simnet::rng::FxHashSet;
 use simnet::time::SimTime;
 
@@ -16,7 +15,7 @@ use crate::annotate::GroundTruth;
 use crate::taxonomy::AlertKind;
 
 /// Incident identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IncidentId(pub u32);
 
 impl fmt::Display for IncidentId {
@@ -26,7 +25,7 @@ impl fmt::Display for IncidentId {
 }
 
 /// One security incident.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Incident {
     pub id: IncidentId,
     /// Attack family label (e.g. "ransomware", "ssh-keylogger").
@@ -111,7 +110,7 @@ impl Incident {
 }
 
 /// The longitudinal incident corpus.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct IncidentStore {
     incidents: Vec<Incident>,
 }

@@ -14,10 +14,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Alert severity, per the paper's alert concepts (§III-A, Remark 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Legitimate operational activity (e.g. a login).
     Info,
@@ -34,7 +32,7 @@ pub enum Severity {
 
 /// Kill-chain-like attack phase an alert is typically associated with.
 /// Used to seed the factor-graph detector's emission priors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     Benign,
     Recon,
@@ -55,7 +53,7 @@ pub enum Phase {
 macro_rules! alert_kinds {
     ($( $variant:ident => ($symbol:literal, $sev:ident, $phase:ident) ),+ $(,)?) => {
         /// A symbolic alert name. See module docs.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         #[repr(u16)]
         pub enum AlertKind {
             $( $variant ),+

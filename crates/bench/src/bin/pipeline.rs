@@ -3,7 +3,7 @@
 //! A mixture of mass-scanner floods, benign traffic, and embedded attacks
 //! flows through border filtering → monitors → symbolization → scan filter
 //! → detection → response. Reports per-stage counts and throughput for the
-//! in-line (deterministic) and crossbeam-streaming variants.
+//! in-line (deterministic) and streaming (threaded) variants.
 
 use bench::{banner, write_artifact};
 use simnet::intern::SymScope;

@@ -49,7 +49,7 @@ pub fn banner(title: &str) {
     println!("\n==== {title} ====");
 }
 
-/// Serialize a stream report's detection/notification stream to one
+/// Render a stream report's detection/notification stream to one
 /// canonical string — the byte-identity witness the quality gates
 /// (`tests/quality_gates.rs`) and perfbench compare across executors,
 /// scopes and restarts. Defined once so every comparison asserts the same

@@ -671,7 +671,8 @@ fn reactive_and_learning_curve_gates() {
 }
 
 /// The seed campaign through the global-scope inline pipeline and
-/// through a tenant-scoped service gives byte-identical detections.
+/// through a tenant-scoped service gives byte-identical detections, equal
+/// stats and equal campaigns.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "full-scale gate: CI runs it in release")]
 fn tenant_service_matches_global_inline() {
@@ -690,6 +691,7 @@ fn tenant_service_matches_global_inline() {
     let tenant_run = service.shutdown().pop().expect("one live tenant").1;
     assert_eq!(detection_bytes(&inline), detection_bytes(&tenant_run));
     assert_eq!(inline.stats, tenant_run.stats);
+    assert_eq!(inline.campaigns, tenant_run.campaigns);
 }
 
 /// symbolize → filter, the front every hot-path variant shares.

@@ -8,10 +8,8 @@
 
 use std::fmt;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use simnet::time::{SimDuration, SimTime};
 
 use crate::retry::{BlockBackend, BlockError, ReliableBackend};
@@ -20,7 +18,7 @@ use crate::table::{Block, BlockOutcome, BlockReason, NullRouteTable, TableStats}
 /// One audited API call or response-path event. `Copy`: appending one
 /// costs at most the log's own growth, and its text is rendered only when
 /// the entry is displayed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuditEntry {
     pub ts: SimTime,
     pub command: &'static str,
@@ -30,7 +28,7 @@ pub struct AuditEntry {
 
 /// What an [`AuditEntry`] records about its command, displayed as the
 /// ledger's detail text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuditDetail {
     /// An installed block's reason.
     Reason(BlockReason),
@@ -80,6 +78,14 @@ impl fmt::Display for AuditDetail {
     }
 }
 
+/// Lock a shared part of the handle. Every update made under these locks
+/// is one table call, one audit push or one backend call, so the data is
+/// valid at every step: a lock poisoned by a panicking holder is taken
+/// over rather than propagated to the next caller.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Shared handle to the BHR. Cloneable; all clones address the same table
 /// (and the same delivery backend).
 #[derive(Clone)]
@@ -92,7 +98,7 @@ pub struct BhrHandle {
 impl std::fmt::Debug for BhrHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BhrHandle")
-            .field("active_blocks", &self.inner.lock().len())
+            .field("active_blocks", &lock(&self.inner).len())
             .finish_non_exhaustive()
     }
 }
@@ -129,7 +135,7 @@ impl BhrHandle {
         addr: Option<Ipv4Addr>,
         detail: impl Into<AuditDetail>,
     ) {
-        self.audit.lock().push(AuditEntry {
+        lock(&self.audit).push(AuditEntry {
             ts,
             command,
             addr,
@@ -150,7 +156,7 @@ impl BhrHandle {
         ttl: Option<SimDuration>,
     ) -> BlockOutcome {
         let reason = reason.into();
-        let outcome = self.inner.lock().block(addr, reason, ts, ttl);
+        let outcome = lock(&self.inner).block(addr, reason, ts, ttl);
         if outcome != BlockOutcome::Duplicate {
             self.log(ts, "block", Some(addr), reason);
         }
@@ -171,9 +177,9 @@ impl BhrHandle {
         reason: BlockReason,
         ttl: Option<SimDuration>,
     ) -> Result<BlockOutcome, BlockError> {
-        match self.backend.lock().try_block(ts, addr, reason, ttl) {
+        match lock(&self.backend).try_block(ts, addr, reason, ttl) {
             Ok(()) => {
-                let outcome = self.inner.lock().block(addr, reason, ts, ttl);
+                let outcome = lock(&self.inner).block(addr, reason, ts, ttl);
                 if outcome != BlockOutcome::Duplicate {
                     self.log(ts, "block", Some(addr), reason);
                 }
@@ -193,8 +199,8 @@ impl BhrHandle {
     where
         I: IntoIterator<Item = (SimTime, Ipv4Addr, BlockReason, Option<SimDuration>)>,
     {
-        let mut table = self.inner.lock();
-        let mut audit = self.audit.lock();
+        let mut table = lock(&self.inner);
+        let mut audit = lock(&self.audit);
         for (ts, addr, reason, ttl) in blocks {
             if table.block(addr, reason, ts, ttl) == BlockOutcome::Duplicate {
                 continue;
@@ -223,7 +229,7 @@ impl BhrHandle {
 
     /// `bhr-client unblock`: remove a null route.
     pub fn unblock(&self, ts: SimTime, addr: Ipv4Addr) -> bool {
-        let removed = self.inner.lock().unblock(addr).is_some();
+        let removed = lock(&self.inner).unblock(addr).is_some();
         self.log(
             ts,
             "unblock",
@@ -235,7 +241,7 @@ impl BhrHandle {
 
     /// `bhr-client query`: look up an address (audited, non-routing).
     pub fn query(&self, ts: SimTime, addr: Ipv4Addr) -> Option<Block> {
-        let found = self.inner.lock().query(addr).copied();
+        let found = lock(&self.inner).query(addr).copied();
         self.log(
             ts,
             "query",
@@ -247,14 +253,14 @@ impl BhrHandle {
 
     /// `bhr-client list`: snapshot of active blocks.
     pub fn list(&self, ts: SimTime) -> Vec<(Ipv4Addr, Block)> {
-        let snapshot: Vec<_> = self.inner.lock().list().map(|(a, b)| (*a, *b)).collect();
+        let snapshot: Vec<_> = lock(&self.inner).list().map(|(a, b)| (*a, *b)).collect();
         self.log(ts, "list", None, AuditDetail::Entries(snapshot.len()));
         snapshot
     }
 
     /// Routing-path check (not audited; the router calls this per flow).
     pub fn is_blocked(&self, ts: SimTime, addr: Ipv4Addr) -> bool {
-        self.inner.lock().is_blocked(addr, ts)
+        lock(&self.inner).is_blocked(addr, ts)
     }
 
     /// Routing-path lookup: the block null-routing `addr` at `ts`, if
@@ -262,7 +268,7 @@ impl BhrHandle {
     /// audited, so a router reading every dropped flow's reason leaves the
     /// ledger alone.
     pub fn active_block(&self, ts: SimTime, addr: Ipv4Addr) -> Option<Block> {
-        let mut table = self.inner.lock();
+        let mut table = lock(&self.inner);
         if table.is_blocked(addr, ts) {
             table.query(addr).copied()
         } else {
@@ -272,21 +278,21 @@ impl BhrHandle {
 
     /// Sweep expired routes.
     pub fn sweep(&self, ts: SimTime) -> usize {
-        let n = self.inner.lock().sweep(ts);
+        let n = lock(&self.inner).sweep(ts);
         self.log(ts, "sweep", None, AuditDetail::Expired(n));
         n
     }
 
     pub fn stats(&self) -> TableStats {
-        self.inner.lock().stats()
+        lock(&self.inner).stats()
     }
 
     pub fn audit_log(&self) -> Vec<AuditEntry> {
-        self.audit.lock().clone()
+        lock(&self.audit).clone()
     }
 
     pub fn active_blocks(&self) -> usize {
-        self.inner.lock().len()
+        lock(&self.inner).len()
     }
 }
 

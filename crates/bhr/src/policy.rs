@@ -8,7 +8,6 @@
 
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
 use simnet::flow::Flow;
 use simnet::rng::FxHashMap;
 use simnet::router::{DropReason, RouteDecision, RouteFilter};
@@ -18,7 +17,7 @@ use crate::api::BhrHandle;
 
 /// Rate-based auto-block policy: a source exceeding `max_probes` failed
 /// probes within `window` is null-routed for `block_ttl`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AutoBlockPolicy {
     pub max_probes: u32,
     pub window: SimDuration,

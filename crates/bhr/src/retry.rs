@@ -12,7 +12,6 @@ use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use simnet::rng::SimRng;
 use simnet::time::{SimDuration, SimTime};
 
@@ -20,7 +19,7 @@ use crate::table::BlockReason;
 
 /// Why a block RPC failed. `Copy`: a failed delivery is recorded and
 /// audited without allocating, and rendered only when displayed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockError {
     /// The backend RPC for the block of `addr` failed (transient:
     /// connection refused, 5xx, ...). Displays as
@@ -141,7 +140,7 @@ impl BlockBackend for FlakyBackend {
 /// Retry schedule for failed response deliveries: exponential backoff
 /// with jitter, an attempt cap, an overall deadline, and a circuit
 /// breaker that stops hammering a down router.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Total delivery attempts per block (first try included) before the
     /// block is abandoned. `1` disables retries.

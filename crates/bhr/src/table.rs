@@ -8,14 +8,13 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
 use simnet::rng::FxHashMap;
 use simnet::time::{SimDuration, SimTime};
 
 /// Why a source is null-routed. A `Copy` value that holds only static
 /// text and is rendered when displayed, so installing, retrying and
 /// auditing a block allocates no string.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockReason {
     /// A detector decided to block: displays as
     /// `detector: {trigger} at {stage}`.
@@ -47,7 +46,7 @@ impl fmt::Display for BlockReason {
 }
 
 /// One null-route entry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Block {
     pub reason: BlockReason,
     pub inserted: SimTime,
@@ -62,7 +61,7 @@ impl Block {
 }
 
 /// Table counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableStats {
     pub blocks_added: u64,
     pub blocks_removed: u64,
@@ -83,7 +82,7 @@ pub struct TableStats {
 /// What a `block` call did to the table — lets callers (and the audit
 /// log) distinguish fresh installs from reason changes from idempotent
 /// re-deliveries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockOutcome {
     /// No active entry existed; a null route was installed.
     Added,

@@ -17,7 +17,6 @@ use alertlib::alert::{Alert, EntityId, EntityKey, SnapKey};
 use alertlib::taxonomy::AlertKind;
 use factorgraph::chain::ChainModel;
 use factorgraph::timing::GAP_NONE;
-use serde::{Deserialize, Serialize};
 use simnet::intern::{SymMap, SymScope};
 use simnet::rng::{FxHashMap, FxHashSet};
 use simnet::time::{SimDuration, SimTime};
@@ -43,7 +42,7 @@ use crate::stage::Stage;
 ///   [`factorgraph::timing::GapModel`], the quantized gap preceding each
 ///   alert is folded in as one more observation factor, so low-and-slow
 ///   tempo *adds* evidence instead of hiding the attack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TemporalPolicy {
     /// Half-life of accumulated per-entity evidence; `None` disables
     /// decay.
@@ -59,7 +58,6 @@ pub struct TemporalPolicy {
     /// this window is dropped as a telemetry re-delivery instead of
     /// double-counting as evidence. `None` (the default) disables
     /// suppression, preserving the historical filter byte for byte.
-    #[serde(default)]
     pub dedup_window: Option<SimDuration>,
 }
 
@@ -138,7 +136,7 @@ pub(crate) fn decay_factor(gap: SimDuration, half_life: Option<SimDuration>) -> 
 }
 
 /// Decision configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaggerConfig {
     /// Posterior mass over attack stages required to raise a detection.
     pub threshold: f64,
@@ -148,17 +146,13 @@ pub struct TaggerConfig {
     /// forward message, so this only bounds the reported context.
     pub max_context: usize,
     /// Per-entity temporal evidence policy (decay / timeout / gap
-    /// observations). Configs serialized before the temporal extension
-    /// deserialize to the default policy.
-    #[serde(default)]
+    /// observations).
     pub temporal: TemporalPolicy,
     /// Opt-in cross-entity campaign correlation
-    /// ([`crate::correlate::CampaignCorrelator`]). `None` — the default,
-    /// and what pre-correlation configs deserialize to — keeps the
-    /// detector strictly per-entity. The tagger itself never reads this;
-    /// it is the policy carrier for the layer above (pipeline builder /
-    /// [`crate::correlate::CorrelatedTagger`]).
-    #[serde(default)]
+    /// ([`crate::correlate::CampaignCorrelator`]). `None` — the default —
+    /// keeps the detector strictly per-entity. The tagger itself never
+    /// reads this; it is the policy carrier for the layer above (pipeline
+    /// builder / [`crate::correlate::CorrelatedTagger`]).
     pub correlation: Option<CorrelationPolicy>,
     /// Soft bound on resident per-entity state (long-lived service mode).
     /// `0` — the default, and the historical behaviour — tracks every
@@ -171,7 +165,6 @@ pub struct TaggerConfig {
     /// *detected* entity), so a re-arriving attacker is never re-counted.
     /// Without a `session_timeout` no state is ever provably dead and the
     /// bound is inert.
-    #[serde(default)]
     pub max_entities: usize,
 }
 
@@ -189,7 +182,7 @@ impl Default for TaggerConfig {
 }
 
 /// A raised detection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Detection {
     /// When the detection fired.
     pub ts: SimTime,
@@ -221,7 +214,7 @@ pub struct Observation {
 /// restores correctly in a fresh process whose intern table assigns
 /// different ids. The posterior and the dedup ring have fixed arity, so a
 /// snapshot entity owns no heap buffer of its own.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EntityStateSnapshot {
     pub entity: SnapKey,
     /// Filtered posterior over stages.
@@ -239,11 +232,11 @@ pub struct EntityStateSnapshot {
     pub recent_head: u8,
 }
 
-/// Serialized posteriors of an [`AttackTagger`] — the detector's share of
+/// Exported posteriors of an [`AttackTagger`] — the detector's share of
 /// a service snapshot. Restoring it with
 /// [`AttackTagger::import_state`] and replaying the stream tail yields
 /// byte-identical detections to the uninterrupted run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TaggerSnapshot {
     /// Per-entity filter state, sorted by entity.
     pub entities: Vec<EntityStateSnapshot>,
@@ -756,7 +749,7 @@ impl AttackTagger {
         self.states.len()
     }
 
-    /// Serialize the per-entity posteriors (and eviction side state) for
+    /// Export the per-entity posteriors (and eviction side state) for
     /// a service snapshot. Deterministic: entities and latches are sorted
     /// by key. Users are named by symbol id, which is their position in
     /// the minting scope's universe ([`SymScope::snapshot`]).

@@ -57,8 +57,7 @@
 //! session-timeout semantics, so an adversarial many-entity alert storm
 //! cannot grow memory without bound.
 
-use serde::{Deserialize, Serialize};
-use simnet::intern::SymMap;
+use simnet::intern::{SymMap, SymScope};
 use simnet::rng::{FxHashMap, FxHashSet};
 use simnet::time::{SimDuration, SimTime};
 
@@ -75,7 +74,7 @@ use crate::stage::Stage;
 
 /// Opt-in cross-entity correlation policy (carried on
 /// [`TaggerConfig::correlation`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorrelationPolicy {
     /// Decayed attack mass an entity needs before it *anchors* links:
     /// cold entities never seed a campaign through a shared join key.
@@ -157,7 +156,7 @@ impl Default for CorrelationPolicy {
 }
 
 /// The kind of join key a link formed through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LinkKind {
     /// Shared destination (victim) address.
     Victim,
@@ -190,9 +189,23 @@ struct CampaignLink {
     kind: LinkKind,
 }
 
-/// A campaign link rendered for reports and snapshots: canonical entity
-/// keys plus the join-key kind that formed it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+impl CampaignLink {
+    /// The endpoints' canonical keys, in key order.
+    fn keys(&self, scope: &SymScope) -> (EntityKey, EntityKey) {
+        let (a, b) = (self.a.key(scope), self.b.key(scope));
+        if a <= b {
+            (a, b)
+        } else {
+            (b, a)
+        }
+    }
+}
+
+/// A campaign link rendered for reports: canonical entity keys, in key
+/// order (`a <= b`), plus the join-key kind that formed it. Key order makes
+/// the rendering independent of the interner's ids, so the global scope
+/// and a tenant scope report the same link.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkSummary {
     pub ts: SimTime,
     pub a: EntityKey,
@@ -202,7 +215,7 @@ pub struct LinkSummary {
 
 /// A campaign rendered for reports: stable id, sorted member entity keys,
 /// link provenance, and detection counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSummary {
     /// Correlator-assigned campaign id (stable across executors — the
     /// correlator consumes the merged outcome stream in stream order).
@@ -221,7 +234,7 @@ pub struct CampaignSummary {
 /// One entity node rendered for snapshots. Process-independent on
 /// purpose: entities are [`SnapKey`]s, never raw ids — raw ids embed
 /// interner-local sym ids that do not survive a restart.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorrelatorEntitySnapshot {
     pub entity: SnapKey,
     /// Campaign slot id, or `u32::MAX` when uncorrelated.
@@ -241,7 +254,7 @@ pub struct CorrelatorEntitySnapshot {
 }
 
 /// One join-key recency ring rendered for snapshots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinKeySnapshot {
     pub kind: LinkKind,
     /// Address / host-id payload, or for a palette key the payload's
@@ -254,7 +267,7 @@ pub struct JoinKeySnapshot {
 }
 
 /// One campaign rendered for snapshots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSnapshot {
     pub id: u32,
     /// Members in *insertion order* — stitched replay folds a bounded
@@ -276,9 +289,9 @@ pub struct CampaignSnapshot {
     pub detections: u32,
 }
 
-/// One campaign link rendered for snapshots: [`LinkSummary`] with
-/// [`SnapKey`] endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// One campaign link rendered for snapshots: [`SnapKey`] endpoints in the
+/// correlator's own orientation, which a restore takes back as is.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSnapshot {
     pub ts: SimTime,
     pub a: SnapKey,
@@ -291,7 +304,7 @@ pub struct LinkSnapshot {
 /// byte-identical downstream detections. Policy, chain model, and
 /// decision stages are configuration, not state, and are reconstructed
 /// from config on restore.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CorrelatorSnapshot {
     /// Entity nodes, sorted by key (canonical order; the graph itself is
     /// insertion-order independent).
@@ -1006,11 +1019,14 @@ impl CampaignCorrelator {
                 let mut links: Vec<LinkSummary> = c
                     .links
                     .iter()
-                    .map(|l| LinkSummary {
-                        ts: l.ts,
-                        a: l.a.key(scope),
-                        b: l.b.key(scope),
-                        kind: l.kind,
+                    .map(|l| {
+                        let (a, b) = l.keys(scope);
+                        LinkSummary {
+                            ts: l.ts,
+                            a,
+                            b,
+                            kind: l.kind,
+                        }
                     })
                     .collect();
                 // The key covers every field, so an unstable sort orders
@@ -1047,15 +1063,18 @@ impl CampaignCorrelator {
         out
     }
 
-    /// Recorded link endpoints `(a, b, kind)` across campaigns, sorted and
-    /// deduplicated — link *timestamps* depend on arrival order within a
-    /// batch, endpoints do not.
+    /// Recorded link endpoints `(a, b, kind)` across campaigns, each pair
+    /// in key order, sorted and deduplicated — link *timestamps* depend on
+    /// arrival order within a batch, endpoints do not.
     pub fn link_pairs(&self) -> Vec<(EntityKey, EntityKey, LinkKind)> {
         let mut out: Vec<(EntityKey, EntityKey, LinkKind)> = self
             .campaigns
             .values()
             .flat_map(|c| c.links.iter())
-            .map(|l| (l.a.key(&self.scope), l.b.key(&self.scope), l.kind))
+            .map(|l| {
+                let (a, b) = l.keys(&self.scope);
+                (a, b, l.kind)
+            })
             .collect();
         out.sort();
         out.dedup();

@@ -27,12 +27,11 @@ use factorgraph::factor::Factor;
 use factorgraph::graph::FactorGraph;
 use factorgraph::sumproduct::{run_in, BpOptions, BpSchedule, BpStats, BpWorkspace};
 use factorgraph::VarId;
-use serde::{Deserialize, Serialize};
 
 use crate::stage::Stage;
 
 /// Configuration of the session factor graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SessionGraphConfig {
     /// Strength of the skip factor: probability mass placed on the two
     /// linked events being in the same stage (vs. uniform elsewhere).
@@ -52,15 +51,7 @@ pub struct SessionGraphConfig {
     /// Fold the model's quantized inter-alert-gap observations into each
     /// step's evidence factor (no-op when the model carries no
     /// [`factorgraph::timing::GapModel`]).
-    #[serde(default = "default_gap_observations")]
     pub gap_observations: bool,
-}
-
-// Referenced by the `serde(default = ...)` attribute; the offline serde
-// shim's derive does not expand it, hence the explicit allow.
-#[allow(dead_code)]
-fn default_gap_observations() -> bool {
-    true
 }
 
 impl Default for SessionGraphConfig {

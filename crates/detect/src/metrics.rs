@@ -10,7 +10,6 @@
 use alertlib::alert::Alert;
 use alertlib::store::{IncidentId, IncidentStore};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use simnet::time::SimDuration;
 
 use crate::attack_tagger::{AttackTagger, Detection};
@@ -51,7 +50,7 @@ impl SequenceDetector for CriticalOnlyDetector {
 }
 
 /// Per-incident evaluation outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IncidentOutcome {
     pub id: IncidentId,
     pub detected: bool,
@@ -64,7 +63,7 @@ pub struct IncidentOutcome {
 }
 
 /// Aggregate evaluation summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvalSummary {
     pub detector: String,
     pub incidents: usize,

@@ -8,14 +8,13 @@
 
 use alertlib::alert::Alert;
 use alertlib::taxonomy::AlertKind;
-use serde::{Deserialize, Serialize};
 use simnet::time::SimDuration;
 
 use crate::attack_tagger::Detection;
 use crate::stage::Stage;
 
 /// A detection rule: an ordered kind sequence within a window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Rule {
     pub name: String,
     pub sequence: Vec<AlertKind>,

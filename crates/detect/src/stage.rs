@@ -5,11 +5,10 @@
 //! collapses it to the paper's benign / suspicious / malicious verdicts.
 
 use alertlib::taxonomy::Phase;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Hidden attack stage, ordered by progression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Stage {
     /// Normal user activity.

@@ -7,8 +7,6 @@
 //! *causal* posterior a preemption model must use online), forward-backward
 //! smoothing, Viterbi MAP decoding and sequence likelihood — all O(n·S²).
 
-use serde::{Deserialize, Serialize};
-
 use crate::factor::Factor;
 use crate::graph::FactorGraph;
 use crate::timing::{GapModel, GAP_NONE};
@@ -21,7 +19,7 @@ const LN_MIN_POSITIVE: f64 = -708.396_418_532_264_1;
 /// A stationary chain model: prior, transition and emission tables, plus
 /// an optional quantized inter-observation-gap emission model
 /// ([`GapModel`], Insight 3: attack tempo is evidence).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainModel {
     n_states: usize,
     n_obs: usize,
@@ -32,9 +30,7 @@ pub struct ChainModel {
     /// `emit[s * n_obs + o]` = P(o_t = o | s_t = s).
     emit: Vec<f64>,
     /// Optional timing side: `P(gap bin | state)` folded in as one more
-    /// observation factor per step. `None` = the order-only model
-    /// (pre-temporal artifacts deserialize with this default).
-    #[serde(default)]
+    /// observation factor per step. `None` = the order-only model.
     gap: Option<GapModel>,
 }
 

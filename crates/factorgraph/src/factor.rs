@@ -6,12 +6,10 @@
 //! evidence reduction and normalization are the primitive operations that
 //! belief propagation and exact inference are built from.
 
-use serde::{Deserialize, Serialize};
-
 use crate::variable::VarId;
 
 /// A tabular factor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Factor {
     vars: Vec<VarId>,
     cards: Vec<usize>,

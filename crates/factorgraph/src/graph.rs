@@ -1,16 +1,14 @@
 //! The bipartite factor graph.
 
-use serde::{Deserialize, Serialize};
-
 use crate::factor::Factor;
 use crate::variable::{VarId, Variable};
 
 /// Identifier of a factor within a graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FactorId(pub u32);
 
 /// A factor graph: variables, factors, and the bipartite adjacency.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FactorGraph {
     variables: Vec<Variable>,
     factors: Vec<Factor>,

@@ -6,12 +6,10 @@
 //! add-k smoothing so alerts never seen in training do not zero out the
 //! posterior — essential for "generalizing to unseen attacks".
 
-use serde::{Deserialize, Serialize};
-
 use crate::chain::ChainModel;
 
 /// Accumulates counts from labeled `(state, observation)` sequences.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChainLearner {
     n_states: usize,
     n_obs: usize,

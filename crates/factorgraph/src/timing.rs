@@ -17,8 +17,6 @@
 //! and the per-step likelihood ratios bounded, which is what keeps the
 //! false-positive rate stable when the feature is enabled.
 
-use serde::{Deserialize, Serialize};
-
 /// Gap bin index meaning "no preceding observation" (the first alert of an
 /// entity, or the first after a session timeout). No gap factor is applied
 /// at such steps.
@@ -30,7 +28,7 @@ pub const GAP_NONE: usize = usize::MAX;
 /// `n_bins - 1` bins; the last bin is open-ended. A gap `g` lands in the
 /// first bin whose boundary exceeds it: with boundaries `[60, 3600]`,
 /// gaps quantize to `<1m`, `1m–1h`, `≥1h`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GapModel {
     n_states: usize,
     boundaries_secs: Vec<f64>,
@@ -40,7 +38,6 @@ pub struct GapModel {
     /// folded): machine-paced bursts are emitted by scanners, exploit
     /// tooling and batch jobs alike, so sub-threshold tempo carries no
     /// stage information worth acting on. 0 disables the guard.
-    #[serde(default)]
     neutral_below_secs: f64,
 }
 
@@ -144,7 +141,7 @@ pub fn quantize_gap(boundaries_secs: &[f64], gap_secs: f64) -> usize {
 /// with add-k smoothing — the timing counterpart of
 /// [`crate::learn::ChainLearner`], kept separate so order-only training
 /// paths pay nothing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GapLearner {
     n_states: usize,
     boundaries_secs: Vec<f64>,

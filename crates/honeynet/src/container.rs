@@ -6,13 +6,12 @@
 //! destroyed and reprovisioned after collecting attack traces, bounding the
 //! blast radius of a compromise.
 
-use serde::{Deserialize, Serialize};
 use simnet::time::{SimDuration, SimTime};
 
 use crate::vrt::Snapshot;
 
 /// An immutable container image built by the VRT tool.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContainerImage {
     pub name: String,
     pub snapshot: Snapshot,
@@ -21,7 +20,7 @@ pub struct ContainerImage {
 }
 
 /// Lifecycle state of an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstanceState {
     Provisioned,
     Running,
@@ -31,7 +30,7 @@ pub enum InstanceState {
 }
 
 /// A running container (inside its QEMU wrapper).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Container {
     pub id: u64,
     pub image: String,
@@ -71,7 +70,7 @@ impl Container {
 }
 
 /// Pool statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     pub provisioned: u64,
     pub recycled: u64,

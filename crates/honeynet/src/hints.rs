@@ -10,13 +10,12 @@
 //! Each channel gets a *unique* secret, so when a secret shows up at the
 //! honeypot, the deployment knows which leak the attacker read.
 
-use serde::{Deserialize, Serialize};
 use simnet::rng::{FxHashMap, SimRng};
 
 use crate::service::Credential;
 
 /// Where a hint was planted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LeakChannel {
     Git,
     SocialMedia,
@@ -43,7 +42,7 @@ impl LeakChannel {
 }
 
 /// A planted hint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hint {
     pub channel: LeakChannel,
     pub credential: Credential,

@@ -7,7 +7,6 @@
 
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
 use simnet::addr::Cidr;
 use simnet::flow::Flow;
 use simnet::router::{DropReason, RouteDecision, RouteFilter};
@@ -25,7 +24,7 @@ pub struct EgressFirewall {
 }
 
 /// A logged egress drop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EgressDrop {
     pub ts: SimTime,
     pub src: Ipv4Addr,

@@ -11,13 +11,12 @@
 //! pins a vulnerable version (CVE-2019-9193), and default-credential
 //! authentication (§IV-B's advertised `postgres`/`postgres`).
 
-use serde::{Deserialize, Serialize};
 use simnet::action::DbCommandKind;
 
 use crate::service::{CommandOutcome, Credential, ServiceEvent, SessionCtx, VulnerableService};
 
 /// A stored large object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LargeObject {
     pub oid: u32,
     pub hex_prefix: String,

@@ -7,11 +7,10 @@
 //! become simulation actions (file drops, egress attempts), which the
 //! monitors then see — the honeypot is instrumented, not instrumented-by.
 
-use serde::{Deserialize, Serialize};
 use simnet::action::DbCommandKind;
 
 /// A service credential.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Credential {
     pub user: String,
     pub secret: String,
@@ -27,7 +26,7 @@ impl Credential {
 }
 
 /// Observable side effect of a service command.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ServiceEvent {
     /// A database wire command was executed (observed by the DB audit log).
     Db {
@@ -44,7 +43,7 @@ pub enum ServiceEvent {
 }
 
 /// Reply + side effects of one command.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommandOutcome {
     pub reply: String,
     pub events: Vec<ServiceEvent>,

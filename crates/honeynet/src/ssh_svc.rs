@@ -5,12 +5,10 @@
 //! attacker attribution, and passes executed commands through as
 //! observable events.
 
-use serde::{Deserialize, Serialize};
-
 use crate::service::{CommandOutcome, Credential, ServiceEvent, SessionCtx, VulnerableService};
 
 /// One captured authentication attempt.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapturedAttempt {
     pub user: String,
     pub secret: String,

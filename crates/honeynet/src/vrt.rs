@@ -13,11 +13,10 @@
 //! Heartbleed example (input `20140401` → Debian 7 "wheezy" with
 //! `openssl 1.0.1e`, which is vulnerable).
 
-use serde::{Deserialize, Serialize};
 use simnet::time::SimTime;
 
 /// A distribution release.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Release {
     pub name: String,
     pub version: String,
@@ -25,7 +24,7 @@ pub struct Release {
 }
 
 /// A dated package upload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackageUpload {
     pub package: String,
     pub version: String,
@@ -35,7 +34,7 @@ pub struct PackageUpload {
 }
 
 /// A resolved point-in-time system image description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     pub date: SimTime,
     pub release: Release,
@@ -54,7 +53,7 @@ impl Snapshot {
 }
 
 /// A known vulnerability affecting specific package versions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vulnerability {
     /// CVE-style identifier.
     pub id: String,
@@ -67,7 +66,7 @@ pub struct Vulnerability {
 }
 
 /// The snapshot repository plus vulnerability database.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SnapshotRepo {
     releases: Vec<Release>,
     uploads: Vec<PackageUpload>,

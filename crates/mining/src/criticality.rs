@@ -10,11 +10,10 @@
 
 use alertlib::store::IncidentStore;
 use alertlib::taxonomy::AlertKind;
-use serde::{Deserialize, Serialize};
 use simnet::rng::FxHashSet;
 
 /// Corpus-wide criticality measurements.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CriticalityReport {
     /// Distinct critical kinds observed (paper: 19).
     pub unique_critical_kinds: usize,

@@ -7,10 +7,9 @@
 
 use alertlib::store::IncidentStore;
 use alertlib::taxonomy::AlertKind;
-use serde::{Deserialize, Serialize};
 
 /// Recurrence measurement of one pattern over a corpus.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Recurrence {
     /// Incidents containing the pattern.
     pub hits: usize,

@@ -3,10 +3,8 @@
 //! These are the plotting primitives behind Fig. 2 (daily alert series) and
 //! Fig. 3 (similarity CDF, LCS count histogram).
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical cumulative distribution function over `f64` samples.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }
@@ -71,7 +69,7 @@ impl Cdf {
 }
 
 /// A fixed-bin histogram over integer categories (e.g. pattern indices).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     counts: Vec<u64>,
 }
@@ -119,7 +117,7 @@ impl Histogram {
 }
 
 /// Mean / standard deviation / extrema of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     pub n: usize,
     pub mean: f64,

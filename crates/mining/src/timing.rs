@@ -13,7 +13,6 @@
 use alertlib::alert::Alert;
 use alertlib::store::IncidentStore;
 use alertlib::taxonomy::Severity;
-use serde::{Deserialize, Serialize};
 
 use crate::stats::Summary;
 
@@ -26,7 +25,7 @@ pub fn inter_arrival_secs(alerts: &[Alert]) -> Vec<f64> {
 }
 
 /// Timing profile of one phase.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PhaseTiming {
     /// Number of gaps measured.
     pub gaps: usize,
@@ -49,7 +48,7 @@ impl PhaseTiming {
 }
 
 /// Automated-vs-manual timing comparison across a corpus.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TimingComparison {
     pub automated: PhaseTiming,
     pub manual: PhaseTiming,

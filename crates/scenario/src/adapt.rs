@@ -31,7 +31,6 @@ use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 
 use alertlib::taxonomy::AlertKind;
-use serde::{Deserialize, Serialize};
 use simnet::intern::SymScope;
 use simnet::rng::{FxHashSet, SimRng};
 use simnet::time::{SimDuration, SimTime};
@@ -47,7 +46,7 @@ use crate::stream::record_stream;
 /// proposal stays inside these ranges, so the optimizer cannot wander
 /// into configs the mutation engine rejects (`dilation < 1.0`) or that
 /// trivialize the campaign (all-decoy, all-dropped).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpace {
     pub drop_prob: (f64, f64),
     pub swap_prob: (f64, f64),
@@ -259,7 +258,7 @@ impl FeedbackTap {
 /// How the attacker reacts to an observed block on one of its session
 /// entities. All reactions apply to *future* (unemitted) steps only —
 /// history is immutable, exactly as for a real adversary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReactivePolicy {
     /// Rotate remaining steps of a blocked hop onto a fresh source
     /// entity.
@@ -301,7 +300,7 @@ impl ReactivePolicy {
 }
 
 /// Attacker-side accounting of one reactive campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReactiveStats {
     /// Planned sessions (attack + decoy).
     pub sessions: usize,

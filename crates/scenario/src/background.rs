@@ -14,13 +14,12 @@ use std::net::Ipv4Addr;
 
 use alertlib::alert::{Alert, Entity};
 use alertlib::taxonomy::AlertKind;
-use serde::{Deserialize, Serialize};
 use simnet::flow::{Flow, FlowId};
 use simnet::rng::{SimRng, Zipf};
 use simnet::time::{SimDuration, SimTime, NANOS_PER_DAY};
 
 /// Daily alert volume model (Fig. 2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VolumeModel {
     pub daily_mean: f64,
     pub daily_std: f64,
@@ -129,7 +128,7 @@ pub fn stream_days(
 }
 
 /// Fig. 1 workload configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1Config {
     /// Sampled flows from the dominant mass scanner (paper: 10,000).
     pub scanner_flows: usize,
@@ -157,7 +156,7 @@ impl Default for Fig1Config {
 }
 
 /// The Fig. 1 ground truth: which addresses play which role.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1GroundTruth {
     /// The mass scanner at the center of part A (103.102.x.y).
     pub mass_scanner: Ipv4Addr,

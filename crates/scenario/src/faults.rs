@@ -35,14 +35,13 @@
 //! is sized to the window up front, the offsets of the first 1,024
 //! clocks are computed once, and records move through by value.
 
-use serde::{Deserialize, Serialize};
 use simnet::rng::SimRng;
 use simnet::time::{SimDuration, SimTime};
 use simnet::topology::HostId;
 use telemetry::record::{LogRecord, RecordKind};
 
 /// Which telemetry a blackout window silences.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlackoutScope {
     /// Every record (site-wide collector outage).
     All,
@@ -54,7 +53,7 @@ pub enum BlackoutScope {
 
 /// One sensor blackout: records in `[start, end)` matching `scope` are
 /// lost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlackoutWindow {
     pub start: SimTime,
     pub end: SimTime,
@@ -78,7 +77,7 @@ impl BlackoutWindow {
 }
 
 /// Per-host clock skew and per-record jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClockSkewConfig {
     /// Magnitude bound of the constant per-host clock offset; each host
     /// clock is assigned a stable offset in `[-max_skew, +max_skew]`.
@@ -95,7 +94,7 @@ impl ClockSkewConfig {
 
 /// A composable, seeded fault configuration. [`FaultPlan::clean`] is the
 /// identity plan; the `with_*` builders switch individual models on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Label carried through [`FaultStats`] into reports and artifacts.
     pub profile: String,
@@ -178,7 +177,7 @@ impl FaultPlan {
 
 /// Counters of everything one injector did, labeled with the plan's
 /// profile — the per-fault-profile annotation the evaluator reports.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultStats {
     pub profile: String,
     /// Records offered to the injector.

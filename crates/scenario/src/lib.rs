@@ -22,13 +22,13 @@
 //!   skew) for degraded-mode evaluation of the pipeline.
 //! - [`mutate`] — the adversarial mutation engine: kill-chain-constrained
 //!   template mutation (drops, reorders, cover interleave, low-and-slow
-//!   dilation, decoys, lateral campaigns) and the [`Campaign`](mutate::Campaign)
+//!   dilation, decoys, lateral campaigns) and the [`Campaign`]
 //!   driver multiplexing hundreds of mutated sessions with background load
 //!   into one ground-truthed record stream.
 //! - [`adapt`] — closed-loop adaptive attackers: a seeded hill-climbing
-//!   search over [`MutationConfig`](mutate::MutationConfig) (worst-case
+//!   search over [`MutationConfig`] (worst-case
 //!   robustness frontier) and a reactive mid-stream generator that
-//!   observes block decisions through a [`FeedbackTap`](adapt::FeedbackTap)
+//!   observes block decisions through a [`FeedbackTap`]
 //!   and rotates sources / stretches tempo / re-splits laterally.
 
 pub mod adapt;

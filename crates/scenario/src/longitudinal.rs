@@ -12,7 +12,6 @@
 
 use alertlib::store::{Incident, IncidentStore};
 use alertlib::taxonomy::AlertKind;
-use serde::{Deserialize, Serialize};
 use simnet::rng::SimRng;
 use simnet::time::SimTime;
 
@@ -20,7 +19,7 @@ use crate::incident::{generate_incident, IncidentSpec};
 use crate::library::{s1_motif, s_pattern_signatures, s_pattern_supports};
 
 /// Generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LongitudinalConfig {
     pub seed: u64,
     pub start_year: i32,

@@ -29,7 +29,6 @@
 use std::net::Ipv4Addr;
 
 use alertlib::taxonomy::AlertKind;
-use serde::{Deserialize, Serialize};
 use simnet::intern::{Sym, SymScope};
 use simnet::rng::SimRng;
 use simnet::time::{SimDuration, SimTime};
@@ -41,7 +40,7 @@ use crate::template::AttackTemplate;
 /// Mutation knobs. All probabilities are per-session or per-step as noted;
 /// everything is driven by the caller's [`SimRng`], so a campaign is
 /// byte-identical under the same seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MutationConfig {
     /// Per-step probability of dropping a droppable step (never the first
     /// step, never a damage step when [`force_damage`](Self::force_damage)).
@@ -142,7 +141,7 @@ impl KillChain {
 }
 
 /// Where a planned step came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOrigin {
     /// Template step (index into the family template).
     Template { index: usize },
@@ -153,7 +152,7 @@ pub enum StepOrigin {
 }
 
 /// One planned step of a mutated session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannedStep {
     /// Offset from the session start.
     pub offset: SimDuration,
@@ -164,7 +163,7 @@ pub struct PlannedStep {
 }
 
 /// A fully planned mutated session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MutatedSession {
     pub id: usize,
     pub family: String,
@@ -464,7 +463,7 @@ impl Default for CampaignConfig {
 }
 
 /// Ground truth for one campaign session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionTruth {
     pub id: usize,
     pub family: String,
@@ -481,13 +480,11 @@ pub struct SessionTruth {
     /// (`steps.len() - 1` entries; empty below two steps) — the realized
     /// tempo of the session, which the detection-vs-dilation curves plot
     /// the recovery against.
-    #[serde(default)]
     pub step_gap_secs: Vec<f64>,
     /// Per-step hop index into `entity_keys` (parallel to `steps`): which
     /// lateral-split entity emitted each attack step. All zeros for
     /// unsplit sessions; the campaign-correlation evaluation uses this to
     /// attribute detections to hops.
-    #[serde(default)]
     pub step_entities: Vec<usize>,
 }
 
@@ -507,7 +504,7 @@ impl SessionTruth {
 }
 
 /// Ground truth for a whole campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignGroundTruth {
     pub sessions: Vec<SessionTruth>,
     /// Background records interleaved (the FP-rate denominator).
@@ -516,15 +513,7 @@ pub struct CampaignGroundTruth {
     /// (`MutationConfig::dilation`) — carried so an evaluation scored
     /// against this truth is a self-describing point on a
     /// detection-vs-dilation curve.
-    #[serde(default = "default_dilation")]
     pub dilation: f64,
-}
-
-// Referenced by the `serde(default = ...)` attribute; the offline serde
-// shim's derive does not expand it, hence the explicit allow.
-#[allow(dead_code)]
-fn default_dilation() -> f64 {
-    1.0
 }
 
 impl Default for CampaignGroundTruth {

@@ -15,7 +15,6 @@
 use std::net::Ipv4Addr;
 
 use honeynet::deploy::HoneynetDeployment;
-use serde::{Deserialize, Serialize};
 use simnet::action::{
     Action, AuthMethod, ExecAction, FileOp, FileOpAction, HttpAction, SshAuthAction,
 };
@@ -43,7 +42,7 @@ echo 0>/var/log/secure
 echo 0>/var/log/cron"#;
 
 /// Scenario parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RansomwareConfig {
     /// Attacker source (the paper's initial connection came from
     /// 111.200.z.t).

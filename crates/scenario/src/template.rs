@@ -7,12 +7,11 @@
 //! exploit) have heavy-tailed, high-variance gaps.
 
 use alertlib::taxonomy::AlertKind;
-use serde::{Deserialize, Serialize};
 use simnet::rng::SimRng;
 use simnet::time::SimDuration;
 
 /// Inter-step delay model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Delay {
     /// Fixed gap (automated tooling).
     Fixed { secs: f64 },
@@ -49,7 +48,7 @@ impl Delay {
 }
 
 /// One step of an attack template.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Step {
     /// The alert this step causes when observed.
     pub kind: AlertKind,
@@ -78,7 +77,7 @@ impl Step {
 }
 
 /// An attack family template.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackTemplate {
     pub family: String,
     pub steps: Vec<Step>,

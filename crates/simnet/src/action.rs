@@ -11,13 +11,11 @@
 
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::flow::Flow;
 use crate::topology::HostId;
 
 /// HTTP request observed on a flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HttpAction {
     pub flow: Flow,
     pub method: String,
@@ -31,7 +29,7 @@ pub struct HttpAction {
 }
 
 /// SSH authentication attempt observed on a flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SshAuthAction {
     pub flow: Flow,
     /// The host the authentication happened on (internal target), if known.
@@ -43,7 +41,7 @@ pub struct SshAuthAction {
 }
 
 /// Authentication mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AuthMethod {
     Password,
     PublicKey,
@@ -52,7 +50,7 @@ pub enum AuthMethod {
 
 /// Database wire commands the honeypot PostgreSQL emulator distinguishes
 /// (§V's ransomware steps 1–3 map onto these).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DbCommandKind {
     /// Authentication attempt with the given outcome.
     Auth { success: bool },
@@ -69,7 +67,7 @@ pub enum DbCommandKind {
 }
 
 /// A database session command observed on a flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DbAction {
     pub flow: Flow,
     pub target: Option<HostId>,
@@ -80,7 +78,7 @@ pub struct DbAction {
 }
 
 /// Process execution on a monitored host.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecAction {
     pub host: HostId,
     pub user: String,
@@ -91,7 +89,7 @@ pub struct ExecAction {
 }
 
 /// Kind of file operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FileOp {
     Create,
     Modify,
@@ -102,7 +100,7 @@ pub enum FileOp {
 }
 
 /// File operation on a monitored host.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileOpAction {
     pub host: HostId,
     pub user: String,
@@ -113,7 +111,7 @@ pub struct FileOpAction {
 }
 
 /// Raw audit (syscall) record on a monitored host, auditd-style.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditAction {
     pub host: HostId,
     pub user: String,
@@ -123,7 +121,7 @@ pub struct AuditAction {
 }
 
 /// Anything that happens in the simulated environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     /// Bare network flow with no modeled application payload.
     Flow(Flow),

@@ -10,10 +10,8 @@ use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// A CIDR block of IPv4 addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Cidr {
     base: u32,
     prefix: u8,

@@ -8,12 +8,10 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// Transport protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Proto {
     Tcp,
     Udp,
@@ -31,7 +29,7 @@ impl fmt::Display for Proto {
 }
 
 /// Zeek-style connection state summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConnState {
     /// Connection attempt seen, no reply (classic scan signature).
     S0,
@@ -88,7 +86,7 @@ impl fmt::Display for ConnState {
 
 /// Application service carried by a flow, as a Zeek service tag would
 /// label it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Service {
     Ssh,
     Http,
@@ -158,7 +156,7 @@ impl fmt::Display for Service {
 }
 
 /// Unique flow identifier (monotonic within an engine run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub u64);
 
 impl fmt::Display for FlowId {
@@ -169,7 +167,7 @@ impl fmt::Display for FlowId {
 }
 
 /// A network flow as observed at the border.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Flow {
     pub id: FlowId,
     pub start: SimTime,
@@ -245,7 +243,7 @@ impl Flow {
 }
 
 /// Direction of a flow relative to the protected network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// External source to internal destination.
     Inbound,

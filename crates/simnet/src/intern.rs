@@ -107,7 +107,7 @@ use crate::rng::FxHashMap;
 /// error (panic via [`SymTable::resolve`]) instead of silently returning an
 /// unrelated string. Release builds keep the handle at 32 bits and fall
 /// back to bounds-checking alone.
-#[derive(Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy)]
 pub struct Sym {
     id: u32,
     /// Table that minted this handle — debug builds only (see above).
@@ -602,7 +602,8 @@ pub struct SymTable {
     chunks: [AtomicPtr<MaybeUninit<Slot>>; NUM_CHUNKS],
     /// The live `&str → id` probe table (lock-free readers).
     index: AtomicPtr<IdIndex>,
-    /// Serializes the miss/append path; guards index growth.
+    /// Admits one writer at a time to the miss/append path; guards index
+    /// growth.
     append: Mutex<AppendState>,
 }
 
@@ -1181,9 +1182,7 @@ impl fmt::Debug for SymScope {
 
 /// A tenant of the always-on service mode — an isolated ingest scope with
 /// its own detector state and symbol universe.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(pub u32);
 
 impl fmt::Display for TenantId {

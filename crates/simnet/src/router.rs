@@ -11,14 +11,12 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::flow::{Direction, Flow};
 use crate::time::SimTime;
 use crate::topology::{Topology, Zone};
 
 /// Why a flow was dropped at the border.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DropReason {
     /// Source address is null-routed (black-holed).
     NullRouted { reason: String },
@@ -40,7 +38,7 @@ impl fmt::Display for DropReason {
 }
 
 /// Routing decision for a single flow.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RouteDecision {
     Forward,
     Drop(DropReason),
@@ -63,7 +61,7 @@ impl RouteFilter for ForwardAll {
 }
 
 /// Outcome of routing one flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouteOutcome {
     pub direction: Direction,
     /// `Some` if the flow was dropped at the border.
@@ -77,7 +75,7 @@ impl RouteOutcome {
 }
 
 /// Counters maintained by the border router.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterStats {
     pub inbound: u64,
     pub outbound: u64,

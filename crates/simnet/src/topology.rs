@@ -9,13 +9,11 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::Cidr;
 use crate::rng::FxHashMap;
 
 /// Index of a host in a [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub u32);
 
 impl fmt::Display for HostId {
@@ -25,7 +23,7 @@ impl fmt::Display for HostId {
 }
 
 /// Security zone a subnet belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Zone {
     /// Production internal network (the /16).
     Internal,
@@ -38,7 +36,7 @@ pub enum Zone {
 }
 
 /// Functional role of a host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostRole {
     /// SSH login node users enter through.
     Login,
@@ -59,7 +57,7 @@ pub enum HostRole {
 }
 
 /// A host (physical node, VM, or container endpoint).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Host {
     pub id: HostId,
     pub name: String,
@@ -71,7 +69,7 @@ pub struct Host {
 }
 
 /// A named subnet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Subnet {
     pub name: String,
     pub cidr: Cidr,
@@ -79,11 +77,10 @@ pub struct Subnet {
 }
 
 /// The full topology: subnets plus a host arena with an address index.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     hosts: Vec<Host>,
     subnets: Vec<Subnet>,
-    #[serde(skip)]
     by_addr: FxHashMap<Ipv4Addr, HostId>,
 }
 
@@ -183,7 +180,7 @@ impl Topology {
         self.hosts.iter().filter(move |h| h.role == role)
     }
 
-    /// Rebuild the address index (needed after deserialization).
+    /// Rebuild the address index from the host arena.
     pub fn rebuild_index(&mut self) {
         self.by_addr = self.hosts.iter().map(|h| (h.addr, h.id)).collect();
     }
@@ -326,16 +323,13 @@ mod tests {
         let mut t = Topology::new();
         let a: Ipv4Addr = "10.0.0.1".parse().unwrap();
         t.add_host("a", a, Zone::Internal, HostRole::Compute);
-        let json = serde_json_roundtrip(&t);
-        assert!(json.host_by_addr(a).is_none(), "index not serialized");
-        let mut rebuilt = json;
+        let mut rebuilt = without_index(&t);
+        assert!(rebuilt.host_by_addr(a).is_none(), "index cleared");
         rebuilt.rebuild_index();
         assert!(rebuilt.host_by_addr(a).is_some());
     }
 
-    fn serde_json_roundtrip(t: &Topology) -> Topology {
-        // Manual poor-man's roundtrip via clone with a cleared index, since
-        // simnet itself does not depend on serde_json.
+    fn without_index(t: &Topology) -> Topology {
         let mut c = t.clone();
         c.by_addr.clear();
         c

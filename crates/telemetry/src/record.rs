@@ -15,14 +15,13 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
 use simnet::flow::{ConnState, Direction, FlowId, Proto, Service};
 use simnet::intern::{Sym, SymScope};
 use simnet::time::{SimDuration, SimTime};
 use simnet::topology::HostId;
 
 /// Zeek `conn.log` entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConnRecord {
     pub ts: SimTime,
     pub uid: FlowId,
@@ -40,7 +39,7 @@ pub struct ConnRecord {
 }
 
 /// Zeek `http.log` entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HttpRecord {
     pub ts: SimTime,
     pub uid: FlowId,
@@ -55,7 +54,7 @@ pub struct HttpRecord {
 }
 
 /// Zeek `ssh.log` entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SshRecord {
     pub ts: SimTime,
     pub uid: FlowId,
@@ -69,7 +68,7 @@ pub struct SshRecord {
 }
 
 /// Built-in Zeek notice policies we model.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum NoticeKind {
     /// One source probing many distinct destinations (`Scan::Address_Scan`).
     AddressScan,
@@ -98,7 +97,7 @@ impl fmt::Display for NoticeKind {
 
 /// Zeek `notice.log` entry. The paper's 25 M alert corpus is "collected in
 /// Zeek notice logs over 24 years".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoticeRecord {
     pub ts: SimTime,
     pub note: NoticeKind,
@@ -110,7 +109,7 @@ pub struct NoticeRecord {
 }
 
 /// osquery-like process execution event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessRecord {
     pub ts: SimTime,
     pub host: HostId,
@@ -123,7 +122,7 @@ pub struct ProcessRecord {
 }
 
 /// osquery/ossec-like file integrity event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileRecord {
     pub ts: SimTime,
     pub host: HostId,
@@ -135,7 +134,7 @@ pub struct FileRecord {
 }
 
 /// Host authentication event (sshd via rsyslog).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuthRecord {
     pub ts: SimTime,
     pub host: HostId,
@@ -147,7 +146,7 @@ pub struct AuthRecord {
 }
 
 /// auditd syscall record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditRecord {
     pub ts: SimTime,
     pub host: HostId,
@@ -161,7 +160,7 @@ pub struct AuditRecord {
 /// Database statement audit record (the honeypot PostgreSQL instance logs
 /// every statement, per §IV-A "commands issued by attackers must be closely
 /// monitored").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DbRecord {
     pub ts: SimTime,
     pub uid: FlowId,
@@ -174,7 +173,7 @@ pub struct DbRecord {
 }
 
 /// Which log stream a record belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordKind {
     Conn,
     Http,
@@ -205,7 +204,7 @@ impl RecordKind {
 }
 
 /// Any log record flowing through the pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogRecord {
     Conn(ConnRecord),
     Http(HttpRecord),

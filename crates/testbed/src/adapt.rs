@@ -28,7 +28,6 @@ use scenario::adapt::{
 };
 use scenario::mutate::{Campaign, CampaignConfig, CampaignGroundTruth, MutationConfig};
 use scenario::template::AttackTemplate;
-use serde::Serialize;
 use simnet::rng::SimRng;
 use simnet::time::{SimDuration, SimTime};
 use telemetry::record::LogRecord;
@@ -71,7 +70,7 @@ impl Default for FrontierConfig {
 /// One family's point on the worst-case robustness frontier: the worst
 /// surviving [`MutationConfig`] the search found, and what the defense
 /// still achieves there.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrontierPoint {
     pub family: String,
     /// The searched worst-case config.
@@ -160,7 +159,7 @@ pub fn worst_case_frontier(
 }
 
 /// One point of the corpus learning curve.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LearningPoint {
     /// Training-corpus size (incidents) the model was trained on.
     pub corpus_incidents: usize,

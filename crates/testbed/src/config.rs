@@ -8,13 +8,12 @@ use bhr::policy::AutoBlockPolicy;
 use bhr::retry::RetryPolicy;
 use detect::attack_tagger::{TaggerConfig, TemporalPolicy};
 use honeynet::deploy::DeployConfig;
-use serde::{Deserialize, Serialize};
 use simnet::time::{SimDuration, SimTime};
 use telemetry::zeek::ZeekConfig;
 
 /// Which executor drives an assembled record pipeline
 /// (see [`crate::stage`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorKind {
     /// All stages run in the caller's thread, batch by batch. The
     /// deterministic reference; also what the closed-loop simulation sink
@@ -38,7 +37,7 @@ pub enum ExecutorKind {
 /// one shard per available core, `alert_retention` 10 000 retained
 /// post-filter alerts (drop-oldest beyond that; see
 /// [`crate::stage::AlertRetention`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineTuning {
     /// Executor used by [`crate::stage::BuiltPipeline::run`].
     pub executor: ExecutorKind,
@@ -58,21 +57,18 @@ pub struct PipelineTuning {
     /// whatever the [`TaggerConfig`] carries — set it here to tune the
     /// temporal behaviour of an assembled pipeline without rebuilding the
     /// detector config (the knob the dilation sweeps turn).
-    #[serde(default)]
     pub temporal: Option<TemporalPolicy>,
     /// Per-entity detector state budget applied to the tagger at build
     /// time (see [`TaggerConfig::max_entities`]); `0` (the default) keeps
     /// whatever the detector config carries. The service-mode knob: a
     /// long-lived multi-tenant deployment caps resident per-entity state
     /// here without rebuilding the detector config.
-    #[serde(default)]
     pub detect_max_entities: usize,
     /// Retry schedule for failed response deliveries (block RPCs and
     /// operator notifications): exponential backoff + jitter, attempt
     /// cap, per-block deadline and a circuit breaker. Irrelevant — and
     /// behaviourally invisible — while the BHR backend is the default
     /// always-successful one.
-    #[serde(default)]
     pub retry: RetryPolicy,
 }
 

@@ -16,7 +16,6 @@ use std::collections::HashMap;
 
 use factorgraph::chain::ChainModel;
 use scenario::mutate::{generate_campaign, Campaign, CampaignConfig, CampaignGroundTruth};
-use serde::{Deserialize, Serialize};
 use simnet::rng::SimRng;
 use simnet::time::SimTime;
 
@@ -24,7 +23,7 @@ use crate::config::TestbedConfig;
 use crate::stage::{PipelineBuilder, StreamReport};
 
 /// Distribution summary of preemption lead times.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LeadTimeStats {
     /// Preempted sessions contributing a lead time.
     pub count: usize,
@@ -80,7 +79,7 @@ impl LeadTimeStats {
 /// correlator is evaluated on. A *hop* is one entity of a split session;
 /// a hop counts as detected before damage when its own entity raised a
 /// notification strictly ahead of the session's damage step.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LateralSplitEval {
     /// Attack sessions split across ≥ 2 entities.
     pub split_sessions: usize,
@@ -107,7 +106,7 @@ pub struct LateralSplitEval {
 }
 
 /// Per-family scoring of one campaign run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FamilyEval {
     pub family: String,
     /// Attack sessions of this family in the campaign.
@@ -124,16 +123,14 @@ pub struct FamilyEval {
     pub lead: LeadTimeStats,
     /// Mean realized inter-attack-step gap across the family's sessions,
     /// in seconds — the tempo axis of a detection-vs-dilation curve.
-    #[serde(default)]
     pub mean_step_gap_secs: f64,
     /// Lateral-split vs unsplit breakdown (the campaign-correlation
     /// recovery metric; all-zero when the family had no split sessions).
-    #[serde(default)]
     pub lateral: LateralSplitEval,
 }
 
 /// The serializable evaluation report of one campaign run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalReport {
     /// Total campaign sessions (attack + decoy).
     pub sessions: usize,
@@ -155,37 +152,29 @@ pub struct EvalReport {
     /// The campaign's timing-dilation factor (from the ground truth), so
     /// a report is a self-describing point on a detection-vs-dilation
     /// curve.
-    #[serde(default)]
     pub dilation: f64,
     /// Fault profile the scored stream ran under (`None` when the
     /// pipeline carried no fault plan; serialized as `"clean"`), so a
     /// report is also a self-describing point on a fault-intensity sweep.
-    #[serde(default)]
     pub fault_profile: Option<String>,
     /// Alerts dropped by the detector's duplicate-suppression window.
-    #[serde(default)]
     pub duplicates_suppressed: u64,
     /// Block RPC re-deliveries attempted by the response retry queue.
-    #[serde(default)]
     pub blocks_retried: u64,
     /// Blocks permanently lost (retry cap or deadline exhausted).
-    #[serde(default)]
     pub blocks_abandoned: u64,
     /// Campaigns the cross-entity correlator stitched together (0 when
     /// correlation is disabled).
-    #[serde(default)]
     pub correlated_campaigns: u64,
     /// Detections the correlator raised by fusing cross-hop evidence.
-    #[serde(default)]
     pub correlated_promotions: u64,
     /// Tagger detections suppressed because the correlator had already
     /// promoted the entity (would-be duplicate campaign alerts).
-    #[serde(default)]
     pub correlated_confirmations: u64,
 }
 
 impl EvalReport {
-    /// Serialize the report as a JSON value (the `ADVERSARIAL_EVAL.json`
+    /// Render the report as a JSON value (the `ADVERSARIAL_EVAL.json`
     /// artifact payload).
     pub fn to_json(&self) -> serde_json::Value {
         let family_json = |f: &FamilyEval| {
@@ -793,7 +782,7 @@ mod tests {
         assert_eq!(s3.median_records, 4.0);
     }
 
-    /// Serialized reports must never carry NaN/Inf rates: zero indicative
+    /// Rendered reports must never carry NaN/Inf rates: zero indicative
     /// background, zero background records, and all-decoy campaigns are
     /// the denominators that could degenerate.
     #[test]

@@ -22,7 +22,7 @@
 //!   FP rate per million background records).
 //! - [`report`] — run reports and operator notifications.
 //! - [`service`] — the always-on multi-tenant daemon:
-//!   [`ServiceHandle`](service::ServiceHandle) with per-tenant scoped
+//!   [`ServiceHandle`] with per-tenant scoped
 //!   interning, backpressure-aware ingestion, and JSON snapshot/restore
 //!   that survives restarts without losing detections.
 //!

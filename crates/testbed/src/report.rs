@@ -6,7 +6,6 @@ use alertlib::alert::EntityKey;
 use alertlib::filter::FilterStats;
 use bhr::table::TableStats;
 use detect::attack_tagger::Detection;
-use serde::{Deserialize, Serialize};
 use simnet::router::RouterStats;
 use simnet::time::SimTime;
 
@@ -16,7 +15,7 @@ use crate::stage::StreamStats;
 /// NCSA its twelve-day warning. It holds no heap string: the entity key is
 /// inline and the operator text is rendered on demand by
 /// [`OperatorNotification::message`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorNotification {
     pub ts: SimTime,
     /// Canonical entity key (`user:…` / `addr:…` / `unknown`), resolved
@@ -52,7 +51,7 @@ impl OperatorNotification {
 }
 
 /// Per-stage counters of one testbed run (Fig. 4's E1..En → response).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Actions processed by the engine.
     pub actions: u64,

@@ -4,10 +4,12 @@
 //! production traffic into the models, continuously, for months. This
 //! module packages the stage chain as a long-lived daemon:
 //!
-//! - **[`ServiceHandle`]** owns a worker thread driving one
-//!   [`InlineCore`] per tenant. Ingestion is backpressure-aware: the
-//!   control queue is bounded, [`ServiceHandle::ingest`] blocks when the
-//!   worker falls behind and [`ServiceHandle::try_ingest`] refuses with
+//! - **[`ServiceHandle`]** owns a worker thread driving one inline stage
+//!   chain per tenant, the same chain
+//!   [`BuiltPipeline::run_inline`](crate::stage::BuiltPipeline::run_inline)
+//!   drives. Ingestion is backpressure-aware: the control queue is
+//!   bounded, [`ServiceHandle::ingest`] blocks when the worker falls
+//!   behind and [`ServiceHandle::try_ingest`] refuses with
 //!   [`ServiceError::Backpressure`] instead.
 //! - **Tenant isolation**: each tenant gets its own detector state and —
 //!   via [`TenantSymbols`] — its own symbol universe, evicted when the

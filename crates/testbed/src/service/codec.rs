@@ -69,7 +69,7 @@ const FORMAT_V1: u64 = 1;
 const MAX_DEPTH: usize = 128;
 
 impl ServiceSnapshot {
-    /// Serialize to the compact JSON wire format.
+    /// Encode to the compact JSON wire format.
     pub fn to_json(&self) -> String {
         let mut w = Writer::with_capacity(self.wire_len_hint());
         w.object(|w| {

@@ -3,7 +3,7 @@
 //! [`PipelineBuilder`] collects the Fig. 4 components plus the tee points
 //! (alert retention, response wiring) and batching knobs, then produces
 //! either a [`BuiltPipeline`] for record-stream executors or a
-//! [`PipelineSink`](crate::pipeline::PipelineSink) for the closed-loop
+//! [`PipelineSink`] for the closed-loop
 //! simulation engine. Both paths share the exact same stage objects — the
 //! builder is the single place the pipeline shape is defined.
 

@@ -4,14 +4,16 @@
 //! produce an **identical** [`StreamReport`]; they differ only in how the
 //! stage work is scheduled:
 //!
-//! - [`run_inline`] — everything in the calling thread, batch by batch.
-//! - [`run_threaded`] — one thread per stage (feeder → symbolize → filter
-//!   → detect+response), bounded channels carrying *batches* (not single
-//!   items) so channel costs amortize.
-//! - [`run_sharded`] — threaded, but the detect stage is split into K
-//!   per-entity shards driven on the rayon worker pool. Alerts route to
-//!   shards by [`Entity::shard_key`](alertlib::alert::Entity::shard_key),
-//!   so each entity's session state stays on one shard; outcomes are
+//! - [`run_inline`](BuiltPipeline::run_inline) — everything in the
+//!   calling thread, batch by batch.
+//! - [`run_threaded`](BuiltPipeline::run_threaded) — one thread per stage
+//!   (feeder → symbolize → filter → detect+response), bounded channels
+//!   carrying *batches* (not single items) so channel costs amortize.
+//! - [`run_sharded`](BuiltPipeline::run_sharded) — threaded, but the
+//!   detect stage is split into K per-entity shards driven on the rayon
+//!   worker pool. Alerts route to shards by
+//!   [`Entity::shard_key`](alertlib::alert::Entity::shard_key), so each
+//!   entity's session state stays on one shard; outcomes are
 //!   re-merged in original stream order, which makes detections,
 //!   notifications, retention, and stats byte-identical to the sequential
 //!   pass.
@@ -22,13 +24,13 @@
 //! entity hash and merging by sequence number reconstructs exactly the
 //! sequential outcome stream.
 
+use std::sync::mpsc::{sync_channel, SyncSender};
+
 use alertlib::alert::Alert;
 use alertlib::filter::FilterStats;
-use crossbeam::channel::{bounded, Sender};
 use detect::correlate::{CampaignCorrelator, CampaignSummary};
 use rayon::prelude::*;
 use scenario::faults::{FaultInjector, FaultStats};
-use serde::{Deserialize, Serialize};
 use simnet::time::SimTime;
 use telemetry::record::LogRecord;
 
@@ -38,7 +40,7 @@ use crate::stage::builder::BuiltPipeline;
 use crate::stage::{AlertRetention, Stage};
 
 /// Aggregate counters of a pipeline run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StreamStats {
     pub records: u64,
     pub alerts: u64,
@@ -298,7 +300,7 @@ fn fill(faults: Option<&mut FaultInjector>, record: LogRecord, buf: &mut Vec<Log
 /// actually sent downstream (post-fault) plus the fault accounting.
 fn feed<I>(
     records: I,
-    tx: Sender<Vec<LogRecord>>,
+    tx: SyncSender<Vec<LogRecord>>,
     batch: usize,
     mut faults: Option<FaultInjector>,
 ) -> (u64, Option<FaultStats>)
@@ -365,9 +367,9 @@ where
     } = p;
     let batch = tuning.batch_size.max(1);
     let depth = tuning.channel_batches();
-    let (rec_tx, rec_rx) = bounded::<Vec<LogRecord>>(depth);
-    let (alert_tx, alert_rx) = bounded::<Vec<Alert>>(depth);
-    let (adm_tx, adm_rx) = bounded::<Vec<Alert>>(depth);
+    let (rec_tx, rec_rx) = sync_channel::<Vec<LogRecord>>(depth);
+    let (alert_tx, alert_rx) = sync_channel::<Vec<Alert>>(depth);
+    let (adm_tx, adm_rx) = sync_channel::<Vec<Alert>>(depth);
 
     std::thread::scope(|scope| {
         let feeder = scope.spawn(move || feed(records, rec_tx, batch, faults));

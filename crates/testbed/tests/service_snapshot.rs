@@ -329,8 +329,8 @@ proptest! {
     }
 
     /// The same pipeline run inline in the global scope and through a
-    /// tenant-scoped service gives byte-identical notifications and equal
-    /// stats, whatever the batch size.
+    /// tenant-scoped service gives byte-identical notifications, equal
+    /// stats and equal campaigns, whatever the batch size.
     #[test]
     fn tenant_service_matches_global_inline(
         seed in 0u64..100_000,
@@ -344,6 +344,7 @@ proptest! {
         let service = run_tenant(tenant, &records, batch, |_| {});
         prop_assert_eq!(notification_bytes(&service), notification_bytes(&inline));
         prop_assert_eq!(service.stats, inline.stats);
+        prop_assert_eq!(service.campaigns, inline.campaigns);
     }
 }
 

@@ -29,7 +29,7 @@ use testbed::{PipelineBuilder, ServiceConfig, ServiceError, ServiceHandle, Servi
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Serializes measurements: the test harness runs tests on parallel
+/// Runs measurements one at a time: the test harness runs tests on parallel
 /// threads, and the service test counts process-wide because its work
 /// runs on the service's worker thread. Work on the calling thread is
 /// counted per thread, which also keeps the harness's threads out.
@@ -634,6 +634,9 @@ fn restart_tenant(users: usize) -> ServiceHandle {
     let records = record_stream(&SymScope::global(), &cfg, &mut SimRng::seed(0x2E57));
     let service = ServiceHandle::spawn(ServiceConfig::default(), correlated_pipeline);
     service.ingest(TenantId(1), records).unwrap();
+    // `ingest` only queues the batch: a round trip waits until the worker
+    // has processed it, so none of that work lands in a restart's count.
+    service.snapshot(TenantId(1)).unwrap();
     service
 }
 

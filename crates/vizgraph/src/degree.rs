@@ -5,12 +5,10 @@
 //! attack is a low-degree node touching internal targets. These helpers
 //! compute the supporting statistics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::{Graph, NodeGroup};
 
 /// A `(node, degree)` ranking entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HubEntry {
     pub node: u32,
     pub label: String,

@@ -7,13 +7,12 @@
 
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
 use simnet::flow::Flow;
 use simnet::rng::{FxHashMap, FxHashSet};
 
 /// Role annotation for rendering (the manual annotation of Fig. 1 is done
 /// by cross-examining detector ground truth).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeGroup {
     /// The dominant mass scanner (Fig. 1-A).
     MassScanner,
@@ -30,24 +29,21 @@ pub enum NodeGroup {
 }
 
 /// A node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     pub label: String,
     pub group: NodeGroup,
 }
 
 /// An undirected-for-layout, directed-for-export graph.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
     /// Directed edges (src, dst), deduplicated.
     edges: Vec<(u32, u32)>,
-    #[serde(skip)]
     by_label: FxHashMap<String, u32>,
     /// Undirected adjacency for layout.
-    #[serde(skip)]
     adjacency: Vec<Vec<u32>>,
-    #[serde(skip)]
     edge_set: FxHashSet<(u32, u32)>,
 }
 
@@ -130,7 +126,7 @@ impl Graph {
         self.by_label.get(label).copied()
     }
 
-    /// Rebuild the label index and adjacency (after deserialization).
+    /// Rebuild the label index and adjacency from the nodes and edges.
     pub fn rebuild_indexes(&mut self) {
         self.by_label = self
             .nodes

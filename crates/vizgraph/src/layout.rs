@@ -15,14 +15,13 @@
 //! Per-iteration force accumulation is data-parallel over nodes (rayon).
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use simnet::rng::SimRng;
 
 use crate::graph::Graph;
 use crate::quadtree::{Body, QuadTree};
 
 /// Layout parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LayoutConfig {
     /// Optimal edge length K.
     pub k: f64,
@@ -64,7 +63,7 @@ impl Default for LayoutConfig {
 pub type Positions = Vec<(f64, f64)>;
 
 /// Statistics of a layout run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LayoutStats {
     pub levels: usize,
     pub total_iterations: usize,
