@@ -15,7 +15,8 @@ use simnet::addr::Cidr;
 use simnet::flow::{Direction, Proto, Service};
 use simnet::rng::FxHashSet;
 use telemetry::record::{
-    ConnRecord, DbRecord, HttpRecord, LogRecord, NoticeKind, NoticeRecord, ProcessRecord, SshRecord,
+    ConnRecord, DbCommand, DbRecord, HttpRecord, LogRecord, NoticeKind, NoticeRecord,
+    ProcessRecord, SshRecord,
 };
 
 use simnet::intern::{Sym, SymScope};
@@ -604,7 +605,6 @@ impl Symbolizer {
     }
 
     fn on_db(&self, d: &DbRecord, out: &mut Vec<Alert>) {
-        use simnet::action::DbCommandKind;
         let entity = Entity::User(d.user);
         let mut push = |kind: AlertKind, msg: MessageSpec| {
             let mut a = Alert::new(d.ts, kind, entity)
@@ -616,9 +616,9 @@ impl Symbolizer {
             }
             out.push(a);
         };
-        match &d.command {
-            DbCommandKind::Auth { success } => {
-                if *success && self.default_db_users.contains(&d.user) {
+        match d.command {
+            DbCommand::Auth { success } => {
+                if success && self.default_db_users.contains(&d.user) {
                     push(
                         AlertKind::DefaultCredentialUse,
                         MessageSpec::DbDefaultCred { user: d.user },
@@ -630,37 +630,27 @@ impl Symbolizer {
                     );
                 }
             }
-            DbCommandKind::ShowVersion => {
+            DbCommand::ShowVersion => {
                 push(AlertKind::DbVersionRecon, MessageSpec::Text(d.statement));
             }
-            DbCommandKind::LargeObjectWrite { hex_prefix, bytes } => {
-                if hex_prefix.starts_with("7F454C46") {
+            DbCommand::LargeObjectWrite { hex_prefix, bytes } => {
+                if self.scope.resolve(hex_prefix).starts_with("7F454C46") {
                     push(
                         AlertKind::ElfMagicInDbBlob,
-                        MessageSpec::ElfBlob {
-                            bytes: *bytes,
-                            hex_prefix: self.scope.sym(hex_prefix),
-                        },
+                        MessageSpec::ElfBlob { bytes, hex_prefix },
                     );
                 }
             }
-            DbCommandKind::LoExport { path } => {
-                push(
-                    AlertKind::LoExportExecution,
-                    MessageSpec::LoExport {
-                        path: self.scope.sym(path),
-                    },
-                );
+            DbCommand::LoExport { path } => {
+                push(AlertKind::LoExportExecution, MessageSpec::LoExport { path });
             }
-            DbCommandKind::CopyFromProgram { program } => {
+            DbCommand::CopyFromProgram { program } => {
                 push(
                     AlertKind::RemoteCodeExecAttempt,
-                    MessageSpec::CopyFromProgram {
-                        program: self.scope.sym(program),
-                    },
+                    MessageSpec::CopyFromProgram { program },
                 );
             }
-            DbCommandKind::Query => {
+            DbCommand::Query => {
                 let statement = self.scope.resolve(d.statement);
                 if crate::pattern::glob_match("*' OR *", statement)
                     || crate::pattern::glob_match("*UNION SELECT*", statement)
@@ -979,8 +969,7 @@ mod tests {
 
     #[test]
     fn db_command_alerts() {
-        use simnet::action::DbCommandKind;
-        let db = |command: DbCommandKind, stmt: &str, user: &str| {
+        let db = |command: DbCommand, stmt: &str, user: &str| {
             LogRecord::Db(DbRecord {
                 ts: SimTime::from_secs(1),
                 uid: FlowId(4),
@@ -994,14 +983,14 @@ mod tests {
         };
         let mut s = sym();
         let a = s.symbolize(&db(
-            DbCommandKind::ShowVersion,
+            DbCommand::ShowVersion,
             "SHOW server_version_num",
             "postgres",
         ));
         assert_eq!(a[0].kind, AlertKind::DbVersionRecon);
         let a = s.symbolize(&db(
-            DbCommandKind::LargeObjectWrite {
-                hex_prefix: "7F454C46".to_owned(),
+            DbCommand::LargeObjectWrite {
+                hex_prefix: g("7F454C46"),
                 bytes: 50_000,
             },
             "lo_from_bytea",
@@ -1009,18 +998,12 @@ mod tests {
         ));
         assert_eq!(a[0].kind, AlertKind::ElfMagicInDbBlob);
         let a = s.symbolize(&db(
-            DbCommandKind::LoExport {
-                path: "/tmp/kp".to_owned(),
-            },
+            DbCommand::LoExport { path: g("/tmp/kp") },
             "select lo_export(1, '/tmp/kp')",
             "postgres",
         ));
         assert_eq!(a[0].kind, AlertKind::LoExportExecution);
-        let a = s.symbolize(&db(
-            DbCommandKind::Auth { success: true },
-            "auth",
-            "postgres",
-        ));
+        let a = s.symbolize(&db(DbCommand::Auth { success: true }, "auth", "postgres"));
         assert_eq!(a[0].kind, AlertKind::DefaultCredentialUse);
     }
 

@@ -784,7 +784,7 @@ fn faulted_dedup_hot_path_allocates_nothing_steady() {
         };
         for r in &campaign.records {
             faulted.clear();
-            injector.push(r.clone(), &mut faulted);
+            injector.push(*r, &mut faulted);
             observe(&faulted);
         }
         faulted.clear();

@@ -2423,18 +2423,17 @@ mod tests {
         }
     }
 
-    /// A `COPY FROM PROGRAM` payload arrives as a plain string, and the
-    /// symbolizer interns it as the alert's palette symbol. In a tenant
-    /// pipeline the exported palette key has to name that string by its
+    /// A `COPY FROM PROGRAM` payload arrives as a symbol of the record's
+    /// scope, and the symbolizer carries it as the alert's palette symbol.
+    /// In a tenant pipeline the exported palette key has to name it by its
     /// position in the tenant's universe, or a restored correlator could
     /// never join the next alert carrying the same program.
     #[test]
     fn tenant_palette_key_indexes_the_program_in_the_tenant_universe() {
         use alertlib::symbolize::Symbolizer;
-        use simnet::action::DbCommandKind;
         use simnet::flow::FlowId;
         use simnet::intern::SymScope;
-        use telemetry::record::{DbRecord, LogRecord};
+        use telemetry::record::{DbCommand, DbRecord, LogRecord};
 
         let tenant = SymScope::fresh();
         let mut symbolizer = Symbolizer::with_defaults();
@@ -2451,8 +2450,8 @@ mod tests {
                 resp_h: victim(),
                 host: None,
                 user: tenant.sym("postgres"),
-                command: DbCommandKind::CopyFromProgram {
-                    program: program.to_owned(),
+                command: DbCommand::CopyFromProgram {
+                    program: tenant.sym(program),
                 },
                 statement: tenant.sym("COPY t FROM PROGRAM"),
             });

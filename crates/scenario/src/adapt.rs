@@ -478,7 +478,7 @@ impl ReactiveGenerator {
             }
         }
         while self.bg_next < self.background.len() && self.background[self.bg_next].ts() < until {
-            out.push(self.background[self.bg_next].clone());
+            out.push(self.background[self.bg_next]);
             self.bg_next += 1;
         }
         out[mark..].sort_by_key(|r| r.ts());

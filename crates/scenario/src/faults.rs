@@ -297,6 +297,32 @@ fn clock_skew(seed: u64, max: SimDuration, clock_id: u64) -> (SimDuration, bool)
     (max.mul_f64(signed.abs()), signed < 0.0)
 }
 
+/// `orig` moved by the clock offset `(skew, is_negative)`, then by
+/// `jitter` scaled by `unit` in `[-1, 1]`: signed nanosecond steps, each
+/// clamped to `[0, u64::MAX]`, so a record saturates at either end of
+/// representable time instead of wrapping.
+fn skewed_time(
+    orig: SimTime,
+    skew: (SimDuration, bool),
+    jitter: SimDuration,
+    unit: f64,
+) -> SimTime {
+    let signed = |d: SimDuration, negative: bool| {
+        let n = d.as_nanos() as i128;
+        if negative {
+            -n
+        } else {
+            n
+        }
+    };
+    let clamp = |n: i128| n.clamp(0, u64::MAX as i128);
+    let skewed = clamp(orig.as_nanos() as i128 + signed(skew.0, skew.1));
+    // The magnitude truncates toward zero and saturates at `u64::MAX`,
+    // as `mul_f64` does.
+    let jitter = signed(jitter.mul_f64(unit.abs()), unit < 0.0);
+    SimTime::from_nanos(clamp(skewed + jitter) as u64)
+}
+
 /// Clock ids whose offset the injector computes once, up front; later
 /// ids are hashed per record.
 const SKEW_TABLE: usize = 1024;
@@ -364,31 +390,15 @@ impl FaultInjector {
     /// saturating at the epoch.
     fn skew_clock(&mut self, record: &mut LogRecord) {
         let (ts, host) = record.clock_mut();
-        let (skew, skew_neg) = self.host_skew(host);
-        let jitter_signed = if self.plan.clock.jitter == SimDuration::ZERO {
+        let skew = self.host_skew(host);
+        let unit = if self.plan.clock.jitter == SimDuration::ZERO {
             0.0
         } else {
             self.rng.uniform(-1.0, 1.0)
         };
-        if skew == SimDuration::ZERO && jitter_signed == 0.0 {
-            return;
-        }
         let orig = *ts;
-        let skewed = if skew_neg {
-            orig.saturating_sub(skew)
-        } else {
-            orig.saturating_add(skew)
-        };
-        let jitter = self.plan.clock.jitter.mul_f64(jitter_signed.abs());
-        let skewed = if jitter_signed < 0.0 {
-            skewed.saturating_sub(jitter)
-        } else {
-            skewed.saturating_add(jitter)
-        };
-        if skewed != orig {
-            self.stats.skewed += 1;
-            *ts = skewed;
-        }
+        *ts = skewed_time(orig, skew, self.plan.clock.jitter, unit);
+        self.stats.skewed += (*ts != orig) as u64;
     }
 
     /// Offer one record; surviving (possibly skewed, duplicated,
@@ -413,8 +423,7 @@ impl FaultInjector {
         let duplicate = self.plan.dup_prob > 0.0 && self.rng.chance(self.plan.dup_prob);
         if duplicate {
             self.stats.duplicated += 1;
-            let copy = record.clone();
-            self.enqueue(copy, out);
+            self.enqueue(record, out);
         }
         self.enqueue(record, out);
     }
@@ -452,7 +461,7 @@ pub fn apply_fault_plan(plan: &FaultPlan, records: &[LogRecord]) -> (Vec<LogReco
     let mut inj = FaultInjector::new(plan.clone());
     let mut out = Vec::with_capacity(records.len());
     for r in records {
-        inj.push(r.clone(), &mut out);
+        inj.push(*r, &mut out);
     }
     inj.finish(&mut out);
     (out, inj.stats())
@@ -622,7 +631,7 @@ mod tests {
             for _ in 0..1 + usize::from(dup) {
                 let seq = entries.len() as u64;
                 let delay = if k == 0 { 0 } else { rng.index(k + 1) as u64 };
-                entries.push((seq + delay, seq, r.clone()));
+                entries.push((seq + delay, seq, *r));
             }
         }
         entries.sort_by_key(|&(release, seq, _)| (release, seq));
@@ -638,7 +647,7 @@ mod tests {
                     .with_duplication(dup)
                     .with_reorder(k);
                 let expected = reorder_oracle(&plan, &records);
-                let order: Vec<LogRecord> = expected.iter().map(|e| e.2.clone()).collect();
+                let order: Vec<LogRecord> = expected.iter().map(|e| e.2).collect();
                 let (whole, stats) = apply_fault_plan(&plan, &records);
                 assert_eq!(whole, order, "k={k} dup={dup}: one-shot order");
                 assert_eq!(stats.records_out, order.len() as u64);
@@ -655,7 +664,7 @@ mod tests {
                 while i < records.len() {
                     let end = (i + 1 + cuts.index(3 * k + 5)).min(records.len());
                     for r in &records[i..end] {
-                        inj.push(r.clone(), &mut out);
+                        inj.push(*r, &mut out);
                     }
                     i = end;
                     // These plans lose nothing: every push enters, plus
@@ -734,6 +743,49 @@ mod tests {
     }
 
     #[test]
+    fn skew_saturates_at_both_ends_like_two_saturating_steps() {
+        // The reference: the offset, then the jitter, each applied as a
+        // saturating `SimTime` add or subtract.
+        let reference = |orig: SimTime, (skew, neg): (SimDuration, bool), jitter, unit: f64| {
+            let t = if neg {
+                orig.saturating_sub(skew)
+            } else {
+                orig.saturating_add(skew)
+            };
+            let j = SimDuration::mul_f64(jitter, unit.abs());
+            if unit < 0.0 {
+                t.saturating_sub(j)
+            } else {
+                t.saturating_add(j)
+            }
+        };
+        let max = u64::MAX;
+        let times = [0, 1, 5_000, max / 2, max - 5_000, max - 1, max];
+        let spans = [0, 1, 4_999, 5_000, 5_001, max / 2, max - 1, max];
+        let units = [-1.0, -0.75, -0.5, -1e-9, 0.0, 1e-9, 0.5, 0.999_999_999, 1.0];
+        let mut clamped = [false; 2];
+        for orig in times.map(SimTime::from_nanos) {
+            for skew in spans.map(SimDuration::from_nanos) {
+                for neg in [false, true] {
+                    for jitter in spans.map(SimDuration::from_nanos) {
+                        for unit in units {
+                            let want = reference(orig, (skew, neg), jitter, unit);
+                            let got = skewed_time(orig, (skew, neg), jitter, unit);
+                            assert_eq!(
+                                got, want,
+                                "orig {orig:?} skew {skew:?} neg {neg} jitter {jitter:?} unit {unit}"
+                            );
+                            clamped[0] |= want == SimTime::EPOCH && orig != SimTime::EPOCH;
+                            clamped[1] |= want.as_nanos() == max && orig.as_nanos() != max;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(clamped, [true, true], "the grid reaches both ends");
+    }
+
+    #[test]
     fn precomputed_and_hashed_clock_offsets_agree() {
         // Hosts inside and past the precomputed table, and the shared
         // network-sensor clock: each record moves by exactly its clock's
@@ -743,12 +795,12 @@ mod tests {
             jitter: SimDuration::ZERO,
         });
         let base = workload(400);
-        let network = base.iter().find(|r| r.host().is_none()).unwrap().clone();
-        let hosted = base.iter().find(|r| r.host().is_some()).unwrap().clone();
+        let network = *base.iter().find(|r| r.host().is_none()).unwrap();
+        let hosted = *base.iter().find(|r| r.host().is_some()).unwrap();
         let last = SKEW_TABLE as u32;
         let mut records = vec![network];
         for id in [0, 7, last - 2, last - 1, last, last + 7, u32::MAX - 1] {
-            let mut r = hosted.clone();
+            let mut r = hosted;
             match &mut r {
                 LogRecord::Process(p) => p.host = HostId(id),
                 LogRecord::File(p) => p.host = HostId(id),
@@ -803,7 +855,7 @@ mod tests {
             let mut out = Vec::new();
             for chunk in records.chunks(batch) {
                 for r in chunk {
-                    injector.push(r.clone(), &mut out);
+                    injector.push(*r, &mut out);
                 }
             }
             injector.finish(&mut out);

@@ -637,9 +637,14 @@ pub fn generate_campaign(cfg: &CampaignConfig, rng: &mut SimRng) -> Campaign {
     }
 
     if let Some(bcfg) = &cfg.background {
-        let background = record_stream(&global, bcfg, &mut background_rng);
+        let mut background = record_stream(&global, bcfg, &mut background_rng);
         truth.background_records = background.len() as u64;
-        records.extend(background);
+        // Sessions first, then background, as one buffer: splicing the
+        // few session records in front of the background stream keeps
+        // the order the stable sort sees without a second background-sized
+        // buffer.
+        background.splice(0..0, records);
+        records = background;
     }
     records.sort_by_key(|r| r.ts());
     Campaign { records, truth }

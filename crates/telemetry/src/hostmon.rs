@@ -10,13 +10,15 @@
 //! built with ([`HostMonitor::new`]): the global scope for a single-site
 //! testbed, a tenant's scope for tenant-scoped emission.
 
-use simnet::action::Action;
+use simnet::action::{Action, DbCommandKind};
 use simnet::engine::EventCtx;
 use simnet::intern::{Sym, SymScope};
 use simnet::topology::HostId;
 
 use crate::monitor::Monitor;
-use crate::record::{AuditRecord, AuthRecord, DbRecord, FileRecord, LogRecord, ProcessRecord};
+use crate::record::{
+    AuditRecord, AuthRecord, DbCommand, DbRecord, FileRecord, LogRecord, ProcessRecord,
+};
 
 /// The host monitor. One instance covers the whole fleet: per-host agent
 /// state is immaterial to the record streams, so modelling a single
@@ -61,6 +63,26 @@ impl HostMonitor {
 
     fn hostname(&self, ctx: &EventCtx<'_>, host: HostId) -> Sym {
         self.scope.sym(ctx.topo.host(host).name.as_str())
+    }
+
+    /// The record-level command, its payload minted into the monitor's
+    /// scope.
+    fn db_command(&self, command: &DbCommandKind) -> DbCommand {
+        match command {
+            DbCommandKind::Auth { success } => DbCommand::Auth { success: *success },
+            DbCommandKind::ShowVersion => DbCommand::ShowVersion,
+            DbCommandKind::Query => DbCommand::Query,
+            DbCommandKind::LargeObjectWrite { hex_prefix, bytes } => DbCommand::LargeObjectWrite {
+                hex_prefix: self.scope.sym(hex_prefix),
+                bytes: *bytes,
+            },
+            DbCommandKind::LoExport { path } => DbCommand::LoExport {
+                path: self.scope.sym(path),
+            },
+            DbCommandKind::CopyFromProgram { program } => DbCommand::CopyFromProgram {
+                program: self.scope.sym(program),
+            },
+        }
     }
 }
 
@@ -149,7 +171,7 @@ impl Monitor for HostMonitor {
                             resp_h: d.flow.dst,
                             host: Some(target),
                             user: self.scope.sym(d.user.as_str()),
-                            command: d.command.clone(),
+                            command: self.db_command(&d.command),
                             statement: self.scope.sym(d.statement.as_str()),
                         }));
                     }
@@ -163,9 +185,9 @@ impl Monitor for HostMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::action::{ExecAction, FileOp, FileOpAction};
-    use simnet::flow::Direction;
-    use simnet::time::SimTime;
+    use simnet::action::{DbAction, ExecAction, FileOp, FileOpAction};
+    use simnet::flow::{Direction, Flow, FlowId};
+    use simnet::time::{SimDuration, SimTime};
     use simnet::topology::{NcsaTopologyBuilder, Topology};
 
     fn ctx<'a>(topo: &'a Topology) -> EventCtx<'a> {
@@ -242,5 +264,77 @@ mod tests {
         mon.observe(&ctx(&topo), &a, &mut out);
         assert!(matches!(&out[0], LogRecord::File(f) if f.path == "/tmp/kp"));
         assert_eq!(mon.records_emitted(), 1);
+    }
+
+    #[test]
+    fn db_payloads_are_minted_in_the_monitor_scope() {
+        let topo = NcsaTopologyBuilder::default().build();
+        let target = HostId(2);
+        let scope = SymScope::fresh();
+        let mut mon = HostMonitor::new(scope.clone());
+        let db = |command: DbCommandKind| {
+            Action::Db(DbAction {
+                flow: Flow::established(
+                    FlowId(7),
+                    SimTime::from_secs(1),
+                    SimDuration::ZERO,
+                    "111.200.1.1".parse().unwrap(),
+                    40_000,
+                    topo.host(target).addr,
+                    5432,
+                    0,
+                    0,
+                ),
+                target: Some(target),
+                user: "postgres".into(),
+                command,
+                statement: "select 1".into(),
+            })
+        };
+        let actions = [
+            db(DbCommandKind::LargeObjectWrite {
+                hex_prefix: "7F454C4602".into(),
+                bytes: 50_000,
+            }),
+            db(DbCommandKind::LoExport {
+                path: "/tmp/kp".into(),
+            }),
+            db(DbCommandKind::CopyFromProgram {
+                program: "/tmp/kp --daemon".into(),
+            }),
+            db(DbCommandKind::Query),
+        ];
+        let mut out = Vec::new();
+        for a in &actions {
+            mon.observe(&ctx(&topo), a, &mut out);
+        }
+        let payloads: Vec<Option<&str>> = out
+            .iter()
+            .map(|r| match r {
+                LogRecord::Db(d) => {
+                    assert_eq!(scope.resolve(d.user), "postgres");
+                    assert_eq!(scope.resolve(d.statement), "select 1");
+                    match d.command {
+                        DbCommand::LargeObjectWrite { hex_prefix, bytes } => {
+                            assert_eq!(bytes, 50_000);
+                            Some(scope.resolve(hex_prefix))
+                        }
+                        DbCommand::LoExport { path } => Some(scope.resolve(path)),
+                        DbCommand::CopyFromProgram { program } => Some(scope.resolve(program)),
+                        DbCommand::Auth { .. } | DbCommand::ShowVersion | DbCommand::Query => None,
+                    }
+                }
+                other => panic!("unexpected record {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            payloads,
+            [
+                Some("7F454C4602"),
+                Some("/tmp/kp"),
+                Some("/tmp/kp --daemon"),
+                None
+            ]
+        );
     }
 }

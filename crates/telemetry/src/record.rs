@@ -6,11 +6,13 @@
 //! (§II-A). Each record type here mirrors one of those sources; the
 //! [`LogRecord`] enum is the unit that travels down the alert pipeline.
 //!
-//! String fields are [`Sym`]s minted in the [`SymScope`] of whatever
-//! produced the record (a monitor, a generator, or a service ingest
-//! path). Reading one back takes that scope — [`LogRecord::user`] asks
-//! for it — and [`LogRecord::rescope`] moves a record into another
-//! scope, such as a tenant's.
+//! Every record is plain `Copy` data, 64 bytes in a release build (one
+//! cache line): string fields, the payloads of a [`DbCommand`] among
+//! them, are [`Sym`]s minted in the [`SymScope`] of whatever produced
+//! the record (a monitor, a generator, or a service ingest path).
+//! Reading one back takes that scope — [`LogRecord::user`] asks for
+//! it — and [`LogRecord::rescope`] moves a record into another scope,
+//! such as a tenant's.
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -21,7 +23,7 @@ use simnet::time::{SimDuration, SimTime};
 use simnet::topology::HostId;
 
 /// Zeek `conn.log` entry.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConnRecord {
     pub ts: SimTime,
     pub uid: FlowId,
@@ -39,7 +41,7 @@ pub struct ConnRecord {
 }
 
 /// Zeek `http.log` entry.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HttpRecord {
     pub ts: SimTime,
     pub uid: FlowId,
@@ -54,7 +56,7 @@ pub struct HttpRecord {
 }
 
 /// Zeek `ssh.log` entry.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SshRecord {
     pub ts: SimTime,
     pub uid: FlowId,
@@ -68,7 +70,7 @@ pub struct SshRecord {
 }
 
 /// Built-in Zeek notice policies we model.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NoticeKind {
     /// One source probing many distinct destinations (`Scan::Address_Scan`).
     AddressScan,
@@ -97,7 +99,7 @@ impl fmt::Display for NoticeKind {
 
 /// Zeek `notice.log` entry. The paper's 25 M alert corpus is "collected in
 /// Zeek notice logs over 24 years".
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoticeRecord {
     pub ts: SimTime,
     pub note: NoticeKind,
@@ -109,7 +111,7 @@ pub struct NoticeRecord {
 }
 
 /// osquery-like process execution event.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessRecord {
     pub ts: SimTime,
     pub host: HostId,
@@ -122,7 +124,7 @@ pub struct ProcessRecord {
 }
 
 /// osquery/ossec-like file integrity event.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FileRecord {
     pub ts: SimTime,
     pub host: HostId,
@@ -134,7 +136,7 @@ pub struct FileRecord {
 }
 
 /// Host authentication event (sshd via rsyslog).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuthRecord {
     pub ts: SimTime,
     pub host: HostId,
@@ -146,7 +148,7 @@ pub struct AuthRecord {
 }
 
 /// auditd syscall record.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuditRecord {
     pub ts: SimTime,
     pub host: HostId,
@@ -157,10 +159,30 @@ pub struct AuditRecord {
     pub exit_code: i32,
 }
 
+/// Database wire command of a [`DbRecord`]: the simulator's
+/// [`DbCommandKind`](simnet::action::DbCommandKind) with its payload
+/// strings minted as [`Sym`]s in the producer's scope (§V's ransomware
+/// steps 1–3 map onto these).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DbCommand {
+    /// Authentication attempt with the given outcome.
+    Auth { success: bool },
+    /// `SHOW server_version_num` style reconnaissance.
+    ShowVersion,
+    /// Ordinary SQL query.
+    Query,
+    /// Writing a binary payload into a `largeobject` (hex-encoded).
+    LargeObjectWrite { hex_prefix: Sym, bytes: u64 },
+    /// `lo_export` writing a file onto the server disk.
+    LoExport { path: Sym },
+    /// `COPY ... FROM PROGRAM` style command execution.
+    CopyFromProgram { program: Sym },
+}
+
 /// Database statement audit record (the honeypot PostgreSQL instance logs
 /// every statement, per §IV-A "commands issued by attackers must be closely
 /// monitored").
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DbRecord {
     pub ts: SimTime,
     pub uid: FlowId,
@@ -168,7 +190,7 @@ pub struct DbRecord {
     pub resp_h: Ipv4Addr,
     pub host: Option<HostId>,
     pub user: Sym,
-    pub command: simnet::action::DbCommandKind,
+    pub command: DbCommand,
     pub statement: Sym,
 }
 
@@ -204,7 +226,7 @@ impl RecordKind {
 }
 
 /// Any log record flowing through the pipeline.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LogRecord {
     Conn(ConnRecord),
     Http(HttpRecord),
@@ -216,6 +238,10 @@ pub enum LogRecord {
     Audit(AuditRecord),
     Db(DbRecord),
 }
+
+// One cache line in a release build; debug builds tag every `Sym` with
+// its minting table, which widens the string fields.
+const _: () = assert!(cfg!(debug_assertions) || std::mem::size_of::<LogRecord>() == 64);
 
 impl LogRecord {
     /// Record timestamp.
@@ -318,7 +344,7 @@ impl LogRecord {
     /// memo instead ([`LogRecord::remap_syms`]) and interns in the same
     /// order.
     pub fn rescope(&self, from: &SymScope, to: &SymScope) -> LogRecord {
-        let mut r = self.clone();
+        let mut r = *self;
         if !from.ptr_eq(to) {
             r.remap_syms(|s| to.sym(from.resolve(s)));
         }
@@ -327,7 +353,8 @@ impl LogRecord {
 
     /// Rewrite every interned field in place through `f`, leaving all
     /// scalar fields untouched. Fields are visited in declaration order
-    /// (a `Custom` notice kind before the message), so a remap that
+    /// (a `Custom` notice kind before the message, a DB command's payload
+    /// between the user and the statement), so a remap that
     /// interns on first sight assigns ids in the order
     /// [`LogRecord::rescope`] does.
     pub fn remap_syms(&mut self, mut f: impl FnMut(Sym) -> Sym) {
@@ -376,6 +403,14 @@ impl LogRecord {
             }
             LogRecord::Db(r) => {
                 m(&mut r.user);
+                match &mut r.command {
+                    DbCommand::LargeObjectWrite {
+                        hex_prefix: sym, ..
+                    }
+                    | DbCommand::LoExport { path: sym }
+                    | DbCommand::CopyFromProgram { program: sym } => m(sym),
+                    DbCommand::Auth { .. } | DbCommand::ShowVersion | DbCommand::Query => {}
+                }
                 m(&mut r.statement);
             }
         }
@@ -496,9 +531,21 @@ mod tests {
 
     #[test]
     fn remap_visits_interned_fields_in_declaration_order() {
-        use simnet::action::{AuthMethod, DbCommandKind, FileOp};
+        use simnet::action::{AuthMethod, FileOp};
         let (ts, uid, host) = (SimTime::from_secs(1), FlowId(1), HostId(1));
         let (a, b) = ("1.2.3.4".parse().unwrap(), "5.6.7.8".parse().unwrap());
+        let db = |command: DbCommand| {
+            LogRecord::Db(DbRecord {
+                ts,
+                uid,
+                orig_h: a,
+                resp_h: b,
+                host: None,
+                user: "d1".into(),
+                command,
+                statement: "d3".into(),
+            })
+        };
         let cases: Vec<(LogRecord, &[&str])> = vec![
             (conn(), &[]),
             (
@@ -601,23 +648,30 @@ mod tests {
                 }),
                 &["u1", "u2", "u3", "u4"],
             ),
+            (db(DbCommand::Query), &["d1", "d3"]),
             (
-                LogRecord::Db(DbRecord {
-                    ts,
-                    uid,
-                    orig_h: a,
-                    resp_h: b,
-                    host: None,
-                    user: "d1".into(),
-                    command: DbCommandKind::Query,
-                    statement: "d2".into(),
+                db(DbCommand::LargeObjectWrite {
+                    hex_prefix: "d2-hex".into(),
+                    bytes: 64,
                 }),
-                &["d1", "d2"],
+                &["d1", "d2-hex", "d3"],
+            ),
+            (
+                db(DbCommand::LoExport {
+                    path: "d2-path".into(),
+                }),
+                &["d1", "d2-path", "d3"],
+            ),
+            (
+                db(DbCommand::CopyFromProgram {
+                    program: "d2-program".into(),
+                }),
+                &["d1", "d2-program", "d3"],
             ),
         ];
         for (record, expected) in cases {
             let mut seen = Vec::new();
-            let mut visited = record.clone();
+            let mut visited = record;
             visited.remap_syms(|s| {
                 seen.push(s.as_str());
                 s
@@ -631,6 +685,15 @@ mod tests {
             let interned: Vec<&str> = universe.iter().skip(1).collect();
             assert_eq!(interned, *expected, "{:?}", record.kind());
         }
+    }
+
+    #[test]
+    fn records_are_copy_and_one_cache_line() {
+        fn copy<T: Copy>() {}
+        copy::<LogRecord>();
+        // Debug builds widen each `Sym` with its minting table's id.
+        let expected = if cfg!(debug_assertions) { 80 } else { 64 };
+        assert_eq!(std::mem::size_of::<LogRecord>(), expected);
     }
 
     #[test]

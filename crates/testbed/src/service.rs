@@ -516,12 +516,12 @@ mod tests {
     use detect::attack_tagger::{AttackTagger, TaggerConfig, TemporalPolicy};
     use detect::correlate::CorrelationPolicy;
     use detect::train::toy_training_model;
-    use simnet::action::{AuthMethod, DbCommandKind, FileOp};
+    use simnet::action::{AuthMethod, FileOp};
     use simnet::flow::{ConnState, Direction, FlowId, Proto, Service};
     use simnet::time::{SimDuration, SimTime};
     use telemetry::record::{
-        AuditRecord, AuthRecord, ConnRecord, DbRecord, FileRecord, HttpRecord, NoticeKind,
-        NoticeRecord, ProcessRecord, SshRecord,
+        AuditRecord, AuthRecord, ConnRecord, DbCommand, DbRecord, FileRecord, HttpRecord,
+        NoticeKind, NoticeRecord, ProcessRecord, SshRecord,
     };
 
     fn attack_records(user: &str, base: u64) -> Vec<LogRecord> {
@@ -652,7 +652,7 @@ mod tests {
                 resp_h: b,
                 host: Some(host),
                 user: "postgres".into(),
-                command: DbCommandKind::Query,
+                command: DbCommand::Query,
                 statement: "SELECT version()".into(),
             }),
         ]

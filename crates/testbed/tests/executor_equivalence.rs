@@ -16,7 +16,7 @@ use scenario::stream::{record_stream, RecordStreamConfig};
 use simnet::intern::SymScope;
 use simnet::rng::SimRng;
 use simnet::time::SimDuration;
-use telemetry::record::{LogRecord, NoticeKind};
+use telemetry::record::LogRecord;
 use testbed::stage::{PipelineBuilder, StreamReport};
 use testbed::StreamStats;
 
@@ -26,70 +26,9 @@ use testbed::StreamStats;
 /// conversions a by-hand caller would use, proving the two construction
 /// styles are observationally identical.
 fn string_roundtrip(r: &LogRecord) -> LogRecord {
-    let s = |sym: simnet::intern::Sym| -> simnet::intern::Sym { String::from(sym.as_str()).into() };
-    match r {
-        LogRecord::Conn(c) => LogRecord::Conn(c.clone()),
-        LogRecord::Http(h) => {
-            let mut h = h.clone();
-            h.method = s(h.method);
-            h.host = s(h.host);
-            h.uri = s(h.uri);
-            h.mime = s(h.mime);
-            h.user_agent = s(h.user_agent);
-            LogRecord::Http(h)
-        }
-        LogRecord::Ssh(r) => {
-            let mut r = r.clone();
-            r.user = s(r.user);
-            r.client_banner = s(r.client_banner);
-            LogRecord::Ssh(r)
-        }
-        LogRecord::Notice(n) => {
-            let mut n = n.clone();
-            if let NoticeKind::Custom(sym) = n.note {
-                n.note = NoticeKind::Custom(s(sym));
-            }
-            n.msg = s(n.msg);
-            n.sub = s(n.sub);
-            LogRecord::Notice(n)
-        }
-        LogRecord::Process(p) => {
-            let mut p = p.clone();
-            p.hostname = s(p.hostname);
-            p.user = s(p.user);
-            p.exe = s(p.exe);
-            p.cmdline = s(p.cmdline);
-            LogRecord::Process(p)
-        }
-        LogRecord::File(f) => {
-            let mut f = f.clone();
-            f.hostname = s(f.hostname);
-            f.user = s(f.user);
-            f.path = s(f.path);
-            f.process = s(f.process);
-            LogRecord::File(f)
-        }
-        LogRecord::Auth(a) => {
-            let mut a = a.clone();
-            a.hostname = s(a.hostname);
-            a.user = s(a.user);
-            LogRecord::Auth(a)
-        }
-        LogRecord::Audit(a) => {
-            let mut a = a.clone();
-            a.hostname = s(a.hostname);
-            a.user = s(a.user);
-            a.syscall = s(a.syscall);
-            a.args = s(a.args);
-            LogRecord::Audit(a)
-        }
-        LogRecord::Db(d) => {
-            let mut d = d.clone();
-            d.user = s(d.user);
-            d.statement = s(d.statement);
-            LogRecord::Db(d)
-        }
-    }
+    let mut r = *r;
+    r.remap_syms(|sym| String::from(sym.as_str()).into());
+    r
 }
 
 fn workload(seed: u64, scans: usize, execs: usize, users: usize) -> Vec<LogRecord> {

@@ -1,10 +1,11 @@
 //! A tenant-scoped pipeline mints nothing into the global symbol table.
 //!
-//! The §V ransomware reaches PostgreSQL as three commands whose payloads
-//! arrive as plain strings: an ELF prefix written to a large object, an
-//! `lo_export` path and a `COPY FROM PROGRAM` command. The symbolizer
-//! interns each payload into its alert message, and in a tenant pipeline
-//! that has to be the tenant's scope. This file holds a single test so it
+//! The §V ransomware reaches PostgreSQL as three commands with a string
+//! payload: an ELF prefix written to a large object, an `lo_export` path
+//! and a `COPY FROM PROGRAM` command. The records carry each payload as a
+//! symbol minted in the global scope; rescoping carries it into the
+//! tenant's scope, and the symbolizer's alert message has to name it
+//! there. This file holds a single test so it
 //! runs in a process of its own: the global table is shared by every test
 //! in a binary, and a neighbour interning concurrently would move its
 //! length.
@@ -14,18 +15,17 @@
 //! `Symbolizer::new` interns the configured ghost accounts and default DB
 //! users there before the builder re-points it with `set_scope`.
 
-use simnet::action::DbCommandKind;
 use simnet::flow::FlowId;
 use simnet::intern::SymScope;
 use simnet::time::SimTime;
 use simnet::topology::HostId;
-use telemetry::record::{DbRecord, LogRecord};
+use telemetry::record::{DbCommand, DbRecord, LogRecord};
 use testbed::stage::PipelineBuilder;
 
 #[test]
 fn tenant_pipeline_interns_db_payloads_in_the_tenant_scope() {
     let global = SymScope::global();
-    let db = |secs: u64, command: DbCommandKind| {
+    let db = |secs: u64, command: DbCommand| {
         LogRecord::Db(DbRecord {
             ts: SimTime::from_secs(secs),
             uid: FlowId(secs),
@@ -40,21 +40,21 @@ fn tenant_pipeline_interns_db_payloads_in_the_tenant_scope() {
     let records = [
         db(
             1,
-            DbCommandKind::LargeObjectWrite {
-                hex_prefix: "7F454C46020101000000000000000000".to_owned(),
+            DbCommand::LargeObjectWrite {
+                hex_prefix: global.sym("7F454C46020101000000000000000000"),
                 bytes: 50_000,
             },
         ),
         db(
             2,
-            DbCommandKind::LoExport {
-                path: "/tmp/kp-tenant-payload".to_owned(),
+            DbCommand::LoExport {
+                path: global.sym("/tmp/kp-tenant-payload"),
             },
         ),
         db(
             3,
-            DbCommandKind::CopyFromProgram {
-                program: "/tmp/kp-tenant-payload --daemon".to_owned(),
+            DbCommand::CopyFromProgram {
+                program: global.sym("/tmp/kp-tenant-payload --daemon"),
             },
         ),
     ];

@@ -124,7 +124,7 @@ fn fault_injector_steady_state_allocates_nothing() {
             // Warm half: fills the reorder window and exercises every
             // fault model before measuring.
             for r in warm {
-                inj.push(r.clone(), &mut out);
+                inj.push(*r, &mut out);
             }
             let batch = measured.to_vec();
             let (allocs, ()) = thread_allocations(|| {
