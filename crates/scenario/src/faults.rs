@@ -31,14 +31,19 @@
 //!   `[-jitter, +jitter]`. Negative adjustments saturate at
 //!   [`SimTime::EPOCH`] rather than wrapping.
 //!
-//! The injector is allocation-free after construction: the release ring
-//! is sized to the window up front, the offsets of the first 1,024
-//! clocks are computed once, and records move through by value.
+//! The injector is allocation-free after construction and costs little
+//! more than the record copy it makes. The release ring is sized to the
+//! window up front and holds plain `Copy` records, linked by `u32`
+//! indices with a sentinel head per release position, so an append never
+//! branches on an empty list. The offsets of the first 1,024 clocks are
+//! computed once, as signed nanoseconds, and a jitter bound below 2^63 ns
+//! costs one multiply and one truncating conversion per record.
 
+use simnet::intern::Sym;
 use simnet::rng::SimRng;
 use simnet::time::{SimDuration, SimTime};
 use simnet::topology::HostId;
-use telemetry::record::{LogRecord, RecordKind};
+use telemetry::record::{AuditRecord, LogRecord, RecordKind};
 
 /// Which telemetry a blackout window silences.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,7 +202,19 @@ pub struct FaultStats {
 }
 
 /// End of a release list.
-const NIL: usize = usize::MAX;
+const NIL: u32 = u32::MAX;
+
+/// What a record slot holds before its first record. It is never
+/// emitted: only listed slots are read.
+const VACANT: LogRecord = LogRecord::Audit(AuditRecord {
+    ts: SimTime::EPOCH,
+    host: HostId(0),
+    hostname: Sym::EMPTY,
+    user: Sym::EMPTY,
+    syscall: Sym::EMPTY,
+    args: Sym::EMPTY,
+    exit_code: 0,
+});
 
 /// The bounded reorderer: a ring of `k + 1` record slots, where
 /// `k = reorder_window`, plus one FIFO of slot indices per release
@@ -209,15 +226,21 @@ const NIL: usize = usize::MAX;
 /// and was released by `seq - 1`. For the same reason each list holds a
 /// single release position at a time. Records enter in `seq` order, so
 /// each list is in `seq` order and the ring emits by `(release, seq)`.
+///
+/// The lists are linked through `next`, whose nodes `0..=k` are the
+/// record slots and whose node `k + 1 + r` is the sentinel head of
+/// release position `r`: appending to a list never tests whether it is
+/// empty.
 #[derive(Debug)]
 struct ReleaseRing {
-    slots: Vec<Option<LogRecord>>,
-    /// Next slot in the same release list, or [`NIL`].
-    next: Vec<usize>,
-    /// First and last slot of each release position's list (`head` is
-    /// [`NIL`] when the list is empty).
-    head: Vec<usize>,
-    tail: Vec<usize>,
+    /// The record that entered at `seq`, in slot `seq % (k + 1)`; a slot
+    /// is read only while it is listed.
+    slots: Vec<LogRecord>,
+    /// Next node of the same list, or [`NIL`] at its end.
+    next: Vec<u32>,
+    /// Last node of each release position's list: its sentinel head when
+    /// the list is empty.
+    tail: Vec<u32>,
     /// `seq % (k + 1)` of the next record to enter.
     pos: usize,
 }
@@ -225,11 +248,15 @@ struct ReleaseRing {
 impl ReleaseRing {
     fn new(window: usize) -> ReleaseRing {
         let n = window + 1;
+        // `2n` nodes, each distinct from `NIL`.
+        assert!(
+            n <= (NIL / 2) as usize,
+            "reorder window {window} exceeds the ring's u32 links"
+        );
         ReleaseRing {
-            slots: (0..n).map(|_| None).collect(),
-            next: vec![NIL; n],
-            head: vec![NIL; n],
-            tail: vec![NIL; n],
+            slots: vec![VACANT; n],
+            next: vec![NIL; 2 * n],
+            tail: (n..2 * n).map(|head| head as u32).collect(),
             pos: 0,
         }
     }
@@ -237,33 +264,34 @@ impl ReleaseRing {
     /// Enter `record` at the next stream position with release
     /// `seq + delay` (`delay <= k`), then emit every record released at
     /// this position.
+    #[inline]
     fn enter(&mut self, record: LogRecord, delay: usize, out: &mut Vec<LogRecord>) {
         let n = self.slots.len();
         let slot = self.pos;
         self.pos = if slot + 1 == n { 0 } else { slot + 1 };
-        debug_assert!(self.slots[slot].is_none(), "slot released before reuse");
-        self.slots[slot] = Some(record);
+        self.slots[slot] = record;
         self.next[slot] = NIL;
         let release = if slot + delay >= n {
             slot + delay - n
         } else {
             slot + delay
         };
-        if self.head[release] == NIL {
-            self.head[release] = slot;
-        } else {
-            self.next[self.tail[release]] = slot;
-        }
-        self.tail[release] = slot;
+        let tail = self.tail[release] as usize;
+        self.next[tail] = slot as u32;
+        self.tail[release] = slot as u32;
         self.emit(slot, out);
     }
 
-    /// Emit the list at release position `release`, in `seq` order.
+    /// Emit the list at release position `release`, in `seq` order, and
+    /// leave it empty.
+    #[inline]
     fn emit(&mut self, release: usize, out: &mut Vec<LogRecord>) {
-        let mut i = std::mem::replace(&mut self.head[release], NIL);
+        let head = self.slots.len() + release;
+        let mut i = std::mem::replace(&mut self.next[head], NIL);
+        self.tail[release] = head as u32;
         while i != NIL {
-            out.push(self.slots[i].take().expect("listed slot holds a record"));
-            i = self.next[i];
+            out.push(self.slots[i as usize]);
+            i = self.next[i as usize];
         }
     }
 
@@ -285,41 +313,77 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// The stable offset of clock `clock_id` (`0` for the network sensors'
-/// shared clock, `host + 1` for a host) under `seed`, bounded by `max`:
-/// `(offset, is_negative)`.
-fn clock_skew(seed: u64, max: SimDuration, clock_id: u64) -> (SimDuration, bool) {
+/// shared clock, `host + 1` for a host) under `seed`, bounded by `max`,
+/// in signed nanoseconds.
+fn clock_offset(seed: u64, max: SimDuration, clock_id: u64) -> i128 {
     if max == SimDuration::ZERO {
-        return (SimDuration::ZERO, false);
+        return 0;
     }
     let h = splitmix64(seed ^ clock_id.wrapping_mul(0xD6E8_FEB8_6659_FD93));
     // 53 uniform bits → [0, 1), stretched to [-1, 1).
     let signed = ((h >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
-    (max.mul_f64(signed.abs()), signed < 0.0)
+    let n = max.mul_f64(signed.abs()).as_nanos() as i128;
+    if signed < 0.0 {
+        -n
+    } else {
+        n
+    }
 }
 
-/// `orig` moved by the clock offset `(skew, is_negative)`, then by
-/// `jitter` scaled by `unit` in `[-1, 1]`: signed nanosecond steps, each
-/// clamped to `[0, u64::MAX]`, so a record saturates at either end of
-/// representable time instead of wrapping.
-fn skewed_time(
-    orig: SimTime,
-    skew: (SimDuration, bool),
-    jitter: SimDuration,
-    unit: f64,
-) -> SimTime {
-    let signed = |d: SimDuration, negative: bool| {
-        let n = d.as_nanos() as i128;
-        if negative {
-            -n
+/// The per-record jitter model, fixed per plan.
+#[derive(Debug, Clone, Copy)]
+enum Jitter {
+    /// No jitter, and no draw.
+    Off,
+    /// A bound below 2^63 ns, as an `f64`.
+    Narrow(f64),
+    /// A larger bound.
+    Wide(SimDuration),
+}
+
+impl Jitter {
+    fn new(bound: SimDuration) -> Jitter {
+        let ns = bound.as_nanos() as f64;
+        if bound == SimDuration::ZERO {
+            Jitter::Off
+        } else if ns < (1u64 << 63) as f64 {
+            Jitter::Narrow(ns)
         } else {
-            n
+            Jitter::Wide(bound)
         }
-    };
+    }
+
+    /// The jitter for `unit` in `[-1, 1]`, in signed nanoseconds: the
+    /// bound scaled by `|unit|`, truncated toward zero and saturated at
+    /// `u64::MAX` as [`SimDuration::mul_f64`] does, then signed like
+    /// `unit`.
+    #[inline]
+    fn nanos(self, unit: f64) -> i128 {
+        match self {
+            Jitter::Off => 0,
+            // IEEE multiplication is sign-symmetric and both conversions
+            // truncate toward zero, so below 2^63 one multiply and one
+            // conversion give the magnitude-then-sign result exactly.
+            Jitter::Narrow(ns) => (ns * unit) as i64 as i128,
+            Jitter::Wide(bound) => {
+                let n = bound.mul_f64(unit.abs()).as_nanos() as i128;
+                if unit < 0.0 {
+                    -n
+                } else {
+                    n
+                }
+            }
+        }
+    }
+}
+
+/// `orig` moved by the clock offset, then by the jitter (both signed
+/// nanoseconds), each step clamped to `[0, u64::MAX]`, so a record
+/// saturates at either end of representable time instead of wrapping.
+#[inline]
+fn skewed(orig: SimTime, offset: i128, jitter: i128) -> SimTime {
     let clamp = |n: i128| n.clamp(0, u64::MAX as i128);
-    let skewed = clamp(orig.as_nanos() as i128 + signed(skew.0, skew.1));
-    // The magnitude truncates toward zero and saturates at `u64::MAX`,
-    // as `mul_f64` does.
-    let jitter = signed(jitter.mul_f64(unit.abs()), unit < 0.0);
+    let skewed = clamp(orig.as_nanos() as i128 + offset);
     SimTime::from_nanos(clamp(skewed + jitter) as u64)
 }
 
@@ -338,9 +402,10 @@ pub struct FaultInjector {
     rng: SimRng,
     ring: ReleaseRing,
     stats: FaultStats,
-    /// [`clock_skew`] of clock ids below [`SKEW_TABLE`]; empty when the
+    /// [`clock_offset`] of clock ids below [`SKEW_TABLE`]; empty when the
     /// plan has no skew.
-    skews: Vec<(SimDuration, bool)>,
+    skews: Vec<i128>,
+    jitter: Jitter,
 }
 
 impl FaultInjector {
@@ -355,13 +420,14 @@ impl FaultInjector {
             Vec::new()
         } else {
             (0..SKEW_TABLE as u64)
-                .map(|id| clock_skew(plan.seed, max, id))
+                .map(|id| clock_offset(plan.seed, max, id))
                 .collect()
         };
         FaultInjector {
             ring: ReleaseRing::new(plan.reorder_window),
             rng,
             stats,
+            jitter: Jitter::new(plan.clock.jitter),
             plan,
             skews,
         }
@@ -377,32 +443,34 @@ impl FaultInjector {
     }
 
     /// The stable clock offset of `host` (network-sensor records without
-    /// a host share one Zeek-cluster clock): `(offset, is_negative)`.
-    fn host_skew(&self, host: Option<HostId>) -> (SimDuration, bool) {
+    /// a host share one Zeek-cluster clock), in signed nanoseconds.
+    #[inline]
+    fn host_offset(&self, host: Option<HostId>) -> i128 {
         let clock_id = host.map_or(0, |h| h.0 as u64 + 1);
         match self.skews.get(clock_id as usize) {
-            Some(&skew) => skew,
-            None => clock_skew(self.plan.seed, self.plan.clock.max_skew, clock_id),
+            Some(&offset) => offset,
+            None => clock_offset(self.plan.seed, self.plan.clock.max_skew, clock_id),
         }
     }
 
     /// Apply the record's host-clock offset, then its jitter, each
     /// saturating at the epoch.
+    #[inline]
     fn skew_clock(&mut self, record: &mut LogRecord) {
         let (ts, host) = record.clock_mut();
-        let skew = self.host_skew(host);
-        let unit = if self.plan.clock.jitter == SimDuration::ZERO {
-            0.0
-        } else {
-            self.rng.uniform(-1.0, 1.0)
+        let offset = self.host_offset(host);
+        let unit = match self.jitter {
+            Jitter::Off => 0.0,
+            _ => self.rng.uniform(-1.0, 1.0),
         };
         let orig = *ts;
-        *ts = skewed_time(orig, skew, self.plan.clock.jitter, unit);
+        *ts = skewed(orig, offset, self.jitter.nanos(unit));
         self.stats.skewed += (*ts != orig) as u64;
     }
 
     /// Offer one record; surviving (possibly skewed, duplicated,
     /// reordered) records are appended to `out`.
+    #[inline]
     pub fn push(&mut self, mut record: LogRecord, out: &mut Vec<LogRecord>) {
         self.stats.records_in += 1;
         // Blackouts judge the record by its true emission time, before
@@ -430,6 +498,7 @@ impl FaultInjector {
 
     /// Enter the bounded reorderer at the next stream position and emit
     /// everything whose release slot has arrived.
+    #[inline]
     fn enqueue(&mut self, record: LogRecord, out: &mut Vec<LogRecord>) {
         let k = self.plan.reorder_window;
         if k == 0 {
@@ -471,6 +540,7 @@ pub fn apply_fault_plan(plan: &FaultPlan, records: &[LogRecord]) -> (Vec<LogReco
 mod tests {
     use super::*;
     use crate::stream::{record_stream, RecordStreamConfig};
+    use proptest::prelude::*;
     use simnet::intern::SymScope;
 
     fn workload(n: usize) -> Vec<LogRecord> {
@@ -485,6 +555,291 @@ mod tests {
             },
             &mut SimRng::seed(42),
         )
+    }
+
+    /// A reference injector that makes the same draws in the plainest
+    /// form: `Option` slots with `usize` links and an empty-list test per
+    /// append, and `(magnitude, is_negative)` clock offsets and jitters
+    /// computed through [`SimDuration::mul_f64`] per record. The property
+    /// test holds [`FaultInjector`] to it.
+    mod oracle {
+        use super::*;
+
+        const NIL: usize = usize::MAX;
+
+        struct ReleaseRing {
+            slots: Vec<Option<LogRecord>>,
+            next: Vec<usize>,
+            head: Vec<usize>,
+            tail: Vec<usize>,
+            pos: usize,
+        }
+
+        impl ReleaseRing {
+            fn new(window: usize) -> ReleaseRing {
+                let n = window + 1;
+                ReleaseRing {
+                    slots: (0..n).map(|_| None).collect(),
+                    next: vec![NIL; n],
+                    head: vec![NIL; n],
+                    tail: vec![NIL; n],
+                    pos: 0,
+                }
+            }
+
+            fn enter(&mut self, record: LogRecord, delay: usize, out: &mut Vec<LogRecord>) {
+                let n = self.slots.len();
+                let slot = self.pos;
+                self.pos = if slot + 1 == n { 0 } else { slot + 1 };
+                assert!(self.slots[slot].is_none(), "slot released before reuse");
+                self.slots[slot] = Some(record);
+                self.next[slot] = NIL;
+                let release = (slot + delay) % n;
+                if self.head[release] == NIL {
+                    self.head[release] = slot;
+                } else {
+                    self.next[self.tail[release]] = slot;
+                }
+                self.tail[release] = slot;
+                self.emit(slot, out);
+            }
+
+            fn emit(&mut self, release: usize, out: &mut Vec<LogRecord>) {
+                let mut i = std::mem::replace(&mut self.head[release], NIL);
+                while i != NIL {
+                    out.push(self.slots[i].take().expect("listed slot holds a record"));
+                    i = self.next[i];
+                }
+            }
+
+            fn drain(&mut self, out: &mut Vec<LogRecord>) {
+                let n = self.slots.len();
+                for step in 0..n {
+                    self.emit((self.pos + step) % n, out);
+                }
+            }
+        }
+
+        pub(super) fn clock_skew(
+            seed: u64,
+            max: SimDuration,
+            clock_id: u64,
+        ) -> (SimDuration, bool) {
+            if max == SimDuration::ZERO {
+                return (SimDuration::ZERO, false);
+            }
+            let h = splitmix64(seed ^ clock_id.wrapping_mul(0xD6E8_FEB8_6659_FD93));
+            let signed = ((h >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
+            (max.mul_f64(signed.abs()), signed < 0.0)
+        }
+
+        fn skewed_time(
+            orig: SimTime,
+            skew: (SimDuration, bool),
+            jitter: SimDuration,
+            unit: f64,
+        ) -> SimTime {
+            let signed = |d: SimDuration, negative: bool| {
+                let n = d.as_nanos() as i128;
+                if negative {
+                    -n
+                } else {
+                    n
+                }
+            };
+            let clamp = |n: i128| n.clamp(0, u64::MAX as i128);
+            let skewed = clamp(orig.as_nanos() as i128 + signed(skew.0, skew.1));
+            let jitter = signed(jitter.mul_f64(unit.abs()), unit < 0.0);
+            SimTime::from_nanos(clamp(skewed + jitter) as u64)
+        }
+
+        pub(super) struct Injector {
+            plan: FaultPlan,
+            rng: SimRng,
+            ring: ReleaseRing,
+            pub(super) stats: FaultStats,
+        }
+
+        impl Injector {
+            pub(super) fn new(plan: FaultPlan) -> Injector {
+                Injector {
+                    rng: SimRng::seed(plan.seed),
+                    ring: ReleaseRing::new(plan.reorder_window),
+                    stats: FaultStats {
+                        profile: plan.profile.clone(),
+                        ..FaultStats::default()
+                    },
+                    plan,
+                }
+            }
+
+            fn skew_clock(&mut self, record: &mut LogRecord) {
+                let (ts, host) = record.clock_mut();
+                let clock_id = host.map_or(0, |h| h.0 as u64 + 1);
+                let skew = clock_skew(self.plan.seed, self.plan.clock.max_skew, clock_id);
+                let unit = if self.plan.clock.jitter == SimDuration::ZERO {
+                    0.0
+                } else {
+                    self.rng.uniform(-1.0, 1.0)
+                };
+                let orig = *ts;
+                *ts = skewed_time(orig, skew, self.plan.clock.jitter, unit);
+                self.stats.skewed += (*ts != orig) as u64;
+            }
+
+            pub(super) fn push(&mut self, mut record: LogRecord, out: &mut Vec<LogRecord>) {
+                self.stats.records_in += 1;
+                if self.plan.blackouts.iter().any(|w| w.silences(&record)) {
+                    self.stats.lost_blackout += 1;
+                    return;
+                }
+                if self.rng.chance(self.plan.loss_prob) {
+                    self.stats.lost_iid += 1;
+                    return;
+                }
+                if !self.plan.clock.is_none() {
+                    self.skew_clock(&mut record);
+                }
+                if self.plan.dup_prob > 0.0 && self.rng.chance(self.plan.dup_prob) {
+                    self.stats.duplicated += 1;
+                    self.enqueue(record, out);
+                }
+                self.enqueue(record, out);
+            }
+
+            fn enqueue(&mut self, record: LogRecord, out: &mut Vec<LogRecord>) {
+                let k = self.plan.reorder_window;
+                if k == 0 {
+                    out.push(record);
+                    self.stats.records_out += 1;
+                    return;
+                }
+                let delay = self.rng.index(k + 1);
+                if delay > 0 {
+                    self.stats.reordered += 1;
+                }
+                let before = out.len();
+                self.ring.enter(record, delay, out);
+                self.stats.records_out += (out.len() - before) as u64;
+            }
+
+            pub(super) fn finish(&mut self, out: &mut Vec<LogRecord>) {
+                let before = out.len();
+                self.ring.drain(out);
+                self.stats.records_out += (out.len() - before) as u64;
+            }
+        }
+    }
+
+    /// The host a hosted record is attributed to.
+    fn host_mut(record: &mut LogRecord) -> Option<&mut HostId> {
+        match record {
+            LogRecord::Process(p) => Some(&mut p.host),
+            LogRecord::File(p) => Some(&mut p.host),
+            LogRecord::Auth(p) => Some(&mut p.host),
+            LogRecord::Audit(p) => Some(&mut p.host),
+            LogRecord::Db(p) => p.host.as_mut(),
+            _ => None,
+        }
+    }
+
+    /// A probability in `[0, 1]` that hits both ends often.
+    fn probability() -> impl Strategy<Value = f64> {
+        (0u8..6, 0.0f64..1.0).prop_map(|(pick, p)| match pick {
+            0 => 0.0,
+            1 => 1.0,
+            _ => p,
+        })
+    }
+
+    /// A skew or jitter bound: none, seconds, either side of the 2^63 ns
+    /// edge of the narrow jitter formula, near `u64::MAX`, or anything.
+    fn clock_bound() -> impl Strategy<Value = SimDuration> {
+        (0u8..5, 0u64..=u64::MAX).prop_map(|(class, v)| {
+            SimDuration::from_nanos(match class {
+                0 => 0,
+                1 => v % 60_000_000_000,
+                2 => (1u64 << 63) - (1 << 12) + v % (1 << 13),
+                3 => u64::MAX - v % 1_000_000,
+                _ => v,
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The injector emits the reference injector's stream, batch by
+        /// batch, and ends with its counters.
+        #[test]
+        fn injector_matches_the_reference_model(
+            shape in (0usize..600, 0u32..1100, 0u8..3, 0u64..=u64::MAX),
+            rates in (0usize..=70, probability(), probability()),
+            clock in (clock_bound(), clock_bound()),
+            blackouts in proptest::collection::vec((0u8..3, 0.0f64..1.0, 0.0f64..1.0), 0..3),
+            cuts in proptest::collection::vec(1usize..150, 1..8),
+        ) {
+            let (n, host_shift, ts_mode, seed) = shape;
+            let (window, loss, dup) = rates;
+            let (max_skew, jitter) = clock;
+            let mut records = workload(n);
+            for (i, r) in records.iter_mut().enumerate() {
+                if let Some(h) = host_mut(r) {
+                    h.0 += host_shift;
+                }
+                // Timestamps near either end of representable time make
+                // the clamps bite.
+                let ts = r.clock_mut().0;
+                match ts_mode {
+                    1 => *ts = SimTime::from_nanos(i as u64 % 7),
+                    2 => *ts = SimTime::from_nanos(u64::MAX - i as u64 % 7),
+                    _ => {}
+                }
+            }
+            let mut plan = FaultPlan::clean(seed)
+                .named("property")
+                .with_loss(loss)
+                .with_duplication(dup)
+                .with_reorder(window)
+                .with_clock(ClockSkewConfig { max_skew, jitter });
+            let t0 = records.first().map_or(0, |r| r.ts().as_nanos()) as f64;
+            let t1 = records.last().map_or(0, |r| r.ts().as_nanos()) as f64;
+            for (scope, a, b) in blackouts {
+                let at = |f: f64| SimTime::from_nanos((t0 + (t1 - t0) * f) as u64);
+                let scope = match (scope, records.iter().find_map(|r| r.host())) {
+                    (0, _) => BlackoutScope::All,
+                    (1, _) => BlackoutScope::Monitor(RecordKind::Conn),
+                    (_, Some(h)) => BlackoutScope::Host(h),
+                    (_, None) => BlackoutScope::Monitor(RecordKind::Process),
+                };
+                plan = plan.with_blackout(BlackoutWindow {
+                    start: at(a.min(b)),
+                    end: at(a.max(b)),
+                    scope,
+                });
+            }
+
+            let mut injector = FaultInjector::new(plan.clone());
+            let mut reference = oracle::Injector::new(plan);
+            let (mut out, mut want) = (Vec::new(), Vec::new());
+            let mut i = 0;
+            for &cut in cuts.iter().cycle() {
+                if i == records.len() {
+                    break;
+                }
+                let end = (i + cut).min(records.len());
+                for r in &records[i..end] {
+                    injector.push(*r, &mut out);
+                    reference.push(*r, &mut want);
+                }
+                i = end;
+                prop_assert_eq!(&out, &want, "after {} pushes", i);
+            }
+            injector.finish(&mut out);
+            reference.finish(&mut want);
+            prop_assert_eq!(&out, &want, "after the finish drain");
+            prop_assert_eq!(injector.stats(), reference.stats.clone());
+        }
     }
 
     #[test]
@@ -770,7 +1125,8 @@ mod tests {
                     for jitter in spans.map(SimDuration::from_nanos) {
                         for unit in units {
                             let want = reference(orig, (skew, neg), jitter, unit);
-                            let got = skewed_time(orig, (skew, neg), jitter, unit);
+                            let offset = skew.as_nanos() as i128 * if neg { -1 } else { 1 };
+                            let got = skewed(orig, offset, Jitter::new(jitter).nanos(unit));
                             assert_eq!(
                                 got, want,
                                 "orig {orig:?} skew {skew:?} neg {neg} jitter {jitter:?} unit {unit}"
@@ -801,14 +1157,7 @@ mod tests {
         let mut records = vec![network];
         for id in [0, 7, last - 2, last - 1, last, last + 7, u32::MAX - 1] {
             let mut r = hosted;
-            match &mut r {
-                LogRecord::Process(p) => p.host = HostId(id),
-                LogRecord::File(p) => p.host = HostId(id),
-                LogRecord::Auth(p) => p.host = HostId(id),
-                LogRecord::Audit(p) => p.host = HostId(id),
-                LogRecord::Db(p) => p.host = Some(HostId(id)),
-                _ => unreachable!("a hosted record"),
-            }
+            *host_mut(&mut r).expect("a hosted record") = HostId(id);
             *r.clock_mut().0 = SimTime::from_secs(86_400);
             records.push(r);
         }
@@ -816,7 +1165,7 @@ mod tests {
         let (out, _) = apply_fault_plan(&plan, &records);
         for (orig, faulted) in records.iter().zip(&out) {
             let clock_id = orig.host().map_or(0, |h| h.0 as u64 + 1);
-            let (skew, neg) = clock_skew(plan.seed, plan.clock.max_skew, clock_id);
+            let (skew, neg) = oracle::clock_skew(plan.seed, plan.clock.max_skew, clock_id);
             let expected = if neg {
                 orig.ts().saturating_sub(skew)
             } else {
@@ -865,5 +1214,63 @@ mod tests {
         let (b, sb) = run(97);
         assert_eq!(a, b, "batching must be unobservable");
         assert_eq!(sa, sb);
+    }
+
+    /// FNV-1a over what the injector can change or reorder: each emitted
+    /// record's timestamp, stream and clock, in emission order.
+    fn stream_digest(records: &[LogRecord]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for r in records {
+            let clock_id = r.host().map_or(0, |h| h.0 as u64 + 1);
+            for word in [r.ts().as_nanos(), r.kind() as u64, clock_id] {
+                for b in word.to_le_bytes() {
+                    h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            }
+        }
+        h
+    }
+
+    /// The storm plan of the benchmark's `fault_storm` workload over a
+    /// fixed stream, pinned to the stream and counters the reference
+    /// injector produces: a change to the draw order or the clock
+    /// arithmetic shows here.
+    #[test]
+    fn storm_plan_known_answer() {
+        let records = record_stream(
+            &SymScope::global(),
+            &RecordStreamConfig {
+                scan_records: 8_000,
+                benign_flows: 4_000,
+                exec_records: 8_000,
+                users: 200,
+                ..RecordStreamConfig::default()
+            },
+            &mut SimRng::seed(2_809_840_877),
+        );
+        let plan = FaultPlan::clean(2_809_840_877)
+            .named("fault-storm")
+            .with_loss(0.02)
+            .with_duplication(0.05)
+            .with_reorder(64)
+            .with_clock(ClockSkewConfig {
+                max_skew: SimDuration::from_secs(30),
+                jitter: SimDuration::from_secs(2),
+            });
+        let (out, stats) = apply_fault_plan(&plan, &records);
+        assert_eq!(stream_digest(&out), 0x22f3_ebba_533b_f611);
+        assert_eq!(
+            stats,
+            FaultStats {
+                profile: "fault-storm".to_string(),
+                records_in: 20_000,
+                records_out: 20_573,
+                lost_iid: 386,
+                lost_blackout: 0,
+                duplicated: 959,
+                reordered: 20_259,
+                skewed: 19_614,
+            }
+        );
     }
 }

@@ -44,6 +44,7 @@ impl SimRng {
     }
 
     /// Next raw 64-bit output (xoshiro256++ step).
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
@@ -58,6 +59,7 @@ impl SimRng {
     }
 
     /// Unbiased uniform in `[0, bound)` (Lemire's multiply-and-reject).
+    #[inline]
     fn bounded(&mut self, bound: u64) -> u64 {
         loop {
             let m = u128::from(self.next_u64()) * u128::from(bound);
@@ -77,6 +79,7 @@ impl SimRng {
     }
 
     /// Uniform in `[0, 1)` with 53 bits of precision.
+    #[inline]
     pub fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -91,12 +94,14 @@ impl SimRng {
     }
 
     /// Uniform `usize` in `[0, n)`.
+    #[inline]
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index over empty range");
         self.bounded(n as u64) as usize
     }
 
     /// Bernoulli trial with probability `p` of `true`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         // `clamp` passes NaN through; the assert rejects it.
         let p = p.clamp(0.0, 1.0);
@@ -105,6 +110,7 @@ impl SimRng {
     }
 
     /// Uniform in `[lo, hi)`.
+    #[inline]
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.f64()
     }

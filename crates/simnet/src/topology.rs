@@ -179,11 +179,6 @@ impl Topology {
     pub fn hosts_with_role(&self, role: HostRole) -> impl Iterator<Item = &Host> {
         self.hosts.iter().filter(move |h| h.role == role)
     }
-
-    /// Rebuild the address index from the host arena.
-    pub fn rebuild_index(&mut self) {
-        self.by_addr = self.hosts.iter().map(|h| (h.addr, h.id)).collect();
-    }
 }
 
 /// Builder producing an NCSA-like topology: production /16 with login,
@@ -316,22 +311,5 @@ mod tests {
         let id = t.add_external("scanner", "103.102.8.9".parse().unwrap());
         assert!(!t.host(id).monitored);
         assert_eq!(t.host(id).zone, Zone::External);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let mut t = Topology::new();
-        let a: Ipv4Addr = "10.0.0.1".parse().unwrap();
-        t.add_host("a", a, Zone::Internal, HostRole::Compute);
-        let mut rebuilt = without_index(&t);
-        assert!(rebuilt.host_by_addr(a).is_none(), "index cleared");
-        rebuilt.rebuild_index();
-        assert!(rebuilt.host_by_addr(a).is_some());
-    }
-
-    fn without_index(t: &Topology) -> Topology {
-        let mut c = t.clone();
-        c.by_addr.clear();
-        c
     }
 }

@@ -315,6 +315,7 @@ impl LogRecord {
     /// ([`LogRecord::host`]), in one match: clock-skew and jitter fault
     /// models rewrite observation times without touching any other
     /// field.
+    #[inline]
     pub fn clock_mut(&mut self) -> (&mut SimTime, Option<HostId>) {
         match self {
             LogRecord::Conn(r) => (&mut r.ts, None),

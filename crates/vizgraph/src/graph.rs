@@ -125,26 +125,6 @@ impl Graph {
     pub fn id_of(&self, label: &str) -> Option<u32> {
         self.by_label.get(label).copied()
     }
-
-    /// Rebuild the label index and adjacency from the nodes and edges.
-    pub fn rebuild_indexes(&mut self) {
-        self.by_label = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.label.clone(), i as u32))
-            .collect();
-        self.adjacency = vec![Vec::new(); self.nodes.len()];
-        self.edge_set = self.edges.iter().copied().collect();
-        let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
-        for &(a, b) in &self.edges {
-            let key = if a < b { (a, b) } else { (b, a) };
-            if seen.insert(key) {
-                self.adjacency[a as usize].push(b);
-                self.adjacency[b as usize].push(a);
-            }
-        }
-    }
 }
 
 /// Build a graph from flows, labelling nodes by address. `internal_is` is
@@ -230,18 +210,5 @@ mod tests {
         let sid = g.id_of(&scanner.to_string()).unwrap();
         assert_eq!(g.degree(sid), 100);
         assert_eq!(g.node(sid).group, NodeGroup::External);
-    }
-
-    #[test]
-    fn rebuild_indexes_after_clear() {
-        let mut g = Graph::new();
-        let a = g.add_node("a", NodeGroup::External);
-        let b = g.add_node("b", NodeGroup::Internal);
-        g.add_edge(a, b);
-        g.by_label.clear();
-        g.adjacency.clear();
-        g.rebuild_indexes();
-        assert_eq!(g.id_of("a"), Some(a));
-        assert_eq!(g.degree(a), 1);
     }
 }
