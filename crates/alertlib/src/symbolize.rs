@@ -907,6 +907,49 @@ mod tests {
             .any(|a| a.kind == AlertKind::InternalPivotLogin));
     }
 
+    /// `odd_hours` is inclusive at both ends and reads only the time of
+    /// day: under the default `(0, 4)`, 00:00:00 and 04:59:59 are odd and
+    /// 05:00:00 and 23:59:59 are not, on any date. So a whole-day shift
+    /// of the stream cannot move a login across the boundary.
+    #[test]
+    fn odd_hours_boundary_reads_only_the_time_of_day() {
+        let login = |ts| {
+            LogRecord::Ssh(SshRecord {
+                ts,
+                uid: FlowId(3),
+                orig_h: "132.1.2.3".parse().unwrap(),
+                resp_h: "141.142.1.1".parse().unwrap(),
+                user: g("alice"),
+                method: simnet::action::AuthMethod::Password,
+                success: true,
+                client_banner: g("OpenSSH"),
+                direction: Direction::Inbound,
+            })
+        };
+        for days in [0, 1, 7, 365] {
+            let midnight = SimTime::from_date(2024, 10, 30) + SimDuration::from_days(days);
+            for (secs, odd) in [
+                (0, true),
+                (4 * 3600 + 3599, true),
+                (5 * 3600, false),
+                (86_399, false),
+            ] {
+                let ts = midnight + SimDuration::from_secs(secs);
+                let kinds: Vec<AlertKind> =
+                    sym().symbolize(&login(ts)).iter().map(|a| a.kind).collect();
+                assert_eq!(
+                    kinds,
+                    vec![if odd {
+                        AlertKind::LoginUnusualHour
+                    } else {
+                        AlertKind::LoginSuccess
+                    }],
+                    "{ts}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn ghost_account_flagged() {
         let r = LogRecord::Ssh(SshRecord {

@@ -257,7 +257,8 @@ pub fn run_reactive_campaign(
         buf.clear();
         gen.emit_until(t, &mut buf);
         if !buf.is_empty() {
-            core.process_records_at(None, &mut buf, |_| {});
+            buf.iter().for_each(|r| core.push(r));
+            core.end_batch(None);
             records.extend_from_slice(&buf);
         }
         let events = tap.drain();

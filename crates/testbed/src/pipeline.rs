@@ -100,8 +100,8 @@ impl ActionSink for PipelineSink {
         // Responses (block install time, TTL anchor, notification time)
         // are stamped with the engine's event time, exactly as the
         // pre-redesign sink did.
-        self.core
-            .process_records_at(Some(ctx.time), &mut self.records_scratch, |_| {});
+        self.records_scratch.iter().for_each(|r| self.core.push(r));
+        self.core.end_batch(Some(ctx.time));
         // Mirror the core counters so the public `report` stays live
         // mid-run, as it always was.
         self.report.stats = self.core.stats;

@@ -150,6 +150,18 @@ impl TenantSession {
             memo: SymMemo::default(),
         }
     }
+
+    /// Run one ingested batch, translating each record from `global`
+    /// into the tenant's scope just before it is symbolized, in the
+    /// pipeline's one pass over the batch.
+    fn ingest(&mut self, global: &SymScope, records: &mut [LogRecord]) {
+        let TenantSession { core, scope, memo } = self;
+        for r in records {
+            r.remap_syms(|s| memo.translate(global, scope, s));
+            core.push(r);
+        }
+        core.end_batch(None);
+    }
 }
 
 /// Dense global→tenant symbol translation for one session, indexed by
@@ -369,12 +381,7 @@ fn worker_loop(
                 // Callers mint record symbols in the global scope;
                 // re-mint them into the tenant's universe so every
                 // symbol the session touches lives (and dies) with it.
-                // Each record is translated just before it is symbolized,
-                // in the pipeline's one pass over the batch.
-                let TenantSession { core, scope, memo } = session;
-                core.process_records_at(None, &mut records, |r| {
-                    r.remap_syms(|s| memo.translate(&global, scope, s))
-                });
+                session.ingest(&global, &mut records);
             }
             Control::Snapshot(tenant, reply) => {
                 let result = match sessions.get(&tenant) {
@@ -804,9 +811,10 @@ mod tests {
         let fresh = SymScope::fresh();
         let mut core = InlineCore::new(factory()(tenant, fresh.clone()));
         for batch in &batches {
-            let mut scoped: Vec<LogRecord> =
-                batch.iter().map(|r| r.rescope(&global, &fresh)).collect();
-            core.process_records_at(None, &mut scoped, |_| {});
+            for r in batch {
+                core.push(&r.rescope(&global, &fresh));
+            }
+            core.end_batch(None);
         }
         assert_eq!(universe, fresh.snapshot());
         core.flush();

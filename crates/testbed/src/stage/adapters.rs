@@ -45,19 +45,11 @@ impl SymbolizeStage {
         &self.symbolizer
     }
 
-    /// Symbolize an owned batch in one pass, running `prep` on each
-    /// record just before it is symbolized (the service's tenant remap;
-    /// a no-op elsewhere).
-    pub(crate) fn prep_and_process(
-        &mut self,
-        records: &mut [LogRecord],
-        mut prep: impl FnMut(&mut LogRecord),
-        out: &mut Vec<Alert>,
-    ) {
-        for r in records {
-            prep(r);
-            self.symbolizer.symbolize_into(r, out);
-        }
+    /// Symbolize one record, appending its alerts to `out`: the inline
+    /// core's per-record step.
+    #[inline]
+    pub(crate) fn push(&mut self, record: &LogRecord, out: &mut Vec<Alert>) {
+        self.symbolizer.symbolize_into(record, out);
     }
 }
 

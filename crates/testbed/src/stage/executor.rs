@@ -5,7 +5,8 @@
 //! stage work is scheduled:
 //!
 //! - [`run_inline`](BuiltPipeline::run_inline) — everything in the
-//!   calling thread, batch by batch.
+//!   calling thread, batch by batch, symbolizing each record as the
+//!   source yields it (a fault plan stages records first).
 //! - [`run_threaded`](BuiltPipeline::run_threaded) — one thread per stage
 //!   (feeder → symbolize → filter → detect+response), bounded channels
 //!   carrying *batches* (not single items) so channel costs amortize.
@@ -137,8 +138,12 @@ fn stream_report(
     }
 }
 
-/// The sequential stage composition, shared by the inline executor and the
-/// closed-loop [`PipelineSink`](crate::pipeline::PipelineSink).
+/// The sequential stage composition, shared by the inline executor, the
+/// service worker and the closed-loop
+/// [`PipelineSink`](crate::pipeline::PipelineSink). Callers drive it with
+/// two calls: [`push`](InlineCore::push) symbolizes one record into the
+/// pending alert batch, and [`end_batch`](InlineCore::end_batch) runs the
+/// batch's alerts through the rest of the chain.
 pub(crate) struct InlineCore {
     pub(crate) symbolize: crate::stage::adapters::SymbolizeStage,
     pub(crate) filter: crate::stage::adapters::FilterStage,
@@ -170,26 +175,21 @@ impl InlineCore {
         }
     }
 
-    /// Run one record batch through symbolize → filter → detect →
-    /// response → retention, updating counters. `prep` runs on each
-    /// record just before it is symbolized, in the same pass: the
-    /// service worker translates tenant symbols there, every other
-    /// caller passes a no-op. `now` is the response timestamp (see
+    /// Count one record and symbolize it into the pending alert batch.
+    #[inline]
+    pub(crate) fn push(&mut self, record: &LogRecord) {
+        self.stats.records += 1;
+        self.symbolize.push(record, &mut self.alerts_buf);
+    }
+
+    /// Close the pending batch: its alerts go through filter → detect →
+    /// correlate → response → retention, updating counters, even when
+    /// there are none. `now` is the response timestamp (see
     /// [`ResponseStage::respond`]): the closed-loop sink passes the
     /// engine's event time, record-stream runs pass `None`.
-    pub(crate) fn process_records_at(
-        &mut self,
-        now: Option<SimTime>,
-        records: &mut [LogRecord],
-        prep: impl FnMut(&mut LogRecord),
-    ) {
-        self.stats.records += records.len() as u64;
-        self.alerts_buf.clear();
-        self.symbolize
-            .prep_and_process(records, prep, &mut self.alerts_buf);
+    pub(crate) fn end_batch(&mut self, now: Option<SimTime>) {
         self.stats.alerts += self.alerts_buf.len() as u64;
-        // Filter → detect → response → retention, drain-based: alerts
-        // move through without cloning.
+        // Drain-based: alerts move through without cloning.
         self.admitted_buf.clear();
         self.filter
             .admit_drain(&mut self.alerts_buf, &mut self.admitted_buf);
@@ -257,42 +257,54 @@ fn finish_outcomes(
     }
 }
 
-/// Sequential executor (the deterministic reference).
+/// Sequential executor (the deterministic reference). A clean run
+/// symbolizes each record as the source yields it; a fault plan stages
+/// records in a buffer the injector releases them into.
 pub(crate) fn run_inline<I>(mut p: BuiltPipeline, records: I) -> StreamReport
 where
     I: IntoIterator<Item = LogRecord>,
 {
     let batch = p.tuning.batch_size.max(1);
-    let mut faults = p.faults.take();
+    let faults = p.faults.take();
     let mut core = InlineCore::new(p);
-    let mut buf: Vec<LogRecord> = Vec::with_capacity(batch);
-    for r in records {
-        fill(faults.as_mut(), r, &mut buf);
-        if buf.len() >= batch {
-            core.process_records_at(None, &mut buf, |_| {});
-            buf.clear();
+    let fault = match faults {
+        None => {
+            let mut pending = 0;
+            for r in records {
+                core.push(&r);
+                pending += 1;
+                if pending == batch {
+                    core.end_batch(None);
+                    pending = 0;
+                }
+            }
+            if pending > 0 {
+                core.end_batch(None);
+            }
+            None
         }
-    }
-    if let Some(inj) = faults.as_mut() {
-        inj.finish(&mut buf);
-    }
-    if !buf.is_empty() {
-        core.process_records_at(None, &mut buf, |_| {});
-    }
+        Some(mut inj) => {
+            let mut buf: Vec<LogRecord> = Vec::with_capacity(batch);
+            for r in records {
+                inj.push(r, &mut buf);
+                if buf.len() >= batch {
+                    buf.iter().for_each(|r| core.push(r));
+                    buf.clear();
+                    core.end_batch(None);
+                }
+            }
+            inj.finish(&mut buf);
+            if !buf.is_empty() {
+                buf.iter().for_each(|r| core.push(r));
+                core.end_batch(None);
+            }
+            Some(inj.stats())
+        }
+    };
     core.flush();
     let mut report = core.into_report();
-    report.fault = faults.map(|inj| inj.stats());
+    report.fault = fault;
     report
-}
-
-/// Append one source record to the batch being filled, through the fault
-/// injector when one is configured.
-#[inline]
-fn fill(faults: Option<&mut FaultInjector>, record: LogRecord, buf: &mut Vec<LogRecord>) {
-    match faults {
-        Some(inj) => inj.push(record, buf),
-        None => buf.push(record),
-    }
 }
 
 /// Feed records into the first channel in batches, pushing them through
@@ -310,7 +322,10 @@ where
     let mut n = 0u64;
     let mut buf: Vec<LogRecord> = Vec::with_capacity(batch);
     for r in records {
-        fill(faults.as_mut(), r, &mut buf);
+        match faults.as_mut() {
+            Some(inj) => inj.push(r, &mut buf),
+            None => buf.push(r),
+        }
         if buf.len() >= batch {
             n += buf.len() as u64;
             if tx

@@ -493,3 +493,32 @@ proptest! {
         assert_reports_identical(&inline, &sharded);
     }
 }
+
+/// The clean inline path symbolizes each record as the source yields it
+/// and closes a batch every `b` records; a clean fault plan stages the
+/// same records through the injector's buffer instead. At every batch
+/// edge both must equal the sequential reference, and each other on every
+/// report field but the fault accounting.
+#[test]
+fn clean_and_staged_inline_paths_agree_at_batch_edges() {
+    use scenario::faults::FaultPlan;
+    let source = workload(0xB47C, 600, 500, 12);
+    for b in [1usize, 2, 256] {
+        for n in [0, 1, b - 1, b, b + 1, 3 * b] {
+            let records = &source[..n];
+            let (seq_stats, seq_detections) = sequential_reference(records);
+            let direct = builder(b, b, 1, 50).build().run_inline(records.to_vec());
+            assert_eq!(direct.stats, seq_stats, "b={b} n={n}");
+            assert_eq!(detection_keys(&direct), seq_detections, "b={b} n={n}");
+            assert!(direct.fault.is_none(), "no plan, no fault accounting");
+
+            let mut staged = builder(b, b, 1, 50)
+                .faults(FaultPlan::clean(n as u64))
+                .build()
+                .run_inline(records.to_vec());
+            let fault = staged.fault.take().expect("a plan reports its accounting");
+            assert_eq!((fault.records_in, fault.records_out), (n as u64, n as u64));
+            assert_reports_identical(&direct, &staged);
+        }
+    }
+}
