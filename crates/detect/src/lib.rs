@@ -4,7 +4,9 @@
 //!
 //! - [`attack_tagger`] — the factor-graph detector (\[5\], \[6\]): per-entity
 //!   hidden attack-stage chains with learned observation and transition
-//!   factors; causal forward filtering raises detections *before* damage.
+//!   factors; causal forward filtering
+//!   ([`factorgraph::ChainModel::forward_step`]) raises detections *before*
+//!   damage. The correlator's stitched replay runs the same update.
 //! - [`correlate`] — cross-entity campaign correlation: stitches
 //!   lateral-split hops into campaigns through shared victim / source /
 //!   host / exec-palette join keys and promotes linked sub-threshold
@@ -13,8 +15,6 @@
 //!   sequences within time windows.
 //! - [`critical`] — the critical-alert-only baseline, which detects but by
 //!   construction cannot preempt (Insight 4).
-//! - [`fg_session`] — the full (loopy) skip-chain session factor graph of
-//!   ref \[6\], for offline forensic inference.
 //! - [`online`] — online per-entity adapter for the offline baselines.
 //! - [`stage`] — the hidden attack-stage vocabulary.
 //! - [`sessionize`](mod@sessionize) — entity sessionization per the §III-B threat model.
@@ -24,7 +24,6 @@
 pub mod attack_tagger;
 pub mod correlate;
 pub mod critical;
-pub mod fg_session;
 pub mod metrics;
 pub mod online;
 pub mod rules;
@@ -37,7 +36,6 @@ pub use correlate::{
     CampaignCorrelator, CampaignSummary, CorrelatedTagger, CorrelationPolicy, LinkKind, LinkSummary,
 };
 pub use critical::CriticalOnlyDetector;
-pub use fg_session::{build_session_graph, infer_session, SessionGraphConfig, SessionPosteriors};
 pub use metrics::{evaluate, prefix_sweep, EvalSummary, IncidentOutcome, SequenceDetector};
 pub use online::OnlineSessionDetector;
 pub use rules::{Rule, RuleBasedDetector};

@@ -7,8 +7,6 @@
 //! *causal* posterior a preemption model must use online), forward-backward
 //! smoothing, Viterbi MAP decoding and sequence likelihood — all O(n·S²).
 
-use crate::factor::Factor;
-use crate::graph::FactorGraph;
 use crate::timing::{GapModel, GAP_NONE};
 
 /// `f64::MIN_POSITIVE.ln()`: the log-likelihood an impossible
@@ -333,154 +331,12 @@ impl ChainModel {
     pub fn loglik(&self, obs: &[usize]) -> f64 {
         self.filter(obs).1
     }
-
-    /// Build the equivalent factor graph for an observation sequence, with
-    /// emissions reduced on the evidence. Used to cross-validate chain
-    /// inference against generic BP.
-    ///
-    /// Allocates a fresh graph per call; repeated inference should hold a
-    /// [`ChainGraphBuffer`] and use [`ChainModel::fill_factor_graph`],
-    /// which rewrites tables in place whenever the sequence length is
-    /// unchanged.
-    pub fn to_factor_graph(&self, obs: &[usize]) -> FactorGraph {
-        let mut buf = ChainGraphBuffer::new();
-        self.fill_factor_graph(obs, &mut buf);
-        buf.into_graph()
-    }
-
-    /// Materialize the factor graph for `obs` into `buf`. When the buffer
-    /// already holds a chain of the same length over the same state
-    /// count, only the table values are rewritten — no allocation, no
-    /// graph reconstruction — which also lets an attached
-    /// [`crate::BpWorkspace`] keep its shape index across sessions.
-    pub fn fill_factor_graph(&self, obs: &[usize], buf: &mut ChainGraphBuffer) {
-        self.fill_factor_graph_timed(obs, &[], buf);
-    }
-
-    /// Timed variant of [`ChainModel::fill_factor_graph`]: each step's
-    /// evidence-reduced factor additionally folds the quantized gap
-    /// observation preceding it ([`GAP_NONE`] entries are neutral).
-    /// `gap_bins` is parallel to `obs`, or empty for an order-only fill;
-    /// the graph *shape* is identical either way, so same-length refills
-    /// stay in place even when only the gap bins changed.
-    pub fn fill_factor_graph_timed(
-        &self,
-        obs: &[usize],
-        gap_bins: &[usize],
-        buf: &mut ChainGraphBuffer,
-    ) {
-        assert!(
-            gap_bins.is_empty() || gap_bins.len() == obs.len(),
-            "observations/gap-bins length mismatch"
-        );
-        let gb = |t: usize| {
-            if gap_bins.is_empty() {
-                GAP_NONE
-            } else {
-                gap_bins[t]
-            }
-        };
-        let s = self.n_states;
-        if buf.len == obs.len() && buf.n_states == s {
-            // In-place refresh: factor 0 is prior × emission, factor t is
-            // transition × emission for step t (gap emission folded on
-            // the step's own variable).
-            if let Some(&o0) = obs.first() {
-                let b0 = gb(0);
-                buf.graph
-                    .factor_mut(crate::graph::FactorId(0))
-                    .fill_from_fn(|a| {
-                        self.prior[a[0]] * self.emit(a[0], o0) * self.gap_emit(a[0], b0)
-                    });
-            }
-            for (t, &o) in obs.iter().enumerate().skip(1) {
-                let bt = gb(t);
-                buf.graph
-                    .factor_mut(crate::graph::FactorId(t as u32))
-                    .fill_from_fn(|a| {
-                        self.trans(a[0], a[1]) * self.emit(a[1], o) * self.gap_emit(a[1], bt)
-                    });
-            }
-            return;
-        }
-        let mut g = FactorGraph::new();
-        let states: Vec<_> = obs.iter().map(|_| g.add_variable(s)).collect();
-        if let Some(&first) = states.first() {
-            let o0 = obs[0];
-            let b0 = gb(0);
-            let table: Vec<f64> = (0..s)
-                .map(|st| self.prior[st] * self.emit(st, o0) * self.gap_emit(st, b0))
-                .collect();
-            g.add_factor(Factor::new(vec![first], vec![s], table));
-        }
-        for t in 1..states.len() {
-            let o = obs[t];
-            let bt = gb(t);
-            let (a, b) = (states[t - 1], states[t]);
-            g.add_factor(Factor::from_fn(vec![a, b], vec![s, s], |assign| {
-                self.trans(assign[0], assign[1])
-                    * self.emit(assign[1], o)
-                    * self.gap_emit(assign[1], bt)
-            }));
-        }
-        buf.graph = g;
-        buf.len = obs.len();
-        buf.n_states = s;
-    }
-}
-
-/// A reusable chain-graph buffer: holds the materialized factor graph of
-/// the most recent observation sequence so same-length refills rewrite
-/// factor tables in place instead of rebuilding the graph.
-#[derive(Debug, Clone, Default)]
-pub struct ChainGraphBuffer {
-    graph: FactorGraph,
-    len: usize,
-    n_states: usize,
-}
-
-impl ChainGraphBuffer {
-    pub fn new() -> ChainGraphBuffer {
-        ChainGraphBuffer::default()
-    }
-
-    /// The factor graph of the last [`ChainModel::fill_factor_graph`].
-    pub fn graph(&self) -> &FactorGraph {
-        &self.graph
-    }
-
-    /// Append an extra factor on top of the chain (e.g. a skip-agreement
-    /// factor of the session model). Appended factors sit after the
-    /// chain factors, so a same-length [`ChainModel::fill_factor_graph`]
-    /// refresh leaves them intact.
-    pub fn append_factor(&mut self, factor: Factor) -> crate::graph::FactorId {
-        self.graph.add_factor(factor)
-    }
-
-    /// Drop the materialized graph so the next fill rebuilds from
-    /// scratch (used when appended factors must change).
-    pub fn reset(&mut self) {
-        self.graph = FactorGraph::new();
-        self.len = 0;
-        self.n_states = 0;
-    }
-
-    /// Chain length currently materialized.
-    pub fn chain_len(&self) -> usize {
-        self.len
-    }
-
-    /// Consume the buffer, yielding the graph.
-    pub fn into_graph(self) -> FactorGraph {
-        self.graph
-    }
 }
 
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
-    use crate::sumproduct::{brute_force_marginals, run, BpOptions};
 
     /// A 2-state weather-like model.
     fn toy() -> ChainModel {
@@ -491,6 +347,63 @@ mod tests {
             vec![0.7, 0.3, 0.4, 0.6],
             vec![0.5, 0.4, 0.1, 0.1, 0.3, 0.6],
         )
+    }
+
+    fn toy_with_gaps() -> ChainModel {
+        // 2 gap bins (< 1h / >= 1h): state 0 fast, state 1 slow.
+        toy().with_gap_model(GapModel::new(2, vec![3_600.0], vec![0.9, 0.1, 0.2, 0.8]))
+    }
+
+    /// The exact oracle: all `S^n` state paths, each weighted by
+    /// `prior·emit·gap_emit · Π trans·emit·gap_emit` straight from the
+    /// model's tables.
+    struct Exhaustive {
+        /// `P(s_t = s | o_1..o_n)`.
+        marginals: Vec<Vec<f64>>,
+        /// `P(o_1..o_n)`.
+        evidence: f64,
+        /// The heaviest path and its joint weight.
+        best: (Vec<usize>, f64),
+    }
+
+    fn exhaustive(m: &ChainModel, obs: &[usize], bins: &[usize]) -> Exhaustive {
+        let (s, n) = (m.n_states(), obs.len());
+        let mut marginals = vec![vec![0.0; s]; n];
+        let mut evidence = 0.0;
+        let mut best = (Vec::new(), f64::NEG_INFINITY);
+        for code in 0..s.pow(n as u32) {
+            let path: Vec<usize> = (0..n).map(|t| code / s.pow(t as u32) % s).collect();
+            let mut w = 1.0;
+            for t in 0..n {
+                let step = if t == 0 {
+                    m.prior()[path[0]]
+                } else {
+                    m.trans(path[t - 1], path[t])
+                };
+                w *= step * m.emit(path[t], obs[t]) * m.gap_emit(path[t], bins[t]);
+            }
+            evidence += w;
+            for t in 0..n {
+                marginals[t][path[t]] += w;
+            }
+            if w > best.1 {
+                best = (path, w);
+            }
+        }
+        for x in marginals.iter_mut().flatten() {
+            *x /= evidence;
+        }
+        Exhaustive {
+            marginals,
+            evidence,
+            best,
+        }
+    }
+
+    fn assert_close(got: &[f64], want: &[f64], what: &str) {
+        for (s, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!((g - w).abs() < 1e-9, "{what} s={s}: {g} vs exact {w}");
+        }
     }
 
     #[test]
@@ -505,34 +418,42 @@ mod tests {
     }
 
     #[test]
-    fn posteriors_match_factor_graph_bp() {
-        let m = toy();
-        let obs = vec![0, 2, 1, 2];
-        let gammas = m.posteriors(&obs);
-        let g = m.to_factor_graph(&obs);
-        let bp = run(&g, &BpOptions::default());
-        for (t, gamma) in gammas.iter().enumerate() {
-            for s in 0..2 {
-                assert!(
-                    (gamma[s] - bp.marginals[t][s]).abs() < 1e-6,
-                    "t={t} s={s}: fb {} vs bp {}",
-                    gamma[s],
-                    bp.marginals[t][s]
-                );
+    fn posteriors_match_brute_force() {
+        let m = toy_with_gaps();
+        for (obs, bins) in [
+            (vec![2, 2, 0], vec![GAP_NONE, 0, 1]),
+            (vec![0, 2, 1, 2], vec![GAP_NONE, 1, 0, 1]),
+        ] {
+            let none = vec![GAP_NONE; obs.len()];
+            let order_only = exhaustive(&m, &obs, &none).marginals;
+            let timed = exhaustive(&m, &obs, &bins).marginals;
+            let (plain, with_none, with_bins) = (
+                m.posteriors(&obs),
+                m.posteriors_timed(&obs, &none),
+                m.posteriors_timed(&obs, &bins),
+            );
+            assert_eq!(plain.len(), obs.len());
+            for t in 0..obs.len() {
+                assert_close(&plain[t], &order_only[t], &format!("posteriors t={t}"));
+                assert_close(&with_none[t], &order_only[t], &format!("GAP_NONE t={t}"));
+                assert_close(&with_bins[t], &timed[t], &format!("timed t={t}"));
             }
         }
     }
 
     #[test]
-    fn posteriors_match_brute_force() {
-        let m = toy();
-        let obs = vec![2, 2, 0];
-        let gammas = m.posteriors(&obs);
-        let exact = brute_force_marginals(&m.to_factor_graph(&obs));
-        for (t, gamma) in gammas.iter().enumerate() {
-            for s in 0..2 {
-                assert!((gamma[s] - exact[t][s]).abs() < 1e-9);
-            }
+    fn filter_prefixes_match_brute_force() {
+        let m = toy_with_gaps();
+        let obs = [0, 2, 1, 2, 1];
+        let bins = [GAP_NONE, 1, 0, GAP_NONE, 1];
+        let (alphas, _) = m.filter_timed(&obs, &bins);
+        for t in 0..obs.len() {
+            // The filtered posterior at t is the prefix's last marginal,
+            // and the prefix's log-likelihood is its log evidence.
+            let exact = exhaustive(&m, &obs[..=t], &bins[..=t]);
+            assert_close(&alphas[t], &exact.marginals[t], &format!("filtered t={t}"));
+            let (_, ll) = m.filter_timed(&obs[..=t], &bins[..=t]);
+            assert!((ll - exact.evidence.ln()).abs() < 1e-9, "loglik t={t}");
         }
     }
 
@@ -541,22 +462,9 @@ mod tests {
         let m = toy();
         let obs = vec![0, 2, 2, 1];
         let (path, logp) = m.viterbi(&obs);
-        // Exhaustive: enumerate all 2^4 state paths.
-        let mut best_path = Vec::new();
-        let mut best = f64::NEG_INFINITY;
-        for code in 0..16u32 {
-            let states: Vec<usize> = (0..4).map(|t| ((code >> t) & 1) as usize).collect();
-            let mut p = m.prior()[states[0]] * m.emit(states[0], obs[0]);
-            for t in 1..4 {
-                p *= m.trans(states[t - 1], states[t]) * m.emit(states[t], obs[t]);
-            }
-            if p.ln() > best {
-                best = p.ln();
-                best_path = states;
-            }
-        }
+        let (best_path, best) = exhaustive(&m, &obs, &[GAP_NONE; 4]).best;
         assert_eq!(path, best_path);
-        assert!((logp - best).abs() < 1e-9);
+        assert!((logp - best.ln()).abs() < 1e-9);
     }
 
     #[test]
@@ -598,15 +506,8 @@ mod tests {
         assert_ne!(ga[1], gb[1]);
     }
 
-    fn toy_with_gaps() -> ChainModel {
-        use crate::timing::GapModel;
-        // 2 gap bins (< 1h / >= 1h): state 0 fast, state 1 slow.
-        toy().with_gap_model(GapModel::new(2, vec![3_600.0], vec![0.9, 0.1, 0.2, 0.8]))
-    }
-
     #[test]
     fn timed_filter_with_neutral_bins_matches_order_only() {
-        use crate::timing::GAP_NONE;
         let m = toy_with_gaps();
         let obs = vec![0, 1, 2, 2];
         let (plain, ll_plain) = m.filter(&obs);
@@ -617,7 +518,6 @@ mod tests {
 
     #[test]
     fn timed_filter_shifts_posterior_toward_tempo_matched_state() {
-        use crate::timing::GAP_NONE;
         let m = toy_with_gaps();
         let obs = vec![1, 1, 1];
         let fast_bins = vec![GAP_NONE, 0, 0];
@@ -633,46 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn timed_smoothing_matches_timed_factor_graph_bp() {
-        use crate::sumproduct::{run, BpOptions};
-        use crate::timing::GAP_NONE;
-        let m = toy_with_gaps();
-        let obs = vec![0, 2, 1, 2];
-        let bins = vec![GAP_NONE, 1, 0, 1];
-        let gammas = m.posteriors_timed(&obs, &bins);
-        let mut buf = ChainGraphBuffer::new();
-        m.fill_factor_graph_timed(&obs, &bins, &mut buf);
-        let bp = run(buf.graph(), &BpOptions::default());
-        for (t, gamma) in gammas.iter().enumerate() {
-            for s in 0..2 {
-                assert!(
-                    (gamma[s] - bp.marginals[t][s]).abs() < 1e-6,
-                    "t={t} s={s}: fb {} vs bp {}",
-                    gamma[s],
-                    bp.marginals[t][s]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn timed_refill_rewrites_tables_in_place() {
-        use crate::timing::GAP_NONE;
-        let m = toy_with_gaps();
-        let obs = vec![1, 1];
-        let mut buf = ChainGraphBuffer::new();
-        m.fill_factor_graph_timed(&obs, &[GAP_NONE, 0], &mut buf);
-        let (a, _) = m.filter_timed(&obs, &[GAP_NONE, 0]);
-        // Same shape, different bins: the refresh must change the result.
-        m.fill_factor_graph_timed(&obs, &[GAP_NONE, 1], &mut buf);
-        use crate::sumproduct::{run, BpOptions};
-        let bp = run(buf.graph(), &BpOptions::default());
-        let (b, _) = m.filter_timed(&obs, &[GAP_NONE, 1]);
-        assert!((bp.marginals[1][1] - b[1][1]).abs() < 1e-9);
-        assert_ne!(a[1][1], b[1][1], "bin change must reach the tables");
-    }
-
-    #[test]
     fn gap_model_equality_and_accessors() {
         let with = toy_with_gaps();
         let plain = toy();
@@ -682,7 +542,7 @@ mod tests {
         assert!(plain.gap_model().is_none());
         // Neutral accessors on a gap-free model.
         assert_eq!(plain.gap_emit(0, 3), 1.0);
-        assert_eq!(plain.gap_bin(12_345.0), crate::timing::GAP_NONE);
+        assert_eq!(plain.gap_bin(12_345.0), GAP_NONE);
         // And real quantization on the gap-carrying one.
         assert_eq!(with.gap_bin(10.0), 0);
         assert_eq!(with.gap_bin(7_200.0), 1);

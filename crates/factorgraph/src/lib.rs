@@ -1,20 +1,18 @@
-//! # factorgraph — discrete probabilistic graphical models
+//! # factorgraph — the chain factor graph of the preemption models
 //!
 //! The inference substrate behind the paper's preemption models (\[5\], \[6\]):
 //! "Factor-Graph-based models ... to infer hidden attack states and stop
-//! attacks before the damage."
+//! attacks before the damage." The factor graph the testbed runs is a
+//! chain per attack entity: hidden stages `s_1 → … → s_n`, one
+//! `trans·emit·gap_emit` factor per alert. On a chain, exact inference
+//! costs O(n·S²), so no general message-passing engine is needed.
 //!
-//! - [`variable`], [`factor`] — discrete variables and tabular factors
-//!   (product, marginalize, reduce, normalize).
-//! - [`graph`] — the bipartite factor graph with forest detection.
-//! - [`engine`] — the stride/arena message-passing core: flat message
-//!   arenas, precomputed edge offsets and table strides, pairwise
-//!   kernels, and the reusable zero-allocation [`BpWorkspace`].
-//! - [`sumproduct`] — loopy/exact sum-product BP + brute-force validator
-//!   (the seed implementation survives as `sumproduct::reference`).
-//! - [`maxproduct`] — max-product MAP inference on the same engine.
-//! - [`chain`] — exact O(n·S²) filtering / smoothing / Viterbi on the
-//!   per-entity attack-stage chains the detector runs online.
+//! - [`chain`] — forward filtering, forward-backward smoothing, Viterbi
+//!   decoding and likelihood on the per-entity attack-stage chains. [`ChainModel::forward_step`] is the one online
+//!   update: the detector's per-entity tagger and the correlator's
+//!   stitched replay both run it after every alert.
+//! - [`timing`] — quantized inter-alert-gap emissions folded into each
+//!   step as one more observation factor.
 //! - [`learn`] — MLE with Laplace smoothing from labeled incidents.
 //!
 //! ## Example: infer a hidden attack stage
@@ -34,20 +32,9 @@
 //! ```
 
 pub mod chain;
-pub mod engine;
-pub mod factor;
-pub mod graph;
 pub mod learn;
-pub mod maxproduct;
-pub mod sumproduct;
 pub mod timing;
-pub mod variable;
 
-pub use chain::{ChainGraphBuffer, ChainModel};
-pub use engine::{BpSchedule, BpStats, BpWorkspace};
-pub use factor::Factor;
-pub use graph::{FactorGraph, FactorId};
+pub use chain::ChainModel;
 pub use learn::ChainLearner;
-pub use sumproduct::{BpOptions, BpResult};
 pub use timing::{GapLearner, GapModel, GAP_NONE};
-pub use variable::{VarId, Variable};

@@ -8,8 +8,7 @@
 //! adds the timing side: the gap preceding each observation is quantized
 //! into a small set of logarithmic bins, and a per-state emission table
 //! `P(gap bin | state)` turns that bin into one more observation factor
-//! multiplied into the forward filter (or, in the session factor graph,
-//! one more unary factor on the step variable).
+//! multiplied into each step of the forward filter.
 //!
 //! The quantization is deliberately coarse: bins are evidence about tempo
 //! *class* (machine-paced / interactive / slow / dormant), not a timing

@@ -10,7 +10,7 @@
 //! behavior (ordering included) matches rayon's indexed iterators for
 //! every call site in this workspace.
 //!
-//! Also provided: [`join`] and [`current_num_threads`].
+//! Also provided: [`current_num_threads`].
 
 use std::num::NonZeroUsize;
 
@@ -32,15 +32,15 @@ pub fn current_num_threads() -> usize {
     })
 }
 
-/// A persistent worker pool, so `join`/`drive` dispatch costs a queue
+/// A persistent worker pool, so a parallel drive's dispatch costs a queue
 /// push instead of an OS thread spawn (the real rayon's reason to
-/// exist; a per-call `thread::scope` makes fine-grained parallel BP
-/// sweeps slower than serial ones).
+/// exist; a per-call `thread::scope` makes fine-grained parallel work
+/// slower than serial).
 ///
 /// Lifetime model: jobs capture borrowed state, erased to `'static` at
 /// the dispatch boundary. This is sound because every dispatch point
 /// **blocks until its jobs complete before returning** — including when
-/// the inline half panics — so borrowed data strictly outlives the
+/// the inline chunk panics — so borrowed data strictly outlives the
 /// worker's use of it. Nested parallelism from inside a worker runs
 /// serially (a worker blocking on sub-jobs could deadlock the pool).
 mod pool {
@@ -194,39 +194,6 @@ mod pool {
             )
         };
         push(erased);
-    }
-}
-
-/// Run two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    let mut rb_slot: Option<RB> = None;
-    let batch = pool::Batch::new(1);
-    {
-        let rb_ref = &mut rb_slot;
-        // SAFETY: `batch.wait()` runs below before `rb_slot`/`b` borrows
-        // expire, even if `a` panics (the panic is re-raised after the
-        // wait).
-        unsafe {
-            pool::dispatch(&batch, Box::new(move || *rb_ref = Some(b())));
-        }
-        let ra = std::panic::catch_unwind(std::panic::AssertUnwindSafe(a));
-        batch.wait();
-        match (ra, rb_slot) {
-            (Ok(ra), Some(rb)) => (ra, rb),
-            (Err(payload), _) => std::panic::resume_unwind(payload),
-            (Ok(_), None) => panic!("rayon-shim join worker panicked"),
-        }
     }
 }
 
@@ -544,13 +511,6 @@ mod tests {
         assert_eq!(s, 499_500);
         let m = (0..1000u64).into_par_iter().reduce(|| 0, u64::max);
         assert_eq!(m, 999);
-    }
-
-    #[test]
-    fn join_runs_both() {
-        let (a, b) = super::join(|| 1 + 1, || "x".repeat(3));
-        assert_eq!(a, 2);
-        assert_eq!(b, "xxx");
     }
 
     #[test]

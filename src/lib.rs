@@ -10,7 +10,7 @@
 //! | [`simnet`] | `simnet` | discrete-event network/cluster substrate |
 //! | [`telemetry`] | `telemetry` | Zeek/osquery/auditd-like monitors |
 //! | [`alertlib`] | `alertlib` | taxonomy, symbolization, filtering, annotation |
-//! | [`factorgraph`] | `factorgraph` | factors, BP, chain inference, learning |
+//! | [`factorgraph`] | `factorgraph` | chain filtering/smoothing/Viterbi, gap bins, learning |
 //! | [`detect`] | `detect` | AttackTagger + baselines + metrics |
 //! | [`mining`] | `mining` | Jaccard / LCS / timing / criticality analytics |
 //! | [`honeynet`] | `honeynet` | VRT, containers, vulnerable services, isolation |
@@ -75,7 +75,7 @@ pub mod prelude {
     pub use alertlib::{Alert, AlertKind, Entity, Incident, IncidentStore, ScanFilter, Symbolizer};
     pub use bhr::{BhrFilter, BhrHandle};
     pub use detect::{AttackTagger, CriticalOnlyDetector, RuleBasedDetector, Stage, TaggerConfig};
-    pub use factorgraph::{ChainLearner, ChainModel, Factor, FactorGraph};
+    pub use factorgraph::{ChainLearner, ChainModel};
     pub use honeynet::{HoneynetDeployment, PostgresEmulator, SnapshotRepo};
     pub use mining::{Cdf, CommonPattern, MinerConfig};
     pub use scenario::{

@@ -1,72 +1,57 @@
 //! Property-based tests on the core invariants (proptest), spanning
-//! crates: factor algebra, inference consistency, LCS laws, CIDR
-//! containment, filter monotonicity, sanitizer idempotence, BHR expiry.
+//! crates: chain inference consistency, LCS laws, CIDR containment,
+//! filter monotonicity, sanitizer idempotence, BHR expiry.
 
 use attack_tagger::prelude::*;
-use factorgraph::sumproduct::{brute_force_marginals, run, BpOptions};
+use factorgraph::{GapModel, GAP_NONE};
 use proptest::prelude::*;
 
-// ---------- factor algebra ----------
+// ---------- chain inference against exhaustive enumeration ----------
 
-fn arb_factor(max_card: usize) -> impl Strategy<Value = Factor> {
-    (1usize..=3, 1usize..=max_card).prop_flat_map(|(nvars, _)| {
-        proptest::collection::vec(1usize..=3, nvars).prop_flat_map(move |cards| {
-            let size: usize = cards.iter().product();
-            proptest::collection::vec(0.01f64..10.0, size).prop_map(move |table| {
-                let vars = (0..cards.len() as u32).map(factorgraph::VarId).collect();
-                Factor::new(vars, cards.clone(), table)
-            })
-        })
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Product with a uniform factor preserves values.
-    #[test]
-    fn factor_product_identity(f in arb_factor(3)) {
-        let ones = Factor::uniform(f.vars().to_vec(), f.cards().to_vec());
-        let p = f.product(&ones);
-        for (a, b) in p.table().iter().zip(f.table()) {
-            prop_assert!((a - b).abs() < 1e-12);
+/// The exact oracle: every state path of `m` over `obs`, weighted by
+/// `prior·emit·gap_emit · Π trans·emit·gap_emit`. Returns the smoothed
+/// marginals, the evidence `P(o_1..o_n)` and the heaviest path with its
+/// joint weight.
+fn enumerate_paths(
+    m: &ChainModel,
+    obs: &[usize],
+    bins: &[usize],
+) -> (Vec<Vec<f64>>, f64, (Vec<usize>, f64)) {
+    let (s, n) = (m.n_states(), obs.len());
+    let mut marginals = vec![vec![0.0; s]; n];
+    let (mut evidence, mut best) = (0.0, (Vec::new(), f64::NEG_INFINITY));
+    for code in 0..s.pow(n as u32) {
+        let path: Vec<usize> = (0..n).map(|t| code / s.pow(t as u32) % s).collect();
+        let mut w = 1.0;
+        for t in 0..n {
+            let step = if t == 0 {
+                m.prior()[path[0]]
+            } else {
+                m.trans(path[t - 1], path[t])
+            };
+            w *= step * m.emit(path[t], obs[t]) * m.gap_emit(path[t], bins[t]);
+        }
+        evidence += w;
+        for (row, &st) in marginals.iter_mut().zip(&path) {
+            row[st] += w;
+        }
+        if w > best.1 {
+            best = (path, w);
         }
     }
-
-    /// Marginalizing to the empty scope sums the whole table, regardless
-    /// of intermediate marginalization order.
-    #[test]
-    fn marginalization_is_order_independent(f in arb_factor(3)) {
-        let total: f64 = f.table().iter().sum();
-        let direct = f.marginalize(&[]).table()[0];
-        prop_assert!((direct - total).abs() < 1e-9 * total.max(1.0));
-        if f.vars().len() >= 2 {
-            let first = f.vars()[0];
-            let step = f.marginalize(&f.vars()[1..]).marginalize(&[]);
-            prop_assert!((step.table()[0] - total).abs() < 1e-9 * total.max(1.0));
-            let _ = first;
-        }
+    for x in marginals.iter_mut().flatten() {
+        *x /= evidence;
     }
-
-    /// Reduction then summation equals slicing the sum.
-    #[test]
-    fn reduce_is_a_slice(f in arb_factor(3)) {
-        let var = f.vars()[0];
-        let card = f.cards()[0];
-        let slices: f64 = (0..card)
-            .map(|v| f.reduce(var, v).marginalize(&[]).table()[0])
-            .sum();
-        let total: f64 = f.table().iter().sum();
-        prop_assert!((slices - total).abs() < 1e-9 * total.max(1.0));
-    }
+    (marginals, evidence, best)
 }
-
-// ---------- inference consistency ----------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// On random chains, BP == brute force == forward-backward.
+    /// On random timed chains, exhaustive enumeration agrees with
+    /// forward-backward smoothing (order-only and timed), with the
+    /// filtered posterior of every prefix (the tagger's `forward_step`)
+    /// and with the Viterbi path.
     #[test]
     fn chain_inference_agreement(
         seed in 0u64..1_000,
@@ -75,6 +60,7 @@ proptest! {
         let mut rng = SimRng::seed(seed);
         let s = 3usize;
         let o = 4usize;
+        let bins_n = 3usize;
         let dirich = |rng: &mut SimRng, n: usize| -> Vec<f64> {
             let raw: Vec<f64> = (0..n).map(|_| rng.uniform(0.05, 1.0)).collect();
             let sum: f64 = raw.iter().sum();
@@ -83,28 +69,39 @@ proptest! {
         let prior = dirich(&mut rng, s);
         let trans: Vec<f64> = (0..s).flat_map(|_| dirich(&mut rng, s)).collect();
         let emit: Vec<f64> = (0..s).flat_map(|_| dirich(&mut rng, o)).collect();
-        let m = ChainModel::new(s, o, prior, trans, emit);
+        let gap_emit: Vec<f64> = (0..s).flat_map(|_| dirich(&mut rng, bins_n)).collect();
+        let m = ChainModel::new(s, o, prior, trans, emit)
+            .with_gap_model(GapModel::new(s, vec![60.0, 3_600.0], gap_emit));
         let obs: Vec<usize> = (0..len).map(|_| rng.index(o)).collect();
+        // Bin `bins_n` stands for "no gap evidence".
+        let bins: Vec<usize> = (0..len)
+            .map(|t| match rng.index(bins_n + 1) {
+                b if t > 0 && b < bins_n => b,
+                _ => GAP_NONE,
+            })
+            .collect();
+        let none = vec![GAP_NONE; len];
+        let close = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-9);
 
-        let fb = m.posteriors(&obs);
-        let g = m.to_factor_graph(&obs);
-        let bp = run(&g, &BpOptions::default());
-        let exact = brute_force_marginals(&g);
+        let (order_only, _, best) = enumerate_paths(&m, &obs, &none);
+        let (timed, evidence, _) = enumerate_paths(&m, &obs, &bins);
+        let (plain, with_none, with_bins) = (
+            m.posteriors(&obs),
+            m.posteriors_timed(&obs, &none),
+            m.posteriors_timed(&obs, &bins),
+        );
+        let (alphas, loglik) = m.filter_timed(&obs, &bins);
+        prop_assert!((loglik - evidence.ln()).abs() < 1e-9, "loglik");
         for t in 0..len {
-            for st in 0..s {
-                prop_assert!((fb[t][st] - exact[t][st]).abs() < 1e-6,
-                    "fb vs exact at t={t} s={st}");
-                prop_assert!((bp.marginals[t][st] - exact[t][st]).abs() < 1e-6,
-                    "bp vs exact at t={t} s={st}");
-            }
+            prop_assert!(close(&plain[t], &order_only[t]), "posteriors t={t}");
+            prop_assert!(close(&with_none[t], &order_only[t]), "GAP_NONE t={t}");
+            prop_assert!(close(&with_bins[t], &timed[t]), "timed t={t}");
+            let (prefix, _, _) = enumerate_paths(&m, &obs[..=t], &bins[..=t]);
+            prop_assert!(close(&alphas[t], &prefix[t]), "filtered t={t}");
         }
-        // Viterbi path probability is achievable (matches joint eval).
         let (path, logp) = m.viterbi(&obs);
-        let mut p = m.prior()[path[0]] * m.emit(path[0], obs[0]);
-        for t in 1..len {
-            p *= m.trans(path[t - 1], path[t]) * m.emit(path[t], obs[t]);
-        }
-        prop_assert!((p.ln() - logp).abs() < 1e-9);
+        prop_assert!((logp - best.1.ln()).abs() < 1e-9, "viterbi log-probability");
+        prop_assert_eq!(path, best.0);
     }
 }
 
