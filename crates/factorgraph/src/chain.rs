@@ -400,6 +400,79 @@ mod tests {
         }
     }
 
+    /// The chain's factor graph, built straight from the model's tables:
+    /// one unary factor per step (`prior` on the first, `emit·gap_emit` on
+    /// every one) and one pairwise `trans` factor per link. Each factor is
+    /// its variables and a row-major table over them.
+    fn chain_factors(m: &ChainModel, obs: &[usize], bins: &[usize]) -> Vec<(Vec<usize>, Vec<f64>)> {
+        let s = m.n_states();
+        let mut factors = Vec::new();
+        for t in 0..obs.len() {
+            let unary = (0..s)
+                .map(|x| {
+                    let p = if t == 0 { m.prior()[x] } else { 1.0 };
+                    p * m.emit(x, obs[t]) * m.gap_emit(x, bins[t])
+                })
+                .collect();
+            factors.push((vec![t], unary));
+            if t > 0 {
+                let pair = (0..s * s).map(|k| m.trans(k / s, k % s)).collect();
+                factors.push((vec![t - 1, t], pair));
+            }
+        }
+        factors
+    }
+
+    /// Sum-product belief propagation with a flooding schedule: every
+    /// round recomputes all factor-to-variable messages from the previous
+    /// round's. On an `n`-variable chain every message has crossed the
+    /// graph after `n + 1` rounds, so the beliefs are the exact marginals.
+    fn factor_graph_bp(factors: &[(Vec<usize>, Vec<f64>)], n: usize, s: usize) -> Vec<Vec<f64>> {
+        // msg[f][i]: factor f → its i-th variable.
+        let mut msg: Vec<Vec<Vec<f64>>> = factors
+            .iter()
+            .map(|(vars, _)| vec![vec![1.0; s]; vars.len()])
+            .collect();
+        // The normalized product of the messages into `v`, leaving out
+        // factor `skip`'s (the variable-to-factor message when `Some`).
+        let belief = |msg: &[Vec<Vec<f64>>], v: usize, skip: Option<usize>| -> Vec<f64> {
+            let mut b = vec![1.0; s];
+            for (g, (vars, _)) in factors.iter().enumerate() {
+                if Some(g) == skip {
+                    continue;
+                }
+                for (i, _) in vars.iter().enumerate().filter(|&(_, &u)| u == v) {
+                    for x in 0..s {
+                        b[x] *= msg[g][i][x];
+                    }
+                }
+            }
+            let z: f64 = b.iter().sum();
+            b.iter().map(|x| x / z).collect()
+        };
+        for _ in 0..=n {
+            msg = factors
+                .iter()
+                .enumerate()
+                .map(|(f, (vars, table))| match *vars.as_slice() {
+                    [_] => vec![table.clone()],
+                    [a, b] => {
+                        let (into_a, into_b) = (belief(&msg, a, Some(f)), belief(&msg, b, Some(f)));
+                        let to_a = (0..s)
+                            .map(|x| (0..s).map(|y| table[x * s + y] * into_b[y]).sum())
+                            .collect();
+                        let to_b = (0..s)
+                            .map(|y| (0..s).map(|x| table[x * s + y] * into_a[x]).sum())
+                            .collect();
+                        vec![to_a, to_b]
+                    }
+                    _ => unreachable!("chain factors are unary or pairwise"),
+                })
+                .collect();
+        }
+        (0..n).map(|v| belief(&msg, v, None)).collect()
+    }
+
     fn assert_close(got: &[f64], want: &[f64], what: &str) {
         for (s, (g, w)) in got.iter().zip(want).enumerate() {
             assert!((g - w).abs() < 1e-9, "{what} s={s}: {g} vs exact {w}");
@@ -438,6 +511,17 @@ mod tests {
                 assert_close(&with_none[t], &order_only[t], &format!("GAP_NONE t={t}"));
                 assert_close(&with_bins[t], &timed[t], &format!("timed t={t}"));
             }
+        }
+    }
+
+    #[test]
+    fn posteriors_match_factor_graph_bp() {
+        let m = toy();
+        let obs = vec![0, 2, 1, 2];
+        let gammas = m.posteriors(&obs);
+        let bp = factor_graph_bp(&chain_factors(&m, &obs, &[GAP_NONE; 4]), obs.len(), 2);
+        for (t, gamma) in gammas.iter().enumerate() {
+            assert_close(gamma, &bp[t], &format!("fb vs bp t={t}"));
         }
     }
 
@@ -530,6 +614,18 @@ mod tests {
             slow[2][1],
             fast[2][1]
         );
+    }
+
+    #[test]
+    fn timed_smoothing_matches_timed_factor_graph_bp() {
+        let m = toy_with_gaps();
+        let obs = vec![0, 2, 1, 2];
+        let bins = vec![GAP_NONE, 1, 0, 1];
+        let gammas = m.posteriors_timed(&obs, &bins);
+        let bp = factor_graph_bp(&chain_factors(&m, &obs, &bins), obs.len(), 2);
+        for (t, gamma) in gammas.iter().enumerate() {
+            assert_close(gamma, &bp[t], &format!("timed fb vs bp t={t}"));
+        }
     }
 
     #[test]
